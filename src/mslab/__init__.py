@@ -53,10 +53,13 @@ from .jetmesh import (
     field_to_csv,
     interior_nodes,
     jet_extension,
+    node_index,
     parse_region,
+    region_index,
     region_nodes,
     region_to_json,
     region_triangles,
+    triangle_index,
 )
 from .lagrangian import (
     CovectorAtTriple,
@@ -64,6 +67,7 @@ from .lagrangian import (
     LagrangianDensity,
     LinearWave,
     QuadraticDensity,
+    TriangleTerms,
     UserDensity,
     density_from_json,
     eval_Ld,
@@ -72,6 +76,7 @@ from .lagrangian import (
     omega_k,
     quartic_test_density,
     theta_k,
+    triangle_kernel,
 )
 from .mechanics import (
     FreeParticle,
@@ -98,6 +103,7 @@ from .msforms import (
     continuous_msff_residual,
     hessian_symmetry,
     linearized_del_residual,
+    msff_patch_residuals,
     msff_residual_patch,
     msff_residual_region,
     symplectic_flux,

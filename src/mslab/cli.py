@@ -241,13 +241,10 @@ def _cmd_msff_check(args) -> int:
         density, field, region,
         jetmesh.BoundaryData(region, amplitude * rng_w.standard_normal(n_bd)))
 
-    worst = 0.0
-    worst_node = None
-    for n in range(1, mesh.nt):
-        for i in range(1, mesh.nx):
-            rep = msforms.msff_residual_patch(density, field, v_var, w_var, n, i)
-            if abs(rep.residual) > worst:
-                worst, worst_node = abs(rep.residual), [n, i]
+    patch = np.abs(msforms.msff_patch_residuals(density, field, v_var, w_var, region))
+    k = int(np.argmax(patch))
+    worst = float(patch[k])
+    worst_node = list(jetmesh.interior_nodes(region)[k]) if worst > 0.0 else None
     region_rep = msforms.msff_residual_region(density, field, v_var, w_var, region)
 
     centre = (mesh.nt // 2, mesh.nx // 2)

@@ -9,11 +9,17 @@ each vertex slot), so the discrete Euler-Lagrange (DEL) residual at (n, i) is
 where dk is the k-th vertex-slot derivative.  For the wave density this is
 the classical leapfrog stencil scaled by dt*dx/2.
 
+The solvers evaluate residuals and Jacobians for all triangles at once with
+:func:`~mslab.lagrangian.triangle_kernel`: the residual vector is the
+scatter-add of the slot gradients, and the sparse Jacobian is assembled from
+the kernel's Hessian triplets.  :func:`del_residual` is the per-node view,
+built on the per-triangle :func:`~mslab.lagrangian.grad_Ld`.
+
 Three solution drivers are provided:
 
 * :func:`step_row` advances one time level by solving the DEL equations of
   the current level for the new row (a bidiagonal system, explicit for the
-  wave density);
+  wave density); its errors name the row;
 * :func:`solve_bvp` solves the space-time boundary-value problem on a region
   with Dirichlet data on the single boundary layer (Newton with Armijo
   backtracking, sparse LU);
@@ -41,9 +47,10 @@ import numpy as np
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
-from .jetmesh import (BoundaryData, DiscreteField, JetTriple, QuadMesh,
-                      Region, TriangleIndex, interior_nodes)
-from .lagrangian import LagrangianDensity, grad_Ld, hess_Ld
+from .jetmesh import (BoundaryData, DiscreteField, QuadMesh, Region,
+                      TriangleIndex, interior_nodes, jet_extension, node_index,
+                      region_index, triangle_index)
+from .lagrangian import LagrangianDensity, grad_Ld, triangle_kernel
 
 RCOND_FLOOR = 1e-12
 
@@ -104,44 +111,46 @@ def parse_closure(obj) -> Closure:
 # Residuals
 
 
-def _row_jet(dt, dx, curr_row, next_row, i, i2) -> JetTriple:
-    """Jet of the triangle anchored at column i (third vertex from next_row)."""
-    return JetTriple(float(curr_row[i]), float(curr_row[i2]), float(next_row[i]), dt, dx)
-
-
-def _del_residual_rows(density, dt, dx, prev_row, curr_row, next_row, i,
-                       periodic: bool) -> float:
-    """DEL residual at column i of the middle row, given three row arrays."""
-    ncols = len(curr_row)
-    if periodic:
-        im1, ip1 = (i - 1) % ncols, (i + 1) % ncols
-    else:
-        if not 0 < i < ncols - 1:
-            raise ValueError(f"column {i} has no interior stencil (0..{ncols - 1})")
-        im1, ip1 = i - 1, i + 1
-    t_here = _row_jet(dt, dx, curr_row, next_row, i, ip1)
-    t_left = _row_jet(dt, dx, curr_row, next_row, im1, i)
-    t_below = _row_jet(dt, dx, prev_row, curr_row, i, ip1)
-    return (grad_Ld(density, t_here).d1
-            + grad_Ld(density, t_left).d2
-            + grad_Ld(density, t_below).d3)
-
-
 def del_residual(density: LagrangianDensity, field: DiscreteField, n: int, i: int,
                  periodic: bool = False) -> float:
     """DEL residual of ``field`` at node (n, i).
 
     Requires 1 <= n <= nt-1; without the periodic closure also
-    1 <= i <= nx-1 so the three-triangle stencil fits.
+    1 <= i <= nx-1 so the three-triangle stencil fits.  This is the
+    per-triangle reference route; the solvers use :func:`triangle_kernel`.
     """
     mesh = field.mesh
     if not 1 <= n <= mesh.nt - 1:
         raise ValueError(f"row {n} has no interior stencil (1..{mesh.nt - 1})")
-    if periodic:
-        i = i % (mesh.nx + 1)
-    return _del_residual_rows(density, mesh.dt, mesh.dx,
-                              field.values[n - 1], field.values[n],
-                              field.values[n + 1], i, periodic)
+    if not periodic and not 0 < i < mesh.nx:
+        raise ValueError(f"column {i} has no interior stencil (0..{mesh.nx})")
+    here, left, below = (jet_extension(field, TriangleIndex(*anchor), periodic)
+                         for anchor in ((n, i), (n, i - 1), (n - 1, i)))
+    return (grad_Ld(density, here).d1
+            + grad_Ld(density, left).d2
+            + grad_Ld(density, below).d3)
+
+
+def _sparse_block(triplets, size: int, eqs, unknowns, known=None):
+    """Sparse matrix of Hessian triplets, rows at the flat nodes ``eqs`` and
+    columns at the flat nodes ``unknowns`` (of ``size`` nodes in all).
+
+    With ``known`` (flat node values), also returns the right-hand side: minus
+    the product of the remaining columns with those values.
+    """
+    rows, cols, vals = triplets
+    number = np.full((2, size), -1, dtype=np.int32)
+    number[0, eqs], number[1, unknowns] = np.arange(len(eqs)), np.arange(len(unknowns))
+    r, c = number[0, rows], number[1, cols]
+    keep = (r >= 0) & (c >= 0)
+    mat = csc_matrix((vals[keep], (r[keep], c[keep])), shape=(len(eqs), len(unknowns)))
+    if known is None:
+        return mat
+    rest = (r >= 0) & (c < 0)
+    # 0.0 - s rather than -s: rows without a known column stay +0.0.
+    rhs = 0.0 - np.bincount(r[rest], weights=vals[rest] * known[cols[rest]],
+                            minlength=len(eqs))
+    return mat, rhs
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +233,8 @@ def step_row(density: LagrangianDensity, mesh: QuadMesh, u_prev, u_curr,
     is the next row.  The system couples each new value to its left
     neighbour only (bidiagonal; cyclic for the periodic closure), and is
     explicit for densities without space-time cross terms.  ``row_index`` is
-    the time index of the new row, used for callable fixed-end values.
+    the time index of the new row, used for callable fixed-end values and
+    named in solver errors.
     """
     u_prev = np.asarray(u_prev, dtype=float)
     u_curr = np.asarray(u_curr, dtype=float)
@@ -235,50 +245,39 @@ def step_row(density: LagrangianDensity, mesh: QuadMesh, u_prev, u_curr,
     periodic = isinstance(closure, PeriodicClosure)
     dt, dx = mesh.dt, mesh.dx
 
+    # Rows 0, 1, 2 of ``stack`` are u_prev, u_curr and the new row; the
+    # equations sit on row 1 and the unknowns on row 2.
+    stack = np.zeros((3, ncols))
+    stack[0], stack[1] = u_prev, u_curr
     if periodic:
-        columns = list(range(ncols))
-
-        def assemble(x):
-            return x
-
+        columns = anchors = np.arange(ncols)
     else:
-        left, right = closure.end_values(row_index)
-        columns = list(range(1, ncols - 1))
+        stack[2, 0], stack[2, -1] = closure.end_values(row_index)
+        columns, anchors = np.arange(1, ncols - 1), np.arange(ncols - 1)
+    if not len(columns):
+        return stack[2]
+    index = triangle_index(np.array([[0], [1]]), anchors, ncols, periodic)
+    upper = triangle_index(np.array([1]), anchors, ncols, periodic)
 
-        def assemble(x):
-            row = np.empty(ncols)
-            row[0], row[-1] = left, right
-            row[1:-1] = x
-            return row
+    def assemble(x):
+        row = stack.copy()
+        row[2, columns] = x
+        return row
 
     def residual(x):
-        nxt = assemble(x)
-        return np.array([
-            _del_residual_rows(density, dt, dx, u_prev, u_curr, nxt, i, periodic)
-            for i in columns])
+        terms = triangle_kernel(density, assemble(x), index, dt, dx)
+        return terms.residual[ncols + columns]
 
     def jacobian(x):
-        nxt = assemble(x)
-        rows, cols, vals = [], [], []
-        col_of = {i: idx for idx, i in enumerate(columns)}
-        for idx, i in enumerate(columns):
-            ip1 = (i + 1) % ncols if periodic else i + 1
-            im1 = (i - 1) % ncols if periodic else i - 1
-            m_here = hess_Ld(density, _row_jet(dt, dx, u_curr, nxt, i, ip1))
-            rows.append(idx)
-            cols.append(idx)
-            vals.append(m_here[0, 2])
-            if im1 in col_of:
-                m_left = hess_Ld(density, _row_jet(dt, dx, u_curr, nxt, im1, i))
-                rows.append(idx)
-                cols.append(col_of[im1])
-                vals.append(m_left[1, 2])
-        k = len(columns)
-        return csc_matrix((vals, (rows, cols)), shape=(k, k))
+        terms = triangle_kernel(density, assemble(x), upper, dt, dx,
+                                gradient=False, hessian=True)
+        return _sparse_block(terms.triplets, stack.size, ncols + columns,
+                             2 * ncols + columns)
 
-    x0 = (2.0 * u_curr - u_prev)[columns] if columns else np.zeros(0)
-    x, _, _, _ = _newton(residual, jacobian, x0, tol, max_iter, "step_row")
-    return assemble(x)
+    x0 = (2.0 * u_curr - u_prev)[columns]
+    x, _, _, _ = _newton(residual, jacobian, x0, tol, max_iter,
+                         f"step_row (row {row_index})")
+    return assemble(x)[2]
 
 
 def propagate(density: LagrangianDensity, mesh: QuadMesh, row0, row1,
@@ -308,19 +307,6 @@ class BvpSolveReport:
     rcond: float
 
 
-def _stencil_triangles(node):
-    """The three (triangle, slot) pairs whose action depends on ``node``."""
-    n, i = node
-    return ((TriangleIndex(n, i), 0),
-            (TriangleIndex(n, i - 1), 1),
-            (TriangleIndex(n - 1, i), 2))
-
-
-def _array_jet(arr, tri: TriangleIndex, dt: float, dx: float) -> JetTriple:
-    (n1, i1), (n2, i2), (n3, i3) = tri.vertices
-    return JetTriple(float(arr[n1, i1]), float(arr[n2, i2]), float(arr[n3, i3]), dt, dx)
-
-
 def solve_bvp(density: LagrangianDensity, mesh: QuadMesh, boundary: BoundaryData,
               *, tol: float = 1e-12, max_iter: int = 50,
               initial: DiscreteField = None) -> BvpSolveReport:
@@ -337,44 +323,30 @@ def solve_bvp(density: LagrangianDensity, mesh: QuadMesh, boundary: BoundaryData
     unknowns = interior_nodes(region)
     if not unknowns:
         raise ValueError(f"region {region} has no interior nodes")
-    index_of = {nd: k for k, nd in enumerate(unknowns)}
+    ncols = mesh.nx + 1
+    inner = node_index(unknowns, ncols)
+    index = region_index(region, ncols)
 
     base = np.zeros(mesh.shape) if initial is None else initial.values.copy()
-    for nd, val in zip(boundary.nodes, boundary.values):
-        base[nd] = val
+    base.flat[node_index(boundary.nodes, ncols)] = boundary.values
     x0 = np.full(len(unknowns), float(np.mean(boundary.values)))
     if initial is not None:
-        x0 = np.array([initial[nd] for nd in unknowns])
+        x0 = initial.values.ravel()[inner]
 
     def fill(x):
         arr = base.copy()
-        for nd, val in zip(unknowns, x):
-            arr[nd] = val
+        arr.flat[inner] = x
         return arr
 
     dt, dx = mesh.dt, mesh.dx
 
     def residual(x):
-        arr = fill(x)
-        return np.array([
-            _del_residual_rows(density, dt, dx, arr[n - 1], arr[n], arr[n + 1],
-                               i, False)
-            for (n, i) in unknowns])
+        return triangle_kernel(density, fill(x), index, dt, dx).residual[inner]
 
     def jacobian(x):
-        arr = fill(x)
-        rows, cols, vals = [], [], []
-        for row_idx, node in enumerate(unknowns):
-            for tri, eq_slot in _stencil_triangles(node):
-                m = hess_Ld(density, _array_jet(arr, tri, dt, dx))
-                for vtx_slot, vtx in enumerate(tri.vertices):
-                    col_idx = index_of.get(vtx)
-                    if col_idx is not None:
-                        rows.append(row_idx)
-                        cols.append(col_idx)
-                        vals.append(m[eq_slot, vtx_slot])
-        k = len(unknowns)
-        return csc_matrix((vals, (rows, cols)), shape=(k, k))
+        terms = triangle_kernel(density, fill(x), index, dt, dx,
+                                gradient=False, hessian=True)
+        return _sparse_block(terms.triplets, base.size, inner, inner)
 
     x, norm, iters, rcond = _newton(residual, jacobian, x0, tol, max_iter, "solve_bvp")
     return BvpSolveReport(field=DiscreteField(mesh, fill(x)), region=region,
@@ -399,36 +371,21 @@ def tangent_solve(density: LagrangianDensity, field: DiscreteField, region: Regi
     unknowns = interior_nodes(region)
     if not unknowns:
         raise ValueError(f"region {region} has no interior nodes")
-    for (n, i) in unknowns:
-        res = del_residual(density, field, n, i)
-        if abs(res) > base_tol:
-            raise ValueError(
-                f"base field does not satisfy the DEL equations at ({n}, {i}): "
-                f"residual {res:.3e} exceeds {base_tol:.1e}")
+    ncols = mesh.nx + 1
+    inner = node_index(unknowns, ncols)
+    terms = triangle_kernel(density, field.values, region_index(region, ncols),
+                            mesh.dt, mesh.dx, hessian=True)
+    res = terms.residual[inner]
+    bad = np.flatnonzero(np.abs(res) > base_tol)
+    if bad.size:
+        (n, i), worst = unknowns[bad[0]], res[bad[0]]
+        raise ValueError(
+            f"base field does not satisfy the DEL equations at ({n}, {i}): "
+            f"residual {worst:.3e} exceeds {base_tol:.1e}")
 
-    index_of = {nd: k for k, nd in enumerate(unknowns)}
     tau = np.zeros(mesh.shape)
-    for nd, val in zip(tangent_boundary.nodes, tangent_boundary.values):
-        tau[nd] = val
-
-    rows, cols, vals = [], [], []
-    rhs = np.zeros(len(unknowns))
-    dt, dx = mesh.dt, mesh.dx
-    for row_idx, node in enumerate(unknowns):
-        for tri, eq_slot in _stencil_triangles(node):
-            m = hess_Ld(density, _array_jet(field.values, tri, dt, dx))
-            for vtx_slot, vtx in enumerate(tri.vertices):
-                col_idx = index_of.get(vtx)
-                if col_idx is not None:
-                    rows.append(row_idx)
-                    cols.append(col_idx)
-                    vals.append(m[eq_slot, vtx_slot])
-                else:
-                    rhs[row_idx] -= m[eq_slot, vtx_slot] * tau[vtx]
-    k = len(unknowns)
-    jac = csc_matrix((vals, (rows, cols)), shape=(k, k))
+    tau.flat[node_index(tangent_boundary.nodes, ncols)] = tangent_boundary.values
+    jac, rhs = _sparse_block(terms.triplets, tau.size, inner, inner, tau.ravel())
     lu, _ = _factor_and_rcond(jac, "tangent_solve")
-    x = lu.solve(rhs)
-    for nd, val in zip(unknowns, x):
-        tau[nd] = val
+    tau.flat[inner] = lu.solve(rhs)
     return DiscreteField(mesh, tau)

@@ -36,24 +36,25 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy.sparse import csc_matrix
 
-from .delsolve import (BvpSolveReport, _array_jet, _factor_and_rcond,
+from .delsolve import (BvpSolveReport, _factor_and_rcond, _sparse_block,
                        solve_bvp)
-from .jetmesh import (BoundaryData, DiscreteField, QuadMesh, RectRegion,
-                      Region, TriangleIndex, boundary_nodes, interior_nodes,
-                      region_to_json, parse_region, region_triangles)
+from .jetmesh import (BoundaryData, DiscreteField, JetTriple, QuadMesh,
+                      RectRegion, Region, boundary_nodes, interior_nodes, node_index,
+                      region_index, region_to_json, parse_region)
 from .lagrangian import (LagrangianDensity, QuadraticDensity, eval_Ld,
-                         grad_Ld, hess_Ld)
+                         triangle_kernel)
 
 
 def region_action(density: LagrangianDensity, field: DiscreteField,
                   region: Region) -> float:
     """Sum of triangle actions of ``field`` over the region."""
     mesh = field.mesh
+    flat = field.values.ravel()
     total = 0.0
-    for tri in region_triangles(region):
-        total += eval_Ld(density, _array_jet(field.values, tri, mesh.dt, mesh.dx))
+    for u1, u2, u3 in zip(*(flat[ix].tolist()
+                            for ix in region_index(region, mesh.nx + 1))):
+        total += eval_Ld(density, JetTriple(u1, u2, u3, mesh.dt, mesh.dx))
     return float(total)
 
 
@@ -126,16 +127,15 @@ def normal_momenta(density: LagrangianDensity, field: DiscreteField,
     """Slot-sum boundary momenta of ``field`` on ``region``."""
     mesh = field.mesh
     nodes = boundary_nodes(region)
-    sums = {nd: 0.0 for nd in nodes}
-    for tri in region_triangles(region):
-        grad = None
-        for slot, vtx in enumerate(tri.vertices):
-            if vtx in sums:
-                if grad is None:
-                    grad = grad_Ld(density, _array_jet(field.values, tri,
-                                                       mesh.dt, mesh.dx))
-                sums[vtx] += grad.as_tuple()[slot]
-    return NormalMomentumField(region, nodes, [sums[nd] for nd in nodes],
+    flat = node_index(nodes, mesh.nx + 1)
+    on_boundary = np.zeros(field.values.size, dtype=bool)
+    on_boundary[flat] = True
+    # Only triangles with a boundary vertex contribute.
+    index = region_index(region, mesh.nx + 1)
+    touch = on_boundary[index[0]] | on_boundary[index[1]] | on_boundary[index[2]]
+    terms = triangle_kernel(density, field.values, [ix[touch] for ix in index],
+                            mesh.dt, mesh.dx)
+    return NormalMomentumField(region, nodes, terms.residual[flat],
                                _trapezoid_weights(region, mesh))
 
 
@@ -184,8 +184,8 @@ def ddw_residual(density: QuadraticDensity, field: DiscreteField,
                  region: Region = None) -> DdwResidualReport:
     """Forward-difference residuals of the canonical (first-order) equations.
 
-    Momenta are produced by :func:`legendre` on each triangle jet; the
-    divergence equation is evaluated with the forward differences matching
+    Momenta are the density's partials in (v, w) at each triangle jet, as in
+    :func:`legendre`; the divergence equation is evaluated with the forward differences matching
     the jet map:
 
         [p_t(n+1, i) - p_t(n, i)]/dt + [p_x(n, i+1) - p_x(n, i)]/dx
@@ -208,41 +208,35 @@ def ddw_residual(density: QuadraticDensity, field: DiscreteField,
     if not region.fits(mesh):
         raise ValueError(f"region {region} does not fit mesh with shape {mesh.shape}")
 
-    tris = set(region_triangles(region))
-
-    def momenta(tri):
-        jet = _array_jet(field.values, tri, mesh.dt, mesh.dx)
-        data = legendre(density, jet.v, jet.w, jet.ubar)
-        return jet, data
-
-    transport_sup = 0.0
-    divergence_sup = 0.0
-    n_sites = 0
-    for tri in tris:
-        up = TriangleIndex(tri.n + 1, tri.i)
-        rightward = TriangleIndex(tri.n, tri.i + 1)
-        if up not in tris or rightward not in tris:
-            continue
-        jet, here = momenta(tri)
-        _, above = momenta(up)
-        _, beside = momenta(rightward)
-        u_here = float(field.values[tri.n, tri.i])
-        # invert the momentum map at (u, p): velocities from the quadratic block
-        bt = here.p_t - density.vu * u_here
-        bx = here.p_x - density.wu * u_here
-        v_rec = (a22 * bt - a12 * bx) / det
-        w_rec = (a11 * bx - a12 * bt) / det
-        transport_sup = max(transport_sup, abs(jet.v - v_rec), abs(jet.w - w_rec))
-        du_energy = -(density.uu * u_here + density.vu * v_rec + density.wu * w_rec)
-        div = ((above.p_t - here.p_t) / mesh.dt
-               + (beside.p_x - here.p_x) / mesh.dx
-               - du_energy)
-        divergence_sup = max(divergence_sup, abs(div))
-        n_sites += 1
-    if n_sites == 0:
+    ncols = mesh.nx + 1
+    index = region_index(region, ncols)
+    # Sites are region triangles whose upper and right neighbours are region
+    # triangles too; ``pos`` maps an anchor node to its triangle number.
+    pos = np.full(field.values.size, -1, dtype=np.intp)
+    pos[index[0]] = np.arange(len(index[0]))
+    here = np.flatnonzero((pos[index[0] + ncols] >= 0) & (pos[index[0] + 1] >= 0))
+    if here.size == 0:
         raise ValueError("region too small: no site has both forward neighbours")
-    return DdwResidualReport(transport_sup=transport_sup,
-                             divergence_sup=divergence_sup, n_sites=n_sites)
+    above, beside = pos[index[0][here] + ncols], pos[index[0][here] + 1]
+    flat = field.values.ravel()
+    u1, u2, u3 = (flat[ix] for ix in index)
+    v, w, ubar = (u3 - u1) / mesh.dt, (u2 - u1) / mesh.dx, (u1 + u2 + u3) / 3.0
+    p_t, p_x, _ = density.partials(v, w, ubar)
+
+    u_here = u1[here]
+    # invert the momentum map at (u, p): velocities from the quadratic block
+    bt = p_t[here] - density.vu * u_here
+    bx = p_x[here] - density.wu * u_here
+    v_rec = (a22 * bt - a12 * bx) / det
+    w_rec = (a11 * bx - a12 * bt) / det
+    du_energy = -(density.uu * u_here + density.vu * v_rec + density.wu * w_rec)
+    div = ((p_t[above] - p_t[here]) / mesh.dt
+           + (p_x[beside] - p_x[here]) / mesh.dx
+           - du_energy)
+    return DdwResidualReport(
+        transport_sup=float(max(np.max(np.abs(v[here] - v_rec)),
+                                np.max(np.abs(w[here] - w_rec)))),
+        divergence_sup=float(np.max(np.abs(div))), n_sites=int(here.size))
 
 
 # ---------------------------------------------------------------------------
@@ -363,49 +357,21 @@ def boundary_hamiltonian(density: QuadraticDensity, mesh: QuadMesh,
         raise ValueError(f"region {region} does not fit mesh with shape {mesh.shape}")
     b_side = list(data.momenta)
     unknowns = interior_nodes(region) + b_side
-    index = {nd: k for k, nd in enumerate(unknowns)}
-    known = dict(data.dirichlet)
-
-    tris = region_triangles(region)
-    dt, dx = mesh.dt, mesh.dx
-    zero = np.zeros(mesh.shape)
+    ncols = mesh.nx + 1
+    flat = node_index(unknowns, ncols)
+    arr = np.zeros(mesh.shape)
+    arr.flat[node_index(list(data.dirichlet), ncols)] = list(data.dirichlet.values())
 
     # Equations: row per unknown.  Interior rows are DEL slot sums over the
     # node's three triangles; B rows are slot sums over region triangles
     # containing the node (here: the single top triangle below it).
-    node_rows = {nd: [] for nd in unknowns}  # node -> list of (tri, slot)
-    for tri in tris:
-        for slot, vtx in enumerate(tri.vertices):
-            if vtx in node_rows:
-                node_rows[vtx].append((tri, slot))
-
-    rows, cols, vals = [], [], []
-    rhs = np.zeros(len(unknowns))
-    for nd, pairs in node_rows.items():
-        row_idx = index[nd]
-        for tri, eq_slot in pairs:
-            m = hess_Ld(density, _array_jet(zero, tri, dt, dx))
-            for vtx_slot, vtx in enumerate(tri.vertices):
-                col = index.get(vtx)
-                if col is not None:
-                    rows.append(row_idx)
-                    cols.append(col)
-                    vals.append(m[eq_slot, vtx_slot])
-                else:
-                    rhs[row_idx] -= m[eq_slot, vtx_slot] * known.get(vtx, 0.0)
-    for nd, pi in data.momenta.items():
-        rhs[index[nd]] += pi
-
-    k = len(unknowns)
-    jac = csc_matrix((vals, (rows, cols)), shape=(k, k))
+    terms = triangle_kernel(density, np.zeros(mesh.shape), region_index(region, ncols),
+                            mesh.dt, mesh.dx, gradient=False, hessian=True)
+    jac, rhs = _sparse_block(terms.triplets, arr.size, flat, flat, arr.ravel())
+    rhs[len(flat) - len(b_side):] += list(data.momenta.values())
     lu, rcond = _factor_and_rcond(jac, "boundary_hamiltonian")
-    x = lu.solve(rhs)
 
-    arr = np.zeros(mesh.shape)
-    for nd, val in known.items():
-        arr[nd] = val
-    for nd, val in zip(unknowns, x):
-        arr[nd] = val
+    arr.flat[flat] = lu.solve(rhs)
     field = DiscreteField(mesh, arr)
     action = region_action(density, field, region)
     pairing = sum(pi * field[nd] for nd, pi in data.momenta.items())

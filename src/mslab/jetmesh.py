@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence, Union
 
@@ -36,7 +37,7 @@ Node = tuple  # (n, i) integer pair
 
 
 def _check_positive(name: str, value: float) -> None:
-    if not np.isfinite(value) or value <= 0.0:
+    if not math.isfinite(value) or value <= 0.0:
         raise ValueError(f"{name} must be a positive finite number, got {value!r}")
 
 
@@ -118,7 +119,7 @@ class JetTriple:
     def __post_init__(self) -> None:
         for name in ("u1", "u2", "u3"):
             val = getattr(self, name)
-            if not np.isfinite(val):
+            if not math.isfinite(val):
                 raise ValueError(f"non-finite vertex value {name}={val!r}")
         _check_positive("dt", self.dt)
         _check_positive("dx", self.dx)
@@ -279,6 +280,36 @@ def region_triangles(region: Region) -> list:
     raise TypeError(f"unknown region type {type(region).__name__}")
 
 
+def triangle_index(rows, cols, ncols: int, periodic: bool = False) -> tuple:
+    """Flat vertex indices (i1, i2, i3) of the triangles anchored at (rows, cols).
+
+    The indices address ``values.ravel()`` of a node array with ``ncols``
+    columns.  ``rows`` and ``cols`` broadcast against each other; with
+    ``periodic`` the second vertex wraps around the ring of columns.
+    """
+    rows, cols = (a.ravel() for a in np.broadcast_arrays(rows, cols))
+    right = (cols + 1) % ncols if periodic else cols + 1
+    return rows * ncols + cols, rows * ncols + right, (rows + 1) * ncols + cols
+
+
+def region_index(region: Region, ncols: int) -> tuple:
+    """:func:`triangle_index` of the region's triangles, in the order of
+    :func:`region_triangles`."""
+    if isinstance(region, RectRegion):
+        return triangle_index(np.arange(region.n0, region.n1)[:, None],
+                              np.arange(region.i0, region.i1)[None, :], ncols)
+    if isinstance(region, Patch3Region):
+        n, i = region.n, region.i
+        return triangle_index(np.array([n, n, n - 1]), np.array([i, i - 1, i]), ncols)
+    raise TypeError(f"unknown region type {type(region).__name__}")
+
+
+def node_index(nodes, ncols: int) -> np.ndarray:
+    """Flat indices of (n, i) nodes in a node array with ``ncols`` columns."""
+    arr = np.asarray(nodes, dtype=np.intp).reshape(-1, 2)
+    return arr[:, 0] * ncols + arr[:, 1]
+
+
 def interior_nodes(region: Region) -> list:
     """Nodes where the discrete Euler-Lagrange equations are imposed."""
     if isinstance(region, RectRegion):
@@ -388,7 +419,8 @@ def field_to_csv(field: DiscreteField, path) -> None:
 
 def field_from_csv(mesh: QuadMesh, path) -> DiscreteField:
     """Read a field written by :func:`field_to_csv`; every node must appear once."""
-    arr = np.full(mesh.shape, np.nan)
+    arr = np.zeros(mesh.shape)
+    seen = np.zeros(mesh.shape, dtype=bool)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -400,8 +432,13 @@ def field_from_csv(mesh: QuadMesh, path) -> DiscreteField:
             n, i, u = int(row[0]), int(row[1]), float(row[2])
             if not (0 <= n <= mesh.nt and 0 <= i <= mesh.nx):
                 raise ValueError(f"node ({n}, {i}) outside mesh with shape {mesh.shape}")
+            if seen[n, i]:
+                raise ValueError(f"node ({n}, {i}) appears more than once in the CSV")
+            if not np.isfinite(u):
+                raise ValueError(f"non-finite value {u!r} at node ({n}, {i})")
             arr[n, i] = u
-    if np.isnan(arr).any():
+            seen[n, i] = True
+    if not seen.all():
         raise ValueError("CSV does not cover every mesh node")
     return DiscreteField(mesh, arr)
 

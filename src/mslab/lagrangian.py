@@ -20,6 +20,13 @@ discrete counterpart of the exactness of the boundary forms.
 Built-in quadratic densities carry analytic derivatives; arbitrary callables
 are differentiated with forward-mode dual numbers (exact to round-off, no
 step-size tuning).  Every evaluation is checked for NaN/Inf.
+
+:func:`triangle_kernel` evaluates the same terms for a whole set of
+triangles at once, given as flat vertex indices into a node array: slot
+gradients, their scatter-add into DEL residuals, vertex-slot Hessians and
+their COO triplets.  The per-triangle functions below are its one-triangle
+view and its reference: they share the formulas, and tests hold the two to
+round-off agreement.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -178,6 +185,14 @@ def _check_finite(name, *vals):
             raise ValueError(f"{name} produced a non-finite value")
 
 
+def _slot_gradient(lv, lw, lu, dt: float, dx: float) -> tuple:
+    """Chain rule through the affine jet map, on scalars or arrays."""
+    a = 0.5 * dt * dx
+    return (a * (-lv / dt - lw / dx + lu / 3.0),
+            a * (lw / dx + lu / 3.0),
+            a * (lv / dt + lu / 3.0))
+
+
 def eval_Ld(density: LagrangianDensity, triple: JetTriple) -> float:
     """Triangle action (dt*dx/2) * L(v, w, ubar)."""
     out = 0.5 * triple.dt * triple.dx * density.value(triple.v, triple.w, triple.ubar)
@@ -195,14 +210,9 @@ def grad_Ld(density: LagrangianDensity, triple: JetTriple) -> CovectorAtTriple:
         d2 = A * ( Lw/dx          + Lu/3),
         d3 = A * ( Lv/dt          + Lu/3).
     """
-    dt, dx = triple.dt, triple.dx
     lv, lw, lu = (float(p) for p in density.partials(triple.v, triple.w, triple.ubar))
     _check_finite(f"density {density.name} partials", lv, lw, lu)
-    a = 0.5 * dt * dx
-    d1 = a * (-lv / dt - lw / dx + lu / 3.0)
-    d2 = a * (lw / dx + lu / 3.0)
-    d3 = a * (lv / dt + lu / 3.0)
-    return CovectorAtTriple(d1, d2, d3)
+    return CovectorAtTriple(*_slot_gradient(lv, lw, lu, triple.dt, triple.dx))
 
 
 @lru_cache(maxsize=64)
@@ -262,3 +272,82 @@ def omega_k(density: LagrangianDensity, triple: JetTriple, k: int, xi, eta) -> f
     for j in range(3):
         out -= m[j, kk] * (float(xi[j]) * ek - float(eta[j]) * xk)
     return float(out)
+
+
+# ---------------------------------------------------------------------------
+# Array-native triangle kernel
+
+
+class TriangleTerms(NamedTuple):
+    """Output of :func:`triangle_kernel` for m triangles; fields that were not
+    requested are None.  Node indices are those of ``values.ravel()``."""
+
+    grads: Optional[np.ndarray]     # (3, m) slot gradients d1, d2, d3
+    residual: Optional[np.ndarray]  # per node: scatter-add of d1 + d2 + d3
+    hess: Optional[np.ndarray]      # (m, 3, 3) vertex-slot Hessians
+    triplets: Optional[tuple]       # (rows, cols, vals): the Hessians in COO form
+
+
+def _hessian_triplets(hess, index) -> tuple:
+    idx = np.stack(index)
+    m = idx.shape[1]
+    # Entry (a, b) of triangle t sits at (3a + b) * m + t of the raveled key.
+    # Sorting by key orders the triplets by (row node, row slot, column
+    # slot), the order of a per-node stencil loop, so duplicate entries are
+    # always summed in the same order.
+    key = (idx[:, None, :] * 9 + np.arange(0, 9, 3, dtype=idx.dtype).reshape(3, 1, 1)
+           + np.arange(3, dtype=idx.dtype).reshape(1, 3, 1)).ravel()
+    order = np.argsort(key, kind="stable")
+    slot, tri = np.divmod(order, m)
+    return key[order] // 9, idx[slot % 3, tri], hess[tri, slot // 3, slot % 3]
+
+
+def triangle_kernel(density: LagrangianDensity, values, index, dt: float,
+                    dx: float, *, gradient: bool = True,
+                    hessian: bool = False) -> TriangleTerms:
+    """Slot gradients, DEL residuals and Hessians of a set of triangles.
+
+    ``index`` holds three flat vertex-index arrays (i1, i2, i3) into
+    ``values.ravel()``, one entry per triangle (see
+    :func:`~mslab.jetmesh.triangle_index`).  ``gradient`` asks for the slot
+    gradients and the DEL residual vector, ``hessian`` for the vertex-slot
+    Hessians and their COO triplets.  Quadratic densities are evaluated on
+    whole arrays with the constant Hessian; other densities go through
+    :class:`JetTriple` and :func:`hess_Ld` once per triangle.  NaN/Inf raises
+    ValueError, as in the per-triangle functions.
+    """
+    flat = np.asarray(values, dtype=float).ravel()
+    # 32-bit node indices keep the triplet arrays small.
+    index = tuple(np.asarray(ix, dtype=np.int32) for ix in index)
+    u1, u2, u3 = (flat[ix] for ix in index)
+    for name, u in (("u1", u1), ("u2", u2), ("u3", u3)):
+        if not np.isfinite(u).all():
+            raise ValueError(f"non-finite vertex value {name}")
+    quadratic = isinstance(density, QuadraticDensity)
+    if not quadratic:
+        triples = [JetTriple(*u, dt, dx)
+                   for u in zip(u1.tolist(), u2.tolist(), u3.tolist())]
+
+    grads = residual = hess = triplets = None
+    if gradient:
+        if quadratic:
+            lv, lw, lu = density.partials((u3 - u1) / dt, (u2 - u1) / dx,
+                                          (u1 + u2 + u3) / 3.0)
+        else:
+            lv, lw, lu = np.array([density.partials(t.v, t.w, t.ubar) for t in triples],
+                                  dtype=float).reshape(-1, 3).T
+        if not (np.isfinite(lv).all() and np.isfinite(lw).all()
+                and np.isfinite(lu).all()):
+            raise ValueError(f"density {density.name} partials produced a non-finite value")
+        grads = np.array(_slot_gradient(lv, lw, lu, dt, dx))
+        b1, b2, b3 = (np.bincount(ix, weights=d, minlength=flat.size)
+                      for ix, d in zip(index, grads))
+        residual = b1 + b2 + b3
+    if hessian:
+        if quadratic:  # the same at every jet
+            hess = np.broadcast_to(hess_Ld(density, JetTriple(0.0, 0.0, 0.0, dt, dx)),
+                                   (len(u1), 3, 3))
+        else:
+            hess = np.array([hess_Ld(density, t) for t in triples]).reshape(-1, 3, 3)
+        triplets = _hessian_triplets(hess, index)
+    return TriangleTerms(grads, residual, hess, triplets)

@@ -32,14 +32,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csc_matrix
 
-from .delsolve import (_array_jet, _stencil_triangles, del_residual,
-                       solve_bvp)
-from .jetmesh import (BoundaryData, DiscreteField, QuadMesh, Region,
-                      boundary_nodes, interior_nodes, region_triangles)
-from .lagrangian import (LagrangianDensity, QuadraticDensity, hess_Ld,
-                         omega_k)
+from .delsolve import _sparse_block, solve_bvp
+from .jetmesh import (BoundaryData, DiscreteField, Patch3Region, QuadMesh,
+                      Region, boundary_nodes, interior_nodes, node_index,
+                      region_index)
+from .lagrangian import LagrangianDensity, QuadraticDensity, triangle_kernel
 
 
 @dataclass(frozen=True)
@@ -60,48 +58,93 @@ class FormResidualReport:
                 "n_terms": self.n_terms}
 
 
+def _hessian_product(triplets, x, size: int) -> np.ndarray:
+    """Hessian triplets applied to the flat node values ``x``, per row node."""
+    rows, cols, vals = triplets
+    return np.bincount(rows, weights=vals * x[cols], minlength=size)
+
+
 def linearized_del_residual(density: LagrangianDensity, field: DiscreteField,
                             variation: DiscreteField, n: int, i: int) -> float:
     """Residual of the linearised DEL equations at (n, i) for a variation."""
     mesh = field.mesh
-    out = 0.0
-    for tri, eq_slot in _stencil_triangles((n, i)):
-        m = hess_Ld(density, _array_jet(field.values, tri, mesh.dt, mesh.dx))
-        for vtx_slot, vtx in enumerate(tri.vertices):
-            out += m[eq_slot, vtx_slot] * variation.values[vtx]
-    return float(out)
+    ncols = mesh.nx + 1
+    terms = triangle_kernel(density, field.values,
+                            region_index(Patch3Region(n, i), ncols),
+                            mesh.dt, mesh.dx, gradient=False, hessian=True)
+    lin = _hessian_product(terms.triplets, variation.values.ravel(), field.values.size)
+    return float(lin[n * ncols + i])
+
+
+def _region_patch_terms(density, field, v_var, w_var, region, nodes):
+    """Kernel terms of the region, and the six slot two-form contributions of
+    the patch at each of ``nodes``, shape (len(nodes), 6).
+
+    Each of the three triangles of a patch (here, left, below) contributes
+    its two slots not owned by the centre node, in slot order.
+    """
+    mesh = field.mesh
+    if not region.fits(mesh):
+        raise ValueError(f"region {region} does not fit mesh with shape {mesh.shape}")
+    ncols = mesh.nx + 1
+    index = region_index(region, ncols)
+    terms = triangle_kernel(density, field.values, index, mesh.dt, mesh.dx,
+                            hessian=True)
+    xi = [v_var.values.ravel()[ix] for ix in index]
+    eta = [w_var.values.ravel()[ix] for ix in index]
+    omega = []
+    for k in range(3):
+        out = np.zeros(len(index[0]))
+        for j in range(3):
+            out -= terms.hess[:, j, k] * (xi[j] * eta[k] - eta[j] * xi[k])
+        omega.append(out)
+    pos = np.full(field.values.size, -1, dtype=np.intp)
+    pos[index[0]] = np.arange(len(index[0]))
+    flat = node_index(nodes, ncols)
+    here, left, below = pos[flat], pos[flat - 1], pos[flat - ncols]
+    return terms, np.stack([omega[1][here], omega[2][here], omega[0][left],
+                            omega[2][left], omega[0][below], omega[1][below]], axis=1)
 
 
 def _patch_terms(density, field, v_var, w_var, n, i):
     """The six slot two-form contributions of the patch at (n, i)."""
-    mesh = field.mesh
-    dt, dx = mesh.dt, mesh.dx
-    terms = []
-    for tri, centre_slot in _stencil_triangles((n, i)):
-        jet = _array_jet(field.values, tri, dt, dx)
-        verts = tri.vertices
-        xi = [v_var.values[vt] for vt in verts]
-        eta = [w_var.values[vt] for vt in verts]
-        for k in (1, 2, 3):
-            if k - 1 != centre_slot:
-                terms.append(omega_k(density, jet, k, xi, eta))
-    return terms
+    _, terms = _region_patch_terms(density, field, v_var, w_var,
+                                   Patch3Region(n, i), [(n, i)])
+    return list(terms[0])
 
 
-def _check_patch_preconditions(density, field, v_var, w_var, n, i,
-                               base_tol, variation_tol, check_variations):
-    res = del_residual(density, field, n, i)
-    if abs(res) > base_tol:
-        raise ValueError(
-            f"field does not satisfy the DEL equations at ({n}, {i}): "
-            f"residual {res:.3e} exceeds {base_tol:.1e}")
+def _patch_sums(density, field, v_var, w_var, region, base_tol, variation_tol,
+                check_variations):
+    """Six-term sums at the interior nodes of the region, and all terms.
+
+    Raises at the first node (in order) where the field does not solve the
+    DEL equations or, when checked, a variation the linearised ones.
+    """
+    nodes = interior_nodes(region)
+    if not nodes:
+        raise ValueError(f"region {region} has no interior nodes")
+    terms, contributions = _region_patch_terms(density, field, v_var, w_var,
+                                               region, nodes)
+    flat = node_index(nodes, field.mesh.nx + 1)
+    checks = [("field does not satisfy the DEL equations",
+               terms.residual[flat], base_tol)]
     if check_variations:
-        for label, var in (("V", v_var), ("W", w_var)):
-            res = linearized_del_residual(density, field, var, n, i)
-            if abs(res) > variation_tol:
-                raise ValueError(
-                    f"variation {label} does not satisfy the linearised DEL "
-                    f"equations at ({n}, {i}): residual {res:.3e}")
+        checks += [(f"variation {label} does not satisfy the linearised DEL equations",
+                    _hessian_product(terms.triplets, var.values.ravel(),
+                                     len(terms.residual))[flat], variation_tol)
+                   for label, var in (("V", v_var), ("W", w_var))]
+    failures = [(bad[0], c) for c, (_, res, tol) in enumerate(checks)
+                if (bad := np.flatnonzero(np.abs(res) > tol)).size]
+    if failures:
+        k, c = min(failures)
+        what, res, tol = checks[c]
+        n, i = nodes[k]
+        raise ValueError(f"{what} at ({n}, {i}): residual {res[k]:.3e} "
+                         f"exceeds {tol:.1e}")
+    sums = np.zeros(len(nodes))
+    for column in contributions.T:  # a running total, term by term
+        sums += column
+    return sums, contributions
 
 
 def msff_residual_patch(density: LagrangianDensity, field: DiscreteField,
@@ -116,12 +159,20 @@ def msff_residual_patch(density: LagrangianDensity, field: DiscreteField,
     pass ``check_variations=True`` to have that verified too (left off by
     default so deliberate negative controls can be evaluated).
     """
-    _check_patch_preconditions(density, field, v_var, w_var, n, i,
-                               base_tol, variation_tol, check_variations)
-    terms = _patch_terms(density, field, v_var, w_var, n, i)
-    return FormResidualReport(residual=float(sum(terms)),
-                              max_term=float(max(abs(t) for t in terms)),
-                              n_terms=len(terms))
+    return msff_residual_region(density, field, v_var, w_var, Patch3Region(n, i),
+                                base_tol=base_tol, variation_tol=variation_tol,
+                                check_variations=check_variations)
+
+
+def msff_patch_residuals(density: LagrangianDensity, field: DiscreteField,
+                         v_var: DiscreteField, w_var: DiscreteField,
+                         region: Region, *, base_tol: float = 1e-9,
+                         variation_tol: float = 1e-9,
+                         check_variations: bool = False) -> np.ndarray:
+    """The residual of :func:`msff_residual_patch` at every interior node of
+    a region, ordered as :func:`~mslab.jetmesh.interior_nodes`."""
+    return _patch_sums(density, field, v_var, w_var, region, base_tol,
+                       variation_tol, check_variations)[0]
 
 
 def msff_residual_region(density: LagrangianDensity, field: DiscreteField,
@@ -130,21 +181,11 @@ def msff_residual_region(density: LagrangianDensity, field: DiscreteField,
                          variation_tol: float = 1e-9,
                          check_variations: bool = False) -> FormResidualReport:
     """Patch identity summed over the interior nodes of a region."""
-    nodes = interior_nodes(region)
-    if not nodes:
-        raise ValueError(f"region {region} has no interior nodes")
-    total = 0.0
-    max_term = 0.0
-    count = 0
-    for (n, i) in nodes:
-        _check_patch_preconditions(density, field, v_var, w_var, n, i,
-                                   base_tol, variation_tol, check_variations)
-        terms = _patch_terms(density, field, v_var, w_var, n, i)
-        total += sum(terms)
-        max_term = max(max_term, max(abs(t) for t in terms))
-        count += len(terms)
-    return FormResidualReport(residual=float(total), max_term=float(max_term),
-                              n_terms=count)
+    sums, contributions = _patch_sums(density, field, v_var, w_var, region,
+                                      base_tol, variation_tol, check_variations)
+    return FormResidualReport(residual=float(np.cumsum(sums)[-1]),
+                              max_term=float(np.max(np.abs(contributions))),
+                              n_terms=contributions.size)
 
 
 # ---------------------------------------------------------------------------
@@ -257,22 +298,12 @@ def hessian_symmetry(density: LagrangianDensity, mesh: QuadMesh,
             raise ValueError("analytic Hessian requires a quadratic density")
         inner = interior_nodes(region)
         order = list(bnodes) + inner
-        index = {nd: k for k, nd in enumerate(order)}
         nb, ni = len(bnodes), len(inner)
-        rows, cols, vals = [], [], []
-        zero = np.zeros(mesh.shape)
-        dt, dx = mesh.dt, mesh.dx
-        for tri in region_triangles(region):
-            m = hess_Ld(density, _array_jet(zero, tri, dt, dx))
-            verts = tri.vertices
-            for a in range(3):
-                for b in range(3):
-                    ia, ib = index.get(verts[a]), index.get(verts[b])
-                    if ia is not None and ib is not None:
-                        rows.append(ia)
-                        cols.append(ib)
-                        vals.append(m[a, b])
-        full = csc_matrix((vals, (rows, cols)), shape=(len(order), len(order))).toarray()
+        ncols = mesh.nx + 1
+        terms = triangle_kernel(density, np.zeros(mesh.shape), region_index(region, ncols),
+                                mesh.dt, mesh.dx, gradient=False, hessian=True)
+        flat = node_index(order, ncols)
+        full = _sparse_block(terms.triplets, ncols * (mesh.nt + 1), flat, flat).toarray()
         k_bb = full[:nb, :nb]
         k_bi = full[:nb, nb:]
         k_ii = full[nb:, nb:]

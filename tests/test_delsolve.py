@@ -8,6 +8,7 @@ from mslab import (
     LinearWave,
     Patch3Region,
     PeriodicClosure,
+    QuadraticDensity,
     RectRegion,
     SingularSystem,
     SolverError,
@@ -127,6 +128,23 @@ class TestStepRowAndPropagate:
         for n in range(1, mesh.nt):
             for i in range(mesh.nx + 1):
                 assert abs(del_residual(dens, f, n, i, periodic=True)) < 1e-10
+
+    def test_fixed_closure_with_one_cell_copies_the_ends(self):
+        mesh = build_mesh(dt=0.1, dx=0.2, nt=4, nx=1)
+        clos = FixedClosure(lambda n: 0.5 * n, -1.0)
+        f = propagate(LinearWave, mesh, [0.0, -1.0], [0.5, -1.0], clos)
+        for n in range(mesh.nt + 1):
+            assert list(f.values[n]) == [0.5 * n, -1.0]
+
+    def test_step_row_error_names_the_row(self):
+        # Without a time-derivative term the row Jacobian vanishes.
+        mesh = build_mesh(dt=0.1, dx=0.2, nt=4, nx=4)
+        dens = QuadraticDensity(ww=-1.0, name="no_time_term")
+        rows = np.zeros(mesh.nx + 1)
+        with pytest.raises(SingularSystem, match="row 2"):
+            propagate(dens, mesh, rows, rows, FixedClosure(0.0, 0.0))
+        with pytest.raises(SingularSystem, match="row 7"):
+            step_row(dens, mesh, rows, rows, PeriodicClosure(), row_index=7)
 
     def test_solver_error_on_no_iterations(self):
         mesh = build_mesh(dt=0.1, dx=0.2, nt=4, nx=4)

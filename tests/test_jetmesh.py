@@ -138,6 +138,24 @@ class TestDiscreteField:
         with pytest.raises(ValueError):
             field_from_csv(mesh, path)
 
+    def test_csv_duplicate_node_rejected(self, mesh, tmp_path):
+        f = DiscreteField.zeros(mesh)
+        path = tmp_path / "dup.csv"
+        field_to_csv(f, path)
+        with open(path, "a") as fh:
+            fh.write("0,0,9\n")
+        with pytest.raises(ValueError, match=r"\(0, 0\).*more than once"):
+            field_from_csv(mesh, path)
+
+    def test_csv_nan_value_named_as_non_finite(self, mesh, tmp_path):
+        f = DiscreteField.zeros(mesh)
+        path = tmp_path / "nan.csv"
+        field_to_csv(f, path)
+        text = path.read_text().replace("2,3,0.0", "2,3,nan")
+        path.write_text(text)
+        with pytest.raises(ValueError, match=r"non-finite value .* \(2, 3\)"):
+            field_from_csv(mesh, path)
+
 
 class TestRegions:
     def test_rect_interior_and_boundary_partition(self, mesh):

@@ -1,0 +1,182 @@
+"""The array triangle kernel against the per-triangle scalar functions.
+
+On random fields and random cell sizes, for quadratic, quartic and
+user-defined densities, every kernel output must agree with the scalar
+reference to round-off: slot gradients with ``grad_Ld``, Hessians and their
+triplets with ``hess_Ld``, DEL residuals with ``del_residual``, and the
+patch two-form terms and linearised residuals of ``msforms`` with per-node
+loops over ``omega_k`` and ``hess_Ld``.  The action
+enters through Euler's identity for quadratic densities: the action is then
+homogeneous of degree two in the node values, so u . grad S = 2 S with S the
+sum of ``eval_Ld`` over the triangles.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mslab import (
+    DiscreteField,
+    JetTriple,
+    LinearWave,
+    Patch3Region,
+    QuadraticDensity,
+    RectRegion,
+    UserDensity,
+    build_mesh,
+    del_residual,
+    eval_Ld,
+    grad_Ld,
+    TriangleIndex,
+    hess_Ld,
+    jet_extension,
+    linearized_del_residual,
+    omega_k,
+    quartic_test_density,
+)
+from mslab.jetmesh import region_index, triangle_index
+from mslab.lagrangian import triangle_kernel
+from mslab.msforms import _patch_terms
+
+RTOL = 1e-13
+
+DENSITIES = [
+    LinearWave,
+    QuadraticDensity(vv=1.0, ww=-1.0, uu=0.5, vw=0.2, vu=-0.1, wu=0.3,
+                     name="full_quadratic"),
+    quartic_test_density(0.7),
+    UserDensity(lambda v, w, u: 0.5 * v * v - 0.5 * w * w + 0.1 * v * w * u
+                + 0.05 * u ** 4, name="user_quartic"),
+]
+
+cases = st.fixed_dictionaries({
+    "seed": st.integers(0, 2 ** 32 - 1),
+    "density": st.sampled_from(DENSITIES),
+    "nt": st.integers(2, 5),
+    "nx": st.integers(2, 5),
+    "dt": st.floats(0.1, 2.0),
+    "dx": st.floats(0.1, 2.0),
+})
+
+
+def close(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    scale = max(1.0, float(np.max(np.abs(b))) if b.size else 1.0)
+    return np.allclose(a, b, rtol=RTOL, atol=RTOL * scale)
+
+
+def random_field(case):
+    mesh = build_mesh(case["dt"], case["dx"], case["nt"], case["nx"])
+    rng = np.random.default_rng(case["seed"])
+    return DiscreteField(mesh, 0.5 * rng.standard_normal(mesh.shape))
+
+
+def triangle_set(field, kind, rng):
+    """(index, triples, equation nodes, periodic) of one kind of input."""
+    mesh = field.mesh
+    ncols = mesh.nx + 1
+    if kind == "rect":
+        n0, i0 = rng.integers(0, mesh.nt - 1), rng.integers(0, mesh.nx - 1)
+        region = RectRegion(int(n0), int(i0), int(rng.integers(2, mesh.nt - n0 + 1)),
+                            int(rng.integers(2, mesh.nx - i0 + 1)))
+        index = region_index(region, ncols)
+        nodes = [(n, i) for n in range(region.n0 + 1, region.n1)
+                 for i in range(region.i0 + 1, region.i1)]
+    elif kind == "patch3":
+        n, i = int(rng.integers(1, mesh.nt)), int(rng.integers(1, mesh.nx))
+        index = region_index(Patch3Region(n, i), ncols)
+        nodes = [(n, i)]
+    else:
+        n = int(rng.integers(1, mesh.nt))
+        index = triangle_index(np.array([[n - 1], [n]]), np.arange(ncols), ncols,
+                               periodic=True)
+        nodes = [(n, i) for i in range(ncols)]
+    flat = field.values.ravel()
+    triples = [JetTriple(*(float(flat[k]) for k in verts), mesh.dt, mesh.dx)
+               for verts in zip(*index)]
+    return index, triples, nodes, kind == "ring"
+
+
+@pytest.mark.parametrize("kind", ["rect", "patch3", "ring"])
+@settings(max_examples=40, deadline=None)
+@given(case=cases)
+def test_kernel_matches_scalar_route(kind, case):
+    field = random_field(case)
+    density, mesh = case["density"], field.mesh
+    index, triples, nodes, periodic = triangle_set(
+        field, kind, np.random.default_rng(case["seed"] + 1))
+    terms = triangle_kernel(density, field.values, index, mesh.dt, mesh.dx,
+                            hessian=True)
+
+    assert close(terms.grads.T, [grad_Ld(density, t).as_tuple() for t in triples])
+    scalar_hess = np.array([hess_Ld(density, t) for t in triples])
+    assert close(terms.hess, scalar_hess)
+
+    # Triplets: the same matrix as assembling the scalar Hessians node by node.
+    size = field.values.size
+    dense = np.zeros((size, size))
+    np.add.at(dense, (terms.triplets[0], terms.triplets[1]), terms.triplets[2])
+    reference = np.zeros((size, size))
+    for m, verts in zip(scalar_hess, zip(*index)):
+        reference[np.ix_(verts, verts)] += m
+    assert close(dense, reference)
+
+    ncols = mesh.nx + 1
+    residual = [terms.residual[n * ncols + i] for n, i in nodes]
+    assert close(residual, [del_residual(density, field, n, i, periodic=periodic)
+                            for n, i in nodes])
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=cases)
+def test_gradient_and_action_satisfy_euler_identity(case):
+    field = random_field(case)
+    density = case["density"]
+    if not density.is_quadratic:
+        density = DENSITIES[1]
+    mesh = field.mesh
+    region = RectRegion(0, 0, mesh.nt, mesh.nx)
+    index = region_index(region, mesh.nx + 1)
+    terms = triangle_kernel(density, field.values, index, mesh.dt, mesh.dx)
+    flat = field.values.ravel()
+    actions = [eval_Ld(density, JetTriple(*(float(flat[k]) for k in verts),
+                                          mesh.dt, mesh.dx))
+               for verts in zip(*index)]
+    products = flat * terms.residual
+    scale = max(1.0, float(np.sum(np.abs(products))))
+    assert abs(np.sum(products) - 2.0 * sum(actions)) <= 1e-13 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=cases)
+def test_patch_forms_match_per_triangle_loops(case):
+    field = random_field(case)
+    density, mesh = case["density"], field.mesh
+    rng = np.random.default_rng(case["seed"] + 2)
+    v_var, w_var = (DiscreteField(mesh, rng.standard_normal(mesh.shape))
+                    for _ in range(2))
+    n, i = int(rng.integers(1, mesh.nt)), int(rng.integers(1, mesh.nx))
+    terms, linear = [], 0.0
+    for slot, anchor in enumerate(((n, i), (n, i - 1), (n - 1, i))):
+        tri = TriangleIndex(*anchor)
+        jet = jet_extension(field, tri)
+        xi = [v_var[vt] for vt in tri.vertices]
+        eta = [w_var[vt] for vt in tri.vertices]
+        terms += [omega_k(density, jet, k, xi, eta) for k in (1, 2, 3)
+                  if k - 1 != slot]
+        linear += float(np.dot(hess_Ld(density, jet)[slot], xi))
+    assert close(_patch_terms(density, field, v_var, w_var, n, i), terms)
+    assert close(linearized_del_residual(density, field, v_var, n, i), linear)
+
+
+def test_non_finite_vertex_values_raise():
+    mesh = build_mesh(0.5, 1.0, 2, 2)
+    values = np.zeros(mesh.shape)
+    values[1, 1] = np.nan
+    index = region_index(RectRegion(0, 0, 2, 2), mesh.nx + 1)
+    with pytest.raises(ValueError, match="non-finite"):
+        triangle_kernel(LinearWave, values, index, mesh.dt, mesh.dx)
+    blowup = UserDensity(lambda v, w, u: 1e308 * (u * u) * 10.0, name="blowup")
+    with pytest.raises(ValueError, match="non-finite"):
+        triangle_kernel(blowup, np.ones(mesh.shape), index, mesh.dt, mesh.dx)
