@@ -100,6 +100,7 @@ from .msforms import (
     FormResidualReport,
     SymmetryReport,
     bridges_residual,
+    bridges_residuals,
     continuous_msff_residual,
     hessian_symmetry,
     linearized_del_residual,

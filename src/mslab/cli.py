@@ -84,6 +84,17 @@ def _take(cfg: dict, key: str, default=None, *, required: bool = False):
     return default
 
 
+def _number(value, key: str, kind=float):
+    """``kind(value)`` for config key ``key``; ConfigError unless finite."""
+    try:
+        out = kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{key!r} must be a number, got {value!r}") from exc
+    if not math.isfinite(out):
+        raise ConfigError(f"{key!r} must be finite, got {value!r}")
+    return out
+
+
 def _reject_extra(cfg: dict, context: str) -> None:
     if cfg:
         raise ConfigError(f"unknown {context} config keys: {sorted(cfg)}")
@@ -218,7 +229,7 @@ def _cmd_msff_check(args) -> int:
     mesh = _mesh_from_config(_take(cfg, "mesh", required=True))
     density = _density_from_config(_take(cfg, "density", "linear_wave"))
     closure = _closure_from_config(_take(cfg, "closure", {"fixed": [0.0, 0.0]}))
-    amplitude = float(_take(cfg, "amplitude", 0.1))
+    amplitude = _number(_take(cfg, "amplitude", 0.1), "amplitude")
     _reject_extra(cfg, "msff-check")
     if mesh.nt < 2 or mesh.nx < 2:
         raise ConfigError("msff-check needs nt >= 2 and nx >= 2 for interior patches")
@@ -277,10 +288,12 @@ def _cmd_bridges_check(args) -> int:
     cfg = _load_config(args.config)
     raw = dict(cfg)
     mode = _take(cfg, "mode", "conservation")
+    if mode not in ("conservation", "bvp-singularity"):
+        raise ConfigError(f"unknown bridges-check mode {mode!r}")
+    mesh = _mesh_from_config(_take(cfg, "mesh", required=True))
+    amplitude = _number(_take(cfg, "amplitude", 0.1), "amplitude")
+    _reject_extra(cfg, "bridges-check")
     if mode == "conservation":
-        mesh = _mesh_from_config(_take(cfg, "mesh", required=True))
-        amplitude = float(_take(cfg, "amplitude", 0.1))
-        _reject_extra(cfg, "bridges-check")
         tol = args.tol if args.tol is not None else 1e-10
         closure = delsolve.PeriodicClosure()
 
@@ -291,12 +304,8 @@ def _cmd_bridges_check(args) -> int:
         w_var = delsolve.propagate(LinearWave, mesh,
                                    *_seeded_rows(mesh, rngs[1], amplitude), closure)
 
-        worst = 0.0
-        for n in range(1, mesh.nt):
-            for i in range(mesh.nx + 1):
-                res = msforms.bridges_residual(mesh, v_var, w_var, n, i,
-                                               periodic=True)
-                worst = max(worst, abs(res))
+        residuals = msforms.bridges_residuals(mesh, v_var, w_var, periodic=True)
+        worst = float(np.max(np.abs(residuals), initial=0.0))
         fluxes = [msforms.symplectic_flux(mesh, v_var, w_var, n)
                   for n in range(mesh.nt)]
         spread = max(fluxes) - min(fluxes)
@@ -311,28 +320,22 @@ def _cmd_bridges_check(args) -> int:
         _emit_report("bridges-check", raw, args.seed, results, passed, args.out)
         return EXIT_OK if passed else EXIT_TOLERANCE
 
-    if mode == "bvp-singularity":
-        mesh = _mesh_from_config(_take(cfg, "mesh", required=True))
-        amplitude = float(_take(cfg, "amplitude", 0.1))
-        _reject_extra(cfg, "bridges-check")
-        region = jetmesh.RectRegion(0, 0, mesh.nt, mesh.nx)
-        rng = np.random.default_rng(np.random.SeedSequence(args.seed))
-        boundary = jetmesh.BoundaryData(
-            region,
-            amplitude * rng.standard_normal(len(jetmesh.boundary_nodes(region))))
-        # A unit mesh ratio makes the Dirichlet system structurally singular;
-        # the guard below is expected to raise and surface as the solver exit
-        # code.  If the solve succeeds the demonstration failed.
-        delsolve.solve_bvp(LinearWave, mesh, boundary)
-        results = {
-            "singular": False,
-            "mesh_ratio": mesh.aspect_ratio,
-            "note": "solve succeeded; no singularity at this mesh ratio",
-        }
-        _emit_report("bridges-check", raw, args.seed, results, False, args.out)
-        return EXIT_TOLERANCE
-
-    raise ConfigError(f"unknown bridges-check mode {mode!r}")
+    region = jetmesh.RectRegion(0, 0, mesh.nt, mesh.nx)
+    rng = np.random.default_rng(np.random.SeedSequence(args.seed))
+    boundary = jetmesh.BoundaryData(
+        region,
+        amplitude * rng.standard_normal(len(jetmesh.boundary_nodes(region))))
+    # A unit mesh ratio makes the Dirichlet system structurally singular;
+    # the guard below is expected to raise and surface as the solver exit
+    # code.  If the solve succeeds the demonstration failed.
+    delsolve.solve_bvp(LinearWave, mesh, boundary)
+    results = {
+        "singular": False,
+        "mesh_ratio": mesh.aspect_ratio,
+        "note": "solve succeeded; no singularity at this mesh ratio",
+    }
+    _emit_report("bridges-check", raw, args.seed, results, False, args.out)
+    return EXIT_TOLERANCE
 
 
 # ---------------------------------------------------------------------------
@@ -363,16 +366,6 @@ def _extremal_action_on_square(solution: oracles.WaveSolution, nx: int,
     boundary = jetmesh.BoundaryData(region, values)
     result = genfunc.boundary_lagrangian(LinearWave, mesh, boundary)
     return 2.0 * result.value
-
-
-def _fit_observed_order(sizes, errors) -> float:
-    pairs = [(s, e) for s, e in zip(sizes, errors) if e > 1e-15]
-    if len(pairs) < 2:
-        return float("inf")
-    log_h = np.log([1.0 / s for s, _ in pairs])
-    log_e = np.log([e for _, e in pairs])
-    slope = np.polyfit(log_h, log_e, 1)[0]
-    return float(slope)
 
 
 def _cmd_boundary_lagrangian(args) -> int:
@@ -406,8 +399,8 @@ def _cmd_boundary_lagrangian(args) -> int:
     if problem == "wave_square":
         name = _take(cfg, "solution", "cubic")
         ladder = _take(cfg, "nx_ladder", [8, 16, 32, 64])
-        ratio = float(_take(cfg, "time_step_ratio", 0.5))
-        min_order = float(_take(cfg, "min_order", 0.9))
+        ratio = _number(_take(cfg, "time_step_ratio", 0.5), "time_step_ratio")
+        min_order = _number(_take(cfg, "min_order", 0.9), "min_order")
         _reject_extra(cfg, "boundary-lagrangian")
         tol = args.tol if args.tol is not None else 1e-8
         if not isinstance(ladder, list) or len(ladder) < 2:
@@ -423,11 +416,11 @@ def _cmd_boundary_lagrangian(args) -> int:
         compat = oracles.compatibility_residual(traces)
         continuum = oracles.wave_square_boundary_lagrangian(traces)
 
-        sizes = [int(v) for v in ladder]
+        sizes = [_number(v, "nx_ladder", int) for v in ladder]
         values = _map_ladder(
             lambda nx: _extremal_action_on_square(solution, nx, ratio), sizes)
         errors = [abs(v - continuum.action_value) for v in values]
-        order = _fit_observed_order(sizes, errors)
+        order = mechanics._fit_order([1.0 / nx for nx in sizes], errors)
 
         passed = (continuum.magnitude_gap <= tol and compat <= 1e-10
                   and order >= min_order)
@@ -465,7 +458,7 @@ def _mech_lagrangian_from_config(obj):
             _reject_extra(cfg, "problem")
             return mechanics.FreeParticle()
         if kind == "harmonic":
-            omega = float(_take(cfg, "omega", 1.0))
+            omega = _number(_take(cfg, "omega", 1.0), "omega")
             _reject_extra(cfg, "problem")
             if omega <= 0.0:
                 raise ConfigError(f"harmonic frequency must be positive, got {omega}")
@@ -495,14 +488,14 @@ def _cmd_mechanics(args) -> int:
     window = args.tol if args.tol is not None else 0.15
 
     lagr = _mech_lagrangian_from_config(problem)
-    h_values = [float(h) for h in ladder]
+    h_values = [_number(h, "h_ladder") for h in ladder]
     for h in h_values:
         if not 0.0 < h < lagr.conjugate_time:
             raise ConfigError(
                 f"step {h} outside the valid range (0, {lagr.conjugate_time})")
     family = {"midpoint": mechanics.midpoint_rule,
               "rectangle": mechanics.rectangle_rule}[rule](lagr)
-    start = mechanics.PhasePoint(float(z0[0]), float(z0[1]))
+    start = mechanics.PhasePoint(*(_number(z, "z0") for z in z0))
     report = mechanics.variational_order_check(family, lagr, start, h_values)
     expected = _EXPECTED_MAP_ORDER[rule]
     # An infinite fitted order marks a family that is exact on this problem

@@ -429,6 +429,8 @@ def field_from_csv(mesh: QuadMesh, path) -> DiscreteField:
         for row in reader:
             if not row:
                 continue
+            if len(row) != 3:
+                raise ValueError(f"line {reader.line_num}: expected 3 fields, got {len(row)}")
             n, i, u = int(row[0]), int(row[1]), float(row[2])
             if not (0 <= n <= mesh.nt and 0 <= i <= mesh.nx):
                 raise ValueError(f"node ({n}, {i}) outside mesh with shape {mesh.shape}")

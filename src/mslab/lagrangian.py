@@ -311,10 +311,10 @@ def triangle_kernel(density: LagrangianDensity, values, index, dt: float,
     ``values.ravel()``, one entry per triangle (see
     :func:`~mslab.jetmesh.triangle_index`).  ``gradient`` asks for the slot
     gradients and the DEL residual vector, ``hessian`` for the vertex-slot
-    Hessians and their COO triplets.  Quadratic densities are evaluated on
-    whole arrays with the constant Hessian; other densities go through
-    :class:`JetTriple` and :func:`hess_Ld` once per triangle.  NaN/Inf raises
-    ValueError, as in the per-triangle functions.
+    Hessians and their COO triplets.  Jets are formed on whole arrays once;
+    quadratic densities use them whole, with the constant Hessian, other
+    densities make one ``partials``/``second_partials`` call per triangle.
+    NaN/Inf raises ValueError, as in the per-triangle functions.
     """
     flat = np.asarray(values, dtype=float).ravel()
     # 32-bit node indices keep the triplet arrays small.
@@ -323,18 +323,17 @@ def triangle_kernel(density: LagrangianDensity, values, index, dt: float,
     for name, u in (("u1", u1), ("u2", u2), ("u3", u3)):
         if not np.isfinite(u).all():
             raise ValueError(f"non-finite vertex value {name}")
+    v, w, ubar = (u3 - u1) / dt, (u2 - u1) / dx, (u1 + u2 + u3) / 3.0
     quadratic = isinstance(density, QuadraticDensity)
     if not quadratic:
-        triples = [JetTriple(*u, dt, dx)
-                   for u in zip(u1.tolist(), u2.tolist(), u3.tolist())]
+        jets = list(zip(v.tolist(), w.tolist(), ubar.tolist()))
 
     grads = residual = hess = triplets = None
     if gradient:
         if quadratic:
-            lv, lw, lu = density.partials((u3 - u1) / dt, (u2 - u1) / dx,
-                                          (u1 + u2 + u3) / 3.0)
+            lv, lw, lu = density.partials(v, w, ubar)
         else:
-            lv, lw, lu = np.array([density.partials(t.v, t.w, t.ubar) for t in triples],
+            lv, lw, lu = np.array([density.partials(*jet) for jet in jets],
                                   dtype=float).reshape(-1, 3).T
         if not (np.isfinite(lv).all() and np.isfinite(lw).all()
                 and np.isfinite(lu).all()):
@@ -348,6 +347,10 @@ def triangle_kernel(density: LagrangianDensity, values, index, dt: float,
             hess = np.broadcast_to(hess_Ld(density, JetTriple(0.0, 0.0, 0.0, dt, dx)),
                                    (len(u1), 3, 3))
         else:
-            hess = np.array([hess_Ld(density, t) for t in triples]).reshape(-1, 3, 3)
+            h = np.array([density.second_partials(*jet) for jet in jets],
+                         dtype=float).reshape(-1, 3, 3)
+            if not np.isfinite(h).all():
+                raise ValueError(f"density {density.name} produced a non-finite Hessian")
+            hess = _push_hessian(h, dt, dx)
         triplets = _hessian_triplets(hess, index)
     return TriangleTerms(grads, residual, hess, triplets)

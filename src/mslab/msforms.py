@@ -16,13 +16,14 @@ region form of the statement.
 
 For the wave density the same cancellation, divided by the cell area
 dt*dx/2, is a classical discrete conservation law relating space and time
-differences of the wedge quantities dv^du and dw^du; :func:`bridges_residual`
-evaluates it directly and :func:`symplectic_flux` gives the conserved
-per-slice flux of periodic runs.
+differences of the wedge quantities dv^du and dw^du (arrays over whole time
+levels); :func:`bridges_residuals` evaluates it at every interior node and
+:func:`symplectic_flux` gives the conserved per-slice flux of periodic runs.
 
 :func:`hessian_symmetry` checks symmetry of the second derivative of the
 extremal action with respect to boundary data (equality of mixed partials —
-the generating-function face of the same structure), and
+the generating-function face of the same structure; a sparse Schur
+complement for quadratic densities), and
 :func:`continuous_msff_residual` evaluates the continuum boundary integral
 for exact solutions as an independent cross-check of the discrete route.
 """
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .delsolve import _sparse_block, solve_bvp
+from .delsolve import _factor_and_rcond, _sparse_block, solve_bvp
 from .jetmesh import (BoundaryData, DiscreteField, Patch3Region, QuadMesh,
                       Region, boundary_nodes, interior_nodes, node_index,
                       region_index)
@@ -192,19 +193,23 @@ def msff_residual_region(density: LagrangianDensity, field: DiscreteField,
 # Wave-density conservation law (wedge-quantity form)
 
 
-def _wedge_quantities(mesh: QuadMesh, v_var: DiscreteField, w_var: DiscreteField,
-                      n: int, i: int, periodic: bool):
-    """dv^du and dw^du of the (V, W) pair on the triangle anchored at (n, i)."""
-    ncols = mesh.nx + 1
-    ip1 = (i + 1) % ncols if periodic else i + 1
-    av, aw = v_var.values, w_var.values
-    dv_v = (av[n + 1, i] - av[n, i]) / mesh.dt
-    dv_w = (aw[n + 1, i] - aw[n, i]) / mesh.dt
-    dw_v = (av[n, ip1] - av[n, i]) / mesh.dx
-    dw_w = (aw[n, ip1] - aw[n, i]) / mesh.dx
-    dvdu = dv_v * aw[n, i] - dv_w * av[n, i]
-    dwdu = dw_v * aw[n, i] - dw_w * av[n, i]
-    return dvdu, dwdu
+def _wedges(mesh: QuadMesh, v_var: DiscreteField, w_var: DiscreteField,
+            lo: int, hi: int):
+    """dv^du and dw^du of the (V, W) pair on the triangles anchored at every
+    node of time levels lo..hi-1, shape (hi-lo, nx+1).  Column i+1 wraps
+    mod nx+1, so column nx only means something for periodic fields."""
+    av, aw = v_var.values[lo:hi + 1], w_var.values[lo:hi + 1]
+    v0, w0 = av[:-1], aw[:-1]
+    dv_v, dv_w = np.diff(av, axis=0) / mesh.dt, np.diff(aw, axis=0) / mesh.dt
+    dw_v, dw_w = ((np.roll(a, -1, axis=1) - a) / mesh.dx for a in (v0, w0))
+    return dv_v * w0 - dv_w * v0, dw_v * w0 - dw_w * v0
+
+
+def _bridges_rows(mesh, v_var, w_var, lo: int, hi: int) -> np.ndarray:
+    """Ring residuals of :func:`bridges_residual` on time levels lo..hi-1."""
+    dvdu, dwdu = _wedges(mesh, v_var, w_var, lo - 1, hi)
+    return ((dwdu[1:] - np.roll(dwdu[1:], 1, axis=1)) / mesh.dx
+            - np.diff(dvdu, axis=0) / mesh.dt)
 
 
 def bridges_residual(mesh: QuadMesh, v_var: DiscreteField, w_var: DiscreteField,
@@ -222,21 +227,19 @@ def bridges_residual(mesh: QuadMesh, v_var: DiscreteField, w_var: DiscreteField,
     triangle area dt*dx/2.
     """
     ncols = mesh.nx + 1
-    if periodic:
-        i = i % ncols
-        im1 = (i - 1) % ncols
-    else:
-        if not 0 < i < ncols - 1:
-            raise ValueError(f"column {i} has no interior stencil")
-        im1 = i - 1
+    if not periodic and not 0 < i < ncols - 1:
+        raise ValueError(f"column {i} has no interior stencil")
     if not 1 <= n <= mesh.nt - 1:
         raise ValueError(f"row {n} has no interior stencil")
-    _, dwdu_here = _wedge_quantities(mesh, v_var, w_var, n, i, periodic)
-    _, dwdu_left = _wedge_quantities(mesh, v_var, w_var, n, im1, periodic)
-    dvdu_here, _ = _wedge_quantities(mesh, v_var, w_var, n, i, periodic)
-    dvdu_below, _ = _wedge_quantities(mesh, v_var, w_var, n - 1, i, periodic)
-    return ((dwdu_here - dwdu_left) / mesh.dx
-            - (dvdu_here - dvdu_below) / mesh.dt)
+    return float(_bridges_rows(mesh, v_var, w_var, n, n + 1)[0, i % ncols])
+
+
+def bridges_residuals(mesh: QuadMesh, v_var: DiscreteField, w_var: DiscreteField,
+                      periodic: bool = False) -> np.ndarray:
+    """:func:`bridges_residual` at every interior node: row k is time level
+    k+1, with columns 0..nx for ``periodic`` and 1..nx-1 otherwise."""
+    res = _bridges_rows(mesh, v_var, w_var, 1, mesh.nt)
+    return res if periodic else res[:, 1:-1]
 
 
 def symplectic_flux(mesh: QuadMesh, v_var: DiscreteField, w_var: DiscreteField,
@@ -250,11 +253,9 @@ def symplectic_flux(mesh: QuadMesh, v_var: DiscreteField, w_var: DiscreteField,
     """
     if not 0 <= n <= mesh.nt - 1:
         raise ValueError(f"slice {n} needs rows n and n+1 inside the mesh")
-    total = 0.0
-    for i in range(mesh.nx + 1):
-        dvdu, _ = _wedge_quantities(mesh, v_var, w_var, n, i, periodic=True)
-        total += dvdu
-    return float(total)
+    dvdu, _ = _wedges(mesh, v_var, w_var, n, n + 1)
+    # A running total from 0.0 in column order; np.sum would add pairwise.
+    return float(np.cumsum(np.append(0.0, dvdu))[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +278,9 @@ def hessian_symmetry(density: LagrangianDensity, mesh: QuadMesh,
                      max_iter: int = 50) -> SymmetryReport:
     """Second derivative of the extremal action w.r.t. boundary values.
 
-    ``analytic`` (quadratic densities) eliminates the interior block of the
-    region-wide vertex-slot Hessian (Schur complement).  ``fd`` recovers the
+    ``analytic`` (quadratic densities) eliminates the interior block, factored
+    once under the solvers' singular-system guard, from the sparse region-wide
+    vertex-slot Hessian (Schur complement).  ``fd`` recovers the
     same matrix by central differences of the boundary momenta around the
     given data, which probes the nonlinear solve path.  Either way the matrix
     is the mixed-partials matrix of a single scalar function, so its
@@ -297,20 +299,18 @@ def hessian_symmetry(density: LagrangianDensity, mesh: QuadMesh,
         if not getattr(density, "is_quadratic", False):
             raise ValueError("analytic Hessian requires a quadratic density")
         inner = interior_nodes(region)
-        order = list(bnodes) + inner
-        nb, ni = len(bnodes), len(inner)
         ncols = mesh.nx + 1
         terms = triangle_kernel(density, np.zeros(mesh.shape), region_index(region, ncols),
                                 mesh.dt, mesh.dx, gradient=False, hessian=True)
-        flat = node_index(order, ncols)
-        full = _sparse_block(terms.triplets, ncols * (mesh.nt + 1), flat, flat).toarray()
-        k_bb = full[:nb, :nb]
-        k_bi = full[:nb, nb:]
-        k_ii = full[nb:, nb:]
-        if ni:
-            h = k_bb - k_bi @ np.linalg.solve(k_ii, k_bi.T)
-        else:
-            h = k_bb
+        size = mesh.shape[0] * ncols
+        bd, inn = node_index(bnodes, ncols), node_index(inner, ncols)
+        h = _sparse_block(terms.triplets, size, bd, bd).toarray()
+        if inner:
+            # K_bb - K_bi K_ii^-1 K_ib, with K_ii factored once.
+            lu, _ = _factor_and_rcond(_sparse_block(terms.triplets, size, inn, inn),
+                                      "hessian_symmetry")
+            k_bi = _sparse_block(terms.triplets, size, bd, inn)
+            h -= k_bi @ lu.solve(k_bi.T.toarray())
     elif method == "fd":
         nb = len(bnodes)
         h = np.zeros((nb, nb))

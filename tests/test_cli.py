@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from mslab import QuadMesh, field_from_csv
@@ -112,6 +113,23 @@ class TestExitConfig:
         cfg = write_config(tmp_path, "c.json", SQUARE_CONFIG)
         assert main(["boundary-lagrangian", "--config", cfg]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("command, payload", [
+        ("msff-check", dict(MSFF_CONFIG, amplitude="big")),
+        ("bridges-check", dict(BRIDGES_CONFIG, amplitude="big")),
+        ("bridges-check", dict(BRIDGES_CONFIG, amplitude=[0.1])),
+        ("boundary-lagrangian", dict(SQUARE_CONFIG, time_step_ratio="half")),
+        ("boundary-lagrangian", dict(SQUARE_CONFIG, min_order={})),
+        ("boundary-lagrangian", dict(SQUARE_CONFIG, nx_ladder=[8, "x"])),
+        ("mechanics", dict(MECH_CONFIG, z0=["a", 0.4])),
+        ("mechanics", dict(MECH_CONFIG, h_ladder=[0.4, None, 0.1])),
+        ("mechanics", dict(MECH_CONFIG, problem={"kind": "harmonic",
+                                                 "omega": "fast"})),
+    ])
+    def test_non_numeric_value(self, tmp_path, capsys, command, payload):
+        cfg = write_config(tmp_path, "c.json", payload)
+        assert main([command, "--config", cfg]) == EXIT_CONFIG
+        assert "must be a number" in capsys.readouterr().err
+
 
 class TestExitSolver:
     def test_unit_ratio_singularity(self, tmp_path):
@@ -185,3 +203,26 @@ class TestOutputs:
         assert h0 == report["results"]["h_ladder"][0]
         assert ef0 == report["results"]["functional_errors"][0]
         assert em0 == report["results"]["map_errors"][0]
+
+
+def _fit_with_round_off_cutoff(sizes, errors):
+    """The ladder order fit with a 1e-15 round-off cutoff on each error."""
+    pairs = [(s, e) for s, e in zip(sizes, errors) if e > 1e-15]
+    if len(pairs) < 2:
+        return float("inf")
+    return float(np.polyfit(np.log([1.0 / s for s, _ in pairs]),
+                            np.log([e for _, e in pairs]), 1)[0])
+
+
+@pytest.mark.parametrize("solution", ["zero", "bilinear", "cubic", "travelling:2",
+                                      "travelling:3", "standing:1", "standing:2"])
+def test_square_ladder_order_ignores_round_off_cutoff(tmp_path, capsys, solution):
+    # The wave-square ladder fits its order with the mechanics fitter; on
+    # this ladder that matches a fit with a 1e-15 per-error cutoff.
+    cfg = write_config(tmp_path, "c.json",
+                       dict(SQUARE_CONFIG, solution=solution,
+                            nx_ladder=[8, 16, 32, 64], time_step_ratio=0.5))
+    _, report = run(capsys, ["boundary-lagrangian", "--config", cfg])
+    res = report["results"]
+    expected = _fit_with_round_off_cutoff(res["nx_ladder"], res["action_errors"])
+    assert float(res["observed_order"]) == expected

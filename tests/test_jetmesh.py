@@ -157,6 +157,17 @@ class TestDiscreteField:
             field_from_csv(mesh, path)
 
 
+    @pytest.mark.parametrize("row", ["2,3", "2,3,0.0,7"])
+    def test_csv_row_width_named_by_line(self, mesh, tmp_path, row):
+        f = DiscreteField.zeros(mesh)
+        path = tmp_path / "width.csv"
+        field_to_csv(f, path)
+        lines = path.read_text().splitlines()
+        lines[3] = row
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"line 4: expected 3 fields"):
+            field_from_csv(mesh, path)
+
 class TestRegions:
     def test_rect_interior_and_boundary_partition(self, mesh):
         reg = RectRegion(1, 1, 3, 4)

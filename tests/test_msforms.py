@@ -8,18 +8,25 @@ from mslab import (
     HarmonicDirichlet,
     LinearWave,
     PeriodicClosure,
+    QuadraticDensity,
     RectRegion,
+    SingularSystem,
     WaveSolution,
     boundary_nodes,
     bridges_residual,
+    bridges_residuals,
     build_mesh,
     continuous_msff_residual,
+    hess_Ld,
     hessian_symmetry,
+    interior_nodes,
+    jet_extension,
     linearized_del_residual,
     msff_residual_patch,
     msff_residual_region,
     propagate,
     quartic_test_density,
+    region_triangles,
     solve_bvp,
     symplectic_flux,
     tangent_solve,
@@ -146,6 +153,17 @@ class TestBridgesResidual:
         b = symplectic_flux(mesh, w_var, v_var, 3)
         assert a == pytest.approx(-b, rel=1e-12)
 
+    @pytest.mark.parametrize("periodic", [True, False])
+    def test_array_equals_per_node_residuals(self, wave_setup, periodic):
+        mesh, u, v_var, _ = wave_setup
+        rng = np.random.default_rng(4)
+        w_noise = DiscreteField(mesh, rng.standard_normal(mesh.shape))
+        cols = range(mesh.nx + 1) if periodic else range(1, mesh.nx)
+        per_node = [[bridges_residual(mesh, v_var, w_noise, n, i, periodic=periodic)
+                     for i in cols] for n in range(1, mesh.nt)]
+        assert np.array_equal(bridges_residuals(mesh, v_var, w_noise, periodic),
+                              np.array(per_node))
+
     def test_index_validation(self, wave_setup):
         mesh, _, v_var, w_var = wave_setup
         with pytest.raises(ValueError):
@@ -200,6 +218,44 @@ class TestHessianSymmetry:
         assert hessian_symmetry(LinearWave, mesh, data).method == "analytic"
         assert hessian_symmetry(quartic_test_density(0.1), mesh,
                                 data).method == "fd"
+
+
+def dense_schur_hessian(density, mesh, region):
+    """Boundary Hessian of the extremal action from a dense region Hessian
+    assembled triangle by triangle with :func:`hess_Ld`."""
+    bnodes, inner = boundary_nodes(region), interior_nodes(region)
+    where = {nd: k for k, nd in enumerate(bnodes + inner)}
+    full = np.zeros((len(where), len(where)))
+    zero = DiscreteField.zeros(mesh)
+    for tri in region_triangles(region):
+        m = hess_Ld(density, jet_extension(zero, tri))
+        for a, va in enumerate(tri.vertices):
+            for b, vb in enumerate(tri.vertices):
+                full[where[va], where[vb]] += m[a, b]
+    nb = len(bnodes)
+    return full[:nb, :nb] - full[:nb, nb:] @ np.linalg.solve(full[nb:, nb:],
+                                                             full[nb:, :nb])
+
+
+class TestAnalyticHessian:
+    @pytest.mark.parametrize("density", [
+        LinearWave, HarmonicDirichlet,
+        QuadraticDensity(vv=1.0, ww=-0.6, uu=0.4, vw=0.2, vu=-0.3, wu=0.1)])
+    @pytest.mark.parametrize("region", [RectRegion(0, 0, 4, 5), RectRegion(1, 2, 3, 3),
+                                        RectRegion(0, 0, 1, 3)])
+    def test_matches_dense_schur_reference(self, density, region):
+        mesh = build_mesh(dt=0.1, dx=0.2, nt=5, nx=6)
+        data = BoundaryData(region, np.zeros(len(boundary_nodes(region))))
+        h = hessian_symmetry(density, mesh, data, method="analytic").hessian
+        ref = dense_schur_hessian(density, mesh, region)
+        assert np.max(np.abs(h - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_singular_interior_block_raises(self):
+        mesh = build_mesh(dt=0.1, dx=0.1, nt=6, nx=6)
+        region = RectRegion(0, 0, 6, 6)
+        data = BoundaryData(region, np.zeros(len(boundary_nodes(region))))
+        with pytest.raises(SingularSystem, match="hessian_symmetry"):
+            hessian_symmetry(LinearWave, mesh, data, method="analytic")
 
 
 class TestContinuousResidual:
