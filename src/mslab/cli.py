@@ -92,6 +92,8 @@ def _number(value, key: str, kind=float):
         raise ConfigError(f"{key!r} must be a number, got {value!r}") from exc
     if not math.isfinite(out):
         raise ConfigError(f"{key!r} must be finite, got {value!r}")
+    if out != float(value):  # int() dropped a fractional part
+        raise ConfigError(f"{key!r} must be an integer, got {value!r}")
     return out
 
 
@@ -110,7 +112,7 @@ def _mesh_from_config(obj) -> jetmesh.QuadMesh:
     nx = _take(cfg, "nx", required=True)
     _reject_extra(cfg, "mesh")
     try:
-        return jetmesh.build_mesh(dt=float(dt), dx=float(dx), nt=int(nt), nx=int(nx))
+        return jetmesh.build_mesh(dt=dt, dx=dx, nt=nt, nx=nx)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad mesh parameters: {exc}") from exc
 

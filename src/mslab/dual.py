@@ -3,34 +3,33 @@
 A :class:`Dual` carries a value and a tangent.  Arithmetic follows the usual
 truncated-Taylor rules, and because the components may themselves be duals,
 nesting two levels gives exact second derivatives (the tangent of the outer
-tangent).  This is all the automatic differentiation the package needs:
-densities and mechanical Lagrangians are smooth scalar maps of a handful of
-arguments, so forward mode with a few seeded evaluations beats dragging in a
-tape-based AD dependency.
+tangent).  Values and tangents may be floats or numpy arrays: one evaluation
+on arrays of points differentiates every point at once, and an array tangent
+carries many directions at once (``Dual(x[k], eye[k])`` seeds a Jacobian).
+Every array entry sees the floating-point operations of a scalar call, so the
+two agree bit for bit.  Functions differentiated on arrays may use
+arithmetic and the functions of this module, but no Python ``if`` on values.
 
-Only the operations the model problems require are implemented
-(+, -, *, /, powers, sin/cos/exp/log/sqrt); each elementary function recurses
-through nesting, so the same definitions serve first and second order.
+Implemented: +, -, *, /, abs, powers (integer exponents by repeated
+multiplication, real exponents by the power rule, ``c ** Dual``) and
+sin/cos/exp/log/sqrt, evaluated through numpy for floats and arrays alike.
+numpy ufuncs do not accept duals: ``np.cosh(Dual(...))`` raises TypeError,
+since ``__array_ufunc__ = None`` (which also makes ``ndarray op Dual`` use
+the dual's reflected operator).
 """
 
 from __future__ import annotations
 
-import math
+import numpy as np
 
-_SCALARS = (int, float)
-
-
-def _zero_like(x):
-    """A zero of the same algebraic level as ``x`` (float or nested Dual)."""
-    if isinstance(x, Dual):
-        return Dual(_zero_like(x.re), _zero_like(x.du))
-    return 0.0
+_SCALARS = (int, float, np.ndarray)
 
 
 class Dual:
     """Truncated first-order Taylor number ``re + eps * du`` with eps**2 = 0."""
 
     __slots__ = ("re", "du")
+    __array_ufunc__ = None
 
     def __init__(self, re, du=0.0):
         self.re = re
@@ -40,7 +39,7 @@ class Dual:
         if isinstance(other, Dual):
             return other
         if isinstance(other, _SCALARS):
-            return Dual(other, _zero_like(self.re))
+            return Dual(other, 0.0)
         return None
 
     def __repr__(self):
@@ -56,6 +55,10 @@ class Dual:
 
     def __neg__(self):
         return Dual(-self.re, -self.du)
+
+    def __abs__(self):
+        sign = np.sign(value(self))  # derivative 0 at 0
+        return Dual(abs(self.re), self.du * sign)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -93,7 +96,7 @@ class Dual:
     def __pow__(self, exponent):
         if isinstance(exponent, int):
             if exponent == 0:
-                return Dual(1.0 + _zero_like(self.re), _zero_like(self.re))
+                return Dual(1.0, 0.0)
             if exponent < 0:
                 return 1.0 / (self ** (-exponent))
             result = self
@@ -101,8 +104,15 @@ class Dual:
                 result = result * self
             return result
         if isinstance(exponent, float):
-            return exp(exponent * log(self))
+            return Dual(_pow(self.re, exponent),
+                        exponent * _pow(self.re, exponent - 1.0) * self.du)
         return NotImplemented
+
+    def __rpow__(self, base):
+        if not isinstance(base, _SCALARS):
+            return NotImplemented
+        out = _pow(base, self.re)
+        return Dual(out, out * log(base) * self.du)
 
     # Ordering acts on the value part (used by line searches and tolerances).
 
@@ -125,44 +135,59 @@ class Dual:
 def sin(x):
     if isinstance(x, Dual):
         return Dual(sin(x.re), cos(x.re) * x.du)
-    return math.sin(x)
+    return np.sin(x)
 
 
 def cos(x):
     if isinstance(x, Dual):
         return Dual(cos(x.re), -(sin(x.re)) * x.du)
-    return math.cos(x)
+    return np.cos(x)
 
 
 def exp(x):
     if isinstance(x, Dual):
         e = exp(x.re)
         return Dual(e, e * x.du)
-    return math.exp(x)
+    return np.exp(x)
 
 
 def log(x):
     if isinstance(x, Dual):
         return Dual(log(x.re), x.du / x.re)
-    return math.log(x)
+    return np.log(x)
 
 
 def sqrt(x):
     if isinstance(x, Dual):
         s = sqrt(x.re)
         return Dual(s, 0.5 * x.du / s)
-    return math.sqrt(x)
+    return np.sqrt(x)
+
+
+def _pow(base, exponent):
+    if isinstance(base, Dual) or isinstance(exponent, Dual):
+        return base ** exponent
+    return np.power(base, exponent)
 
 
 def value(x):
-    """Strip all tangent parts, returning the underlying float."""
+    """Strip all tangent parts, returning the underlying float or array."""
     while isinstance(x, Dual):
         x = x.re
-    return float(x)
+    return x if isinstance(x, np.ndarray) else float(x)
 
 
-def _tangent(y):
-    return value(y.du) if isinstance(y, Dual) else 0.0
+def _points(args) -> tuple:
+    """(floats, None), or (arrays, shape) broadcast if any is an array."""
+    if not any(isinstance(a, np.ndarray) for a in args):
+        return [float(a) for a in args], None
+    points = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
+    return points, points[0].shape
+
+
+def _tangent(y, shape=None):
+    t = value(y.du) if isinstance(y, Dual) else 0.0
+    return t if shape is None else np.broadcast_to(t, shape).copy()
 
 
 def derivative(fn, x):
@@ -171,12 +196,14 @@ def derivative(fn, x):
 
 
 def gradient(fn, args):
-    """Gradient of ``fn(*args)`` (scalar args) via one dual pass per argument."""
-    args = [float(a) for a in args]
+    """Gradient of ``fn(*args)`` via one dual pass per argument: floats, or
+    arrays of the arguments' broadcast shape if any argument is an array."""
+    args, shape = _points(args)
+    # No operation mutates a Dual, so every pass shares the unseeded ones.
+    base = [Dual(a, 0.0) for a in args]
     out = []
-    for k in range(len(args)):
-        seeded = [Dual(a, 1.0 if j == k else 0.0) for j, a in enumerate(args)]
-        out.append(_tangent(fn(*seeded)))
+    for k, a in enumerate(args):
+        out.append(_tangent(fn(*base[:k], Dual(a, 1.0), *base[k + 1:]), shape))
     return out
 
 
@@ -204,20 +231,16 @@ def partial(fn, index, args):
 
 
 def hessian(fn, args):
-    """Dense symmetric Hessian of ``fn(*args)`` via nested dual evaluations."""
-    args = [float(a) for a in args]
+    """Dense symmetric Hessian of ``fn(*args)`` via nested dual evaluations
+    (lists of lists; entries are arrays for array arguments, as in
+    :func:`gradient`)."""
+    args, shape = _points(args)
     m = len(args)
     h = [[0.0] * m for _ in range(m)]
+    one, zero = Dual(1.0, 0.0), Dual(0.0, 0.0)
     for a in range(m):
+        inner = [Dual(x, 1.0 if j == a else 0.0) for j, x in enumerate(args)]
         for b in range(a, m):
-            seeded = []
-            for j, x in enumerate(args):
-                inner = Dual(x, 1.0 if j == a else 0.0)
-                seeded.append(Dual(inner, Dual(1.0 if j == b else 0.0, 0.0)))
-            y = fn(*seeded)
-            h_ab = 0.0
-            if isinstance(y, Dual) and isinstance(y.du, Dual):
-                h_ab = value(y.du.du)
-            h[a][b] = h_ab
-            h[b][a] = h_ab
+            y = fn(*(Dual(x, one if j == b else zero) for j, x in enumerate(inner)))
+            h[a][b] = h[b][a] = _tangent(y.du if isinstance(y, Dual) else 0.0, shape)
     return h

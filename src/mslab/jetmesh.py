@@ -41,6 +41,13 @@ def _check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be a positive finite number, got {value!r}")
 
 
+def _integer(name: str, value) -> int:
+    """``int(value)``; ValueError if that would drop a fractional part."""
+    if not math.isfinite(float(value)) or int(value) != float(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class QuadMesh:
     """Uniform grid with nt time cells and nx space cells.
@@ -88,7 +95,8 @@ class QuadMesh:
 
 def build_mesh(dt: float, dx: float, nt: int, nx: int) -> QuadMesh:
     """Construct a validated mesh (see :class:`QuadMesh`)."""
-    return QuadMesh(dt=float(dt), dx=float(dx), nt=int(nt), nx=int(nx))
+    return QuadMesh(dt=float(dt), dx=float(dx), nt=_integer("nt", nt),
+                    nx=_integer("nx", nx))
 
 
 @dataclass(frozen=True)
@@ -180,12 +188,6 @@ class DiscreteField:
     def with_value(self, n: int, i: int, value: float) -> "DiscreteField":
         arr = self.values.copy()
         arr[n, i] = value
-        return DiscreteField(self.mesh, arr)
-
-    def with_values(self, assignments: Mapping[Node, float]) -> "DiscreteField":
-        arr = self.values.copy()
-        for (n, i), val in assignments.items():
-            arr[n, i] = val
         return DiscreteField(self.mesh, arr)
 
 
@@ -467,11 +469,10 @@ def parse_region(obj) -> Region:
         expected = {"n0", "i0", "nt", "nx"}
         if set(fields) != expected:
             raise ValueError(f"rect region needs keys {sorted(expected)}, got {sorted(fields)}")
-        return RectRegion(int(fields["n0"]), int(fields["i0"]),
-                          int(fields["nt"]), int(fields["nx"]))
+        return RectRegion(*(_integer(k, fields[k]) for k in ("n0", "i0", "nt", "nx")))
     if kind == "patch3":
         expected = {"n", "i"}
         if set(fields) != expected:
             raise ValueError(f"patch3 region needs keys {sorted(expected)}, got {sorted(fields)}")
-        return Patch3Region(int(fields["n"]), int(fields["i"]))
+        return Patch3Region(_integer("n", fields["n"]), _integer("i", fields["i"]))
     raise ValueError(f"unknown region kind {kind!r}")

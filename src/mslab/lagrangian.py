@@ -24,9 +24,9 @@ step-size tuning).  Every evaluation is checked for NaN/Inf.
 :func:`triangle_kernel` evaluates the same terms for a whole set of
 triangles at once, given as flat vertex indices into a node array: slot
 gradients, their scatter-add into DEL residuals, vertex-slot Hessians and
-their COO triplets.  The per-triangle functions below are its one-triangle
-view and its reference: they share the formulas, and tests hold the two to
-round-off agreement.
+their COO triplets, calling the density once on whole jet arrays.  The
+per-triangle functions below are its one-triangle view and its reference:
+they share the formulas, and tests hold the two to round-off agreement.
 """
 
 from __future__ import annotations
@@ -52,13 +52,13 @@ class LagrangianDensity:
         raise NotImplementedError
 
     def partials(self, v, w, ubar):
-        """(dL/dv, dL/dw, dL/dubar) at a point."""
-        fn = self.value
-        return tuple(dual.gradient(fn, (v, w, ubar)))
+        """(dL/dv, dL/dw, dL/dubar) at a point, or at each point of arrays."""
+        return tuple(dual.gradient(self.value, (v, w, ubar)))
 
     def second_partials(self, v, w, ubar):
-        """Symmetric 3x3 Hessian of L in (v, w, ubar), as a numpy array."""
-        return np.array(dual.hessian(self.value, (v, w, ubar)))
+        """Symmetric 3x3 Hessian of L in (v, w, ubar); (..., 3, 3) on arrays."""
+        h = np.array(dual.hessian(self.value, (v, w, ubar)))
+        return np.moveaxis(h, (0, 1), (-2, -1)) if h.ndim > 2 else h
 
     def __call__(self, v, w, ubar):
         return self.value(v, w, ubar)
@@ -109,7 +109,9 @@ class QuadraticDensity(LagrangianDensity):
 
 
 class UserDensity(LagrangianDensity):
-    """Wrap an arbitrary smooth callable L(v, w, ubar); derivatives via duals."""
+    """Wrap a smooth callable L(v, w, ubar); derivatives via duals.  It is
+    evaluated on whole arrays of (nested dual) jets: arithmetic and ``dual.*``
+    functions only, with no Python ``if`` on values."""
 
     def __init__(self, fn: Callable, name="user"):
         self._fn = fn
@@ -311,10 +313,11 @@ def triangle_kernel(density: LagrangianDensity, values, index, dt: float,
     ``values.ravel()``, one entry per triangle (see
     :func:`~mslab.jetmesh.triangle_index`).  ``gradient`` asks for the slot
     gradients and the DEL residual vector, ``hessian`` for the vertex-slot
-    Hessians and their COO triplets.  Jets are formed on whole arrays once;
-    quadratic densities use them whole, with the constant Hessian, other
-    densities make one ``partials``/``second_partials`` call per triangle.
-    NaN/Inf raises ValueError, as in the per-triangle functions.
+    Hessians and their COO triplets.  Jets are formed on whole arrays once,
+    and ``partials``/``second_partials`` are called once on them (quadratic
+    densities use their constant Hessian).  NaN/Inf raises ValueError, as in
+    the per-triangle functions; numpy warnings in the density calls are
+    silenced, since that check reports them.
     """
     flat = np.asarray(values, dtype=float).ravel()
     # 32-bit node indices keep the triplet arrays small.
@@ -324,31 +327,24 @@ def triangle_kernel(density: LagrangianDensity, values, index, dt: float,
         if not np.isfinite(u).all():
             raise ValueError(f"non-finite vertex value {name}")
     v, w, ubar = (u3 - u1) / dt, (u2 - u1) / dx, (u1 + u2 + u3) / 3.0
-    quadratic = isinstance(density, QuadraticDensity)
-    if not quadratic:
-        jets = list(zip(v.tolist(), w.tolist(), ubar.tolist()))
 
     grads = residual = hess = triplets = None
     if gradient:
-        if quadratic:
+        with np.errstate(all="ignore"):
             lv, lw, lu = density.partials(v, w, ubar)
-        else:
-            lv, lw, lu = np.array([density.partials(*jet) for jet in jets],
-                                  dtype=float).reshape(-1, 3).T
-        if not (np.isfinite(lv).all() and np.isfinite(lw).all()
-                and np.isfinite(lu).all()):
+        if not all(np.isfinite(p).all() for p in (lv, lw, lu)):
             raise ValueError(f"density {density.name} partials produced a non-finite value")
         grads = np.array(_slot_gradient(lv, lw, lu, dt, dx))
         b1, b2, b3 = (np.bincount(ix, weights=d, minlength=flat.size)
                       for ix, d in zip(index, grads))
         residual = b1 + b2 + b3
     if hessian:
-        if quadratic:  # the same at every jet
+        if isinstance(density, QuadraticDensity):  # the same at every jet
             hess = np.broadcast_to(hess_Ld(density, JetTriple(0.0, 0.0, 0.0, dt, dx)),
                                    (len(u1), 3, 3))
         else:
-            h = np.array([density.second_partials(*jet) for jet in jets],
-                         dtype=float).reshape(-1, 3, 3)
+            with np.errstate(all="ignore"):
+                h = np.broadcast_to(density.second_partials(v, w, ubar), (len(u1), 3, 3))
             if not np.isfinite(h).all():
                 raise ValueError(f"density {density.name} produced a non-finite Hessian")
             hess = _push_hessian(h, dt, dx)

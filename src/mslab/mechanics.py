@@ -183,22 +183,23 @@ def _dot_row(matrix_row, values):
     return out
 
 
-def _newton_dense(residual_fn, x0: np.ndarray, tol: float, max_iter: int,
+def _jacobian(residual_fn, x: np.ndarray) -> np.ndarray:
+    """Dense Jacobian from one residual evaluation with unit tangent vectors
+    seeded on the unknowns, ``Dual(x[k], eye[k])``."""
+    rows = residual_fn([dual.Dual(float(xk), e) for xk, e in zip(x, np.eye(len(x)))])
+    return np.array([np.broadcast_to(getattr(r, "du", 0.0), len(x)) for r in rows])
+
+
+def _newton_dense(residual_fn, x0, tol: float, max_iter: int,
                   context: str) -> np.ndarray:
     """Newton with dual-number Jacobian and Armijo backtracking (dense)."""
     x = np.array(x0, dtype=float)
-    n = len(x)
     f = np.array(residual_fn(list(x)), dtype=float)
     for _ in range(max_iter):
         norm = float(np.max(np.abs(f)))
         if norm <= tol:
             return x
-        jac = np.empty((n, n))
-        for m in range(n):
-            seeded = [dual.Dual(float(x[k]), 1.0 if k == m else 0.0)
-                      for k in range(n)]
-            col = residual_fn(seeded)
-            jac[:, m] = [r.du if isinstance(r, dual.Dual) else 0.0 for r in col]
+        jac = _jacobian(residual_fn, x)
         # Evaluating the residual rows incurs round-off of the order of the
         # Jacobian row magnitudes times the iterate; below that level no
         # Newton step can improve the residual, so accept the iterate even
@@ -211,7 +212,7 @@ def _newton_dense(residual_fn, x0: np.ndarray, tol: float, max_iter: int,
         try:
             step = np.linalg.solve(jac, -f)
         except np.linalg.LinAlgError as err:
-            raise SolverError(f"{context}: singular collocation system ({err})") from None
+            raise SolverError(f"{context}: singular Jacobian ({err})") from None
         merit = 0.5 * float(f @ f)
         t = 1.0
         for _ in range(40):
@@ -283,9 +284,7 @@ def endpoint_momenta(lagr: MechLagrangian, q0: float, q1: float, h: float,
     the mechanics limit of the slot-sum boundary momenta.
     """
     _, qs, qdots = _collocation_extremal(lagr, q0, q1, h, n_nodes, tol, max_iter)
-    p_start = lagr.d_qdot(qs[0], qdots[0])
-    p_end = lagr.d_qdot(qs[-1], qdots[-1])
-    return (-float(p_start), float(p_end))
+    return (-float(lagr.d_qdot(qs[0], qdots[0])), float(lagr.d_qdot(qs[-1], qdots[-1])))
 
 
 def exact_discrete_hamiltonian(h_fn: Callable, q0: float, p1: float, h: float,
@@ -338,39 +337,17 @@ def type1_map(ld: Callable, z0: PhasePoint, h: float, *, tol: float = 1e-12,
               max_iter: int = 50) -> PhasePoint:
     """Advance (q0, p0) through a discrete Lagrangian ld(q0, q1).
 
-    Solves d1 ld(q0, q1) + p0 = 0 for q1 (scalar Newton, dual-number
-    derivatives), then reads p1 = d2 ld(q0, q1).  ``h`` only scales the
-    initial guess q1 = q0 + h p0.
+    Solves d1 ld(q0, q1) + p0 = 0 for q1 with the collocation Newton
+    (dual-number Jacobian, backtracking, round-off floor), then reads
+    p1 = d2 ld(q0, q1).  ``h`` only scales the initial guess q1 = q0 + h p0.
     """
     q0, p0 = float(z0.q), float(z0.p)
-    q1 = q0 + h * p0
 
-    def g(q1v):
-        return dual.gradient(ld, (q0, q1v))[0] + p0
+    def residual(x):
+        return [dual.partial(ld, 0, (q0, x[0])) + p0]
 
-    g1 = g(q1)
-    for _ in range(max_iter):
-        if abs(g1) <= tol:
-            break
-        slope = dual.hessian(ld, (q0, q1))[0][1]
-        if slope == 0.0 or not math.isfinite(slope):
-            raise SolverError("type1_map: degenerate discrete Lagrangian "
-                              "(d2 ld / dq0 dq1 vanished)")
-        step = -g1 / slope
-        t = 1.0
-        for _ in range(40):
-            q_try = q1 + t * step
-            g_try = g(q_try)
-            if abs(g_try) <= (1.0 - 1e-4 * t) * abs(g1):
-                break
-            t *= 0.5
-        else:
-            raise SolverError("type1_map: line search failed")
-        q1, g1 = q_try, g_try
-    else:
-        raise SolverError(f"type1_map: Newton did not converge (|g| = {abs(g1):.3e})")
-    p1 = dual.gradient(ld, (q0, q1))[1]
-    return PhasePoint(q1, p1)
+    q1 = float(_newton_dense(residual, [q0 + h * p0], tol, max_iter, "type1_map")[0])
+    return PhasePoint(q1, float(dual.partial(ld, 1, (q0, q1))))
 
 
 def symplecticity_check(map_fn: Callable, z0: PhasePoint, *,

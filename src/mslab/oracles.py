@@ -224,9 +224,6 @@ class DalembertSolution:
     def dx(self, t: float, x: float) -> float:
         return self.f_prime(x - t) + self.g_prime(x + t)
 
-    def as_wave_solution(self, name: str = "dalembert") -> WaveSolution:
-        return WaveSolution(name, self.value, self.dt, self.dx)
-
 
 def dalembert_solve(data: SquareBoundaryData, *, poly_degree: int = 6,
                     n_sine: int = 6, n_collocation: int = 80,

@@ -130,6 +130,23 @@ class TestExitConfig:
         assert main([command, "--config", cfg]) == EXIT_CONFIG
         assert "must be a number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, payload", [
+        ("msff-check", {"mesh": dict(MSFF_CONFIG["mesh"], nx=6.5)}),
+        ("bridges-check", {"mesh": dict(BRIDGES_CONFIG["mesh"], nt=8.7),
+                           "mode": "conservation"}),
+        ("bridges-check", {"mesh": dict(BRIDGES_CONFIG["mesh"], nx=8.2),
+                           "mode": "bvp-singularity"}),
+        ("bridges-check", {"mesh": dict(BRIDGES_CONFIG["mesh"], nt=float("inf")),
+                           "mode": "conservation"}),
+        ("boundary-lagrangian", dict(SQUARE_CONFIG, nx_ladder=[8.9, 16.2])),
+        ("boundary-lagrangian", dict(SQUARE_CONFIG, nx_ladder=[8, 16.5, 32])),
+    ])
+    def test_non_integral_size(self, tmp_path, capsys, command, payload):
+        # Truncated, these would run a smaller mesh than the config asks for.
+        cfg = write_config(tmp_path, "c.json", payload)
+        assert main([command, "--config", cfg]) == EXIT_CONFIG
+        assert "must be an integer" in capsys.readouterr().err
+
 
 class TestExitSolver:
     def test_unit_ratio_singularity(self, tmp_path):

@@ -1,11 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mslab import dual
+from mslab import dual, mechanics
 from mslab.dual import Dual
+from mslab.lagrangian import quartic_test_density
 
 
 def fd_derivative(fn, x, eps=1e-6):
@@ -44,6 +46,45 @@ class TestArithmetic:
     def test_float_strips(self):
         assert float(Dual(1.5, 2.0)) == 1.5
         assert dual.value(Dual(Dual(1.5, 1.0), 1.0)) == 1.5
+
+
+class TestPowersAndAbs:
+    def test_real_power_of_a_negative_base(self):
+        out = Dual(-2.0, 1.0) ** 2.0
+        assert (out.re, out.du) == (4.0, -4.0)
+        assert dual.hessian(lambda x: x ** 3.0, (-2.0,))[0][0] == pytest.approx(-12.0)
+
+    def test_abs(self):
+        out = abs(Dual(-1.5, 2.0))
+        assert (out.re, out.du) == (1.5, -2.0)
+        assert dual.hessian(lambda x: abs(x) * x, (-3.0,))[0][0] == -2.0
+
+    def test_scalar_base_power(self):
+        out = 2.0 ** Dual(3.0, 1.0)
+        assert out.re == 8.0
+        assert out.du == pytest.approx(8.0 * math.log(2.0), rel=1e-15)
+        assert dual.hessian(lambda x: 2.0 ** x, (3.0,))[0][0] == pytest.approx(
+            8.0 * math.log(2.0) ** 2, rel=1e-14)
+
+
+class TestArrays:
+    def test_ndarray_operands_defer_to_the_dual(self):
+        out = np.array([1.0, 2.0]) * Dual(np.array([3.0, 4.0]), 1.0)
+        assert isinstance(out, Dual)
+        assert out.re.tolist() == [3.0, 8.0]
+        assert out.du.tolist() == [1.0, 2.0]
+
+    def test_numpy_ufuncs_are_unsupported(self):
+        with pytest.raises(TypeError):
+            np.cosh(Dual(0.5, 1.0))
+
+    def test_scalar_arguments_broadcast_against_arrays(self):
+        gx, gy = dual.gradient(lambda x, y: x * y * y, (np.array([1.0, 2.0]), 3.0))
+        assert gx.tolist() == [9.0, 9.0]
+        assert gy.tolist() == [6.0, 12.0]
+        h = dual.hessian(lambda x, y: x * y * y, (np.array([1.0, 2.0]), 3.0))
+        assert h[1][1].tolist() == [2.0, 4.0]
+        assert h[0][0].tolist() == [0.0, 0.0]
 
 
 class TestElementaryFunctions:
@@ -115,3 +156,138 @@ def test_chain_rule_matches_fd(x):
     exact = dual.derivative(f, x)
     approx = fd_derivative(lambda t: math.exp(math.sin(t)) / math.sqrt(t), x)
     assert exact == pytest.approx(approx, rel=1e-5, abs=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# Array evaluations against scalar calls, bit for bit
+
+
+DENSITY_FNS = {
+    "quartic": quartic_test_density(0.7).value,
+    "polynomial": lambda v, w, u: (0.5 * v * v - 0.5 * w * w + 0.1 * v * w * u
+                                   + 0.05 * u ** 4),
+    "exp_sin": lambda v, w, u: (dual.exp(0.3 * u) * dual.sin(v) - 0.5 * w * w
+                                + dual.cos(w * u)),
+}
+
+point_sets = st.fixed_dictionaries({
+    "seed": st.integers(0, 2 ** 32 - 1),
+    "size": st.integers(1, 40),
+    "fn": st.sampled_from(sorted(DENSITY_FNS)),
+})
+
+
+def random_points(case):
+    rng = np.random.default_rng(case["seed"])
+    return tuple(rng.standard_normal(case["size"]) for _ in range(3))
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=point_sets)
+def test_array_gradient_equals_scalar_calls(case):
+    fn, args = DENSITY_FNS[case["fn"]], random_points(case)
+    scalar = [dual.gradient(fn, point) for point in zip(*args)]
+    assert same_bits(np.array(dual.gradient(fn, args)).T, scalar)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=point_sets)
+def test_array_hessian_equals_scalar_calls(case):
+    fn, args = DENSITY_FNS[case["fn"]], random_points(case)
+    scalar = [dual.hessian(fn, point) for point in zip(*args)]
+    assert same_bits(np.moveaxis(np.array(dual.hessian(fn, args)), -1, 0), scalar)
+
+
+# ---------------------------------------------------------------------------
+# The one-pass Newton Jacobian against a column-by-column reference
+
+
+class Pendulum(mechanics.MechLagrangian):
+    """L = qdot^2/2 + cos q: derivatives through dual.partial and dual.cos."""
+
+    name = "pendulum"
+
+    def value(self, q, qdot):
+        return 0.5 * qdot * qdot + dual.cos(q)
+
+
+def pendulum_hamiltonian(q, p):
+    return 0.5 * p * p - dual.cos(q)
+
+
+class _Captured(Exception):
+    pass
+
+
+def newton_problem(call):
+    """The residual function and start point that ``call`` hands to Newton."""
+    seen = []
+
+    def capture(residual_fn, x0, *args):
+        seen.append((residual_fn, np.asarray(x0, dtype=float)))
+        raise _Captured
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mechanics, "_newton_dense", capture)
+        with pytest.raises(_Captured):
+            call()
+    return seen[0]
+
+
+def per_column_jacobian(residual_fn, x):
+    """One residual evaluation per column, each seeding one unit tangent."""
+    n = len(x)
+    jac = np.empty((n, n))
+    for m in range(n):
+        col = residual_fn([Dual(float(x[k]), 1.0 if k == m else 0.0) for k in range(n)])
+        jac[:, m] = [r.du if isinstance(r, Dual) else 0.0 for r in col]
+    return jac
+
+
+collocation_cases = st.fixed_dictionaries({
+    "seed": st.integers(0, 2 ** 32 - 1),
+    "n_nodes": st.integers(2, 10),
+    "h": st.floats(0.05, 1.0),
+    "q0": st.floats(-1.0, 1.0),
+    "end": st.floats(-1.0, 1.0),
+    "omega": st.floats(0.5, 1.5),
+})
+
+
+def assert_one_pass_jacobian(residual, x0, seed):
+    # Off the start point, so no row is at a special value.
+    x = x0 + 0.1 * np.random.default_rng(seed).standard_normal(len(x0))
+    assert same_bits(mechanics._jacobian(residual, x), per_column_jacobian(residual, x))
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=collocation_cases)
+def test_one_pass_jacobian_of_the_lagrangian_collocation(case):
+    for lagr in (mechanics.HarmonicOscillator(case["omega"]), Pendulum()):
+        residual, x0 = newton_problem(lambda: mechanics.exact_discrete_lagrangian(
+            lagr, case["q0"], case["end"], case["h"], n_nodes=case["n_nodes"]))
+        assert_one_pass_jacobian(residual, x0, case["seed"])
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=collocation_cases)
+def test_one_pass_jacobian_of_the_canonical_collocation(case):
+    for h_fn in (mechanics.harmonic_hamiltonian(case["omega"]), pendulum_hamiltonian):
+        residual, x0 = newton_problem(lambda: mechanics.exact_discrete_hamiltonian(
+            h_fn, case["q0"], case["end"], case["h"], n_nodes=case["n_nodes"]))
+        assert_one_pass_jacobian(residual, x0, case["seed"])
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=collocation_cases)
+def test_one_pass_jacobian_of_the_type1_map(case):
+    for lagr in (mechanics.HarmonicOscillator(case["omega"]), Pendulum()):
+        ld = mechanics.midpoint_rule(lagr)(case["h"])
+        residual, x0 = newton_problem(lambda: mechanics.type1_map(
+            ld, mechanics.PhasePoint(case["q0"], case["end"]), case["h"]))
+        assert_one_pass_jacobian(residual, x0, case["seed"])

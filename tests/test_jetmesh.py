@@ -38,10 +38,16 @@ class TestQuadMesh:
         dict(dt=1.0, dx=-1.0, nt=2, nx=2),
         dict(dt=1.0, dx=1.0, nt=0, nx=2),
         dict(dt=float("nan"), dx=1.0, nt=2, nx=2),
+        dict(dt=0.1, dx=0.1, nt=8.7, nx=4),
+        dict(dt=0.1, dx=0.1, nt=8, nx=4.2),
+        dict(dt=0.1, dx=0.1, nt=float("inf"), nx=4),
     ])
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ValueError):
             build_mesh(**kwargs)
+
+    def test_accepts_integral_floats(self):
+        assert build_mesh(0.1, 0.1, 8.0, 4.0).shape == (9, 5)
 
     def test_one_triangle_per_cell(self, mesh):
         tris = list(mesh.triangles())
@@ -203,6 +209,15 @@ class TestRegions:
     def test_region_json_roundtrip(self):
         for reg in (RectRegion(1, 2, 3, 4), Patch3Region(2, 2)):
             assert parse_region(region_to_json(reg)) == reg
+
+    @pytest.mark.parametrize("obj", [
+        {"kind": "rect", "n0": 0.5, "i0": 0, "nt": 2.9, "nx": 2},
+        {"kind": "rect", "n0": 0, "i0": 0, "nt": 2, "nx": 2.5},
+        {"kind": "patch3", "n": 1.5, "i": 1},
+    ])
+    def test_parse_region_rejects_non_integral_values(self, obj):
+        with pytest.raises(ValueError, match="must be an integer"):
+            parse_region(obj)
 
     def test_parse_region_rejects_unknown_keys(self):
         with pytest.raises(ValueError):
