@@ -106,29 +106,18 @@ def _mesh_from_config(obj) -> jetmesh.QuadMesh:
     if not isinstance(obj, dict):
         raise ConfigError(f"'mesh' must be an object, got {obj!r}")
     cfg = dict(obj)
-    dt = _take(cfg, "dt", required=True)
-    dx = _take(cfg, "dx", required=True)
-    nt = _take(cfg, "nt", required=True)
-    nx = _take(cfg, "nx", required=True)
+    sizes = {key: _take(cfg, key, required=True) for key in ("dt", "dx", "nt", "nx")}
     _reject_extra(cfg, "mesh")
+    return _parsed("mesh parameters", jetmesh.build_mesh, **sizes)
+
+
+def _parsed(what: str, parse, *args, **kwargs):
+    """``parse(*args, **kwargs)``; a TypeError or ValueError becomes a
+    ConfigError naming ``what``."""
     try:
-        return jetmesh.build_mesh(dt=dt, dx=dx, nt=nt, nx=nx)
+        return parse(*args, **kwargs)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad mesh parameters: {exc}") from exc
-
-
-def _density_from_config(obj):
-    try:
-        return density_from_json(obj)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad density: {exc}") from exc
-
-
-def _closure_from_config(obj):
-    try:
-        return delsolve.parse_closure(obj)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad closure: {exc}") from exc
+        raise ConfigError(f"bad {what}: {exc}") from exc
 
 
 def _thread_cap() -> int:
@@ -178,7 +167,8 @@ def _jsonable(obj):
 
 
 def _emit_report(command: str, config: dict, seed, results: dict,
-                 passed: bool, out_dir) -> None:
+                 passed: bool, out_dir) -> int:
+    """Print (and with ``out_dir`` write) the report; returns the exit code."""
     report = {
         "command": command,
         "config": _jsonable(config),
@@ -195,6 +185,7 @@ def _emit_report(command: str, config: dict, seed, results: dict,
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / f"{command}_report.json").write_text(text + "\n")
+    return EXIT_OK if passed else EXIT_TOLERANCE
 
 
 def _dump_fields(out_dir, **fields) -> None:
@@ -229,8 +220,9 @@ def _cmd_msff_check(args) -> int:
     cfg = _load_config(args.config)
     raw = dict(cfg)
     mesh = _mesh_from_config(_take(cfg, "mesh", required=True))
-    density = _density_from_config(_take(cfg, "density", "linear_wave"))
-    closure = _closure_from_config(_take(cfg, "closure", {"fixed": [0.0, 0.0]}))
+    density = _parsed("density", density_from_json, _take(cfg, "density", "linear_wave"))
+    closure = _parsed("closure", delsolve.parse_closure,
+                      _take(cfg, "closure", {"fixed": [0.0, 0.0]}))
     amplitude = _number(_take(cfg, "amplitude", 0.1), "amplitude")
     _reject_extra(cfg, "msff-check")
     if mesh.nt < 2 or mesh.nx < 2:
@@ -247,12 +239,10 @@ def _cmd_msff_check(args) -> int:
 
     region = jetmesh.RectRegion(0, 0, mesh.nt, mesh.nx)
     n_bd = len(jetmesh.boundary_nodes(region))
-    v_var = delsolve.tangent_solve(
+    v_var, w_var = delsolve.tangent_solve(
         density, field, region,
-        jetmesh.BoundaryData(region, amplitude * rng_v.standard_normal(n_bd)))
-    w_var = delsolve.tangent_solve(
-        density, field, region,
-        jetmesh.BoundaryData(region, amplitude * rng_w.standard_normal(n_bd)))
+        [jetmesh.BoundaryData(region, amplitude * rng.standard_normal(n_bd))
+         for rng in (rng_v, rng_w)])
 
     patch = np.abs(msforms.msff_patch_residuals(density, field, v_var, w_var, region))
     k = int(np.argmax(patch))
@@ -278,8 +268,7 @@ def _cmd_msff_check(args) -> int:
         "n_interior_nodes": (mesh.nt - 1) * (mesh.nx - 1),
     }
     _dump_fields(args.out, base_field=field, variation_v=v_var, variation_w=w_var)
-    _emit_report("msff-check", raw, args.seed, results, passed, args.out)
-    return EXIT_OK if passed else EXIT_TOLERANCE
+    return _emit_report("msff-check", raw, args.seed, results, passed, args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +308,7 @@ def _cmd_bridges_check(args) -> int:
             "tolerance": tol,
         }
         _dump_fields(args.out, variation_v=v_var, variation_w=w_var)
-        _emit_report("bridges-check", raw, args.seed, results, passed, args.out)
-        return EXIT_OK if passed else EXIT_TOLERANCE
+        return _emit_report("bridges-check", raw, args.seed, results, passed, args.out)
 
     region = jetmesh.RectRegion(0, 0, mesh.nt, mesh.nx)
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
@@ -336,8 +324,7 @@ def _cmd_bridges_check(args) -> int:
         "mesh_ratio": mesh.aspect_ratio,
         "note": "solve succeeded; no singularity at this mesh ratio",
     }
-    _emit_report("bridges-check", raw, args.seed, results, False, args.out)
-    return EXIT_TOLERANCE
+    return _emit_report("bridges-check", raw, args.seed, results, False, args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -394,9 +381,8 @@ def _cmd_boundary_lagrangian(args) -> int:
             "normal_derivative_modes": ext.dtn.to_json(),
             "tolerance": tol,
         }
-        _emit_report("boundary-lagrangian", raw, args.seed, results, passed,
-                     args.out)
-        return EXIT_OK if passed else EXIT_TOLERANCE
+        return _emit_report("boundary-lagrangian", raw, args.seed, results,
+                            passed, args.out)
 
     if problem == "wave_square":
         name = _take(cfg, "solution", "cubic")
@@ -439,9 +425,8 @@ def _cmd_boundary_lagrangian(args) -> int:
             "min_order": min_order,
             "tolerance": tol,
         }
-        _emit_report("boundary-lagrangian", raw, args.seed, results, passed,
-                     args.out)
-        return EXIT_OK if passed else EXIT_TOLERANCE
+        return _emit_report("boundary-lagrangian", raw, args.seed, results,
+                            passed, args.out)
 
     raise ConfigError(f"unknown boundary-lagrangian problem {problem!r}")
 
@@ -522,8 +507,7 @@ def _cmd_mechanics(args) -> int:
         lines += [f"{h!r},{ef!r},{em!r}" for h, ef, em in
                   zip(h_values, report.functional_errors, report.map_errors)]
         (out / "mechanics_ladder.csv").write_text("\n".join(lines) + "\n")
-    _emit_report("mechanics", raw, args.seed, results, passed, args.out)
-    return EXIT_OK if passed else EXIT_TOLERANCE
+    return _emit_report("mechanics", raw, args.seed, results, passed, args.out)
 
 
 # ---------------------------------------------------------------------------

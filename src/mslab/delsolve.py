@@ -19,12 +19,15 @@ Three solution drivers are provided:
 
 * :func:`step_row` advances one time level by solving the DEL equations of
   the current level for the new row (a bidiagonal system, explicit for the
-  wave density); its errors name the row;
+  wave density); its errors name the row.  :func:`propagate` steps a whole
+  field with one row stepper, which factors a quadratic density's row
+  Jacobian (the same for every row) once per run;
 * :func:`solve_bvp` solves the space-time boundary-value problem on a region
   with Dirichlet data on the single boundary layer (Newton with Armijo
   backtracking, sparse LU);
-* :func:`tangent_solve` solves the linearised DEL equations for a first
-  variation with prescribed boundary tangent.
+* :func:`tangent_solve` solves the linearised DEL equations for first
+  variations with prescribed boundary tangents, one back-solve per tangent
+  on a single factorisation.
 
 Every factorisation is accompanied by a reciprocal condition indicator
 
@@ -135,8 +138,9 @@ def _sparse_block(triplets, size: int, eqs, unknowns, known=None):
     """Sparse matrix of Hessian triplets, rows at the flat nodes ``eqs`` and
     columns at the flat nodes ``unknowns`` (of ``size`` nodes in all).
 
-    With ``known`` (flat node values), also returns the right-hand side: minus
-    the product of the remaining columns with those values.
+    With ``known`` (a sequence of flat node-value vectors), also returns one
+    right-hand side per vector: minus the product of the remaining columns
+    with those values.
     """
     rows, cols, vals = triplets
     number = np.full((2, size), -1, dtype=np.int32)
@@ -148,20 +152,20 @@ def _sparse_block(triplets, size: int, eqs, unknowns, known=None):
         return mat
     rest = (r >= 0) & (c < 0)
     # 0.0 - s rather than -s: rows without a known column stay +0.0.
-    rhs = 0.0 - np.bincount(r[rest], weights=vals[rest] * known[cols[rest]],
-                            minlength=len(eqs))
-    return mat, rhs
+    return mat, [0.0 - np.bincount(r[rest], weights=vals[rest] * kv[cols[rest]],
+                                   minlength=len(eqs)) for kv in known]
 
 
 # ---------------------------------------------------------------------------
 # Newton core (shared by step_row and solve_bvp)
 
 
-def _newton(residual_fn, jacobian_fn, x0, tol, max_iter, context: str):
+def _newton(residual_fn, factor_fn, x0, tol, max_iter, context: str):
     """Damped Newton iteration on F(x) = 0 with Armijo backtracking.
 
-    ``jacobian_fn(x)`` must return a scipy csc matrix.  Returns
-    (x, sup-norm of residual, iterations, rcond of last factored Jacobian).
+    ``factor_fn(x)`` returns the sparse LU of the Jacobian at x and its rcond
+    (see :func:`_factor_and_rcond`).  Returns (x, sup-norm of residual,
+    iterations, rcond of last factored Jacobian).
     """
     x = np.array(x0, dtype=float)
     f = residual_fn(x)
@@ -170,9 +174,9 @@ def _newton(residual_fn, jacobian_fn, x0, tol, max_iter, context: str):
         norm = float(np.max(np.abs(f))) if f.size else 0.0
         if norm <= tol:
             if rcond is None:
-                rcond = _factor_and_rcond(jacobian_fn(x), context)[1]
+                rcond = factor_fn(x)[1]
             return x, norm, iteration - 1, rcond
-        lu, rcond = _factor_and_rcond(jacobian_fn(x), context)
+        lu, rcond = factor_fn(x)
         step = -lu.solve(f)
         merit = 0.5 * float(f @ f)
         slope = -2.0 * merit
@@ -224,40 +228,28 @@ def _factor_and_rcond(jac: csc_matrix, context: str):
 # Time stepping
 
 
-def step_row(density: LagrangianDensity, mesh: QuadMesh, u_prev, u_curr,
-             closure: Closure, *, row_index: int = 1, tol: float = 1e-12,
-             max_iter: int = 50) -> np.ndarray:
-    """Advance one time level: solve the DEL equations of the current row.
+def _row_stepper(density: LagrangianDensity, mesh: QuadMesh, closure: Closure, *,
+                 tol: float = 1e-12, max_iter: int = 50):
+    """``step(u_prev, u_curr, row_index)``: :func:`step_row` for a whole run.
 
-    ``u_prev``/``u_curr`` are the two known consecutive rows; the return value
-    is the next row.  The system couples each new value to its left
-    neighbour only (bidiagonal; cyclic for the periodic closure), and is
-    explicit for densities without space-time cross terms.  ``row_index`` is
-    the time index of the new row, used for callable fixed-end values and
-    named in solver errors.
+    The closure, triangle indices and column sets are built once.  A
+    quadratic density's row Jacobian is the same for every row and iterate,
+    so it is factored, with its rcond check, once on first use; other
+    densities refactor at every Newton iteration.
     """
-    u_prev = np.asarray(u_prev, dtype=float)
-    u_curr = np.asarray(u_curr, dtype=float)
-    ncols = mesh.nx + 1
-    if u_prev.shape != (ncols,) or u_curr.shape != (ncols,):
-        raise ValueError(f"rows must have {ncols} columns")
     closure = parse_closure(closure)
     periodic = isinstance(closure, PeriodicClosure)
-    dt, dx = mesh.dt, mesh.dx
-
-    # Rows 0, 1, 2 of ``stack`` are u_prev, u_curr and the new row; the
-    # equations sit on row 1 and the unknowns on row 2.
-    stack = np.zeros((3, ncols))
-    stack[0], stack[1] = u_prev, u_curr
+    ncols, dt, dx = mesh.nx + 1, mesh.dt, mesh.dx
     if periodic:
         columns = anchors = np.arange(ncols)
     else:
-        stack[2, 0], stack[2, -1] = closure.end_values(row_index)
         columns, anchors = np.arange(1, ncols - 1), np.arange(ncols - 1)
-    if not len(columns):
-        return stack[2]
     index = triangle_index(np.array([[0], [1]]), anchors, ncols, periodic)
     upper = triangle_index(np.array([1]), anchors, ncols, periodic)
+    # Rows 0, 1, 2 of ``stack`` are u_prev, u_curr and the new row; the
+    # equations sit on row 1 and the unknowns on row 2.
+    stack = np.zeros((3, ncols))
+    fixed_lu = None
 
     def assemble(x):
         row = stack.copy()
@@ -274,21 +266,55 @@ def step_row(density: LagrangianDensity, mesh: QuadMesh, u_prev, u_curr,
         return _sparse_block(terms.triplets, stack.size, ncols + columns,
                              2 * ncols + columns)
 
-    x0 = (2.0 * u_curr - u_prev)[columns]
-    x, _, _, _ = _newton(residual, jacobian, x0, tol, max_iter,
-                         f"step_row (row {row_index})")
-    return assemble(x)[2]
+    def step(u_prev, u_curr, row_index: int) -> np.ndarray:
+        u_prev, u_curr = (np.asarray(u, dtype=float) for u in (u_prev, u_curr))
+        if u_prev.shape != (ncols,) or u_curr.shape != (ncols,):
+            raise ValueError(f"rows must have {ncols} columns")
+        stack[0], stack[1] = u_prev, u_curr
+        if not periodic:
+            stack[2, 0], stack[2, -1] = closure.end_values(row_index)
+        if not len(columns):
+            return stack[2].copy()
+        context = f"step_row (row {row_index})"
+
+        def factor(x):
+            nonlocal fixed_lu
+            lu = fixed_lu or _factor_and_rcond(jacobian(x), context)
+            if density.is_quadratic:
+                fixed_lu = lu
+            return lu
+
+        x0 = (2.0 * u_curr - u_prev)[columns]
+        return assemble(_newton(residual, factor, x0, tol, max_iter, context)[0])[2]
+
+    return step
+
+
+def step_row(density: LagrangianDensity, mesh: QuadMesh, u_prev, u_curr,
+             closure: Closure, *, row_index: int = 1, tol: float = 1e-12,
+             max_iter: int = 50) -> np.ndarray:
+    """Advance one time level: solve the DEL equations of the current row.
+
+    ``u_prev``/``u_curr`` are the two known consecutive rows; the return value
+    is the next row.  The system couples each new value to its left
+    neighbour only (bidiagonal; cyclic for the periodic closure), and is
+    explicit for densities without space-time cross terms.  ``row_index`` is
+    the time index of the new row, used for callable fixed-end values and
+    named in solver errors.
+    """
+    step = _row_stepper(density, mesh, closure, tol=tol, max_iter=max_iter)
+    return step(u_prev, u_curr, row_index)
 
 
 def propagate(density: LagrangianDensity, mesh: QuadMesh, row0, row1,
               closure: Closure, **step_kwargs) -> DiscreteField:
-    """Fill a whole field from its first two rows by repeated :func:`step_row`."""
+    """Fill a whole field from its first two rows, one :func:`step_row` per
+    row; a quadratic density's row Jacobian is factored once for the run."""
+    step = _row_stepper(density, mesh, closure, **step_kwargs)
     values = np.zeros(mesh.shape)
-    values[0] = np.asarray(row0, dtype=float)
-    values[1] = np.asarray(row1, dtype=float)
+    values[0], values[1] = np.asarray(row0, dtype=float), np.asarray(row1, dtype=float)
     for n in range(1, mesh.nt):
-        values[n + 1] = step_row(density, mesh, values[n - 1], values[n],
-                                 closure, row_index=n + 1, **step_kwargs)
+        values[n + 1] = step(values[n - 1], values[n], n + 1)
     return DiscreteField(mesh, values)
 
 
@@ -348,23 +374,30 @@ def solve_bvp(density: LagrangianDensity, mesh: QuadMesh, boundary: BoundaryData
                                 gradient=False, hessian=True)
         return _sparse_block(terms.triplets, base.size, inner, inner)
 
-    x, norm, iters, rcond = _newton(residual, jacobian, x0, tol, max_iter, "solve_bvp")
+    # Factor after jacobian() returns, so the kernel's triplets are freed.
+    x, norm, iters, rcond = _newton(
+        residual, lambda x: _factor_and_rcond(jacobian(x), "solve_bvp"),
+        x0, tol, max_iter, "solve_bvp")
     return BvpSolveReport(field=DiscreteField(mesh, fill(x)), region=region,
                           residual_norm=norm, iterations=iters, rcond=rcond)
 
 
 def tangent_solve(density: LagrangianDensity, field: DiscreteField, region: Region,
-                  tangent_boundary: BoundaryData, *, base_tol: float = 1e-8
-                  ) -> DiscreteField:
-    """Solve the linearised DEL equations for a first variation.
+                  tangent_boundary, *, base_tol: float = 1e-8):
+    """Solve the linearised DEL equations for first variations.
 
     ``field`` must satisfy the DEL equations at the interior nodes of
-    ``region`` (checked against ``base_tol``).  The returned field carries the
+    ``region`` (checked against ``base_tol``).  ``tangent_boundary`` is one
+    :class:`BoundaryData` or a sequence of them; the Jacobian is factored
+    once and back-solved for each.  Each returned field carries its
     prescribed boundary tangent, solves the linearisation at the interior
-    nodes and is zero outside the region.
+    nodes and is zero outside the region: one field for one boundary, else
+    a list in the given order.
     """
     mesh = field.mesh
-    if tangent_boundary.region != region:
+    single = isinstance(tangent_boundary, BoundaryData)
+    boundaries = [tangent_boundary] if single else list(tangent_boundary)
+    if any(tb.region != region for tb in boundaries):
         raise ValueError("tangent boundary data is for a different region")
     if not region.fits(mesh):
         raise ValueError(f"region {region} does not fit mesh with shape {mesh.shape}")
@@ -383,9 +416,14 @@ def tangent_solve(density: LagrangianDensity, field: DiscreteField, region: Regi
             f"base field does not satisfy the DEL equations at ({n}, {i}): "
             f"residual {worst:.3e} exceeds {base_tol:.1e}")
 
-    tau = np.zeros(mesh.shape)
-    tau.flat[node_index(tangent_boundary.nodes, ncols)] = tangent_boundary.values
-    jac, rhs = _sparse_block(terms.triplets, tau.size, inner, inner, tau.ravel())
+    taus = np.zeros((len(boundaries), mesh.shape[0] * ncols))
+    for tau, tb in zip(taus, boundaries):
+        tau[node_index(tb.nodes, ncols)] = tb.values
+    jac, rhs = _sparse_block(terms.triplets, taus.shape[1], inner, inner, taus)
+    del terms  # free the kernel's triplets before factoring
     lu, _ = _factor_and_rcond(jac, "tangent_solve")
-    tau.flat[inner] = lu.solve(rhs)
-    return DiscreteField(mesh, tau)
+    fields = []
+    for tau, b in zip(taus, rhs):
+        tau[inner] = lu.solve(b)
+        fields.append(DiscreteField(mesh, tau.reshape(mesh.shape)))
+    return fields[0] if single else fields

@@ -96,14 +96,10 @@ class NormalMomentumField:
     __slots__ = ("region", "nodes", "values", "weights")
 
     def __init__(self, region: Region, nodes, values, weights) -> None:
-        self.region = region
-        self.nodes = tuple(nodes)
-        vals = np.asarray(values, dtype=float)
-        wts = np.asarray(weights, dtype=float)
-        vals.setflags(write=False)
-        wts.setflags(write=False)
-        self.values = vals
-        self.weights = wts
+        self.region, self.nodes = region, tuple(nodes)
+        self.values, self.weights = (np.asarray(a, dtype=float) for a in (values, weights))
+        self.values.setflags(write=False)
+        self.weights.setflags(write=False)
 
     def as_mapping(self) -> dict:
         return {nd: float(v) for nd, v in zip(self.nodes, self.values)}
@@ -301,11 +297,8 @@ class MixedBoundaryData:
         region = parse_region(obj["region"])
 
         def decode(mapping):
-            out = {}
-            for key, val in mapping.items():
-                n_str, i_str = key.split(",")
-                out[(int(n_str), int(i_str))] = float(val)
-            return out
+            pairs = ((key.split(","), val) for key, val in mapping.items())
+            return {(int(n), int(i)): float(val) for (n, i), val in pairs}
 
         return cls(region, decode(obj["A"]), decode(obj["B"]))
 
@@ -367,7 +360,7 @@ def boundary_hamiltonian(density: QuadraticDensity, mesh: QuadMesh,
     # containing the node (here: the single top triangle below it).
     terms = triangle_kernel(density, np.zeros(mesh.shape), region_index(region, ncols),
                             mesh.dt, mesh.dx, gradient=False, hessian=True)
-    jac, rhs = _sparse_block(terms.triplets, arr.size, flat, flat, arr.ravel())
+    jac, (rhs,) = _sparse_block(terms.triplets, arr.size, flat, flat, [arr.ravel()])
     rhs[len(flat) - len(b_side):] += list(data.momenta.values())
     lu, rcond = _factor_and_rcond(jac, "boundary_hamiltonian")
 

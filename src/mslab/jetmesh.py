@@ -26,6 +26,7 @@ propagates silently.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -65,10 +66,9 @@ class QuadMesh:
     def __post_init__(self) -> None:
         _check_positive("dt", self.dt)
         _check_positive("dx", self.dx)
-        if int(self.nt) != self.nt or self.nt < 1:
-            raise ValueError(f"nt must be an integer >= 1, got {self.nt!r}")
-        if int(self.nx) != self.nx or self.nx < 1:
-            raise ValueError(f"nx must be an integer >= 1, got {self.nx!r}")
+        for name, size in (("nt", self.nt), ("nx", self.nx)):
+            if int(size) != size or size < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {size!r}")
 
     @property
     def aspect_ratio(self) -> float:
@@ -197,23 +197,14 @@ def jet_extension(field: DiscreteField, tri: TriangleIndex, periodic: bool = Fal
     With ``periodic`` the space index wraps mod (nx+1) over the ring of
     distinct columns; otherwise the triangle must fit inside the mesh.
     """
-    mesh = field.mesh
-    if periodic:
-        ncols = mesh.nx + 1
-        if not 0 <= tri.n < mesh.nt:
-            raise ValueError(f"triangle {tri} outside time range of mesh")
-        i = tri.i % ncols
-        u1 = field.values[tri.n, i]
-        u2 = field.values[tri.n, (i + 1) % ncols]
-        u3 = field.values[tri.n + 1, i]
-    else:
-        if not tri.fits(mesh):
-            raise ValueError(f"triangle {tri} does not fit in mesh with shape {mesh.shape}")
-        (n1, i1), (n2, i2), (n3, i3) = tri.vertices
-        u1 = field.values[n1, i1]
-        u2 = field.values[n2, i2]
-        u3 = field.values[n3, i3]
-    return JetTriple(float(u1), float(u2), float(u3), mesh.dt, mesh.dx)
+    mesh, n, ncols = field.mesh, tri.n, field.mesh.nx + 1
+    if periodic and not 0 <= n < mesh.nt:
+        raise ValueError(f"triangle {tri} outside time range of mesh")
+    if not periodic and not tri.fits(mesh):
+        raise ValueError(f"triangle {tri} does not fit in mesh with shape {mesh.shape}")
+    i, vals = tri.i % ncols, field.values  # a fitting triangle never wraps
+    return JetTriple(float(vals[n, i]), float(vals[n, (i + 1) % ncols]),
+                     float(vals[n + 1, i]), mesh.dt, mesh.dx)
 
 
 # ---------------------------------------------------------------------------
@@ -409,14 +400,12 @@ class BoundaryData:
 
 
 def field_to_csv(field: DiscreteField, path) -> None:
-    """Write a field as CSV with header ``n,i,u``, one row per node, row-major."""
+    """Write a field as CSV with header ``n,i,u``, one row per node, row-major;
+    values are ``repr`` strings (exact round trip), lines end in CRLF."""
+    nodes = itertools.product(range(field.mesh.nt + 1), range(field.mesh.nx + 1))
+    rows = zip(nodes, field.values.ravel().tolist())
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "i", "u"])
-        nt, nx = field.mesh.nt, field.mesh.nx
-        for n in range(nt + 1):
-            for i in range(nx + 1):
-                writer.writerow([n, i, repr(float(field.values[n, i]))])
+        fh.write("n,i,u\r\n" + "".join(f"{n},{i},{u!r}\r\n" for (n, i), u in rows))
 
 
 def field_from_csv(mesh: QuadMesh, path) -> DiscreteField:

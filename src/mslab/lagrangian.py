@@ -19,7 +19,9 @@ discrete counterpart of the exactness of the boundary forms.
 
 Built-in quadratic densities carry analytic derivatives; arbitrary callables
 are differentiated with forward-mode dual numbers (exact to round-off, no
-step-size tuning).  Every evaluation is checked for NaN/Inf.
+step-size tuning).  Every evaluation is checked for NaN/Inf, which raises
+ValueError; numpy warnings from non-quadratic densities are silenced, since
+that check reports them.
 
 :func:`triangle_kernel` evaluates the same terms for a whole set of
 triangles at once, given as flat vertex indices into a node array: slot
@@ -177,9 +179,6 @@ class CovectorAtTriple:
         x1, x2, x3 = tangent
         return self.d1 * x1 + self.d2 * x2 + self.d3 * x3
 
-    def slot(self, k: int) -> float:
-        return self.as_tuple()[k - 1]
-
 
 def _check_finite(name, *vals):
     for v in vals:
@@ -197,8 +196,12 @@ def _slot_gradient(lv, lw, lu, dt: float, dx: float) -> tuple:
 
 def eval_Ld(density: LagrangianDensity, triple: JetTriple) -> float:
     """Triangle action (dt*dx/2) * L(v, w, ubar)."""
-    out = 0.5 * triple.dt * triple.dx * density.value(triple.v, triple.w, triple.ubar)
-    out = float(out)
+    if density.is_quadratic:
+        val = density.value(triple.v, triple.w, triple.ubar)
+    else:  # silenced as in triangle_kernel: the finiteness check reports it
+        with np.errstate(all="ignore"):
+            val = density.value(triple.v, triple.w, triple.ubar)
+    out = float(0.5 * triple.dt * triple.dx * val)
     _check_finite(f"density {density.name}", out)
     return out
 
@@ -212,7 +215,12 @@ def grad_Ld(density: LagrangianDensity, triple: JetTriple) -> CovectorAtTriple:
         d2 = A * ( Lw/dx          + Lu/3),
         d3 = A * ( Lv/dt          + Lu/3).
     """
-    lv, lw, lu = (float(p) for p in density.partials(triple.v, triple.w, triple.ubar))
+    if density.is_quadratic:
+        parts = density.partials(triple.v, triple.w, triple.ubar)
+    else:  # silenced as in triangle_kernel: the finiteness check reports it
+        with np.errstate(all="ignore"):
+            parts = density.partials(triple.v, triple.w, triple.ubar)
+    lv, lw, lu = (float(p) for p in parts)
     _check_finite(f"density {density.name} partials", lv, lw, lu)
     return CovectorAtTriple(*_slot_gradient(lv, lw, lu, triple.dt, triple.dx))
 
@@ -240,7 +248,9 @@ def hess_Ld(density: LagrangianDensity, triple: JetTriple):
         coeffs = (density.vv, density.ww, density.uu,
                   density.vw, density.vu, density.wu)
         return _quadratic_hessian(coeffs, triple.dt, triple.dx)
-    h = np.asarray(density.second_partials(triple.v, triple.w, triple.ubar), dtype=float)
+    with np.errstate(all="ignore"):  # the finiteness check below reports it
+        h = np.asarray(density.second_partials(triple.v, triple.w, triple.ubar),
+                       dtype=float)
     if not np.isfinite(h).all():
         raise ValueError(f"density {density.name} produced a non-finite Hessian")
     return _push_hessian(h, triple.dt, triple.dx)
@@ -254,8 +264,7 @@ def theta_k(density: LagrangianDensity, triple: JetTriple, k: int, tangent) -> f
     """
     if k not in (1, 2, 3):
         raise ValueError(f"vertex slot must be 1, 2 or 3, got {k}")
-    grad = grad_Ld(density, triple)
-    return grad.slot(k) * float(tangent[k - 1])
+    return grad_Ld(density, triple).as_tuple()[k - 1] * float(tangent[k - 1])
 
 
 def omega_k(density: LagrangianDensity, triple: JetTriple, k: int, xi, eta) -> float:

@@ -158,21 +158,13 @@ def compatibility_residual(data: SquareBoundaryData, n_samples: int = 401) -> fl
     """
     if n_samples < 2:
         raise ValueError("need at least the two endpoint samples")
-    alphas = np.linspace(0.0, 1.0, n_samples)
-    worst = 0.0
-    for a in alphas:
-        c = (data.left.value(a) + data.right.value(1.0 - a)
-             - data.bottom.value(a) - data.top.value(1.0 - a))
-        worst = max(worst, abs(c))
-    return float(worst)
+    return float(max(0.0, *(abs(data.left.value(a) + data.right.value(1.0 - a)
+                                - data.bottom.value(a) - data.top.value(1.0 - a))
+                            for a in np.linspace(0.0, 1.0, n_samples))))
 
 
 # ---------------------------------------------------------------------------
 # d'Alembert reconstruction
-
-
-def _sin_row(s: float, n_sine: int) -> list:
-    return [math.sin(k * math.pi * s) for k in range(1, n_sine + 1)]
 
 
 def _sin_val(s, coeffs) -> float:
@@ -251,15 +243,13 @@ def dalembert_solve(data: SquareBoundaryData, *, poly_degree: int = 6,
         raise ValueError("degenerate basis/collocation sizes")
     nf = poly_degree + 1 + n_sine
 
-    def f_row(s: float) -> list:
-        leg = [float(npleg.legval(s, _unit(j, poly_degree + 1)))
-               for j in range(poly_degree + 1)]
-        return leg + _sin_row(s, n_sine)
+    def f_row(s: float, shift: float = 0.0) -> list:
+        leg = [float(npleg.legval(s - shift, unit))
+               for unit in np.eye(poly_degree + 1)]
+        return leg + [math.sin(k * math.pi * s) for k in range(1, n_sine + 1)]
 
-    def g_row(s: float) -> list:
-        leg = [float(npleg.legval(s - 1.0, _unit(j, poly_degree + 1)))
-               for j in range(poly_degree + 1)]
-        return leg + _sin_row(s, n_sine)
+    def g_row(s: float) -> list:  # G is expanded about s = 1
+        return f_row(s, 1.0)
 
     rows, rhs = [], []
     samples = np.linspace(0.0, 1.0, n_collocation)
@@ -292,12 +282,6 @@ def dalembert_solve(data: SquareBoundaryData, *, poly_degree: int = 6,
     return DalembertSolution(f_coeffs[:deg], f_coeffs[deg:],
                              g_coeffs[:deg], g_coeffs[deg:],
                              fit_residual=fit_residual)
-
-
-def _unit(j: int, n: int) -> np.ndarray:
-    e = np.zeros(n)
-    e[j] = 1.0
-    return e
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from mslab import (
     step_row,
     tangent_solve,
 )
+from mslab import delsolve as delsolve_module
 from mslab.msforms import linearized_del_residual
 
 
@@ -155,6 +156,78 @@ class TestStepRowAndPropagate:
         with pytest.raises(SolverError):
             propagate(dens, mesh, row0, row1, PeriodicClosure(), max_iter=1)
 
+    def test_bad_row_shape_rejected(self):
+        mesh = build_mesh(dt=0.1, dx=0.2, nt=4, nx=4)
+        with pytest.raises(ValueError, match="5 columns"):
+            step_row(LinearWave, mesh, np.zeros(4), np.zeros(5), PeriodicClosure())
+
+
+def _rows(mesh, seed, closure):
+    rng = np.random.default_rng(seed)
+    row0 = 0.1 * rng.standard_normal(mesh.nx + 1)
+    row1 = row0 + 0.01 * rng.standard_normal(mesh.nx + 1)
+    if isinstance(closure, FixedClosure):
+        for idx, row in ((0, row0), (1, row1)):
+            row[0], row[-1] = closure.end_values(idx)
+    return row0, row1
+
+
+def _count_splu(monkeypatch):
+    calls, splu = [], delsolve_module.splu
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr("mslab.delsolve.splu", counted)
+    return calls
+
+
+CLOSURES = [PeriodicClosure(), FixedClosure(lambda n: 0.01 * n, -0.02)]
+STEP_DENSITIES = [LinearWave, quartic_test_density(0.8),
+                  QuadraticDensity(vv=1.0, ww=-0.8, vw=0.05, vu=0.02, uu=-0.1)]
+
+
+class TestRowFactorisation:
+    @pytest.mark.parametrize("closure", CLOSURES)
+    def test_quadratic_run_factors_once(self, monkeypatch, closure):
+        mesh = build_mesh(dt=0.05, dx=0.1, nt=12, nx=9)
+        row0, row1 = _rows(mesh, 21, closure)
+        calls = _count_splu(monkeypatch)
+        propagate(LinearWave, mesh, row0, row1, closure)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("closure", CLOSURES)
+    def test_quartic_run_factors_every_newton_iteration(self, monkeypatch, closure):
+        mesh = build_mesh(dt=0.05, dx=0.1, nt=6, nx=9)
+        row0, row1 = _rows(mesh, 22, closure)
+        iterations = []
+        newton = delsolve_module._newton
+
+        def recorded(*args):
+            out = newton(*args)
+            iterations.append(out[2])
+            return out
+
+        monkeypatch.setattr("mslab.delsolve._newton", recorded)
+        calls = _count_splu(monkeypatch)
+        propagate(quartic_test_density(0.8), mesh, row0, row1, closure)
+        # One LU per Newton step; a row that needs none factors once for rcond.
+        assert len(iterations) == mesh.nt - 1
+        assert len(calls) == sum(max(k, 1) for k in iterations) > mesh.nt - 1
+
+    @pytest.mark.parametrize("closure", CLOSURES)
+    @pytest.mark.parametrize("density", STEP_DENSITIES)
+    def test_propagate_equals_chained_step_rows(self, density, closure):
+        mesh = build_mesh(dt=0.05, dx=0.1, nt=6, nx=9)
+        row0, row1 = _rows(mesh, 23, closure)
+        field = propagate(density, mesh, row0, row1, closure)
+        rows = [np.asarray(row0, dtype=float), np.asarray(row1, dtype=float)]
+        for n in range(1, mesh.nt):
+            rows.append(step_row(density, mesh, rows[-2], rows[-1], closure,
+                                 row_index=n + 1))
+        assert np.array_equal(field.values, np.array(rows))
+
 
 class TestSolveBvp:
     def test_patch3_frozen_interior_value(self):
@@ -235,6 +308,32 @@ class TestTangentSolve:
         from mslab.jetmesh import interior_nodes
         for nd in interior_nodes(reg):
             assert abs(linearized_del_residual(dens, base, tangent, *nd)) < 1e-10
+
+    @pytest.mark.parametrize("density", [LinearWave, quartic_test_density(0.6)])
+    def test_several_boundaries_equal_separate_solves(self, monkeypatch, density):
+        mesh = build_mesh(dt=0.1, dx=0.2, nt=6, nx=6)
+        reg = RectRegion(1, 1, 4, 4)
+        rng = np.random.default_rng(16)
+        nb = len(boundary_nodes(reg))
+        base = solve_bvp(density, mesh, BoundaryData(reg, 0.2 * rng.standard_normal(nb))).field
+        tbs = [BoundaryData(reg, rng.standard_normal(nb)) for _ in range(3)]
+        calls = _count_splu(monkeypatch)
+        together = tangent_solve(density, base, reg, tbs)
+        assert len(calls) == 1
+        assert len(together) == 3
+        for tb, tangent in zip(tbs, together):
+            alone = tangent_solve(density, base, reg, tb)
+            assert isinstance(alone, DiscreteField)
+            assert np.array_equal(tangent.values, alone.values)
+
+    def test_rejects_boundary_of_other_region(self):
+        mesh = build_mesh(dt=0.1, dx=0.2, nt=6, nx=6)
+        reg, other = RectRegion(1, 1, 4, 4), RectRegion(0, 0, 4, 4)
+        base = DiscreteField.zeros(mesh)
+        tbs = [BoundaryData(reg, np.zeros(len(boundary_nodes(reg)))),
+               BoundaryData(other, np.zeros(len(boundary_nodes(other))))]
+        with pytest.raises(ValueError, match="different region"):
+            tangent_solve(LinearWave, base, reg, tbs)
 
     def test_rejects_non_solution_base(self):
         mesh = build_mesh(dt=0.1, dx=0.2, nt=6, nx=6)

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -173,6 +176,25 @@ class TestDiscreteField:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=r"line 4: expected 3 fields"):
             field_from_csv(mesh, path)
+
+    def test_csv_bytes_match_csv_writer(self, tmp_path):
+        # Non-square mesh; negative zero, a subnormal and +-1e300 included.
+        mesh = build_mesh(dt=0.5, dx=1.0, nt=3, nx=6)
+        values = np.random.default_rng(1).standard_normal(mesh.shape)
+        values[0, :4] = [-0.0, 5e-324, 1e300, -1e300]
+        f = DiscreteField(mesh, values)
+        path = tmp_path / "field.csv"
+        field_to_csv(f, path)
+        ref = io.StringIO(newline="")
+        writer = csv.writer(ref)
+        writer.writerow(["n", "i", "u"])
+        for n in range(mesh.nt + 1):
+            for i in range(mesh.nx + 1):
+                writer.writerow([n, i, repr(float(values[n, i]))])
+        assert path.read_bytes() == ref.getvalue().encode()
+        back = field_from_csv(mesh, path)
+        assert np.array_equal(back.values, values)
+        assert np.signbit(back.values[0, 0])
 
 class TestRegions:
     def test_rect_interior_and_boundary_partition(self, mesh):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mslab import dual
 from mslab import (
     JetTriple,
     LinearWave,
@@ -157,3 +158,15 @@ class TestFormIdentities:
             theta_k(LinearWave, jet, 0, (1.0, 0.0, 0.0))
         with pytest.raises(ValueError):
             omega_k(LinearWave, jet, 4, (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+
+
+class TestNonFiniteDensity:
+    # pytest turns RuntimeWarning into an error, so a numpy overflow warning
+    # escaping the density call would replace the documented ValueError.
+    blowup = UserDensity(lambda v, w, u: dual.exp(1000.0 * u), name="blowup")
+
+    @pytest.mark.parametrize("fn", [eval_Ld, grad_Ld, hess_Ld])
+    def test_overflow_raises_value_error(self, fn):
+        jet = JetTriple(1.0, 1.0, 1.0, dt=1.0, dx=1.0)
+        with pytest.raises(ValueError, match="blowup"):
+            fn(self.blowup, jet)
