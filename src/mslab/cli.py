@@ -62,7 +62,8 @@ class ConfigError(ValueError):
 # Config plumbing
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str) -> tuple:
+    """The config object to consume with :func:`_take`, and a copy to report."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -73,7 +74,7 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ConfigError(f"config root must be a JSON object, got {type(obj).__name__}")
-    return obj
+    return obj, dict(obj)
 
 
 def _take(cfg: dict, key: str, default=None, *, required: bool = False):
@@ -198,17 +199,16 @@ def _dump_fields(out_dir, **fields) -> None:
 
 
 def _seeded_rows(mesh: jetmesh.QuadMesh, rng: np.random.Generator,
-                 amplitude: float) -> tuple:
-    row0 = amplitude * rng.standard_normal(mesh.nx + 1)
-    row1 = row0 + mesh.dt * amplitude * rng.standard_normal(mesh.nx + 1)
-    return row0, row1
-
-
-def _boundary_rows_match_closure(row0, row1, closure) -> tuple:
+                 amplitude: float, closure) -> tuple:
+    """Two seeded rows; a fixed closure's end values replace their ends."""
+    with np.errstate(over="ignore"):
+        row0 = amplitude * rng.standard_normal(mesh.nx + 1)
+        row1 = row0 + mesh.dt * amplitude * rng.standard_normal(mesh.nx + 1)
+    if not (np.isfinite(row0).all() and np.isfinite(row1).all()):
+        raise ConfigError(f"'amplitude' {amplitude!r} overflows the seeded rows")
     if isinstance(closure, delsolve.FixedClosure):
         for idx, row in ((0, row0), (1, row1)):
-            left, right = closure.end_values(idx)
-            row[0], row[-1] = left, right
+            row[0], row[-1] = closure.end_values(idx)
     return row0, row1
 
 
@@ -217,8 +217,7 @@ def _boundary_rows_match_closure(row0, row1, closure) -> tuple:
 
 
 def _cmd_msff_check(args) -> int:
-    cfg = _load_config(args.config)
-    raw = dict(cfg)
+    cfg, raw = _load_config(args.config)
     mesh = _mesh_from_config(_take(cfg, "mesh", required=True))
     density = _parsed("density", density_from_json, _take(cfg, "density", "linear_wave"))
     closure = _parsed("closure", delsolve.parse_closure,
@@ -233,9 +232,8 @@ def _cmd_msff_check(args) -> int:
     streams = np.random.SeedSequence(args.seed).spawn(3)
     rng_u, rng_v, rng_w = (np.random.default_rng(s) for s in streams)
 
-    row0, row1 = _boundary_rows_match_closure(*_seeded_rows(mesh, rng_u, amplitude),
-                                              closure)
-    field = delsolve.propagate(density, mesh, row0, row1, closure)
+    field = delsolve.propagate(density, mesh,
+                               *_seeded_rows(mesh, rng_u, amplitude, closure), closure)
 
     region = jetmesh.RectRegion(0, 0, mesh.nt, mesh.nx)
     n_bd = len(jetmesh.boundary_nodes(region))
@@ -276,8 +274,7 @@ def _cmd_msff_check(args) -> int:
 
 
 def _cmd_bridges_check(args) -> int:
-    cfg = _load_config(args.config)
-    raw = dict(cfg)
+    cfg, raw = _load_config(args.config)
     mode = _take(cfg, "mode", "conservation")
     if mode not in ("conservation", "bvp-singularity"):
         raise ConfigError(f"unknown bridges-check mode {mode!r}")
@@ -290,10 +287,9 @@ def _cmd_bridges_check(args) -> int:
 
         streams = np.random.SeedSequence(args.seed).spawn(2)
         rngs = [np.random.default_rng(s) for s in streams]
-        v_var = delsolve.propagate(LinearWave, mesh,
-                                   *_seeded_rows(mesh, rngs[0], amplitude), closure)
-        w_var = delsolve.propagate(LinearWave, mesh,
-                                   *_seeded_rows(mesh, rngs[1], amplitude), closure)
+        v_var, w_var = (delsolve.propagate(LinearWave, mesh,
+                                           *_seeded_rows(mesh, rng, amplitude, closure),
+                                           closure) for rng in rngs)
 
         residuals = msforms.bridges_residuals(mesh, v_var, w_var, periodic=True)
         worst = float(np.max(np.abs(residuals), initial=0.0))
@@ -312,9 +308,9 @@ def _cmd_bridges_check(args) -> int:
 
     region = jetmesh.RectRegion(0, 0, mesh.nt, mesh.nx)
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
-    boundary = jetmesh.BoundaryData(
-        region,
-        amplitude * rng.standard_normal(len(jetmesh.boundary_nodes(region))))
+    with np.errstate(over="ignore"):
+        values = amplitude * rng.standard_normal(len(jetmesh.boundary_nodes(region)))
+    boundary = _parsed("seeded boundary data", jetmesh.BoundaryData, region, values)
     # A unit mesh ratio makes the Dirichlet system structurally singular;
     # the guard below is expected to raise and surface as the solver exit
     # code.  If the solve succeeds the demonstration failed.
@@ -358,8 +354,7 @@ def _extremal_action_on_square(solution: oracles.WaveSolution, nx: int,
 
 
 def _cmd_boundary_lagrangian(args) -> int:
-    cfg = _load_config(args.config)
-    raw = dict(cfg)
+    cfg, raw = _load_config(args.config)
     problem = _take(cfg, "problem", required=True)
 
     if problem == "disc":
@@ -370,8 +365,9 @@ def _cmd_boundary_lagrangian(args) -> int:
             data = oracles.FourierBoundaryData.from_json(fourier)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        quad_val = _parsed("Fourier data", oracles.disc_boundary_lagrangian_quadrature,
+                           data)
         ext = oracles.harmonic_extension_disc(data)
-        quad_val = oracles.disc_boundary_lagrangian_quadrature(data)
         gap = abs(ext.boundary_lagrangian - quad_val)
         passed = gap <= tol
         results = {
@@ -458,8 +454,7 @@ _EXPECTED_MAP_ORDER = {"midpoint": 2.0, "rectangle": 1.0}
 
 
 def _cmd_mechanics(args) -> int:
-    cfg = _load_config(args.config)
-    raw = dict(cfg)
+    cfg, raw = _load_config(args.config)
     rule = _take(cfg, "rule", required=True)
     problem = _take(cfg, "problem", {"kind": "harmonic", "omega": 1.0})
     z0 = _take(cfg, "z0", [0.7, 0.4])

@@ -20,14 +20,17 @@ Three solution drivers are provided:
 * :func:`step_row` advances one time level by solving the DEL equations of
   the current level for the new row (a bidiagonal system, explicit for the
   wave density); its errors name the row.  :func:`propagate` steps a whole
-  field with one row stepper, which factors a quadratic density's row
-  Jacobian (the same for every row) once per run;
+  field with one row stepper;
 * :func:`solve_bvp` solves the space-time boundary-value problem on a region
-  with Dirichlet data on the single boundary layer (Newton with Armijo
-  backtracking, sparse LU);
+  with Dirichlet data on the single boundary layer;
 * :func:`tangent_solve` solves the linearised DEL equations for first
   variations with prescribed boundary tangents, one back-solve per tangent
   on a single factorisation.
+
+Both nonlinear drivers, and the mechanics collocations with a dense Jacobian,
+run one Newton core (Armijo backtracking).  A quadratic density's Jacobian is
+the same at every iterate and row, so one sparse LU serves a whole
+:func:`propagate` run or :func:`solve_bvp`, whatever its iteration count.
 
 Every factorisation is accompanied by a reciprocal condition indicator
 
@@ -43,6 +46,7 @@ below 1e-12, and exactly singular factorisations, raise
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -51,8 +55,8 @@ from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
 from .jetmesh import (BoundaryData, DiscreteField, QuadMesh, Region,
-                      TriangleIndex, interior_nodes, jet_extension, node_index,
-                      region_index, triangle_index)
+                      TriangleIndex, check_region_fits, interior_nodes,
+                      jet_extension, node_index, region_index, triangle_index)
 from .lagrangian import LagrangianDensity, grad_Ld, triangle_kernel
 
 RCOND_FLOOR = 1e-12
@@ -90,9 +94,8 @@ class FixedClosure:
     right: Union[float, Callable[[int], float]] = 0.0
 
     def end_values(self, row_index: int) -> tuple:
-        left = self.left(row_index) if callable(self.left) else float(self.left)
-        right = self.right(row_index) if callable(self.right) else float(self.right)
-        return left, right
+        return tuple(end(row_index) if callable(end) else float(end)
+                     for end in (self.left, self.right))
 
 
 Closure = Union[PeriodicClosure, FixedClosure]
@@ -157,44 +160,53 @@ def _sparse_block(triplets, size: int, eqs, unknowns, known=None):
 
 
 # ---------------------------------------------------------------------------
-# Newton core (shared by step_row and solve_bvp)
+# Newton core (shared by the row stepper, solve_bvp and the mechanics lane)
 
 
 def _newton(residual_fn, factor_fn, x0, tol, max_iter, context: str):
     """Damped Newton iteration on F(x) = 0 with Armijo backtracking.
 
-    ``factor_fn(x)`` returns the sparse LU of the Jacobian at x and its rcond
-    (see :func:`_factor_and_rcond`).  Returns (x, sup-norm of residual,
-    iterations, rcond of last factored Jacobian).
+    ``factor_fn(x, context)`` returns a solver of the Jacobian at x (with
+    ``.solve``), its rcond and a round-off floor at or below which a residual
+    is accepted.  A non-finite residual at the start raises
+    :class:`SolverError`; at a trial iterate it fails the Armijo test.
+    Returns (x, sup-norm of residual, iterations, rcond of the last
+    factorisation or None).
     """
+
+    def evaluate(x):  # F(x) and the merit |F|^2 / 2
+        try:
+            with np.errstate(all="ignore"):
+                f = np.asarray(residual_fn(x), dtype=float)
+                return f, 0.5 * float(f @ f)
+        except ValueError:  # the kernel's report of a non-finite value
+            return None, math.inf
+
     x = np.array(x0, dtype=float)
-    f = residual_fn(x)
+    f, merit = evaluate(x)
+    if not math.isfinite(merit):
+        raise SolverError(f"{context}: non-finite residual at the start")
     rcond = None
-    for iteration in range(1, max_iter + 1):
-        norm = float(np.max(np.abs(f))) if f.size else 0.0
+    for iteration in range(max_iter + 1):
+        norm = float(np.max(np.abs(f), initial=0.0))
         if norm <= tol:
-            if rcond is None:
-                rcond = factor_fn(x)[1]
-            return x, norm, iteration - 1, rcond
-        lu, rcond = factor_fn(x)
-        step = -lu.solve(f)
-        merit = 0.5 * float(f @ f)
-        slope = -2.0 * merit
-        t = 1.0
-        for _ in range(40):
+            return x, norm, iteration, rcond
+        if iteration == max_iter:
+            raise SolverError(f"{context}: Newton did not converge "
+                              f"(residual {norm:.3e} after {max_iter} iterations)")
+        solver, rcond, floor = factor_fn(x, context)
+        if norm <= floor:
+            return x, norm, iteration, rcond
+        step = -solver.solve(f)
+        for t in (0.5 ** k for k in range(40)):
             x_try = x + t * step
-            f_try = residual_fn(x_try)
-            if 0.5 * float(f_try @ f_try) <= merit + 1e-4 * t * slope:
+            f_try, merit_try = evaluate(x_try)
+            if merit_try <= merit - 1e-4 * t * 2.0 * merit:
                 break
-            t *= 0.5
         else:
-            raise SolverError(f"{context}: Armijo line search failed")
-        x, f = x_try, f_try
-    norm = float(np.max(np.abs(f))) if f.size else 0.0
-    if norm <= tol:
-        return x, norm, max_iter, rcond
-    raise SolverError(f"{context}: Newton did not converge "
-                      f"(residual {norm:.3e} after {max_iter} iterations)")
+            raise SolverError(f"{context}: Armijo line search failed"
+                              + ("" if np.isfinite(step).all() else " (non-finite step)"))
+        x, f, merit = x_try, f_try, merit_try
 
 
 def _factor_and_rcond(jac: csc_matrix, context: str):
@@ -205,6 +217,8 @@ def _factor_and_rcond(jac: csc_matrix, context: str):
     try:
         lu = splu(jac.tocsc())
     except RuntimeError as err:
+        if "exactly singular" not in str(err):
+            raise
         raise SingularSystem(f"{context}: singular linearised system ({err})") from None
     norm_j = float(np.max(np.abs(jac).sum(axis=0))) if jac.nnz else 0.0
     if norm_j == 0.0:
@@ -224,6 +238,43 @@ def _factor_and_rcond(jac: csc_matrix, context: str):
     return lu, rcond
 
 
+def _del_newton(density: LagrangianDensity, values: np.ndarray, index, jac_index,
+                eqs, unknowns, dt: float, dx: float):
+    """``solve(x0, tol, max_iter, context)``: Newton on the DEL residuals of
+    the triangles ``index`` at the flat nodes ``eqs`` of ``values``, for the
+    values at the flat nodes ``unknowns`` (other nodes keep their value in
+    ``values`` at call time), with the Jacobian of the triangles
+    ``jac_index``.  A quadratic density's LU is made once and kept.
+    Returns (filled copy of ``values``, residual norm, iterations, rcond).
+    """
+    kept = None
+
+    def fill(x):
+        out = values.copy()
+        out.flat[unknowns] = x
+        return out
+
+    def factor(x, context):
+        nonlocal kept
+        if kept:
+            return kept
+        # The kernel's triplets are freed before the LU.
+        jac = _sparse_block(triangle_kernel(density, fill(x), jac_index, dt, dx,
+                                            gradient=False, hessian=True).triplets,
+                            values.size, eqs, unknowns)
+        out = (*_factor_and_rcond(jac, context), 0.0)
+        kept = out if density.is_quadratic else None
+        return out
+
+    def solve(x0, tol, max_iter, context):
+        x, norm, iterations, rcond = _newton(
+            lambda x: triangle_kernel(density, fill(x), index, dt, dx).residual[eqs],
+            factor, x0, tol, max_iter, context)
+        return fill(x), norm, iterations, factor(x, context)[1] if rcond is None else rcond
+
+    return solve
+
+
 # ---------------------------------------------------------------------------
 # Time stepping
 
@@ -232,39 +283,25 @@ def _row_stepper(density: LagrangianDensity, mesh: QuadMesh, closure: Closure, *
                  tol: float = 1e-12, max_iter: int = 50):
     """``step(u_prev, u_curr, row_index)``: :func:`step_row` for a whole run.
 
-    The closure, triangle indices and column sets are built once.  A
-    quadratic density's row Jacobian is the same for every row and iterate,
-    so it is factored, with its rcond check, once on first use; other
-    densities refactor at every Newton iteration.
+    The closure, triangle indices and column sets are built once, and a
+    quadratic density's row Jacobian (the same for every row) is factored,
+    with its rcond check, once on first use.
     """
     closure = parse_closure(closure)
     periodic = isinstance(closure, PeriodicClosure)
-    ncols, dt, dx = mesh.nx + 1, mesh.dt, mesh.dx
+    ncols = mesh.nx + 1
     if periodic:
         columns = anchors = np.arange(ncols)
     else:
         columns, anchors = np.arange(1, ncols - 1), np.arange(ncols - 1)
-    index = triangle_index(np.array([[0], [1]]), anchors, ncols, periodic)
-    upper = triangle_index(np.array([1]), anchors, ncols, periodic)
     # Rows 0, 1, 2 of ``stack`` are u_prev, u_curr and the new row; the
-    # equations sit on row 1 and the unknowns on row 2.
+    # equations sit on row 1 and the unknowns on row 2.  Only the upper
+    # triangles hold new-row values, so only they enter the Jacobian.
     stack = np.zeros((3, ncols))
-    fixed_lu = None
-
-    def assemble(x):
-        row = stack.copy()
-        row[2, columns] = x
-        return row
-
-    def residual(x):
-        terms = triangle_kernel(density, assemble(x), index, dt, dx)
-        return terms.residual[ncols + columns]
-
-    def jacobian(x):
-        terms = triangle_kernel(density, assemble(x), upper, dt, dx,
-                                gradient=False, hessian=True)
-        return _sparse_block(terms.triplets, stack.size, ncols + columns,
-                             2 * ncols + columns)
+    solve = _del_newton(density, stack,
+                        triangle_index(np.array([[0], [1]]), anchors, ncols, periodic),
+                        triangle_index(np.array([1]), anchors, ncols, periodic),
+                        ncols + columns, 2 * ncols + columns, mesh.dt, mesh.dx)
 
     def step(u_prev, u_curr, row_index: int) -> np.ndarray:
         u_prev, u_curr = (np.asarray(u, dtype=float) for u in (u_prev, u_curr))
@@ -275,17 +312,8 @@ def _row_stepper(density: LagrangianDensity, mesh: QuadMesh, closure: Closure, *
             stack[2, 0], stack[2, -1] = closure.end_values(row_index)
         if not len(columns):
             return stack[2].copy()
-        context = f"step_row (row {row_index})"
-
-        def factor(x):
-            nonlocal fixed_lu
-            lu = fixed_lu or _factor_and_rcond(jacobian(x), context)
-            if density.is_quadratic:
-                fixed_lu = lu
-            return lu
-
         x0 = (2.0 * u_curr - u_prev)[columns]
-        return assemble(_newton(residual, factor, x0, tol, max_iter, context)[0])[2]
+        return solve(x0, tol, max_iter, f"step_row (row {row_index})")[0][2]
 
     return step
 
@@ -344,41 +372,21 @@ def solve_bvp(density: LagrangianDensity, mesh: QuadMesh, boundary: BoundaryData
     the final residual norm, Newton iteration count and condition indicator.
     """
     region = boundary.region
-    if not region.fits(mesh):
-        raise ValueError(f"region {region} does not fit mesh with shape {mesh.shape}")
+    check_region_fits(region, mesh)
     unknowns = interior_nodes(region)
     if not unknowns:
         raise ValueError(f"region {region} has no interior nodes")
     ncols = mesh.nx + 1
     inner = node_index(unknowns, ncols)
-    index = region_index(region, ncols)
-
     base = np.zeros(mesh.shape) if initial is None else initial.values.copy()
     base.flat[node_index(boundary.nodes, ncols)] = boundary.values
     x0 = np.full(len(unknowns), float(np.mean(boundary.values)))
     if initial is not None:
         x0 = initial.values.ravel()[inner]
-
-    def fill(x):
-        arr = base.copy()
-        arr.flat[inner] = x
-        return arr
-
-    dt, dx = mesh.dt, mesh.dx
-
-    def residual(x):
-        return triangle_kernel(density, fill(x), index, dt, dx).residual[inner]
-
-    def jacobian(x):
-        terms = triangle_kernel(density, fill(x), index, dt, dx,
-                                gradient=False, hessian=True)
-        return _sparse_block(terms.triplets, base.size, inner, inner)
-
-    # Factor after jacobian() returns, so the kernel's triplets are freed.
-    x, norm, iters, rcond = _newton(
-        residual, lambda x: _factor_and_rcond(jacobian(x), "solve_bvp"),
-        x0, tol, max_iter, "solve_bvp")
-    return BvpSolveReport(field=DiscreteField(mesh, fill(x)), region=region,
+    index = region_index(region, ncols)
+    solve = _del_newton(density, base, index, index, inner, inner, mesh.dt, mesh.dx)
+    values, norm, iters, rcond = solve(x0, tol, max_iter, "solve_bvp")
+    return BvpSolveReport(field=DiscreteField(mesh, values), region=region,
                           residual_norm=norm, iterations=iters, rcond=rcond)
 
 
@@ -399,8 +407,7 @@ def tangent_solve(density: LagrangianDensity, field: DiscreteField, region: Regi
     boundaries = [tangent_boundary] if single else list(tangent_boundary)
     if any(tb.region != region for tb in boundaries):
         raise ValueError("tangent boundary data is for a different region")
-    if not region.fits(mesh):
-        raise ValueError(f"region {region} does not fit mesh with shape {mesh.shape}")
+    check_region_fits(region, mesh)
     unknowns = interior_nodes(region)
     if not unknowns:
         raise ValueError(f"region {region} has no interior nodes")

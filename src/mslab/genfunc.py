@@ -39,9 +39,9 @@ import numpy as np
 
 from .delsolve import (BvpSolveReport, _factor_and_rcond, _sparse_block,
                        solve_bvp)
-from .jetmesh import (BoundaryData, DiscreteField, JetTriple, QuadMesh,
-                      RectRegion, Region, boundary_nodes, interior_nodes, node_index,
-                      region_index, region_to_json, parse_region)
+from .jetmesh import (BoundaryData, DiscreteField, JetTriple, QuadMesh, RectRegion,
+                      Region, boundary_nodes, check_region_fits, interior_nodes,
+                      node_index, parse_region, region_index, region_to_json)
 from .lagrangian import (LagrangianDensity, QuadraticDensity, eval_Ld,
                          triangle_kernel)
 
@@ -50,6 +50,7 @@ def region_action(density: LagrangianDensity, field: DiscreteField,
                   region: Region) -> float:
     """Sum of triangle actions of ``field`` over the region."""
     mesh = field.mesh
+    check_region_fits(region, mesh)
     flat = field.values.ravel()
     total = 0.0
     for u1, u2, u3 in zip(*(flat[ix].tolist()
@@ -122,6 +123,7 @@ def normal_momenta(density: LagrangianDensity, field: DiscreteField,
                    region: Region) -> NormalMomentumField:
     """Slot-sum boundary momenta of ``field`` on ``region``."""
     mesh = field.mesh
+    check_region_fits(region, mesh)
     nodes = boundary_nodes(region)
     flat = node_index(nodes, mesh.nx + 1)
     on_boundary = np.zeros(field.values.size, dtype=bool)
@@ -201,8 +203,7 @@ def ddw_residual(density: QuadraticDensity, field: DiscreteField,
     mesh = field.mesh
     if region is None:
         region = RectRegion(0, 0, mesh.nt, mesh.nx)
-    if not region.fits(mesh):
-        raise ValueError(f"region {region} does not fit mesh with shape {mesh.shape}")
+    check_region_fits(region, mesh)
 
     ncols = mesh.nx + 1
     index = region_index(region, ncols)
@@ -346,8 +347,7 @@ def boundary_hamiltonian(density: QuadraticDensity, mesh: QuadMesh,
     if not isinstance(density, QuadraticDensity):
         raise ValueError("the mixed solve supports quadratic densities only")
     region = data.region
-    if not region.fits(mesh):
-        raise ValueError(f"region {region} does not fit mesh with shape {mesh.shape}")
+    check_region_fits(region, mesh)
     b_side = list(data.momenta)
     unknowns = interior_nodes(region) + b_side
     ncols = mesh.nx + 1

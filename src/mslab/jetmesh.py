@@ -261,6 +261,12 @@ class Patch3Region:
 Region = Union[RectRegion, Patch3Region]
 
 
+def check_region_fits(region: Region, mesh: QuadMesh) -> None:
+    """Raise ValueError unless every triangle of ``region`` lies on ``mesh``."""
+    if not region.fits(mesh):
+        raise ValueError(f"region {region} does not fit mesh with shape {mesh.shape}")
+
+
 def region_triangles(region: Region) -> list:
     """Triangles making up the region (row-major for rectangles)."""
     if isinstance(region, RectRegion):

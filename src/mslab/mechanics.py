@@ -11,8 +11,9 @@ functions are
 
 related by Hd(q0, p1) = p1 q1 - Ld(q0, q1) on matched data.  Extremals are
 computed by Gauss-Lobatto collocation (8 nodes by default, quadrature on the
-same nodes, Newton to 1e-12), which is spectrally exact for the polynomial
-and trigonometric model problems used in tests.
+same nodes, the Newton core of :mod:`mslab.delsolve` to 1e-12 with a dense
+dual-number Jacobian), which is spectrally exact for the polynomial and
+trigonometric model problems used in tests.
 
 The endpoint derivatives of Ld are the one-dimensional normal momenta
 (d1 Ld = -p(0), d2 Ld = +p(h): outward time orientation at t = 0), mirroring
@@ -27,13 +28,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from types import SimpleNamespace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
 from . import dual
-from .delsolve import SolverError
+from .delsolve import SolverError, _newton
 
 
 class PhasePoint(NamedTuple):
@@ -165,11 +167,8 @@ def _diff_matrix_unit(n_nodes: int):
     nodes, _ = lobatto(n_nodes)
     n = len(nodes)
     c = np.array([np.prod(nodes[j] - np.delete(nodes, j)) for j in range(n)])
-    d = np.zeros((n, n))
-    for j in range(n):
-        for k in range(n):
-            if j != k:
-                d[j, k] = (c[j] / c[k]) / (nodes[j] - nodes[k])
+    gaps = nodes[:, None] - nodes[None, :] + np.eye(n)  # no 0/0 on the diagonal
+    d = (c[:, None] / c[None, :]) / gaps * (1.0 - np.eye(n))
     d[np.diag_indices(n)] = -d.sum(axis=1)
     d.setflags(write=False)
     return d
@@ -192,14 +191,18 @@ def _jacobian(residual_fn, x: np.ndarray) -> np.ndarray:
 
 def _newton_dense(residual_fn, x0, tol: float, max_iter: int,
                   context: str) -> np.ndarray:
-    """Newton with dual-number Jacobian and Armijo backtracking (dense)."""
-    x = np.array(x0, dtype=float)
-    f = np.array(residual_fn(list(x)), dtype=float)
-    for _ in range(max_iter):
-        norm = float(np.max(np.abs(f)))
-        if norm <= tol:
-            return x
+    """:func:`~mslab.delsolve._newton` on a list-valued residual, with the
+    dual-number Jacobian solved densely."""
+
+    def factor(x, context):
         jac = _jacobian(residual_fn, x)
+
+        def solve(b):
+            try:
+                return np.linalg.solve(jac, b)
+            except np.linalg.LinAlgError as err:
+                raise SolverError(f"{context}: singular Jacobian ({err})") from None
+
         # Evaluating the residual rows incurs round-off of the order of the
         # Jacobian row magnitudes times the iterate; below that level no
         # Newton step can improve the residual, so accept the iterate even
@@ -207,27 +210,10 @@ def _newton_dense(residual_fn, x0, tol: float, max_iter: int,
         floor = (64.0 * np.finfo(float).eps
                  * float(np.max(np.sum(np.abs(jac), axis=1)))
                  * max(1.0, float(np.max(np.abs(x)))))
-        if norm <= floor:
-            return x
-        try:
-            step = np.linalg.solve(jac, -f)
-        except np.linalg.LinAlgError as err:
-            raise SolverError(f"{context}: singular Jacobian ({err})") from None
-        merit = 0.5 * float(f @ f)
-        t = 1.0
-        for _ in range(40):
-            x_try = x + t * step
-            f_try = np.array(residual_fn(list(x_try)), dtype=float)
-            if 0.5 * float(f_try @ f_try) <= merit - 1e-4 * t * 2.0 * merit:
-                break
-            t *= 0.5
-        else:
-            raise SolverError(f"{context}: line search failed")
-        x, f = x_try, f_try
-    norm = float(np.max(np.abs(f)))
-    if norm <= tol:
-        return x
-    raise SolverError(f"{context}: Newton did not converge (residual {norm:.3e})")
+        return SimpleNamespace(solve=solve), None, floor
+
+    return _newton(lambda x: np.array(residual_fn(list(x)), dtype=float), factor,
+                   x0, tol, max_iter, context)[0]
 
 
 def _check_step(lagr: MechLagrangian, h: float) -> None:

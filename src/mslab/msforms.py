@@ -36,8 +36,8 @@ import numpy as np
 
 from .delsolve import _factor_and_rcond, _sparse_block, solve_bvp
 from .jetmesh import (BoundaryData, DiscreteField, Patch3Region, QuadMesh,
-                      Region, boundary_nodes, interior_nodes, node_index,
-                      region_index)
+                      Region, boundary_nodes, check_region_fits, interior_nodes,
+                      node_index, region_index)
 from .lagrangian import LagrangianDensity, QuadraticDensity, triangle_kernel
 
 
@@ -70,8 +70,8 @@ def linearized_del_residual(density: LagrangianDensity, field: DiscreteField,
     """Residual of the linearised DEL equations at (n, i) for a variation."""
     mesh = field.mesh
     ncols = mesh.nx + 1
-    terms = triangle_kernel(density, field.values,
-                            region_index(Patch3Region(n, i), ncols),
+    check_region_fits(patch := Patch3Region(n, i), mesh)
+    terms = triangle_kernel(density, field.values, region_index(patch, ncols),
                             mesh.dt, mesh.dx, gradient=False, hessian=True)
     lin = _hessian_product(terms.triplets, variation.values.ravel(), field.values.size)
     return float(lin[n * ncols + i])
@@ -85,8 +85,7 @@ def _region_patch_terms(density, field, v_var, w_var, region, nodes):
     its two slots not owned by the centre node, in slot order.
     """
     mesh = field.mesh
-    if not region.fits(mesh):
-        raise ValueError(f"region {region} does not fit mesh with shape {mesh.shape}")
+    check_region_fits(region, mesh)
     ncols = mesh.nx + 1
     index = region_index(region, ncols)
     terms = triangle_kernel(density, field.values, index, mesh.dt, mesh.dx,
@@ -291,8 +290,7 @@ def hessian_symmetry(density: LagrangianDensity, mesh: QuadMesh,
     if method == "auto":
         method = "analytic" if getattr(density, "is_quadratic", False) else "fd"
     region = boundary.region
-    if not region.fits(mesh):
-        raise ValueError(f"region {region} does not fit mesh with shape {mesh.shape}")
+    check_region_fits(region, mesh)
     bnodes = boundary_nodes(region)
 
     if method == "analytic":

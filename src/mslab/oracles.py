@@ -449,7 +449,14 @@ def dtn_pairing(f: FourierBoundaryData, g: FourierBoundaryData) -> float:
 
 def disc_boundary_lagrangian_quadrature(data: FourierBoundaryData,
                                         tol: float = 1e-11) -> float:
-    """Quadrature route for the disc boundary Lagrangian: (1/2) ∮ u Λu dθ."""
+    """Quadrature route for the disc boundary Lagrangian: (1/2) ∮ u Λu dθ.
+
+    ValueError, before ``quad`` runs, if a bound of the integral overflows.
+    """
+    if not math.isfinite(2.0 * math.pi * (abs(data.a0) + sum(map(abs, data.a + data.b)))
+                         * sum(k * (abs(a) + abs(b)) for k, (a, b) in
+                               enumerate(zip(data.a, data.b), start=1))):
+        raise ValueError("coefficients too large: the integrand bound overflows")
     ext = harmonic_extension_disc(data)
 
     def integrand(theta):

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mslab
 from mslab import QuadMesh, field_from_csv
 from mslab.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, EXIT_TOLERANCE, main
 
@@ -154,6 +159,43 @@ class TestExitSolver:
                            {"mode": "bvp-singularity",
                             "mesh": {"dt": 0.1, "dx": 0.1, "nt": 6, "nx": 6}})
         assert main(["bridges-check", "--config", cfg]) == EXIT_SOLVER
+
+
+class TestOverflowingData:
+    def one_error_line(self, capsys, kind):
+        err = capsys.readouterr().err
+        assert err.startswith(f"mslab: {kind} error: ") and err.count("\n") == 1
+        return err
+
+    def test_msff_check_overflow_is_a_solver_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", dict(MSFF_CONFIG, amplitude=1e308))
+        assert main(["msff-check", "--config", cfg]) == EXIT_SOLVER
+        assert "step_row (row 2)" in self.one_error_line(capsys, "solver")
+
+    def test_bridges_check_overflow_is_a_solver_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", dict(BRIDGES_CONFIG, amplitude=1e300))
+        assert main(["bridges-check", "--config", cfg]) == EXIT_SOLVER
+        assert "step_row (row 2)" in self.one_error_line(capsys, "solver")
+
+    def test_overflowing_seeded_rows_are_a_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", dict(MSFF_CONFIG, amplitude=1e308))
+        assert main(["msff-check", "--config", cfg, "--seed", "1"]) == EXIT_CONFIG
+        assert "amplitude" in self.one_error_line(capsys, "config")
+
+    def test_huge_disc_data_is_a_config_error(self, tmp_path):
+        # Run out of process: quad can crash the interpreter on such data.
+        cfg = write_config(tmp_path, "c.json",
+                           {"problem": "disc",
+                            "fourier": {"a0": 1e308, "a": [1.0, 0.0], "b": [0.0, 0.5]}})
+        src = str(Path(mslab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "mslab.cli", "boundary-lagrangian",
+                               "--config", cfg], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr.startswith("mslab: config error: ")
+        assert proc.stderr.count("\n") == 1
 
 
 class TestReports:

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -227,6 +229,50 @@ class TestRowFactorisation:
             rows.append(step_row(density, mesh, rows[-2], rows[-1], closure,
                                  row_index=n + 1))
         assert np.array_equal(field.values, np.array(rows))
+
+
+class TestNewtonCore:
+    def test_quadratic_solve_bvp_factors_once(self, monkeypatch):
+        # Data of size 100 leave one exact step above tol, so this solve
+        # takes two Newton iterations.
+        mesh = build_mesh(dt=1.0 / 32, dx=1.0 / 16, nt=16, nx=16)
+        reg = RectRegion(0, 0, mesh.nt, mesh.nx)
+        rng = np.random.default_rng(1)
+        data = BoundaryData(reg, 100.0 * rng.standard_normal(len(boundary_nodes(reg))))
+        refactored = copy.copy(LinearWave)
+        refactored.is_quadratic = False  # one LU per Newton iteration
+        reference = solve_bvp(refactored, mesh, data)
+        calls = _count_splu(monkeypatch)
+        report = solve_bvp(LinearWave, mesh, data)
+        assert report.iterations == reference.iterations >= 2
+        assert len(calls) == 1
+        assert np.array_equal(report.field.values, reference.field.values)
+        assert report.rcond == reference.rcond
+
+    def test_only_a_singular_factor_is_a_singular_system(self, monkeypatch):
+        def recursing(*args, **kwargs):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr("mslab.delsolve.splu", recursing)
+        mesh = build_mesh(dt=0.1, dx=0.2, nt=4, nx=4)
+        with pytest.raises(RecursionError):
+            solve_bvp(LinearWave, mesh, BoundaryData(Patch3Region(1, 1), np.zeros(6)))
+
+    def test_overflowing_rows_name_the_row(self):
+        mesh = build_mesh(dt=0.05, dx=0.1, nt=4, nx=6)
+        row0, row1 = _rows(mesh, 24, PeriodicClosure())
+        with pytest.raises(SolverError, match=r"step_row \(row 2\): non-finite"):
+            propagate(LinearWave, mesh, 1e301 * row0, 1e301 * row1, PeriodicClosure())
+
+    def test_non_finite_step_is_a_solver_error(self):
+        class Overflowing:
+            def solve(self, b):
+                return np.full_like(b, np.inf)
+
+        with pytest.raises(SolverError, match=r"probe: .* \(non-finite step\)"):
+            delsolve_module._newton(lambda x: x - 1.0,
+                                    lambda x, context: (Overflowing(), 1.0, 0.0),
+                                    np.zeros(2), 1e-12, 5, "probe")
 
 
 class TestSolveBvp:

@@ -95,6 +95,17 @@ class TestRegionAction:
         assert whole == pytest.approx(left + right, rel=1e-12)
 
 
+class TestRegionFit:
+    # Columns 2..6 of a mesh whose columns run 0..4.
+    @pytest.mark.parametrize("call", [region_action, normal_momenta,
+                                      type2_data_from_field])
+    def test_rejects_region_outside_the_mesh(self, call):
+        mesh = build_mesh(dt=0.1, dx=0.2, nt=4, nx=4)
+        field = DiscreteField(mesh, np.ones(mesh.shape))
+        with pytest.raises(ValueError, match="does not fit mesh"):
+            call(LinearWave, field, RectRegion(0, 2, 2, 4))
+
+
 class TestDdwResidual:
     def test_transport_exact_for_quadratic_density(self):
         mesh = build_mesh(dt=0.05, dx=0.1, nt=10, nx=10)

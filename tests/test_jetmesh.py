@@ -228,6 +228,16 @@ class TestRegions:
         with pytest.raises(ValueError):
             Patch3Region(0, 1)
 
+    def test_check_region_fits(self, mesh):
+        from mslab.jetmesh import check_region_fits
+
+        check_region_fits(RectRegion(0, 1, 4, 4), mesh)
+        check_region_fits(Patch3Region(3, 4), mesh)
+        for region in (RectRegion(0, 2, 4, 4), RectRegion(1, 0, 4, 1),
+                       Patch3Region(4, 1), Patch3Region(1, 5)):
+            with pytest.raises(ValueError, match="does not fit mesh with shape"):
+                check_region_fits(region, mesh)
+
     def test_region_json_roundtrip(self):
         for reg in (RectRegion(1, 2, 3, 4), Patch3Region(2, 2)):
             assert parse_region(region_to_json(reg)) == reg

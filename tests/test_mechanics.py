@@ -20,6 +20,7 @@ from mslab import (
     type1_map,
     variational_order_check,
 )
+from mslab import mechanics
 from mslab.mechanics import _diff_matrix_unit
 
 
@@ -55,6 +56,19 @@ class TestLobatto:
             vals = nodes ** deg
             dvals = deg * nodes ** (deg - 1) if deg > 0 else np.zeros(n)
             assert np.allclose(d @ vals, dvals, atol=1e-10)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 17])
+def test_diff_matrix_equals_elementwise_loop(n):
+    nodes, _ = lobatto(n)
+    c = [np.prod(nodes[j] - np.delete(nodes, j)) for j in range(n)]
+    ref = np.zeros((n, n))
+    for j in range(n):
+        for k in range(n):
+            if j != k:
+                ref[j, k] = (c[j] / c[k]) / (nodes[j] - nodes[k])
+    ref[np.diag_indices(n)] = -ref.sum(axis=1)
+    assert np.array_equal(_diff_matrix_unit(n), ref)
 
 
 class TestExactDiscreteLagrangian:
@@ -153,6 +167,18 @@ class TestType1Map:
         dev = symplecticity_check(lambda z: type1_map(ld, z, 0.1),
                                   PhasePoint(0.3, 0.2))
         assert dev <= 1e-8
+
+    def test_no_jacobian_at_a_converged_start(self, monkeypatch):
+        # The linear start is the free particle's extremal: Newton accepts
+        # it without forming a Jacobian.
+        calls = []
+        jacobian = mechanics._jacobian
+        monkeypatch.setattr(mechanics, "_jacobian",
+                            lambda *args: calls.append(1) or jacobian(*args))
+        exact_discrete_lagrangian(FreeParticle(), 0.2, 0.7, 0.5)
+        assert calls == []
+        exact_discrete_lagrangian(HarmonicOscillator(1.0), 0.2, 0.7, 0.5)
+        assert calls
 
     def test_degenerate_generating_function_raises(self):
         with pytest.raises(SolverError):

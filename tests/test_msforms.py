@@ -190,6 +190,12 @@ class TestLinearizedResidual:
             lin = linearized_del_residual(dens, base, direction, *nd)
             assert lin == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
+    def test_rejects_node_without_stencil(self):
+        mesh = build_mesh(dt=0.1, dx=0.2, nt=4, nx=4)
+        field = DiscreteField(mesh, np.ones(mesh.shape))
+        with pytest.raises(ValueError, match="does not fit mesh"):
+            linearized_del_residual(LinearWave, field, field, 2, mesh.nx)
+
 
 class TestHessianSymmetry:
     def test_analytic_linear_densities(self):
