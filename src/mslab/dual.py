@@ -4,25 +4,35 @@ A :class:`Dual` carries a value and a tangent.  Arithmetic follows the usual
 truncated-Taylor rules, and because the components may themselves be duals,
 nesting two levels gives exact second derivatives (the tangent of the outer
 tangent).  Values and tangents may be floats or numpy arrays: one evaluation
-on arrays of points differentiates every point at once, and an array tangent
-carries many directions at once (``Dual(x[k], eye[k])`` seeds a Jacobian).
-Every array entry sees the floating-point operations of a scalar call, so the
-two agree bit for bit.  Functions differentiated on arrays may use
-arithmetic and the functions of this module, but no Python ``if`` on values.
+on arrays of points differentiates every point at once.  Tangent arrays
+carry many directions on leading axes, in front of the value's axes:
+``Dual(x, eye(n))`` seeds every unit direction of a vector x, and
+:func:`gradient` and :func:`hessian` stack all directions into one
+evaluation (nested: inner directions on tangent axis 1, outer on axis 0).
+Every entry sees the floating-point operations of a one-direction scalar
+call, so the two agree bit for bit.  Functions differentiated on arrays may
+use arithmetic and the functions of this module, but no Python ``if`` on
+values.  ``x[i:j]`` slices the trailing (element) axis of a vector's value
+and tangents; with :func:`matvec` and :func:`concatenate` a residual on n
+unknowns yields its Jacobian from one evaluation.
 
 Implemented: +, -, *, /, abs, powers (integer exponents by repeated
 multiplication, real exponents by the power rule, ``c ** Dual``) and
-sin/cos/exp/log/sqrt, evaluated through numpy for floats and arrays alike.
-numpy ufuncs do not accept duals: ``np.cosh(Dual(...))`` raises TypeError,
-since ``__array_ufunc__ = None`` (which also makes ``ndarray op Dual`` use
-the dual's reflected operator).
+sin/cos/exp/log/sqrt, evaluated through numpy for floats and arrays alike;
+plain operands are Python or numpy reals and arrays.  numpy ufuncs do not
+accept duals: ``np.cosh(Dual(...))`` raises TypeError, since
+``__array_ufunc__ = None`` (which also makes ``ndarray op Dual`` use the
+dual's reflected operator).
 """
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
-_SCALARS = (int, float, np.ndarray)
+# Concrete types first: they are matched without the slower ABC check.
+_SCALARS = (float, int, np.ndarray, numbers.Real)
 
 
 class Dual:
@@ -44,6 +54,10 @@ class Dual:
 
     def __repr__(self):
         return f"Dual({self.re!r}, {self.du!r})"
+
+    def __getitem__(self, key):
+        """Slice the trailing (element) axis of the value and tangent arrays."""
+        return Dual(self.re[..., key], self.du[..., key] if np.ndim(self.du) else self.du)
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -94,7 +108,7 @@ class Dual:
         return o.__truediv__(self)
 
     def __pow__(self, exponent):
-        if isinstance(exponent, int):
+        if isinstance(exponent, (int, numbers.Integral)):
             if exponent == 0:
                 return Dual(1.0, 0.0)
             if exponent < 0:
@@ -103,7 +117,7 @@ class Dual:
             for _ in range(exponent - 1):
                 result = result * self
             return result
-        if isinstance(exponent, float):
+        if isinstance(exponent, (float, numbers.Real)):
             return Dual(_pow(self.re, exponent),
                         exponent * _pow(self.re, exponent - 1.0) * self.du)
         return NotImplemented
@@ -185,9 +199,15 @@ def _points(args) -> tuple:
     return points, points[0].shape
 
 
-def _tangent(y, shape=None):
-    t = value(y.du) if isinstance(y, Dual) else 0.0
-    return t if shape is None else np.broadcast_to(t, shape).copy()
+def _tangent(y, lead=(), shape=None):
+    """y's tangent on ``lead + shape``: (lists of) floats at scalar points."""
+    t = np.broadcast_to(value(y.du) if isinstance(y, Dual) else 0.0, lead + (shape or ()))
+    return t.tolist() if shape is None else t.copy()
+
+
+def _unit_tangents(m: int, shape) -> np.ndarray:
+    """m unit directions on a leading axis, broadcasting against ``shape``."""
+    return np.eye(m).reshape((m, m) + (1,) * len(shape or ()))
 
 
 def derivative(fn, x):
@@ -196,15 +216,29 @@ def derivative(fn, x):
 
 
 def gradient(fn, args):
-    """Gradient of ``fn(*args)`` via one dual pass per argument: floats, or
-    arrays of the arguments' broadcast shape if any argument is an array."""
+    """Gradient of ``fn(*args)`` from one dual evaluation, the unit tangents
+    stacked on a leading axis: floats, or arrays of the arguments' broadcast
+    shape if any argument is an array."""
     args, shape = _points(args)
-    # No operation mutates a Dual, so every pass shares the unseeded ones.
-    base = [Dual(a, 0.0) for a in args]
-    out = []
-    for k, a in enumerate(args):
-        out.append(_tangent(fn(*base[:k], Dual(a, 1.0), *base[k + 1:]), shape))
+    y = fn(*map(Dual, args, _unit_tangents(len(args), shape)))
+    return list(_tangent(y, (len(args),), shape))
+
+
+def matvec(matrix, x):
+    """``matrix @ x`` for floats or duals, summed column by column from 0.0 as
+    a plain-Python dot product of each row would be (BLAS may reorder)."""
+    out = 0.0
+    for k in range(matrix.shape[1]):
+        out = out + matrix[:, k] * x[k:k + 1]
     return out
+
+
+def concatenate(parts):
+    """Join vectors, all floats or all duals, along the trailing axis."""
+    if not isinstance(parts[0], Dual):
+        return np.concatenate(parts, axis=-1)
+    return Dual(np.concatenate([p.re for p in parts], axis=-1),
+                np.concatenate([p.du for p in parts], axis=-1))
 
 
 def partial(fn, index, args):
@@ -231,16 +265,15 @@ def partial(fn, index, args):
 
 
 def hessian(fn, args):
-    """Dense symmetric Hessian of ``fn(*args)`` via nested dual evaluations
-    (lists of lists; entries are arrays for array arguments, as in
-    :func:`gradient`)."""
+    """Dense symmetric Hessian of ``fn(*args)`` from one nested dual
+    evaluation (lists of lists; entries are arrays for array arguments, as
+    in :func:`gradient`)."""
     args, shape = _points(args)
     m = len(args)
-    h = [[0.0] * m for _ in range(m)]
-    one, zero = Dual(1.0, 0.0), Dual(0.0, 0.0)
-    for a in range(m):
-        inner = [Dual(x, 1.0 if j == a else 0.0) for j, x in enumerate(args)]
-        for b in range(a, m):
-            y = fn(*(Dual(x, one if j == b else zero) for j, x in enumerate(inner)))
-            h[a][b] = h[b][a] = _tangent(y.du if isinstance(y, Dual) else 0.0, shape)
-    return h
+    units = _unit_tangents(m, shape)
+    # Inner directions on tangent axis 1, outer ones on axis 0.
+    y = fn(*(Dual(Dual(a, u), Dual(u[:, None], 0.0)) for a, u in zip(args, units)))
+    t = _tangent(y.du if isinstance(y, Dual) else 0.0, (m, m), shape)
+    # Entry (outer b, inner a) with b >= a sees the operations of a pass
+    # seeding only a inside and b outside; H[a][b] and H[b][a] both read it.
+    return [[t[max(a, b)][min(a, b)] for b in range(m)] for a in range(m)]

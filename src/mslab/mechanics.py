@@ -12,8 +12,10 @@ functions are
 related by Hd(q0, p1) = p1 q1 - Ld(q0, q1) on matched data.  Extremals are
 computed by Gauss-Lobatto collocation (8 nodes by default, quadrature on the
 same nodes, the Newton core of :mod:`mslab.delsolve` to 1e-12 with a dense
-dual-number Jacobian), which is spectrally exact for the polynomial and
-trigonometric model problems used in tests.
+Jacobian from one dual evaluation of the vector residual), which is
+spectrally exact for the polynomial and trigonometric model problems used in
+tests.  The residuals call a Lagrangian's ``value``, ``d_q`` and ``d_qdot``
+(or a Hamiltonian) once on arrays of node values.
 
 The endpoint derivatives of Ld are the one-dimensional normal momenta
 (d1 Ld = -p(0), d2 Ld = +p(h): outward time orientation at t = 0), mirroring
@@ -48,7 +50,9 @@ class PhasePoint(NamedTuple):
 
 
 class MechLagrangian:
-    """Smooth L(q, qdot); derivatives default to dual-number evaluation."""
+    """Smooth L(q, qdot); derivatives default to dual-number evaluation.
+    ``value``, ``d_q`` and ``d_qdot`` run on arrays of node values (nested
+    duals included): arithmetic and ``dual.*`` only, no Python ``if`` on values."""
 
     name = "mechanical"
     conjugate_time = math.inf  # upper bound on h for a unique extremal
@@ -174,25 +178,18 @@ def _diff_matrix_unit(n_nodes: int):
     return d
 
 
-def _dot_row(matrix_row, values):
-    """Plain-Python dot product so Dual entries flow through."""
-    out = 0.0
-    for m, v in zip(matrix_row, values):
-        out = out + m * v
-    return out
-
-
 def _jacobian(residual_fn, x: np.ndarray) -> np.ndarray:
-    """Dense Jacobian from one residual evaluation with unit tangent vectors
-    seeded on the unknowns, ``Dual(x[k], eye[k])``."""
-    rows = residual_fn([dual.Dual(float(xk), e) for xk, e in zip(x, np.eye(len(x)))])
-    return np.array([np.broadcast_to(getattr(r, "du", 0.0), len(x)) for r in rows])
+    """Dense Jacobian from one residual evaluation on every unit tangent
+    stacked, ``Dual(x, eye(n))``: row i of ``du.T`` is the gradient of F_i."""
+    n = len(x)
+    res = residual_fn(dual.Dual(x, np.eye(n)))
+    return np.broadcast_to(getattr(res, "du", 0.0), (n, n)).T.copy()
 
 
 def _newton_dense(residual_fn, x0, tol: float, max_iter: int,
                   context: str) -> np.ndarray:
-    """:func:`~mslab.delsolve._newton` on a list-valued residual, with the
-    dual-number Jacobian solved densely."""
+    """:func:`~mslab.delsolve._newton` on a vector residual (a scalar for one
+    unknown), with the dual-number Jacobian solved densely."""
 
     def factor(x, context):
         jac = _jacobian(residual_fn, x)
@@ -212,7 +209,7 @@ def _newton_dense(residual_fn, x0, tol: float, max_iter: int,
                  * max(1.0, float(np.max(np.abs(x)))))
         return SimpleNamespace(solve=solve), None, floor
 
-    return _newton(lambda x: np.array(residual_fn(list(x)), dtype=float), factor,
+    return _newton(lambda x: np.atleast_1d(residual_fn(x)), factor,
                    x0, tol, max_iter, context)[0]
 
 
@@ -235,17 +232,13 @@ def _collocation_extremal(lagr: MechLagrangian, q0: float, q1: float, h: float,
     n = n_nodes
 
     def residual(qs):
-        qdots = [_dot_row(d[j], qs) for j in range(n)]
-        ps = [lagr.d_qdot(qs[j], qdots[j]) for j in range(n)]
-        res = [qs[0] - q0]
+        qdots = dual.matvec(d, qs)
         # Interior rows are scaled by h/2 so every residual entry is O(1);
         # otherwise the 1/h in the differentiation matrix puts the round-off
         # floor above an absolute tolerance at small steps.
-        for j in range(1, n - 1):
-            res.append(_dot_row(d_unit[j], ps)
-                       - (h / 2.0) * lagr.d_q(qs[j], qdots[j]))
-        res.append(qs[n - 1] - q1)
-        return res
+        interior = (dual.matvec(d_unit[1:-1], lagr.d_qdot(qs, qdots))
+                    - (h / 2.0) * lagr.d_q(qs[1:-1], qdots[1:-1]))
+        return dual.concatenate((qs[:1] - q0, interior, qs[n - 1:] - q1))
 
     x0 = q0 + (q1 - q0) * (nodes + 1.0) / 2.0
     qs = _newton_dense(residual, x0, tol, max_iter, "collocation")
@@ -286,29 +279,26 @@ def exact_discrete_hamiltonian(h_fn: Callable, q0: float, p1: float, h: float,
         raise ValueError(f"step h must be positive and finite, got {h!r}")
     nodes, weights = lobatto(n_nodes)
     d_unit = _diff_matrix_unit(n_nodes)
-    d = d_unit * (2.0 / h)
     n = n_nodes
 
     def residual(z):
         qs, ps = z[:n], z[n:]
-        res = [qs[0] - q0]
         # Rows scaled by h/2 for an O(1) round-off floor, as in the
         # Lagrangian collocation above.
-        for j in range(1, n):
-            res.append(_dot_row(d_unit[j], qs)
-                       - (h / 2.0) * dual.partial(h_fn, 1, (qs[j], ps[j])))
-        for j in range(n - 1):
-            res.append(_dot_row(d_unit[j], ps)
-                       + (h / 2.0) * dual.partial(h_fn, 0, (qs[j], ps[j])))
-        res.append(ps[n - 1] - p1)
-        return res
+        return dual.concatenate((
+            qs[:1] - q0,
+            dual.matvec(d_unit[1:], qs)
+            - (h / 2.0) * dual.partial(h_fn, 1, (qs[1:], ps[1:])),
+            dual.matvec(d_unit[:-1], ps)
+            + (h / 2.0) * dual.partial(h_fn, 0, (qs[:-1], ps[:-1])),
+            ps[n - 1:] - p1))
 
     slope0 = dual.partial(h_fn, 1, (float(q0), float(p1)))
     x0 = np.concatenate((q0 + slope0 * (nodes + 1.0) * h / 2.0,
                          np.full(n, float(p1))))
     z = _newton_dense(residual, x0, tol, max_iter, "canonical collocation")
     qs, ps = z[:n], z[n:]
-    qdots = d @ qs
+    qdots = (d_unit * (2.0 / h)) @ qs
     wts = weights * (h / 2.0)
     integral = sum(w * (p * qd - h_fn(q, p))
                    for w, q, p, qd in zip(wts, qs, ps, qdots))
@@ -329,8 +319,8 @@ def type1_map(ld: Callable, z0: PhasePoint, h: float, *, tol: float = 1e-12,
     """
     q0, p0 = float(z0.q), float(z0.p)
 
-    def residual(x):
-        return [dual.partial(ld, 0, (q0, x[0])) + p0]
+    def residual(x):  # on the scalar x[0]: one unknown needs no arrays
+        return dual.partial(ld, 0, (q0, x[0])) + p0
 
     q1 = float(_newton_dense(residual, [q0 + h * p0], tol, max_iter, "type1_map")[0])
     return PhasePoint(q1, float(dual.partial(ld, 1, (q0, q1))))

@@ -281,7 +281,8 @@ def hessian_symmetry(density: LagrangianDensity, mesh: QuadMesh,
     once under the solvers' singular-system guard, from the sparse region-wide
     vertex-slot Hessian (Schur complement).  ``fd`` recovers the
     same matrix by central differences of the boundary momenta around the
-    given data, which probes the nonlinear solve path.  Either way the matrix
+    given data, which probes the nonlinear solve path; each perturbed solve
+    starts from the solution for the given data.  Either way the matrix
     is the mixed-partials matrix of a single scalar function, so its
     asymmetry measures only numerical error.
     """
@@ -310,13 +311,14 @@ def hessian_symmetry(density: LagrangianDensity, mesh: QuadMesh,
             k_bi = _sparse_block(terms.triplets, size, bd, inn)
             h -= k_bi @ lu.solve(k_bi.T.toarray())
     elif method == "fd":
+        base = solve_bvp(density, mesh, boundary, tol=tol, max_iter=max_iter).field
         nb = len(bnodes)
         h = np.zeros((nb, nb))
         for a in range(nb):
             plus = solve_bvp(density, mesh, boundary.perturbed(a, fd_step),
-                             tol=tol, max_iter=max_iter)
+                             tol=tol, max_iter=max_iter, initial=base)
             minus = solve_bvp(density, mesh, boundary.perturbed(a, -fd_step),
-                              tol=tol, max_iter=max_iter)
+                              tol=tol, max_iter=max_iter, initial=base)
             pi_plus = normal_momenta(density, plus.field, region)
             pi_minus = normal_momenta(density, minus.field, region)
             h[a, :] = (pi_plus.values - pi_minus.values) / (2.0 * fd_step)

@@ -48,6 +48,26 @@ class TestArithmetic:
         assert dual.value(Dual(Dual(1.5, 1.0), 1.0)) == 1.5
 
 
+class TestNumpyScalars:
+    """numpy integer and float32 scalars combine with duals like Python numbers."""
+
+    def test_integer_operands(self):
+        out = Dual(1.0, 1.0) + np.int64(2)
+        assert (out.re, out.du) == (3.0, 1.0)
+        out = np.int64(2) * Dual(1.0, 1.0)
+        assert (out.re, out.du) == (2.0, 2.0)
+
+    def test_float32_operand(self):
+        out = Dual(1.0, 1.0) * np.float32(2)
+        assert (out.re, out.du) == (2.0, 2.0)
+
+    def test_integer_powers(self):
+        out = Dual(2.0, 1.0) ** np.int64(2)
+        assert (out.re, out.du) == (4.0, 4.0)
+        grad = dual.gradient(lambda a, b: a ** np.int64(3) + b, (2.0, 1.0))
+        assert grad == [12.0, 1.0]
+
+
 class TestPowersAndAbs:
     def test_real_power_of_a_negative_base(self):
         out = Dual(-2.0, 1.0) ** 2.0
@@ -77,6 +97,13 @@ class TestArrays:
     def test_numpy_ufuncs_are_unsupported(self):
         with pytest.raises(TypeError):
             np.cosh(Dual(0.5, 1.0))
+
+    def test_slices_act_on_the_trailing_axis(self):
+        x = Dual(np.arange(4.0), np.eye(4))[1:3]
+        assert x.re.tolist() == [1.0, 2.0]
+        assert x.du.tolist() == np.eye(4)[:, 1:3].tolist()
+        assert Dual(np.arange(4.0), 0.0)[2:].du == 0.0
+        assert dual.concatenate((x, x[:1])).du.tolist() == np.eye(4)[:, [1, 2, 1]].tolist()
 
     def test_scalar_arguments_broadcast_against_arrays(self):
         gx, gy = dual.gradient(lambda x, y: x * y * y, (np.array([1.0, 2.0]), 3.0))
@@ -204,6 +231,116 @@ def test_array_hessian_equals_scalar_calls(case):
 
 
 # ---------------------------------------------------------------------------
+# Stacked directions against one dual pass per direction, bit for bit
+
+
+def points_and_shape(args):
+    if not any(isinstance(a, np.ndarray) for a in args):
+        return [float(a) for a in args], None
+    points = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
+    return points, points[0].shape
+
+
+def tangent_of(y, shape):
+    t = dual.value(y.du) if isinstance(y, Dual) else 0.0
+    return t if shape is None else np.broadcast_to(t, shape).copy()
+
+
+def gradient_per_direction(fn, args):
+    """Reference gradient: one dual pass per argument."""
+    args, shape = points_and_shape(args)
+    base = [Dual(a, 0.0) for a in args]
+    return [tangent_of(fn(*base[:k], Dual(a, 1.0), *base[k + 1:]), shape)
+            for k, a in enumerate(args)]
+
+
+def hessian_per_pair(fn, args):
+    """Reference Hessian: one nested dual pass per pair a <= b."""
+    args, shape = points_and_shape(args)
+    m = len(args)
+    h = [[0.0] * m for _ in range(m)]
+    one, zero = Dual(1.0, 0.0), Dual(0.0, 0.0)
+    for a in range(m):
+        inner = [Dual(x, 1.0 if j == a else 0.0) for j, x in enumerate(args)]
+        for b in range(a, m):
+            y = fn(*(Dual(x, one if j == b else zero) for j, x in enumerate(inner)))
+            h[a][b] = h[b][a] = tangent_of(y.du if isinstance(y, Dual) else 0.0, shape)
+    return h
+
+
+REFERENCE_FNS = dict(
+    DENSITY_FNS,
+    constant=lambda v, w, u: 2.5,
+    linear=lambda v, w, u: 2.0 * v - w + 0.5 * u,
+    abs=lambda v, w, u: abs(v * w) + u * abs(u - w),
+)
+
+reference_cases = st.fixed_dictionaries({
+    "seed": st.integers(0, 2 ** 32 - 1),
+    "size": st.integers(1, 40),
+    "fn": st.sampled_from(sorted(REFERENCE_FNS)),
+})
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=reference_cases)
+def test_stacked_gradient_equals_one_pass_per_direction(case):
+    fn, args = REFERENCE_FNS[case["fn"]], random_points(case)
+    for point in (tuple(a[0] for a in args), args):
+        assert same_bits(dual.gradient(fn, point), gradient_per_direction(fn, point))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=reference_cases)
+def test_stacked_hessian_equals_one_pass_per_pair(case):
+    fn, args = REFERENCE_FNS[case["fn"]], random_points(case)
+    for point in (tuple(a[0] for a in args), args):
+        assert same_bits(dual.hessian(fn, point), hessian_per_pair(fn, point))
+
+
+def test_scalar_points_give_floats():
+    fn = REFERENCE_FNS["polynomial"]
+    assert {type(g) for g in dual.gradient(fn, (0.3, -0.2, 0.7))} == {float}
+    assert {type(e) for row in dual.hessian(fn, (0.3, -0.2, 0.7)) for e in row} == {float}
+
+
+def test_one_evaluation_per_gradient_and_hessian():
+    calls = []
+
+    def fn(v, w, u):
+        calls.append(1)
+        return DENSITY_FNS["exp_sin"](v, w, u)
+
+    for point in ((0.3, -0.2, 0.7), random_points({"seed": 3, "size": 5})):
+        calls.clear()
+        dual.gradient(fn, point)
+        assert len(calls) == 1
+        calls.clear()
+        dual.hessian(fn, point)
+        assert len(calls) == 1
+
+
+def dot_row(row, values):
+    """Plain-Python dot product, the reference for :func:`dual.matvec`."""
+    out = 0.0
+    for a, v in zip(row, values):
+        out = out + a * v
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 9), cols=st.integers(1, 9))
+def test_matvec_equals_row_by_row_dot_products(seed, rows, cols):
+    rng = np.random.default_rng(seed)
+    matrix, x, tangents = (rng.standard_normal(s) for s in ((rows, cols), cols, (2, cols)))
+    assert same_bits(dual.matvec(matrix, x), [dot_row(r, x) for r in matrix])
+    out = dual.matvec(matrix, Dual(x, tangents))
+    ref = [dot_row(r, [Dual(xk, t) for xk, t in zip(x, tangents.T)]) for r in matrix]
+    assert same_bits(out.re, [r.re for r in ref])
+    assert same_bits(out.du.T, [r.du for r in ref])
+
+
+# ---------------------------------------------------------------------------
 # The one-pass Newton Jacobian against a column-by-column reference
 
 
@@ -243,9 +380,9 @@ def per_column_jacobian(residual_fn, x):
     """One residual evaluation per column, each seeding one unit tangent."""
     n = len(x)
     jac = np.empty((n, n))
-    for m in range(n):
-        col = residual_fn([Dual(float(x[k]), 1.0 if k == m else 0.0) for k in range(n)])
-        jac[:, m] = [r.du if isinstance(r, Dual) else 0.0 for r in col]
+    for m, e_m in enumerate(np.eye(n)):
+        col = residual_fn(Dual(x, e_m))
+        jac[:, m] = col.du if isinstance(col, Dual) else 0.0
     return jac
 
 
@@ -291,3 +428,16 @@ def test_one_pass_jacobian_of_the_type1_map(case):
         residual, x0 = newton_problem(lambda: mechanics.type1_map(
             ld, mechanics.PhasePoint(case["q0"], case["end"]), case["h"]))
         assert_one_pass_jacobian(residual, x0, case["seed"])
+
+
+def test_one_residual_evaluation_per_jacobian():
+    lagr = Pendulum()
+    for call in (
+            lambda: mechanics.exact_discrete_lagrangian(lagr, 0.1, 0.4, 0.3),
+            lambda: mechanics.exact_discrete_hamiltonian(pendulum_hamiltonian, 0.1, 0.4, 0.3),
+            lambda: mechanics.type1_map(mechanics.midpoint_rule(lagr)(0.3),
+                                        mechanics.PhasePoint(0.1, 0.4), 0.3)):
+        residual, x0 = newton_problem(call)
+        calls = []
+        mechanics._jacobian(lambda x: calls.append(1) or residual(x), x0)
+        assert calls == [1]
