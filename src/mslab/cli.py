@@ -387,8 +387,13 @@ def _cmd_boundary_lagrangian(args) -> int:
         min_order = _number(_take(cfg, "min_order", 0.9), "min_order")
         _reject_extra(cfg, "boundary-lagrangian")
         tol = args.tol if args.tol is not None else 1e-8
-        if not isinstance(ladder, list) or len(ladder) < 2:
-            raise ConfigError("'nx_ladder' must list at least two mesh sizes")
+        sizes = ([_number(v, "nx_ladder", int) for v in ladder]
+                 if isinstance(ladder, list) else [])
+        for nx in sizes:
+            if nx < 2:  # the square needs an interior node
+                raise ConfigError(f"'nx_ladder' must be an integer >= 2, got {nx}")
+        if len(set(sizes)) < 2:  # the order fit needs two abscissae
+            raise ConfigError("'nx_ladder' must list at least two distinct mesh sizes")
         if not 0.0 < ratio < 1.0:
             raise ConfigError(f"time step ratio must lie in (0, 1), got {ratio}")
         try:
@@ -400,7 +405,6 @@ def _cmd_boundary_lagrangian(args) -> int:
         compat = oracles.compatibility_residual(traces)
         continuum = oracles.wave_square_boundary_lagrangian(traces)
 
-        sizes = [_number(v, "nx_ladder", int) for v in ladder]
         values = _map_ladder(
             lambda nx: _extremal_action_on_square(solution, nx, ratio), sizes)
         errors = [abs(v - continuum.action_value) for v in values]
@@ -463,14 +467,15 @@ def _cmd_mechanics(args) -> int:
     if rule not in _EXPECTED_MAP_ORDER:
         raise ConfigError(f"unknown quadrature rule {rule!r}; "
                           f"choose from {sorted(_EXPECTED_MAP_ORDER)}")
-    if not isinstance(ladder, list) or len(ladder) < 3:
-        raise ConfigError("'h_ladder' must list at least three step sizes")
     if not (isinstance(z0, list) and len(z0) == 2):
         raise ConfigError("'z0' must be a [position, momentum] pair")
     window = args.tol if args.tol is not None else 0.15
 
     lagr = _mech_lagrangian_from_config(problem)
-    h_values = [_number(h, "h_ladder") for h in ladder]
+    h_values = ([_number(h, "h_ladder") for h in ladder]
+                if isinstance(ladder, list) else [])
+    if len(set(h_values)) < 3:
+        raise ConfigError("'h_ladder' must list at least three distinct step sizes")
     for h in h_values:
         if not 0.0 < h < lagr.conjugate_time:
             raise ConfigError(

@@ -23,6 +23,12 @@ data surface as a reported residual instead of being silently projected.
 The bulk wave action is insensitive to the invisible kernel modes (their
 self-action vanishes and the cross term is killed by stationarity), so the
 action route below is well-defined despite the non-uniqueness.
+
+Imports: ``import mslab`` loads numpy and scipy.sparse only.  The two
+quadrature oracles (``wave_square_boundary_lagrangian`` and
+``disc_boundary_lagrangian_quadrature``) import ``scipy.integrate.quad`` on
+first use, so processes that never run them skip scipy.integrate and the
+scipy.optimize/scipy.special chain behind it.
 """
 
 from __future__ import annotations
@@ -33,7 +39,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
-from scipy.integrate import quad
 
 _CORNER_TOL = 1e-9
 
@@ -176,6 +181,22 @@ def _sin_deriv(s, coeffs) -> float:
                for k, c in enumerate(coeffs))
 
 
+def _collocation_basis(s, shift: float, poly_degree: int,
+                       n_sine: int) -> np.ndarray:
+    """Basis values at the samples ``s``, one row per sample.
+
+    Columns: the Legendre polynomials P_0..P_poly_degree at ``s - shift``,
+    then sin(k pi s) for k = 1..n_sine.  Each unit polynomial is evaluated
+    once on the whole array (the same Clenshaw recurrence per element as a
+    scalar ``legval``); the sines stay elementwise ``math.sin``.
+    """
+    s = np.asarray(s, dtype=float)
+    leg = npleg.legval(s - shift, np.eye(poly_degree + 1)).T
+    sines = np.array([[math.sin(k * math.pi * v) for k in range(1, n_sine + 1)]
+                      for v in s.tolist()]).reshape(len(s), n_sine)
+    return np.hstack([leg, sines])
+
+
 class DalembertSolution:
     """u(t, x) = F(x - t) + G(x + t) with explicit characteristic functions.
 
@@ -243,32 +264,28 @@ def dalembert_solve(data: SquareBoundaryData, *, poly_degree: int = 6,
         raise ValueError("degenerate basis/collocation sizes")
     nf = poly_degree + 1 + n_sine
 
-    def f_row(s: float, shift: float = 0.0) -> list:
-        leg = [float(npleg.legval(s - shift, unit))
-               for unit in np.eye(poly_degree + 1)]
-        return leg + [math.sin(k * math.pi * s) for k in range(1, n_sine + 1)]
+    def basis(s, shift: float) -> np.ndarray:
+        return _collocation_basis(s, shift, poly_degree, n_sine)
 
-    def g_row(s: float) -> list:  # G is expanded about s = 1
-        return f_row(s, 1.0)
+    def relation(f_at, g_at) -> np.ndarray:  # G is expanded about s = 1
+        return np.hstack([basis(f_at, 0.0), basis(g_at, 1.0)])
 
-    rows, rhs = [], []
     samples = np.linspace(0.0, 1.0, n_collocation)
+    # The four edge relations, interleaved sample by sample.
+    blocks = np.stack([relation(samples, samples),
+                       relation(-samples, samples),
+                       relation(samples - 1.0, samples + 1.0),
+                       relation(1.0 - samples, 1.0 + samples)], axis=1)
+    rhs = []
     for s in samples:
-        rows.append(f_row(s) + g_row(s))
-        rhs.append(data.bottom.value(s))
-        rows.append(f_row(-s) + g_row(s))
-        rhs.append(data.left.value(s))
-        rows.append(f_row(s - 1.0) + g_row(s + 1.0))
-        rhs.append(data.top.value(s))
-        rows.append(f_row(1.0 - s) + g_row(1.0 + s))
-        rhs.append(data.right.value(s))
-    u00 = data.bottom.value(0.0)
-    rows.append(f_row(0.0) + [0.0] * nf)
-    rhs.append(0.5 * u00)
-    rows.append([0.0] * nf + g_row(0.0))
-    rhs.append(0.5 * u00)
+        rhs += [data.bottom.value(s), data.left.value(s), data.top.value(s),
+                data.right.value(s)]
+    pins = np.zeros((2, 2 * nf))
+    pins[0, :nf] = basis([0.0], 0.0)
+    pins[1, nf:] = basis([0.0], 1.0)
+    rhs += [0.5 * data.bottom.value(0.0)] * 2
 
-    a = np.array(rows)
+    a = np.vstack([blocks.reshape(4 * n_collocation, 2 * nf), pins])
     b = np.array(rhs)
     coeffs, *_ = np.linalg.lstsq(a, b, rcond=lstsq_rcond)
     fit_residual = float(np.max(np.abs(a @ coeffs - b)))
@@ -324,6 +341,8 @@ def wave_square_boundary_lagrangian(data: SquareBoundaryData, *,
     The kernel modes invisible to the edge data contribute nothing to the
     action, so both routes are well-defined functions of the data.
     """
+    from scipy.integrate import quad
+
     def formula_integrand(alpha):
         return ((data.bottom.derivative(alpha) - data.left.derivative(alpha))
                 * (data.right.value(1.0 - alpha) - data.bottom.value(alpha)))
@@ -457,6 +476,8 @@ def disc_boundary_lagrangian_quadrature(data: FourierBoundaryData,
                          * sum(k * (abs(a) + abs(b)) for k, (a, b) in
                                enumerate(zip(data.a, data.b), start=1))):
         raise ValueError("coefficients too large: the integrand bound overflows")
+    from scipy.integrate import quad
+
     ext = harmonic_extension_disc(data)
 
     def integrand(theta):

@@ -145,12 +145,30 @@ class TestExitConfig:
                            "mode": "conservation"}),
         ("boundary-lagrangian", dict(SQUARE_CONFIG, nx_ladder=[8.9, 16.2])),
         ("boundary-lagrangian", dict(SQUARE_CONFIG, nx_ladder=[8, 16.5, 32])),
+        ("boundary-lagrangian", dict(SQUARE_CONFIG, nx_ladder=[0, 16])),
+        ("boundary-lagrangian", dict(SQUARE_CONFIG, nx_ladder=[-8, 16])),
+        ("boundary-lagrangian", dict(SQUARE_CONFIG, nx_ladder=[8, 1])),
     ])
     def test_non_integral_size(self, tmp_path, capsys, command, payload):
-        # Truncated, these would run a smaller mesh than the config asks for.
+        # Truncated, these would run a smaller mesh than the config asks for;
+        # a ladder size below 2 leaves the square without interior nodes.
         cfg = write_config(tmp_path, "c.json", payload)
         assert main([command, "--config", cfg]) == EXIT_CONFIG
         assert "must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, payload", [
+        ("boundary-lagrangian", dict(SQUARE_CONFIG, nx_ladder=[8, 8])),
+        ("boundary-lagrangian", dict(SQUARE_CONFIG, nx_ladder=[16, 16.0, 16])),
+        ("mechanics", dict(MECH_CONFIG, h_ladder=[0.1, 0.1, 0.1])),
+        ("mechanics", dict(MECH_CONFIG, h_ladder=[0.2, 0.1, 0.2])),
+    ])
+    def test_ladder_without_distinct_sizes(self, tmp_path, capsys, command, payload):
+        # Repeated sizes leave the order fit rank-deficient.
+        cfg = write_config(tmp_path, "c.json", payload)
+        assert main([command, "--config", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("mslab: config error: ") and err.count("\n") == 1
+        assert "distinct" in err
 
 
 class TestExitSolver:

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import legendre as npleg
 
+from mslab import oracles
 from mslab import (
     EdgeTrace,
     FourierBoundaryData,
@@ -138,6 +140,21 @@ class TestDalembertReconstruction:
             right=EdgeTrace(lambda t: f9(1.0 - t), lambda t: -df9(1.0 - t)))
         with pytest.raises(ValueError, match="residual"):
             dalembert_solve(data)
+
+    @pytest.mark.parametrize("shift", [0.0, 1.0])
+    def test_array_basis_matches_scalar_legval(self, shift):
+        # Every argument the solve feeds the basis: s, -s, s - 1, 1 - s, s + 1.
+        samples = np.linspace(0.0, 1.0, 80)
+        args = np.concatenate([samples, -samples, samples - 1.0, 1.0 - samples,
+                               samples + 1.0, [0.0]])
+        poly_degree, n_sine = 6, 6
+        reference = np.array([
+            [float(npleg.legval(s - shift, unit)) for unit in np.eye(poly_degree + 1)]
+            + [math.sin(k * math.pi * s) for k in range(1, n_sine + 1)]
+            for s in args])
+        basis = oracles._collocation_basis(args, shift, poly_degree, n_sine)
+        assert basis.shape == reference.shape
+        assert basis.tobytes() == reference.tobytes()
 
 
 class TestWaveSquareFunctional:
