@@ -51,6 +51,7 @@ from .jetmesh import (
     build_mesh,
     field_from_csv,
     field_to_csv,
+    interior_index,
     interior_nodes,
     jet_extension,
     node_index,

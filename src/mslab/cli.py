@@ -245,7 +245,8 @@ def _cmd_msff_check(args) -> int:
     patch = np.abs(msforms.msff_patch_residuals(density, field, v_var, w_var, region))
     k = int(np.argmax(patch))
     worst = float(patch[k])
-    worst_node = list(jetmesh.interior_nodes(region)[k]) if worst > 0.0 else None
+    worst_node = (list(divmod(int(jetmesh.interior_index(region, mesh.nx + 1)[k]),
+                              mesh.nx + 1)) if worst > 0.0 else None)
     region_rep = msforms.msff_residual_region(density, field, v_var, w_var, region)
 
     centre = (mesh.nt // 2, mesh.nx // 2)

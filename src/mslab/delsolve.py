@@ -12,7 +12,9 @@ the classical leapfrog stencil scaled by dt*dx/2.
 The solvers evaluate residuals and Jacobians for all triangles at once with
 :func:`~mslab.lagrangian.triangle_kernel`: the residual vector is the
 scatter-add of the slot gradients, and the sparse Jacobian is assembled from
-the kernel's Hessian triplets.  :func:`del_residual` is the per-node view,
+the kernel's Hessian triplets.  Newton writes each iterate in place into one
+work array (the row stepper's three rows, or the field of a solve), copied
+once per returned row or field.  :func:`del_residual` is the per-node view,
 built on the per-triangle :func:`~mslab.lagrangian.grad_Ld`.
 
 Three solution drivers are provided:
@@ -36,7 +38,9 @@ Every factorisation is accompanied by a reciprocal condition indicator
 
     rcond = 1 / (max(1, ||J||_1) * ||J^-1||_1),
 
-exact for small systems and estimated on the sparse LU otherwise.  The
+exact for n <= 200 and otherwise estimated by ``onenormest`` (Higham-Tisseur,
+two columns; each block product is one two-column SuperLU solve).  The
+estimate draws from numpy's global RNG and then restores its state.  The
 indicator is scale-sensitive on purpose: the three-triangle point stencil
 degenerates when dt = dx (its 1x1 Jacobian dx/dt - dt/dx vanishes with
 bounded data), and a scale-invariant measure would hide that.  Indicators
@@ -47,6 +51,7 @@ below 1e-12, and exactly singular factorisations, raise
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -55,11 +60,13 @@ from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
 from .jetmesh import (BoundaryData, DiscreteField, QuadMesh, Region,
-                      TriangleIndex, check_region_fits, interior_nodes,
+                      TriangleIndex, check_region_fits, interior_index,
                       jet_extension, node_index, region_index, triangle_index)
 from .lagrangian import LagrangianDensity, grad_Ld, triangle_kernel
 
 RCOND_FLOOR = 1e-12
+# Held while onenormest draws from numpy's global RNG, until it is restored.
+_GLOBAL_RNG_LOCK = threading.Lock()
 
 
 class SolverError(RuntimeError):
@@ -188,7 +195,7 @@ def _newton(residual_fn, factor_fn, x0, tol, max_iter, context: str):
         raise SolverError(f"{context}: non-finite residual at the start")
     rcond = None
     for iteration in range(max_iter + 1):
-        norm = float(np.max(np.abs(f), initial=0.0))
+        norm = float(np.abs(f).max(initial=0.0))
         if norm <= tol:
             return x, norm, iteration, rcond
         if iteration == max_iter:
@@ -227,9 +234,17 @@ def _factor_and_rcond(jac: csc_matrix, context: str):
         inv = lu.solve(np.eye(n))
         norm_inv = float(np.max(np.abs(inv).sum(axis=0)))
     else:
-        op = LinearOperator((n, n), matvec=lambda b: lu.solve(b),
-                            rmatvec=lambda b: lu.solve(b, trans="T"))
-        norm_inv = float(onenormest(op))
+        # One SuperLU solve per block product; C order keeps onenormest's
+        # column sums those of one solve per column.
+        fwd, adj = (lambda b, t=t: np.ascontiguousarray(lu.solve(b, trans=t)) for t in "NT")
+        op = LinearOperator((n, n), matvec=fwd, rmatvec=adj, matmat=fwd, rmatmat=adj,
+                            dtype=float)
+        with _GLOBAL_RNG_LOCK:  # each estimate starts from the caller's state
+            state = np.random.get_state()
+            try:
+                norm_inv = float(onenormest(op))
+            finally:
+                np.random.set_state(state)
     rcond = 1.0 / (max(1.0, norm_j) * norm_inv)
     if not np.isfinite(rcond) or rcond < RCOND_FLOOR:
         raise SingularSystem(
@@ -241,18 +256,19 @@ def _factor_and_rcond(jac: csc_matrix, context: str):
 def _del_newton(density: LagrangianDensity, values: np.ndarray, index, jac_index,
                 eqs, unknowns, dt: float, dx: float):
     """``solve(x0, tol, max_iter, context)``: Newton on the DEL residuals of
-    the triangles ``index`` at the flat nodes ``eqs`` of ``values``, for the
-    values at the flat nodes ``unknowns`` (other nodes keep their value in
-    ``values`` at call time), with the Jacobian of the triangles
-    ``jac_index``.  A quadratic density's LU is made once and kept.
-    Returns (filled copy of ``values``, residual norm, iterations, rcond).
+    the triangles ``index`` at the flat nodes ``eqs`` of the C-contiguous
+    work array ``values``, for the values at the flat nodes ``unknowns``,
+    written in place (other nodes keep their value), with the Jacobian of
+    the triangles ``jac_index``.  A quadratic density's LU is made once and
+    kept.  Returns (residual norm, iterations, rcond); ``values`` then holds
+    the solution.
     """
     kept = None
+    work = values.reshape(-1)  # a view of ``values``
 
     def fill(x):
-        out = values.copy()
-        out.flat[unknowns] = x
-        return out
+        work[unknowns] = x
+        return values
 
     def factor(x, context):
         nonlocal kept
@@ -270,7 +286,8 @@ def _del_newton(density: LagrangianDensity, values: np.ndarray, index, jac_index
         x, norm, iterations, rcond = _newton(
             lambda x: triangle_kernel(density, fill(x), index, dt, dx).residual[eqs],
             factor, x0, tol, max_iter, context)
-        return fill(x), norm, iterations, factor(x, context)[1] if rcond is None else rcond
+        fill(x)
+        return norm, iterations, factor(x, context)[1] if rcond is None else rcond
 
     return solve
 
@@ -310,10 +327,10 @@ def _row_stepper(density: LagrangianDensity, mesh: QuadMesh, closure: Closure, *
         stack[0], stack[1] = u_prev, u_curr
         if not periodic:
             stack[2, 0], stack[2, -1] = closure.end_values(row_index)
-        if not len(columns):
-            return stack[2].copy()
-        x0 = (2.0 * u_curr - u_prev)[columns]
-        return solve(x0, tol, max_iter, f"step_row (row {row_index})")[0][2]
+        if len(columns):
+            solve((2.0 * u_curr - u_prev)[columns], tol, max_iter,
+                  f"step_row (row {row_index})")
+        return stack[2].copy()
 
     return step
 
@@ -373,20 +390,18 @@ def solve_bvp(density: LagrangianDensity, mesh: QuadMesh, boundary: BoundaryData
     """
     region = boundary.region
     check_region_fits(region, mesh)
-    unknowns = interior_nodes(region)
-    if not unknowns:
-        raise ValueError(f"region {region} has no interior nodes")
     ncols = mesh.nx + 1
-    inner = node_index(unknowns, ncols)
+    inner = interior_index(region, ncols)
+    if not inner.size:
+        raise ValueError(f"region {region} has no interior nodes")
     base = np.zeros(mesh.shape) if initial is None else initial.values.copy()
     base.flat[node_index(boundary.nodes, ncols)] = boundary.values
-    x0 = np.full(len(unknowns), float(np.mean(boundary.values)))
-    if initial is not None:
-        x0 = initial.values.ravel()[inner]
+    x0 = (np.full(inner.size, float(np.mean(boundary.values))) if initial is None
+          else initial.values.ravel()[inner])
     index = region_index(region, ncols)
     solve = _del_newton(density, base, index, index, inner, inner, mesh.dt, mesh.dx)
-    values, norm, iters, rcond = solve(x0, tol, max_iter, "solve_bvp")
-    return BvpSolveReport(field=DiscreteField(mesh, values), region=region,
+    norm, iters, rcond = solve(x0, tol, max_iter, "solve_bvp")
+    return BvpSolveReport(field=DiscreteField(mesh, base), region=region,
                           residual_norm=norm, iterations=iters, rcond=rcond)
 
 
@@ -408,17 +423,16 @@ def tangent_solve(density: LagrangianDensity, field: DiscreteField, region: Regi
     if any(tb.region != region for tb in boundaries):
         raise ValueError("tangent boundary data is for a different region")
     check_region_fits(region, mesh)
-    unknowns = interior_nodes(region)
-    if not unknowns:
-        raise ValueError(f"region {region} has no interior nodes")
     ncols = mesh.nx + 1
-    inner = node_index(unknowns, ncols)
+    inner = interior_index(region, ncols)
+    if not inner.size:
+        raise ValueError(f"region {region} has no interior nodes")
     terms = triangle_kernel(density, field.values, region_index(region, ncols),
                             mesh.dt, mesh.dx, hessian=True)
     res = terms.residual[inner]
     bad = np.flatnonzero(np.abs(res) > base_tol)
     if bad.size:
-        (n, i), worst = unknowns[bad[0]], res[bad[0]]
+        (n, i), worst = divmod(int(inner[bad[0]]), ncols), res[bad[0]]
         raise ValueError(
             f"base field does not satisfy the DEL equations at ({n}, {i}): "
             f"residual {worst:.3e} exceeds {base_tol:.1e}")

@@ -40,7 +40,7 @@ import numpy as np
 from .delsolve import (BvpSolveReport, _factor_and_rcond, _sparse_block,
                        solve_bvp)
 from .jetmesh import (BoundaryData, DiscreteField, JetTriple, QuadMesh, RectRegion,
-                      Region, boundary_nodes, check_region_fits, interior_nodes,
+                      Region, boundary_nodes, check_region_fits, interior_index,
                       node_index, parse_region, region_index, region_to_json)
 from .lagrangian import (LagrangianDensity, QuadraticDensity, eval_Ld,
                          triangle_kernel)
@@ -53,8 +53,7 @@ def region_action(density: LagrangianDensity, field: DiscreteField,
     check_region_fits(region, mesh)
     flat = field.values.ravel()
     total = 0.0
-    for u1, u2, u3 in zip(*(flat[ix].tolist()
-                            for ix in region_index(region, mesh.nx + 1))):
+    for u1, u2, u3 in zip(*flat[region_index(region, mesh.nx + 1)].tolist()):
         total += eval_Ld(density, JetTriple(u1, u2, u3, mesh.dt, mesh.dx))
     return float(total)
 
@@ -130,9 +129,8 @@ def normal_momenta(density: LagrangianDensity, field: DiscreteField,
     on_boundary[flat] = True
     # Only triangles with a boundary vertex contribute.
     index = region_index(region, mesh.nx + 1)
-    touch = on_boundary[index[0]] | on_boundary[index[1]] | on_boundary[index[2]]
-    terms = triangle_kernel(density, field.values, [ix[touch] for ix in index],
-                            mesh.dt, mesh.dx)
+    touch = on_boundary[index].any(axis=0)
+    terms = triangle_kernel(density, field.values, index[:, touch], mesh.dt, mesh.dx)
     return NormalMomentumField(region, nodes, terms.residual[flat],
                                _trapezoid_weights(region, mesh))
 
@@ -216,7 +214,7 @@ def ddw_residual(density: QuadraticDensity, field: DiscreteField,
         raise ValueError("region too small: no site has both forward neighbours")
     above, beside = pos[index[0][here] + ncols], pos[index[0][here] + 1]
     flat = field.values.ravel()
-    u1, u2, u3 = (flat[ix] for ix in index)
+    u1, u2, u3 = flat[index]
     v, w, ubar = (u3 - u1) / mesh.dt, (u2 - u1) / mesh.dx, (u1 + u2 + u3) / 3.0
     p_t, p_x, _ = density.partials(v, w, ubar)
 
@@ -349,9 +347,8 @@ def boundary_hamiltonian(density: QuadraticDensity, mesh: QuadMesh,
     region = data.region
     check_region_fits(region, mesh)
     b_side = list(data.momenta)
-    unknowns = interior_nodes(region) + b_side
     ncols = mesh.nx + 1
-    flat = node_index(unknowns, ncols)
+    flat = np.concatenate([interior_index(region, ncols), node_index(b_side, ncols)])
     arr = np.zeros(mesh.shape)
     arr.flat[node_index(list(data.dirichlet), ncols)] = list(data.dirichlet.values())
 

@@ -26,7 +26,6 @@ propagates silently.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -279,8 +278,9 @@ def region_triangles(region: Region) -> list:
     raise TypeError(f"unknown region type {type(region).__name__}")
 
 
-def triangle_index(rows, cols, ncols: int, periodic: bool = False) -> tuple:
-    """Flat vertex indices (i1, i2, i3) of the triangles anchored at (rows, cols).
+def triangle_index(rows, cols, ncols: int, periodic: bool = False) -> np.ndarray:
+    """Flat vertex indices of the triangles anchored at (rows, cols): an int32
+    array of shape (3, m) whose rows are the slots i1, i2, i3.
 
     The indices address ``values.ravel()`` of a node array with ``ncols``
     columns.  ``rows`` and ``cols`` broadcast against each other; with
@@ -288,10 +288,11 @@ def triangle_index(rows, cols, ncols: int, periodic: bool = False) -> tuple:
     """
     rows, cols = (a.ravel() for a in np.broadcast_arrays(rows, cols))
     right = (cols + 1) % ncols if periodic else cols + 1
-    return rows * ncols + cols, rows * ncols + right, (rows + 1) * ncols + cols
+    return np.array([rows * ncols + cols, rows * ncols + right,
+                     (rows + 1) * ncols + cols], dtype=np.int32)
 
 
-def region_index(region: Region, ncols: int) -> tuple:
+def region_index(region: Region, ncols: int) -> np.ndarray:
     """:func:`triangle_index` of the region's triangles, in the order of
     :func:`region_triangles`."""
     if isinstance(region, RectRegion):
@@ -307,6 +308,16 @@ def node_index(nodes, ncols: int) -> np.ndarray:
     """Flat indices of (n, i) nodes in a node array with ``ncols`` columns."""
     arr = np.asarray(nodes, dtype=np.intp).reshape(-1, 2)
     return arr[:, 0] * ncols + arr[:, 1]
+
+
+def interior_index(region: Region, ncols: int) -> np.ndarray:
+    """``node_index(interior_nodes(region), ncols)``, without the tuples."""
+    if isinstance(region, RectRegion):
+        return (np.arange(region.n0 + 1, region.n1)[:, None] * ncols
+                + np.arange(region.i0 + 1, region.i1)).ravel()
+    if isinstance(region, Patch3Region):
+        return np.array([region.n * ncols + region.i])
+    raise TypeError(f"unknown region type {type(region).__name__}")
 
 
 def interior_nodes(region: Region) -> list:
@@ -408,10 +419,11 @@ class BoundaryData:
 def field_to_csv(field: DiscreteField, path) -> None:
     """Write a field as CSV with header ``n,i,u``, one row per node, row-major;
     values are ``repr`` strings (exact round trip), lines end in CRLF."""
-    nodes = itertools.product(range(field.mesh.nt + 1), range(field.mesh.nx + 1))
-    rows = zip(nodes, field.values.ravel().tolist())
+    cols = [f",{i}," for i in range(field.mesh.nx + 1)]
+    prefixes = [n + c for n in map(str, range(field.mesh.nt + 1)) for c in cols]
+    lines = map(str.__add__, prefixes, map(float.__repr__, field.values.ravel().tolist()))
     with open(path, "w", newline="") as fh:
-        fh.write("n,i,u\r\n" + "".join(f"{n},{i},{u!r}\r\n" for (n, i), u in rows))
+        fh.write("n,i,u\r\n" + "\r\n".join(lines) + "\r\n")
 
 
 def field_from_csv(mesh: QuadMesh, path) -> DiscreteField:

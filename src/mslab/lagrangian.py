@@ -24,19 +24,20 @@ ValueError; numpy warnings from non-quadratic densities are silenced, since
 that check reports them.
 
 :func:`triangle_kernel` evaluates the same terms for a whole set of
-triangles at once, given as flat vertex indices into a node array: slot
-gradients, their scatter-add into DEL residuals, vertex-slot Hessians and
-their COO triplets, calling the density once on whole jet arrays.  The
-per-triangle functions below are its one-triangle view and its reference:
-they share the formulas, and tests hold the two to round-off agreement.
+triangles at once, given as a (3, m) array of flat vertex indices: slot
+gradients, their one-``bincount`` scatter-add into DEL residuals, vertex-slot
+Hessians and their COO triplets (sorted when first read), calling the density
+once on whole jet arrays.  The per-triangle functions below are its
+one-triangle view and its reference: they share the formulas, and tests hold
+the two to round-off agreement.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, NamedTuple, Optional
+from functools import cached_property, lru_cache
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -289,28 +290,33 @@ def omega_k(density: LagrangianDensity, triple: JetTriple, k: int, xi, eta) -> f
 # Array-native triangle kernel
 
 
-class TriangleTerms(NamedTuple):
+@dataclass(frozen=True)
+class TriangleTerms:
     """Output of :func:`triangle_kernel` for m triangles; fields that were not
     requested are None.  Node indices are those of ``values.ravel()``."""
 
     grads: Optional[np.ndarray]     # (3, m) slot gradients d1, d2, d3
     residual: Optional[np.ndarray]  # per node: scatter-add of d1 + d2 + d3
     hess: Optional[np.ndarray]      # (m, 3, 3) vertex-slot Hessians
-    triplets: Optional[tuple]       # (rows, cols, vals): the Hessians in COO form
+    index: np.ndarray               # (3, m) int32 vertex indices
+
+    @cached_property
+    def triplets(self) -> Optional[tuple]:
+        """(rows, cols, vals): the Hessians in COO form, built on first read."""
+        return None if self.hess is None else _hessian_triplets(self.hess, self.index)
 
 
-def _hessian_triplets(hess, index) -> tuple:
-    idx = np.stack(index)
-    m = idx.shape[1]
-    # Entry (a, b) of triangle t sits at (3a + b) * m + t of the raveled key.
+def _hessian_triplets(hess, idx) -> tuple:
+    # Entry (a, b) of triangle t sits at (3a + b) * m + t of the raveled key,
+    # and so do its column node idx[b] and its value in the (9, m) arrays below.
     # Sorting by key orders the triplets by (row node, row slot, column
     # slot), the order of a per-node stencil loop, so duplicate entries are
     # always summed in the same order.
     key = (idx[:, None, :] * 9 + np.arange(0, 9, 3, dtype=idx.dtype).reshape(3, 1, 1)
            + np.arange(3, dtype=idx.dtype).reshape(1, 3, 1)).ravel()
     order = np.argsort(key, kind="stable")
-    slot, tri = np.divmod(order, m)
-    return key[order] // 9, idx[slot % 3, tri], hess[tri, slot // 3, slot % 3]
+    return (key[order] // 9, np.tile(idx, (3, 1)).ravel()[order],
+            np.ascontiguousarray(np.reshape(hess, (-1, 9)).T).ravel()[order])
 
 
 def triangle_kernel(density: LagrangianDensity, values, index, dt: float,
@@ -318,35 +324,33 @@ def triangle_kernel(density: LagrangianDensity, values, index, dt: float,
                     hessian: bool = False) -> TriangleTerms:
     """Slot gradients, DEL residuals and Hessians of a set of triangles.
 
-    ``index`` holds three flat vertex-index arrays (i1, i2, i3) into
-    ``values.ravel()``, one entry per triangle (see
-    :func:`~mslab.jetmesh.triangle_index`).  ``gradient`` asks for the slot
-    gradients and the DEL residual vector, ``hessian`` for the vertex-slot
-    Hessians and their COO triplets.  Jets are formed on whole arrays once,
-    and ``partials``/``second_partials`` are called once on them (quadratic
-    densities use their constant Hessian).  NaN/Inf raises ValueError, as in
-    the per-triangle functions; numpy warnings in the density calls are
-    silenced, since that check reports them.
+    ``index`` holds flat vertex indices into ``values.ravel()``, one row per
+    slot (shape (3, m), see :func:`~mslab.jetmesh.triangle_index`).
+    ``gradient`` asks for the slot gradients and the DEL residual vector,
+    ``hessian`` for the vertex-slot Hessians and their COO triplets.  Jets
+    are formed once, and ``partials``/``second_partials`` are called once on
+    them (quadratic densities use their constant Hessian).  The residual is
+    one scatter-add of all slots in slot order; no slot maps two triangles to
+    one node, so each node adds d1 + d2 + d3 in that order.  NaN/Inf raises
+    ValueError, as in the per-triangle functions; numpy warnings in the
+    density calls are silenced, since that check reports them.
     """
     flat = np.asarray(values, dtype=float).ravel()
     # 32-bit node indices keep the triplet arrays small.
-    index = tuple(np.asarray(ix, dtype=np.int32) for ix in index)
-    u1, u2, u3 = (flat[ix] for ix in index)
-    for name, u in (("u1", u1), ("u2", u2), ("u3", u3)):
-        if not np.isfinite(u).all():
-            raise ValueError(f"non-finite vertex value {name}")
+    index = np.asarray(index, dtype=np.int32)
+    u1, u2, u3 = u = flat[index]
+    if not np.isfinite(u).all():
+        raise ValueError(f"non-finite vertex value u{np.isfinite(u).all(axis=1).argmin() + 1}")
     v, w, ubar = (u3 - u1) / dt, (u2 - u1) / dx, (u1 + u2 + u3) / 3.0
 
-    grads = residual = hess = triplets = None
+    grads = residual = hess = None
     if gradient:
         with np.errstate(all="ignore"):
             lv, lw, lu = density.partials(v, w, ubar)
         if not all(np.isfinite(p).all() for p in (lv, lw, lu)):
             raise ValueError(f"density {density.name} partials produced a non-finite value")
         grads = np.array(_slot_gradient(lv, lw, lu, dt, dx))
-        b1, b2, b3 = (np.bincount(ix, weights=d, minlength=flat.size)
-                      for ix, d in zip(index, grads))
-        residual = b1 + b2 + b3
+        residual = np.bincount(index.ravel(), weights=grads.ravel(), minlength=flat.size)
     if hessian:
         if isinstance(density, QuadraticDensity):  # the same at every jet
             hess = np.broadcast_to(hess_Ld(density, JetTriple(0.0, 0.0, 0.0, dt, dx)),
@@ -357,5 +361,4 @@ def triangle_kernel(density: LagrangianDensity, values, index, dt: float,
             if not np.isfinite(h).all():
                 raise ValueError(f"density {density.name} produced a non-finite Hessian")
             hess = _push_hessian(h, dt, dx)
-        triplets = _hessian_triplets(hess, index)
-    return TriangleTerms(grads, residual, hess, triplets)
+    return TriangleTerms(grads, residual, hess, index)

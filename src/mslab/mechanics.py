@@ -412,10 +412,10 @@ def variational_order_check(family: Callable, lagr: MechLagrangian,
     round(horizon / h) steps and compares against the exact flow over the
     same elapsed time, so its fitted rate is the usual global order of the
     method.  Requires a Lagrangian from the built-in catalogue (exact flow
-    available) and at least three ladder steps.
+    available) and at least three distinct ladder steps.
     """
-    if len(h_values) < 3:
-        raise ValueError("order fit needs at least three step sizes")
+    if len(set(h_values)) < 3:
+        raise ValueError("order fit needs at least three distinct step sizes")
     if not hasattr(lagr, "exact_flow"):
         raise ValueError(f"{lagr.name} has no exact flow; cannot fit orders")
     if not horizon > 0.0:

@@ -36,7 +36,7 @@ import numpy as np
 
 from .delsolve import _factor_and_rcond, _sparse_block, solve_bvp
 from .jetmesh import (BoundaryData, DiscreteField, Patch3Region, QuadMesh,
-                      Region, boundary_nodes, check_region_fits, interior_nodes,
+                      Region, boundary_nodes, check_region_fits, interior_index,
                       node_index, region_index)
 from .lagrangian import LagrangianDensity, QuadraticDensity, triangle_kernel
 
@@ -77,9 +77,9 @@ def linearized_del_residual(density: LagrangianDensity, field: DiscreteField,
     return float(lin[n * ncols + i])
 
 
-def _region_patch_terms(density, field, v_var, w_var, region, nodes):
+def _region_patch_terms(density, field, v_var, w_var, region, flat):
     """Kernel terms of the region, and the six slot two-form contributions of
-    the patch at each of ``nodes``, shape (len(nodes), 6).
+    the patch at each of the flat nodes ``flat``, shape (len(flat), 6).
 
     Each of the three triangles of a patch (here, left, below) contributes
     its two slots not owned by the centre node, in slot order.
@@ -90,17 +90,15 @@ def _region_patch_terms(density, field, v_var, w_var, region, nodes):
     index = region_index(region, ncols)
     terms = triangle_kernel(density, field.values, index, mesh.dt, mesh.dx,
                             hessian=True)
-    xi = [v_var.values.ravel()[ix] for ix in index]
-    eta = [w_var.values.ravel()[ix] for ix in index]
+    xi, eta = v_var.values.ravel()[index], w_var.values.ravel()[index]
     omega = []
     for k in range(3):
-        out = np.zeros(len(index[0]))
+        out = np.zeros(index.shape[1])
         for j in range(3):
             out -= terms.hess[:, j, k] * (xi[j] * eta[k] - eta[j] * xi[k])
         omega.append(out)
     pos = np.full(field.values.size, -1, dtype=np.intp)
-    pos[index[0]] = np.arange(len(index[0]))
-    flat = node_index(nodes, ncols)
+    pos[index[0]] = np.arange(index.shape[1])
     here, left, below = pos[flat], pos[flat - 1], pos[flat - ncols]
     return terms, np.stack([omega[1][here], omega[2][here], omega[0][left],
                             omega[2][left], omega[0][below], omega[1][below]], axis=1)
@@ -108,8 +106,8 @@ def _region_patch_terms(density, field, v_var, w_var, region, nodes):
 
 def _patch_terms(density, field, v_var, w_var, n, i):
     """The six slot two-form contributions of the patch at (n, i)."""
-    _, terms = _region_patch_terms(density, field, v_var, w_var,
-                                   Patch3Region(n, i), [(n, i)])
+    _, terms = _region_patch_terms(density, field, v_var, w_var, Patch3Region(n, i),
+                                   np.array([n * (field.mesh.nx + 1) + i]))
     return list(terms[0])
 
 
@@ -120,12 +118,12 @@ def _patch_sums(density, field, v_var, w_var, region, base_tol, variation_tol,
     Raises at the first node (in order) where the field does not solve the
     DEL equations or, when checked, a variation the linearised ones.
     """
-    nodes = interior_nodes(region)
-    if not nodes:
+    ncols = field.mesh.nx + 1
+    flat = interior_index(region, ncols)
+    if not flat.size:
         raise ValueError(f"region {region} has no interior nodes")
     terms, contributions = _region_patch_terms(density, field, v_var, w_var,
-                                               region, nodes)
-    flat = node_index(nodes, field.mesh.nx + 1)
+                                               region, flat)
     checks = [("field does not satisfy the DEL equations",
                terms.residual[flat], base_tol)]
     if check_variations:
@@ -138,10 +136,10 @@ def _patch_sums(density, field, v_var, w_var, region, base_tol, variation_tol,
     if failures:
         k, c = min(failures)
         what, res, tol = checks[c]
-        n, i = nodes[k]
+        n, i = divmod(int(flat[k]), ncols)
         raise ValueError(f"{what} at ({n}, {i}): residual {res[k]:.3e} "
                          f"exceeds {tol:.1e}")
-    sums = np.zeros(len(nodes))
+    sums = np.zeros(flat.size)
     for column in contributions.T:  # a running total, term by term
         sums += column
     return sums, contributions
@@ -297,14 +295,13 @@ def hessian_symmetry(density: LagrangianDensity, mesh: QuadMesh,
     if method == "analytic":
         if not getattr(density, "is_quadratic", False):
             raise ValueError("analytic Hessian requires a quadratic density")
-        inner = interior_nodes(region)
         ncols = mesh.nx + 1
         terms = triangle_kernel(density, np.zeros(mesh.shape), region_index(region, ncols),
                                 mesh.dt, mesh.dx, gradient=False, hessian=True)
         size = mesh.shape[0] * ncols
-        bd, inn = node_index(bnodes, ncols), node_index(inner, ncols)
+        bd, inn = node_index(bnodes, ncols), interior_index(region, ncols)
         h = _sparse_block(terms.triplets, size, bd, bd).toarray()
-        if inner:
+        if inn.size:
             # K_bb - K_bi K_ii^-1 K_ib, with K_ii factored once.
             lu, _ = _factor_and_rcond(_sparse_block(terms.triplets, size, inn, inn),
                                       "hessian_symmetry")

@@ -231,6 +231,48 @@ class TestRowFactorisation:
         assert np.array_equal(field.values, np.array(rows))
 
 
+class TestWorkArrayAliasing:
+    @pytest.mark.parametrize("closure", CLOSURES)
+    @pytest.mark.parametrize("density", STEP_DENSITIES)
+    def test_returned_rows_do_not_change(self, density, closure):
+        mesh = build_mesh(dt=0.05, dx=0.1, nt=6, nx=9)
+        row0, row1 = _rows(mesh, 25, closure)
+        step = delsolve_module._row_stepper(density, mesh, closure)
+        first = step(row0, row1, 2)
+        kept = first.copy()
+        second = step(row1, first, 3)
+        step(first, second, 4)
+        assert np.array_equal(first, kept)
+        alone = step_row(density, mesh, row0, row1, closure, row_index=2)
+        again = alone.copy()
+        step_row(density, mesh, row1, alone, closure, row_index=3)
+        assert np.array_equal(alone, again)
+
+    @pytest.mark.parametrize("closure", CLOSURES)
+    @pytest.mark.parametrize("density", STEP_DENSITIES)
+    def test_propagate_rows_do_not_change(self, density, closure):
+        mesh = build_mesh(dt=0.05, dx=0.1, nt=6, nx=9)
+        row0, row1 = _rows(mesh, 26, closure)
+        field = propagate(density, mesh, row0, row1, closure)
+        kept = field.values.copy()
+        other = propagate(density, mesh, *_rows(mesh, 27, closure), closure)
+        assert np.array_equal(field.values, kept)
+        assert not np.shares_memory(field.values, other.values)
+
+    @pytest.mark.parametrize("density", STEP_DENSITIES)
+    def test_solve_bvp_fields_share_no_memory(self, density):
+        mesh = build_mesh(dt=0.1, dx=0.2, nt=6, nx=6)
+        reg = RectRegion(1, 1, 4, 4)
+        rng = np.random.default_rng(28)
+        nb = len(boundary_nodes(reg))
+        first = solve_bvp(density, mesh, BoundaryData(reg, 0.2 * rng.standard_normal(nb)))
+        kept = first.field.values.copy()
+        second = solve_bvp(density, mesh, BoundaryData(reg, 0.2 * rng.standard_normal(nb)),
+                           initial=first.field)
+        assert np.array_equal(first.field.values, kept)
+        assert not np.shares_memory(first.field.values, second.field.values)
+
+
 class TestNewtonCore:
     def test_quadratic_solve_bvp_factors_once(self, monkeypatch):
         # Data of size 100 leave one exact step above tol, so this solve
@@ -273,6 +315,74 @@ class TestNewtonCore:
             delsolve_module._newton(lambda x: x - 1.0,
                                     lambda x, context: (Overflowing(), 1.0, 0.0),
                                     np.zeros(2), 1e-12, 5, "probe")
+
+
+def _estimated_problem(n=24):
+    """An n x n Dirichlet problem at ratio 0.5: (n-1)^2 > 200 unknowns, so its
+    rcond is estimated with onenormest rather than computed from the inverse."""
+    mesh = build_mesh(dt=0.5 / n, dx=1.0 / n, nt=n, nx=n)
+    reg = RectRegion(0, 0, mesh.nt, mesh.nx)
+    rng = np.random.default_rng(17)
+    return mesh, BoundaryData(reg, 0.1 * rng.standard_normal(len(boundary_nodes(reg))))
+
+
+class TestConditionEstimate:
+    def test_estimate_leaves_global_rng_untouched(self):
+        mesh, data = _estimated_problem()
+        np.random.seed(5)
+        expected = np.random.rand()
+        np.random.seed(5)
+        solve_bvp(LinearWave, mesh, data)
+        assert np.random.rand() == expected
+
+    @pytest.mark.parametrize("threads", ["2", "4"])
+    def test_threaded_estimates_leave_global_rng_untouched(self, monkeypatch, threads):
+        import sys
+
+        from mslab.cli import _map_ladder
+
+        monkeypatch.setenv("MSLAB_THREADS", threads)
+        mesh, data = _estimated_problem()
+        np.random.seed(5)
+        expected = np.random.rand()
+        np.random.seed(5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often inside the estimate
+        try:
+            reports = _map_ladder(lambda _: solve_bvp(LinearWave, mesh, data), range(6))
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.random.rand() == expected
+        # Every estimate starts from the same global state.
+        assert len({report.rcond for report in reports}) == 1
+
+    @pytest.mark.parametrize("seed", [0, 5, 11])
+    def test_block_estimate_equals_per_column_estimate(self, seed):
+        from scipy.sparse.linalg import LinearOperator, onenormest, splu
+
+        from mslab.jetmesh import interior_index, region_index
+        from mslab.lagrangian import triangle_kernel
+
+        # At 30x30 the column sums of an F-ordered block product differ from
+        # those of one solve per column in the last bit.
+        mesh, data = _estimated_problem(30)
+        ncols = mesh.nx + 1
+        inner = interior_index(data.region, ncols)
+        terms = triangle_kernel(LinearWave, np.zeros(mesh.shape),
+                                region_index(data.region, ncols), mesh.dt, mesh.dx,
+                                gradient=False, hessian=True)
+        jac = delsolve_module._sparse_block(terms.triplets, mesh.shape[0] * ncols,
+                                            inner, inner)
+        lu = splu(jac.tocsc())
+        # One solve per column, as onenormest makes them from matvec alone.
+        per_column = LinearOperator(jac.shape, matvec=lambda b: lu.solve(b),
+                                    rmatvec=lambda b: lu.solve(b, trans="T"))
+        np.random.seed(seed)
+        norm_inv = onenormest(per_column)
+        norm_j = float(np.max(np.abs(jac).sum(axis=0)))
+        np.random.seed(seed)
+        _, rcond = delsolve_module._factor_and_rcond(jac, "probe")
+        assert rcond == 1.0 / (max(1.0, norm_j) * norm_inv)
 
 
 class TestSolveBvp:

@@ -15,8 +15,10 @@ from mslab import (
     build_mesh,
     field_from_csv,
     field_to_csv,
+    interior_index,
     interior_nodes,
     jet_extension,
+    node_index,
     parse_region,
     region_nodes,
     region_to_json,
@@ -223,6 +225,16 @@ class TestRegions:
             TriangleIndex(2, 3), TriangleIndex(2, 2), TriangleIndex(1, 3)]
         assert boundary_nodes(patch) == [
             (2, 4), (3, 3), (3, 2), (2, 2), (1, 3), (1, 4)]
+
+    @pytest.mark.parametrize("region", [
+        RectRegion(0, 0, 4, 5), RectRegion(1, 2, 3, 3), RectRegion(2, 1, 2, 4),
+        RectRegion(3, 3, 1, 2), RectRegion(0, 4, 4, 1), Patch3Region(2, 3),
+        Patch3Region(1, 1)])
+    @pytest.mark.parametrize("ncols", [6, 9])
+    def test_interior_index_matches_node_index(self, region, ncols):
+        flat = interior_index(region, ncols)
+        assert np.array_equal(flat, node_index(interior_nodes(region), ncols))
+        assert flat.dtype == np.intp
 
     def test_patch3_needs_interior_anchor(self):
         with pytest.raises(ValueError):

@@ -35,6 +35,7 @@ from mslab import (
     omega_k,
     quartic_test_density,
 )
+from mslab import lagrangian
 from mslab.jetmesh import region_index, triangle_index
 from mslab.lagrangian import triangle_kernel
 from mslab.msforms import _patch_terms
@@ -172,11 +173,75 @@ def test_patch_forms_match_per_triangle_loops(case):
 
 def test_non_finite_vertex_values_raise():
     mesh = build_mesh(0.5, 1.0, 2, 2)
-    values = np.zeros(mesh.shape)
-    values[1, 1] = np.nan
     index = region_index(RectRegion(0, 0, 2, 2), mesh.nx + 1)
-    with pytest.raises(ValueError, match="non-finite"):
-        triangle_kernel(LinearWave, values, index, mesh.dt, mesh.dx)
+    # The message names the first slot, in slot order, that holds the value.
+    for node, slot in (((1, 1), "u1"), ((0, 2), "u2"), ((2, 0), "u3")):
+        values = np.zeros(mesh.shape)
+        values[node] = np.nan
+        with pytest.raises(ValueError, match=f"non-finite vertex value {slot}"):
+            triangle_kernel(LinearWave, values, index, mesh.dt, mesh.dx)
     blowup = UserDensity(lambda v, w, u: 1e308 * (u * u) * 10.0, name="blowup")
     with pytest.raises(ValueError, match="non-finite"):
         triangle_kernel(blowup, np.ones(mesh.shape), index, mesh.dt, mesh.dx)
+
+
+def _per_slot_residual(grads, index, size):
+    """The residual as one bincount per slot, added slot by slot."""
+    b1, b2, b3 = (np.bincount(ix, weights=d, minlength=size)
+                  for ix, d in zip(index, grads))
+    return b1 + b2 + b3
+
+
+def _eager_triplets(hess, index):
+    """Hessian triplets as the kernel once built them on every call."""
+    idx = np.stack([np.asarray(ix, dtype=np.int32) for ix in index])
+    m = idx.shape[1]
+    key = (idx[:, None, :] * 9 + np.arange(0, 9, 3, dtype=idx.dtype).reshape(3, 1, 1)
+           + np.arange(3, dtype=idx.dtype).reshape(1, 3, 1)).ravel()
+    order = np.argsort(key, kind="stable")
+    slot, tri = np.divmod(order, m)
+    return key[order] // 9, idx[slot % 3, tri], hess[tri, slot // 3, slot % 3]
+
+
+def _bits(a):
+    return np.asarray(a).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["rect", "patch3", "ring"])
+@settings(max_examples=40, deadline=None)
+@given(case=cases)
+def test_single_scatter_matches_per_slot_bincounts(kind, case):
+    field = random_field(case)
+    density, mesh = case["density"], field.mesh
+    index = triangle_set(field, kind, np.random.default_rng(case["seed"] + 1))[0]
+    assert index.dtype == np.int32 and index.shape[0] == 3
+    terms = triangle_kernel(density, field.values, index, mesh.dt, mesh.dx)
+    reference = _per_slot_residual(terms.grads, index, field.values.size)
+    assert _bits(terms.residual) == _bits(reference)
+
+
+@pytest.mark.parametrize("kind", ["rect", "patch3", "ring"])
+@settings(max_examples=25, deadline=None)
+@given(case=cases)
+def test_lazy_triplets_equal_eager_triplets(kind, case):
+    field = random_field(case)
+    density, mesh = case["density"], field.mesh
+    index = triangle_set(field, kind, np.random.default_rng(case["seed"] + 1))[0]
+    built = []
+    sort = lagrangian._hessian_triplets
+
+    def counted(*args):
+        built.append(1)
+        return sort(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lagrangian, "_hessian_triplets", counted)
+        terms = triangle_kernel(density, field.values, index, mesh.dt, mesh.dx,
+                                hessian=True)
+        assert not built  # nothing read them yet
+        rows, cols, vals = terms.triplets
+        assert terms.triplets is terms.triplets and len(built) == 1
+    ref_rows, ref_cols, ref_vals = _eager_triplets(terms.hess, list(index))
+    assert _bits(rows) == _bits(ref_rows) and _bits(cols) == _bits(ref_cols)
+    assert _bits(vals) == _bits(ref_vals)
+    assert triangle_kernel(density, field.values, index, mesh.dt, mesh.dx).triplets is None

@@ -219,6 +219,16 @@ class TestVariationalOrders:
                                     PhasePoint(0.7, 0.4), [0.2, 0.1])
 
 
+    def test_requires_three_distinct_steps(self):
+        # Repeated steps once gave numpy's RankWarning and a fitted order.
+        ho = HarmonicOscillator(1.0)
+        with pytest.raises(ValueError, match="distinct"):
+            variational_order_check(midpoint_rule(ho), ho,
+                                    PhasePoint(0.7, 0.4), [0.1, 0.1, 0.1])
+        with pytest.raises(ValueError, match="distinct"):
+            variational_order_check(midpoint_rule(ho), ho,
+                                    PhasePoint(0.7, 0.4), [0.2, 0.1, 0.2, 0.1])
+
 class TestExactFlows:
     def test_free_flow(self):
         z1 = FreeParticle().exact_flow(PhasePoint(1.0, 2.0), 0.25)
