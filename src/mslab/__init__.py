@@ -105,7 +105,6 @@ from .msforms import (
     continuous_msff_residual,
     hessian_symmetry,
     linearized_del_residual,
-    msff_patch_residuals,
     msff_residual_patch,
     msff_residual_region,
     symplectic_flux,

@@ -40,6 +40,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -242,12 +243,12 @@ def _cmd_msff_check(args) -> int:
         [jetmesh.BoundaryData(region, amplitude * rng.standard_normal(n_bd))
          for rng in (rng_v, rng_w)])
 
-    patch = np.abs(msforms.msff_patch_residuals(density, field, v_var, w_var, region))
+    region_rep = msforms.msff_residual_region(density, field, v_var, w_var, region)
+    patch = np.abs(region_rep.node_residuals)
     k = int(np.argmax(patch))
     worst = float(patch[k])
     worst_node = (list(divmod(int(jetmesh.interior_index(region, mesh.nx + 1)[k]),
                               mesh.nx + 1)) if worst > 0.0 else None)
-    region_rep = msforms.msff_residual_region(density, field, v_var, w_var, region)
 
     centre = (mesh.nt // 2, mesh.nx // 2)
     w_bad = w_var.with_value(*centre, w_var[centre] + 1.0)
@@ -362,10 +363,7 @@ def _cmd_boundary_lagrangian(args) -> int:
         fourier = _take(cfg, "fourier", required=True)
         _reject_extra(cfg, "boundary-lagrangian")
         tol = args.tol if args.tol is not None else 1e-8
-        try:
-            data = oracles.FourierBoundaryData.from_json(fourier)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        data = _parsed("Fourier data", oracles.FourierBoundaryData.from_json, fourier)
         quad_val = _parsed("Fourier data", oracles.disc_boundary_lagrangian_quadrature,
                            data)
         ext = oracles.harmonic_extension_disc(data)
@@ -465,7 +463,7 @@ def _cmd_mechanics(args) -> int:
     z0 = _take(cfg, "z0", [0.7, 0.4])
     ladder = _take(cfg, "h_ladder", [0.4, 0.2, 0.1, 0.05, 0.025])
     _reject_extra(cfg, "mechanics")
-    if rule not in _EXPECTED_MAP_ORDER:
+    if not isinstance(rule, str) or rule not in _EXPECTED_MAP_ORDER:
         raise ConfigError(f"unknown quadrature rule {rule!r}; "
                           f"choose from {sorted(_EXPECTED_MAP_ORDER)}")
     if not (isinstance(z0, list) and len(z0) == 2):
@@ -515,6 +513,7 @@ def _cmd_mechanics(args) -> int:
 # Entry point
 
 
+@lru_cache(maxsize=None)  # one parser per process: each build takes about 0.7 ms
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mslab",

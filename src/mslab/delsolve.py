@@ -30,9 +30,12 @@ Three solution drivers are provided:
   on a single factorisation.
 
 Both nonlinear drivers, and the mechanics collocations with a dense Jacobian,
-run one Newton core (Armijo backtracking).  A quadratic density's Jacobian is
-the same at every iterate and row, so one sparse LU serves a whole
-:func:`propagate` run or :func:`solve_bvp`, whatever its iteration count.
+run one Newton core (Armijo backtracking).  All of them stop on one rule: the
+sup-norm of the residual at or below ``NEWTON_TOL`` = 1e-12 (or the
+factoriser's round-off floor), within ``NEWTON_MAX_ITER`` = 50 iterations.
+A quadratic density's Jacobian is the same at every iterate and row, so one
+sparse LU serves a whole :func:`propagate` run or :func:`solve_bvp`, whatever
+its iteration count.
 
 Every factorisation is accompanied by a reciprocal condition indicator
 
@@ -65,6 +68,8 @@ from .jetmesh import (BoundaryData, DiscreteField, QuadMesh, Region,
 from .lagrangian import LagrangianDensity, grad_Ld, triangle_kernel
 
 RCOND_FLOOR = 1e-12
+NEWTON_TOL = 1e-12
+NEWTON_MAX_ITER = 50
 # Held while onenormest draws from numpy's global RNG, until it is restored.
 _GLOBAL_RNG_LOCK = threading.Lock()
 
@@ -255,7 +260,7 @@ def _factor_and_rcond(jac: csc_matrix, context: str):
 
 def _del_newton(density: LagrangianDensity, values: np.ndarray, index, jac_index,
                 eqs, unknowns, dt: float, dx: float):
-    """``solve(x0, tol, max_iter, context)``: Newton on the DEL residuals of
+    """``solve(x0, max_iter, context)``: Newton on the DEL residuals of
     the triangles ``index`` at the flat nodes ``eqs`` of the C-contiguous
     work array ``values``, for the values at the flat nodes ``unknowns``,
     written in place (other nodes keep their value), with the Jacobian of
@@ -282,10 +287,10 @@ def _del_newton(density: LagrangianDensity, values: np.ndarray, index, jac_index
         kept = out if density.is_quadratic else None
         return out
 
-    def solve(x0, tol, max_iter, context):
+    def solve(x0, max_iter, context):
         x, norm, iterations, rcond = _newton(
             lambda x: triangle_kernel(density, fill(x), index, dt, dx).residual[eqs],
-            factor, x0, tol, max_iter, context)
+            factor, x0, NEWTON_TOL, max_iter, context)
         fill(x)
         return norm, iterations, factor(x, context)[1] if rcond is None else rcond
 
@@ -297,7 +302,7 @@ def _del_newton(density: LagrangianDensity, values: np.ndarray, index, jac_index
 
 
 def _row_stepper(density: LagrangianDensity, mesh: QuadMesh, closure: Closure, *,
-                 tol: float = 1e-12, max_iter: int = 50):
+                 max_iter: int = NEWTON_MAX_ITER):
     """``step(u_prev, u_curr, row_index)``: :func:`step_row` for a whole run.
 
     The closure, triangle indices and column sets are built once, and a
@@ -328,7 +333,7 @@ def _row_stepper(density: LagrangianDensity, mesh: QuadMesh, closure: Closure, *
         if not periodic:
             stack[2, 0], stack[2, -1] = closure.end_values(row_index)
         if len(columns):
-            solve((2.0 * u_curr - u_prev)[columns], tol, max_iter,
+            solve((2.0 * u_curr - u_prev)[columns], max_iter,
                   f"step_row (row {row_index})")
         return stack[2].copy()
 
@@ -336,8 +341,8 @@ def _row_stepper(density: LagrangianDensity, mesh: QuadMesh, closure: Closure, *
 
 
 def step_row(density: LagrangianDensity, mesh: QuadMesh, u_prev, u_curr,
-             closure: Closure, *, row_index: int = 1, tol: float = 1e-12,
-             max_iter: int = 50) -> np.ndarray:
+             closure: Closure, *, row_index: int = 1,
+             max_iter: int = NEWTON_MAX_ITER) -> np.ndarray:
     """Advance one time level: solve the DEL equations of the current row.
 
     ``u_prev``/``u_curr`` are the two known consecutive rows; the return value
@@ -347,7 +352,7 @@ def step_row(density: LagrangianDensity, mesh: QuadMesh, u_prev, u_curr,
     the time index of the new row, used for callable fixed-end values and
     named in solver errors.
     """
-    step = _row_stepper(density, mesh, closure, tol=tol, max_iter=max_iter)
+    step = _row_stepper(density, mesh, closure, max_iter=max_iter)
     return step(u_prev, u_curr, row_index)
 
 
@@ -379,8 +384,7 @@ class BvpSolveReport:
 
 
 def solve_bvp(density: LagrangianDensity, mesh: QuadMesh, boundary: BoundaryData,
-              *, tol: float = 1e-12, max_iter: int = 50,
-              initial: DiscreteField = None) -> BvpSolveReport:
+              *, initial: DiscreteField = None) -> BvpSolveReport:
     """Solve the DEL equations on a region with Dirichlet boundary data.
 
     Unknowns are the strict interior nodes of ``boundary.region``; equations
@@ -400,22 +404,22 @@ def solve_bvp(density: LagrangianDensity, mesh: QuadMesh, boundary: BoundaryData
           else initial.values.ravel()[inner])
     index = region_index(region, ncols)
     solve = _del_newton(density, base, index, index, inner, inner, mesh.dt, mesh.dx)
-    norm, iters, rcond = solve(x0, tol, max_iter, "solve_bvp")
+    norm, iters, rcond = solve(x0, NEWTON_MAX_ITER, "solve_bvp")
     return BvpSolveReport(field=DiscreteField(mesh, base), region=region,
                           residual_norm=norm, iterations=iters, rcond=rcond)
 
 
 def tangent_solve(density: LagrangianDensity, field: DiscreteField, region: Region,
-                  tangent_boundary, *, base_tol: float = 1e-8):
+                  tangent_boundary):
     """Solve the linearised DEL equations for first variations.
 
     ``field`` must satisfy the DEL equations at the interior nodes of
-    ``region`` (checked against ``base_tol``).  ``tangent_boundary`` is one
-    :class:`BoundaryData` or a sequence of them; the Jacobian is factored
-    once and back-solved for each.  Each returned field carries its
-    prescribed boundary tangent, solves the linearisation at the interior
-    nodes and is zero outside the region: one field for one boundary, else
-    a list in the given order.
+    ``region`` to 1e-8, a margin well above the solvers' 1e-12.
+    ``tangent_boundary`` is one :class:`BoundaryData` or a sequence of them;
+    the Jacobian is factored once and back-solved for each.  Each returned
+    field carries its prescribed boundary tangent, solves the linearisation
+    at the interior nodes and is zero outside the region: one field for one
+    boundary, else a list in the given order.
     """
     mesh = field.mesh
     single = isinstance(tangent_boundary, BoundaryData)
@@ -429,7 +433,7 @@ def tangent_solve(density: LagrangianDensity, field: DiscreteField, region: Regi
         raise ValueError(f"region {region} has no interior nodes")
     terms = triangle_kernel(density, field.values, region_index(region, ncols),
                             mesh.dt, mesh.dx, hessian=True)
-    res = terms.residual[inner]
+    res, base_tol = terms.residual[inner], 1e-8
     bad = np.flatnonzero(np.abs(res) > base_tol)
     if bad.size:
         (n, i), worst = divmod(int(inner[bad[0]]), ncols), res[bad[0]]

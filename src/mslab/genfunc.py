@@ -67,12 +67,10 @@ class BoundaryLagrangianResult:
 
 
 def boundary_lagrangian(density: LagrangianDensity, mesh: QuadMesh,
-                        boundary: BoundaryData, *, tol: float = 1e-12,
-                        max_iter: int = 50,
+                        boundary: BoundaryData, *,
                         initial: DiscreteField = None) -> BoundaryLagrangianResult:
     """Extremal discrete action as a function of Dirichlet boundary data."""
-    report = solve_bvp(density, mesh, boundary, tol=tol, max_iter=max_iter,
-                       initial=initial)
+    report = solve_bvp(density, mesh, boundary, initial=initial)
     value = region_action(density, report.field, boundary.region)
     return BoundaryLagrangianResult(value=value, report=report)
 

@@ -37,7 +37,7 @@ import numpy as np
 from numpy.polynomial import legendre as npleg
 
 from . import dual
-from .delsolve import SolverError, _newton
+from .delsolve import NEWTON_MAX_ITER, NEWTON_TOL, SolverError, _newton
 
 
 class PhasePoint(NamedTuple):
@@ -186,10 +186,10 @@ def _jacobian(residual_fn, x: np.ndarray) -> np.ndarray:
     return np.broadcast_to(getattr(res, "du", 0.0), (n, n)).T.copy()
 
 
-def _newton_dense(residual_fn, x0, tol: float, max_iter: int,
-                  context: str) -> np.ndarray:
-    """:func:`~mslab.delsolve._newton` on a vector residual (a scalar for one
-    unknown), with the dual-number Jacobian solved densely."""
+def _newton_dense(residual_fn, x0, context: str) -> np.ndarray:
+    """:func:`~mslab.delsolve._newton`, with its stopping rule, on a vector
+    residual (a scalar for one unknown), with the dual-number Jacobian solved
+    densely."""
 
     def factor(x, context):
         jac = _jacobian(residual_fn, x)
@@ -210,7 +210,7 @@ def _newton_dense(residual_fn, x0, tol: float, max_iter: int,
         return SimpleNamespace(solve=solve), None, floor
 
     return _newton(lambda x: np.atleast_1d(residual_fn(x)), factor,
-                   x0, tol, max_iter, context)[0]
+                   x0, NEWTON_TOL, NEWTON_MAX_ITER, context)[0]
 
 
 def _check_step(lagr: MechLagrangian, h: float) -> None:
@@ -223,7 +223,7 @@ def _check_step(lagr: MechLagrangian, h: float) -> None:
 
 
 def _collocation_extremal(lagr: MechLagrangian, q0: float, q1: float, h: float,
-                          n_nodes: int, tol: float, max_iter: int):
+                          n_nodes: int):
     """Solve the endpoint problem; returns (weights*h/2, qs, qdots)."""
     _check_step(lagr, h)
     nodes, weights = lobatto(n_nodes)
@@ -241,34 +241,31 @@ def _collocation_extremal(lagr: MechLagrangian, q0: float, q1: float, h: float,
         return dual.concatenate((qs[:1] - q0, interior, qs[n - 1:] - q1))
 
     x0 = q0 + (q1 - q0) * (nodes + 1.0) / 2.0
-    qs = _newton_dense(residual, x0, tol, max_iter, "collocation")
+    qs = _newton_dense(residual, x0, "collocation")
     qdots = d @ qs
     return weights * (h / 2.0), qs, qdots
 
 
 def exact_discrete_lagrangian(lagr: MechLagrangian, q0: float, q1: float,
-                              h: float, *, n_nodes: int = 8,
-                              tol: float = 1e-12, max_iter: int = 50) -> float:
+                              h: float, *, n_nodes: int = 8) -> float:
     """Extremal action over [0, h] with endpoint values (q0, q1)."""
-    wts, qs, qdots = _collocation_extremal(lagr, q0, q1, h, n_nodes, tol, max_iter)
+    wts, qs, qdots = _collocation_extremal(lagr, q0, q1, h, n_nodes)
     return float(sum(w * lagr.value(q, qd) for w, q, qd in zip(wts, qs, qdots)))
 
 
 def endpoint_momenta(lagr: MechLagrangian, q0: float, q1: float, h: float,
-                     *, n_nodes: int = 8, tol: float = 1e-12,
-                     max_iter: int = 50) -> tuple:
+                     *, n_nodes: int = 8) -> tuple:
     """Outward endpoint momenta (-p(0), +p(h)) of the extremal.
 
     These are the two partial derivatives of the exact discrete Lagrangian —
     the mechanics limit of the slot-sum boundary momenta.
     """
-    _, qs, qdots = _collocation_extremal(lagr, q0, q1, h, n_nodes, tol, max_iter)
+    _, qs, qdots = _collocation_extremal(lagr, q0, q1, h, n_nodes)
     return (-float(lagr.d_qdot(qs[0], qdots[0])), float(lagr.d_qdot(qs[-1], qdots[-1])))
 
 
 def exact_discrete_hamiltonian(h_fn: Callable, q0: float, p1: float, h: float,
-                               *, n_nodes: int = 8, tol: float = 1e-12,
-                               max_iter: int = 50) -> float:
+                               *, n_nodes: int = 8) -> float:
     """Type-II generating value with q(0) = q0 and p(h) = p1.
 
     Collocates the canonical equations (value equation at all nodes but the
@@ -296,7 +293,7 @@ def exact_discrete_hamiltonian(h_fn: Callable, q0: float, p1: float, h: float,
     slope0 = dual.partial(h_fn, 1, (float(q0), float(p1)))
     x0 = np.concatenate((q0 + slope0 * (nodes + 1.0) * h / 2.0,
                          np.full(n, float(p1))))
-    z = _newton_dense(residual, x0, tol, max_iter, "canonical collocation")
+    z = _newton_dense(residual, x0, "canonical collocation")
     qs, ps = z[:n], z[n:]
     qdots = (d_unit * (2.0 / h)) @ qs
     wts = weights * (h / 2.0)
@@ -309,8 +306,7 @@ def exact_discrete_hamiltonian(h_fn: Callable, q0: float, p1: float, h: float,
 # One-step maps from discrete Lagrangians
 
 
-def type1_map(ld: Callable, z0: PhasePoint, h: float, *, tol: float = 1e-12,
-              max_iter: int = 50) -> PhasePoint:
+def type1_map(ld: Callable, z0: PhasePoint, h: float) -> PhasePoint:
     """Advance (q0, p0) through a discrete Lagrangian ld(q0, q1).
 
     Solves d1 ld(q0, q1) + p0 = 0 for q1 with the collocation Newton
@@ -322,14 +318,18 @@ def type1_map(ld: Callable, z0: PhasePoint, h: float, *, tol: float = 1e-12,
     def residual(x):  # on the scalar x[0]: one unknown needs no arrays
         return dual.partial(ld, 0, (q0, x[0])) + p0
 
-    q1 = float(_newton_dense(residual, [q0 + h * p0], tol, max_iter, "type1_map")[0])
+    q1 = float(_newton_dense(residual, [q0 + h * p0], "type1_map")[0])
     return PhasePoint(q1, float(dual.partial(ld, 1, (q0, q1))))
 
 
-def symplecticity_check(map_fn: Callable, z0: PhasePoint, *,
-                        fd_step: float = 1e-6) -> float:
-    """|det(Jacobian) - 1| of a phase-space map at z0 (central differences)."""
-    q, p = float(z0.q), float(z0.p)
+def symplecticity_check(map_fn: Callable, z0: PhasePoint) -> float:
+    """|det(Jacobian) - 1| of a phase-space map at z0.
+
+    Central differences of step 1e-6: the truncation error is O(1e-12), and
+    map values accurate to the Newton tolerance 1e-12 move each derivative
+    by about 1e-6 at most.
+    """
+    q, p, fd_step = float(z0.q), float(z0.p), 1e-6
 
     def at(dq, dp):
         out = map_fn(PhasePoint(q + dq, p + dp))
@@ -400,26 +400,23 @@ def _fit_order(h_values, errors) -> float:
 
 
 def variational_order_check(family: Callable, lagr: MechLagrangian,
-                            z0: PhasePoint, h_values: Sequence[float],
-                            *, n_nodes: int = 8,
-                            horizon: float = 1.0) -> OrderReport:
+                            z0: PhasePoint, h_values: Sequence[float]) -> OrderReport:
     """Fit convergence orders of a one-step discrete-Lagrangian family.
 
     For each h the reference endpoint q1 comes from the exact flow of z0 (the
     error theory of discrete Lagrangians lives near the flow diagonal); the
     functional error compares the family against the exact discrete
     Lagrangian.  The map error composes the induced one-step map over
-    round(horizon / h) steps and compares against the exact flow over the
-    same elapsed time, so its fitted rate is the usual global order of the
-    method.  Requires a Lagrangian from the built-in catalogue (exact flow
-    available) and at least three distinct ladder steps.
+    round(1 / h) steps, up to the unit time horizon, and compares against
+    the exact flow over the same elapsed time, so its fitted rate is the
+    usual global order of the method.  Requires a Lagrangian from the
+    built-in catalogue (exact flow available) and at least three distinct
+    ladder steps.
     """
     if len(set(h_values)) < 3:
         raise ValueError("order fit needs at least three distinct step sizes")
     if not hasattr(lagr, "exact_flow"):
         raise ValueError(f"{lagr.name} has no exact flow; cannot fit orders")
-    if not horizon > 0.0:
-        raise ValueError(f"horizon must be positive, got {horizon!r}")
     e_func, e_map = [], []
     for h in h_values:
         _check_step(lagr, h)
@@ -427,11 +424,10 @@ def variational_order_check(family: Callable, lagr: MechLagrangian,
         if hasattr(lagr, "exact_ld"):
             ld_exact = lagr.exact_ld(z0.q, z1.q, h)
         else:
-            ld_exact = exact_discrete_lagrangian(lagr, z0.q, z1.q, h,
-                                                 n_nodes=n_nodes)
+            ld_exact = exact_discrete_lagrangian(lagr, z0.q, z1.q, h)
         ld_h = family(h)
         e_func.append(abs(ld_h(z0.q, z1.q) - ld_exact))
-        n_steps = max(1, round(horizon / h))
+        n_steps = max(1, round(1.0 / h))
         z_num = z0
         for _ in range(n_steps):
             z_num = type1_map(ld_h, z_num, h)

@@ -47,16 +47,16 @@ class FormResidualReport:
 
     ``residual`` is the signed sum that should vanish, ``max_term`` the
     largest single contribution (the natural scale to judge cancellation
-    against) and ``n_terms`` the number of contributions summed.
+    against) and ``n_terms`` the number of contributions summed.  A region
+    report's ``node_residuals`` are the patch residuals at its interior
+    nodes, ordered as :func:`~mslab.jetmesh.interior_nodes` (empty for the
+    continuum route).
     """
 
     residual: float
     max_term: float
     n_terms: int
-
-    def to_json(self) -> dict:
-        return {"residual": self.residual, "max_term": self.max_term,
-                "n_terms": self.n_terms}
+    node_residuals: np.ndarray
 
 
 def _hessian_product(triplets, x, size: int) -> np.ndarray:
@@ -111,12 +111,31 @@ def _patch_terms(density, field, v_var, w_var, n, i):
     return list(terms[0])
 
 
-def _patch_sums(density, field, v_var, w_var, region, base_tol, variation_tol,
-                check_variations):
-    """Six-term sums at the interior nodes of the region, and all terms.
+def msff_residual_patch(density: LagrangianDensity, field: DiscreteField,
+                        v_var: DiscreteField, w_var: DiscreteField,
+                        n: int, i: int, *, variation_tol: float = 1e-9,
+                        check_variations: bool = False) -> FormResidualReport:
+    """Six-term two-form cancellation at one interior node.
+
+    The field must solve the DEL equations at (n, i) (always checked); V and
+    W must solve the linearised equations there for the identity to hold —
+    pass ``check_variations=True`` to have that verified too (left off by
+    default so deliberate negative controls can be evaluated).
+    """
+    return msff_residual_region(density, field, v_var, w_var, Patch3Region(n, i),
+                                variation_tol=variation_tol,
+                                check_variations=check_variations)
+
+
+def msff_residual_region(density: LagrangianDensity, field: DiscreteField,
+                         v_var: DiscreteField, w_var: DiscreteField,
+                         region: Region, *, variation_tol: float = 1e-9,
+                         check_variations: bool = False) -> FormResidualReport:
+    """Patch identity at every interior node of a region, and its sum.
 
     Raises at the first node (in order) where the field does not solve the
-    DEL equations or, when checked, a variation the linearised ones.
+    DEL equations to 1e-9, a margin above the solvers' 1e-12, or, when
+    checked, a variation the linearised ones to ``variation_tol``.
     """
     ncols = field.mesh.nx + 1
     flat = interior_index(region, ncols)
@@ -124,8 +143,7 @@ def _patch_sums(density, field, v_var, w_var, region, base_tol, variation_tol,
         raise ValueError(f"region {region} has no interior nodes")
     terms, contributions = _region_patch_terms(density, field, v_var, w_var,
                                                region, flat)
-    checks = [("field does not satisfy the DEL equations",
-               terms.residual[flat], base_tol)]
+    checks = [("field does not satisfy the DEL equations", terms.residual[flat], 1e-9)]
     if check_variations:
         checks += [(f"variation {label} does not satisfy the linearised DEL equations",
                     _hessian_product(terms.triplets, var.values.ravel(),
@@ -142,48 +160,9 @@ def _patch_sums(density, field, v_var, w_var, region, base_tol, variation_tol,
     sums = np.zeros(flat.size)
     for column in contributions.T:  # a running total, term by term
         sums += column
-    return sums, contributions
-
-
-def msff_residual_patch(density: LagrangianDensity, field: DiscreteField,
-                        v_var: DiscreteField, w_var: DiscreteField,
-                        n: int, i: int, *, base_tol: float = 1e-9,
-                        variation_tol: float = 1e-9,
-                        check_variations: bool = False) -> FormResidualReport:
-    """Six-term two-form cancellation at one interior node.
-
-    The field must solve the DEL equations at (n, i) (always checked); V and
-    W must solve the linearised equations there for the identity to hold —
-    pass ``check_variations=True`` to have that verified too (left off by
-    default so deliberate negative controls can be evaluated).
-    """
-    return msff_residual_region(density, field, v_var, w_var, Patch3Region(n, i),
-                                base_tol=base_tol, variation_tol=variation_tol,
-                                check_variations=check_variations)
-
-
-def msff_patch_residuals(density: LagrangianDensity, field: DiscreteField,
-                         v_var: DiscreteField, w_var: DiscreteField,
-                         region: Region, *, base_tol: float = 1e-9,
-                         variation_tol: float = 1e-9,
-                         check_variations: bool = False) -> np.ndarray:
-    """The residual of :func:`msff_residual_patch` at every interior node of
-    a region, ordered as :func:`~mslab.jetmesh.interior_nodes`."""
-    return _patch_sums(density, field, v_var, w_var, region, base_tol,
-                       variation_tol, check_variations)[0]
-
-
-def msff_residual_region(density: LagrangianDensity, field: DiscreteField,
-                         v_var: DiscreteField, w_var: DiscreteField,
-                         region: Region, *, base_tol: float = 1e-9,
-                         variation_tol: float = 1e-9,
-                         check_variations: bool = False) -> FormResidualReport:
-    """Patch identity summed over the interior nodes of a region."""
-    sums, contributions = _patch_sums(density, field, v_var, w_var, region,
-                                      base_tol, variation_tol, check_variations)
     return FormResidualReport(residual=float(np.cumsum(sums)[-1]),
                               max_term=float(np.max(np.abs(contributions))),
-                              n_terms=contributions.size)
+                              n_terms=contributions.size, node_residuals=sums)
 
 
 # ---------------------------------------------------------------------------
@@ -270,9 +249,7 @@ class SymmetryReport:
 
 
 def hessian_symmetry(density: LagrangianDensity, mesh: QuadMesh,
-                     boundary: BoundaryData, *, method: str = "auto",
-                     fd_step: float = 1e-4, tol: float = 1e-12,
-                     max_iter: int = 50) -> SymmetryReport:
+                     boundary: BoundaryData, *, method: str = "auto") -> SymmetryReport:
     """Second derivative of the extremal action w.r.t. boundary values.
 
     ``analytic`` (quadratic densities) eliminates the interior block, factored
@@ -280,7 +257,9 @@ def hessian_symmetry(density: LagrangianDensity, mesh: QuadMesh,
     vertex-slot Hessian (Schur complement).  ``fd`` recovers the
     same matrix by central differences of the boundary momenta around the
     given data, which probes the nonlinear solve path; each perturbed solve
-    starts from the solution for the given data.  Either way the matrix
+    starts from the solution for the given data.  The step 1e-4 keeps both
+    the O(step^2) truncation error and the Newton tolerance 1e-12 divided by
+    the step near 1e-8.  Either way the matrix
     is the mixed-partials matrix of a single scalar function, so its
     asymmetry measures only numerical error.
     """
@@ -308,14 +287,13 @@ def hessian_symmetry(density: LagrangianDensity, mesh: QuadMesh,
             k_bi = _sparse_block(terms.triplets, size, bd, inn)
             h -= k_bi @ lu.solve(k_bi.T.toarray())
     elif method == "fd":
-        base = solve_bvp(density, mesh, boundary, tol=tol, max_iter=max_iter).field
+        base, fd_step = solve_bvp(density, mesh, boundary).field, 1e-4
         nb = len(bnodes)
         h = np.zeros((nb, nb))
         for a in range(nb):
-            plus = solve_bvp(density, mesh, boundary.perturbed(a, fd_step),
-                             tol=tol, max_iter=max_iter, initial=base)
+            plus = solve_bvp(density, mesh, boundary.perturbed(a, fd_step), initial=base)
             minus = solve_bvp(density, mesh, boundary.perturbed(a, -fd_step),
-                              tol=tol, max_iter=max_iter, initial=base)
+                              initial=base)
             pi_plus = normal_momenta(density, plus.field, region)
             pi_minus = normal_momenta(density, minus.field, region)
             h[a, :] = (pi_plus.values - pi_minus.values) / (2.0 * fd_step)
@@ -331,9 +309,8 @@ def hessian_symmetry(density: LagrangianDensity, mesh: QuadMesh,
 # Continuum boundary integral (independent of the mesh machinery)
 
 
-def continuous_msff_residual(density: QuadraticDensity, v_sol, w_sol, *,
-                             rect=(0.0, 1.0, 0.0, 1.0),
-                             n_points: int = 32) -> FormResidualReport:
+def continuous_msff_residual(density: QuadraticDensity, v_sol,
+                             w_sol) -> FormResidualReport:
     """Boundary circulation of the variation one-form for exact solutions.
 
     ``v_sol``/``w_sol`` are first variations given as objects with
@@ -344,9 +321,11 @@ def continuous_msff_residual(density: QuadraticDensity, v_sol, w_sol, *,
         A0 = Lvv*(V Wt - W Vt) + Lvw*(V Wx - W Vx),
         A1 = Lvw*(V Wt - W Vt) + Lww*(V Wx - W Vx),
 
-    is integrated counterclockwise around the rectangle (t0, t1, x0, x1)
-    with a fixed-order Gauss-Legendre rule per edge.  For solutions of the
-    continuum field equations the circulation vanishes.
+    is integrated counterclockwise around the unit square [0, 1]^2 with a
+    32-point Gauss-Legendre rule per edge, exact to degree 63 and so at
+    round-off for the catalogue's polynomial and low-mode trigonometric
+    solutions.  For solutions of the continuum field equations the
+    circulation vanishes.
 
     Densities coupling the cell average have no continuum transcription here;
     they are checked through the discrete route only.
@@ -357,26 +336,22 @@ def continuous_msff_residual(density: QuadraticDensity, v_sol, w_sol, *,
         raise ValueError("densities coupling the cell average route through "
                          "the discrete identity only")
     lvv, lvw, lww = density.vv, density.vw, density.ww
-    t0, t1, x0, x1 = (float(s) for s in rect)
-    if not (t1 > t0 and x1 > x0):
-        raise ValueError(f"degenerate rectangle {rect!r}")
 
     def a_components(t, x):
         vt = v_sol.value(t, x) * w_sol.dt(t, x) - w_sol.value(t, x) * v_sol.dt(t, x)
         vx = v_sol.value(t, x) * w_sol.dx(t, x) - w_sol.value(t, x) * v_sol.dx(t, x)
         return lvv * vt + lvw * vx, lvw * vt + lww * vx
 
-    nodes, weights = np.polynomial.legendre.leggauss(n_points)
+    nodes, weights = np.polynomial.legendre.leggauss(32)
 
-    def line(f, lo, hi):
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        return half * sum(w * f(mid + half * s) for s, w in zip(nodes, weights))
+    def line(f):  # over [0, 1]
+        return 0.5 * sum(w * f(0.5 + 0.5 * s) for s, w in zip(nodes, weights))
 
-    bottom = line(lambda x: a_components(t0, x)[0], x0, x1)
-    right = line(lambda t: -a_components(t, x1)[1], t0, t1)
-    top = -line(lambda x: a_components(t1, x)[0], x0, x1)
-    left = line(lambda t: a_components(t, x0)[1], t0, t1)
+    bottom = line(lambda x: a_components(0.0, x)[0])
+    right = line(lambda t: -a_components(t, 1.0)[1])
+    top = -line(lambda x: a_components(1.0, x)[0])
+    left = line(lambda t: a_components(t, 0.0)[1])
     edges = [bottom, right, top, left]
     return FormResidualReport(residual=float(sum(edges)),
                               max_term=float(max(abs(e) for e in edges)),
-                              n_terms=4)
+                              n_terms=4, node_residuals=np.zeros(0))

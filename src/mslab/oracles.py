@@ -150,7 +150,7 @@ class SquareBoundaryData:
         return SquareBoundaryData(**edges)
 
 
-def compatibility_residual(data: SquareBoundaryData, n_samples: int = 401) -> float:
+def compatibility_residual(data: SquareBoundaryData) -> float:
     """Sup-norm of the characteristic compatibility combination.
 
     For traces of any u = F(x-t) + G(x+t),
@@ -158,14 +158,13 @@ def compatibility_residual(data: SquareBoundaryData, n_samples: int = 401) -> fl
         C(a) = left(a) + right(1-a) - bottom(a) - top(1-a)
 
     vanishes identically (matched parameter on all four edges).  The returned
-    value is max |C| over a uniform closed grid, an oracle for whether edge
-    data can come from a single wave solution.
+    value is max |C| over a uniform closed grid of 401 samples (spacing
+    1/400, finer than the highest catalogue mode), an oracle for whether
+    edge data can come from a single wave solution.
     """
-    if n_samples < 2:
-        raise ValueError("need at least the two endpoint samples")
     return float(max(0.0, *(abs(data.left.value(a) + data.right.value(1.0 - a)
                                 - data.bottom.value(a) - data.top.value(1.0 - a))
-                            for a in np.linspace(0.0, 1.0, n_samples))))
+                            for a in np.linspace(0.0, 1.0, 401))))
 
 
 # ---------------------------------------------------------------------------
@@ -238,10 +237,7 @@ class DalembertSolution:
         return self.f_prime(x - t) + self.g_prime(x + t)
 
 
-def dalembert_solve(data: SquareBoundaryData, *, poly_degree: int = 6,
-                    n_sine: int = 6, n_collocation: int = 80,
-                    residual_tol: float = 1e-8,
-                    lstsq_rcond: float = 1e-13) -> DalembertSolution:
+def dalembert_solve(data: SquareBoundaryData) -> DalembertSolution:
     """Characteristic functions F, G from the four edge traces.
 
     Collocates the four edge relations
@@ -251,17 +247,17 @@ def dalembert_solve(data: SquareBoundaryData, *, poly_degree: int = 6,
         F(x - 1) + G(x + 1) = top(x),
         F(1 - t) + G(1 + t) = right(t),
 
-    in the least-squares sense over the fixed basis (Legendre polynomials to
-    ``poly_degree`` plus sin(k pi s) for k <= ``n_sine``, per function), with
-    F(0) = G(0) = u(0,0)/2 pinning the constant split.  Within this basis the
-    relations have no other null direction, so the solve is well-posed; a
-    collocation residual above ``residual_tol`` means the data lie outside
-    the representable class (or are incompatible) and raises.  The smallest
-    legitimate singular values of the system sit near 1e-3, hence the gentle
-    ``lstsq_rcond`` — aggressive truncation would delete real components.
+    in the least-squares sense at 80 samples per edge over the fixed basis
+    (Legendre polynomials to degree 6 plus sin(k pi s) for k <= 6, per
+    function), with F(0) = G(0) = u(0,0)/2 pinning the constant split.
+    Within this basis the relations have no other null direction, so the
+    solve is well-posed; a collocation residual above 1e-8 means the data
+    lie outside the representable class (or are incompatible) and raises.
+    The smallest legitimate singular values of the system sit near 1e-3,
+    hence the gentle lstsq cutoff rcond = 1e-13 — aggressive truncation
+    would delete real components.
     """
-    if poly_degree < 0 or n_sine < 0 or n_collocation < 4:
-        raise ValueError("degenerate basis/collocation sizes")
+    poly_degree, n_sine, n_collocation = 6, 6, 80
     nf = poly_degree + 1 + n_sine
 
     def basis(s, shift: float) -> np.ndarray:
@@ -287,9 +283,9 @@ def dalembert_solve(data: SquareBoundaryData, *, poly_degree: int = 6,
 
     a = np.vstack([blocks.reshape(4 * n_collocation, 2 * nf), pins])
     b = np.array(rhs)
-    coeffs, *_ = np.linalg.lstsq(a, b, rcond=lstsq_rcond)
+    coeffs, *_ = np.linalg.lstsq(a, b, rcond=1e-13)
     fit_residual = float(np.max(np.abs(a @ coeffs - b)))
-    if fit_residual > residual_tol:
+    if fit_residual > 1e-8:
         raise ValueError(
             "edge data admit no characteristic representation in the "
             f"reconstruction space (collocation residual {fit_residual:.3e}); "
@@ -323,8 +319,7 @@ class WaveSquareReport:
         return abs(abs(self.formula_value) - abs(self.action_value))
 
 
-def wave_square_boundary_lagrangian(data: SquareBoundaryData, *,
-                                    quad_tol: float = 1e-12) -> WaveSquareReport:
+def wave_square_boundary_lagrangian(data: SquareBoundaryData) -> WaveSquareReport:
     """Boundary Lagrangian of the unit-speed wave on the unit square.
 
     Route one is the data-only closed form
@@ -339,7 +334,9 @@ def wave_square_boundary_lagrangian(data: SquareBoundaryData, *,
         - integral_{-1}^{1} F'(a) [G(2 - |a|) - G(|a|)] da.
 
     The kernel modes invisible to the edge data contribute nothing to the
-    action, so both routes are well-defined functions of the data.
+    action, so both routes are well-defined functions of the data.  Each
+    integral is adaptive ``quad`` to 1e-12 absolute and relative error, four
+    orders below the 1e-8 gate on the gap between the routes.
     """
     from scipy.integrate import quad
 
@@ -347,18 +344,16 @@ def wave_square_boundary_lagrangian(data: SquareBoundaryData, *,
         return ((data.bottom.derivative(alpha) - data.left.derivative(alpha))
                 * (data.right.value(1.0 - alpha) - data.bottom.value(alpha)))
 
-    formula, _ = quad(formula_integrand, 0.0, 1.0, epsabs=quad_tol,
-                      epsrel=1e-12, limit=200)
+    formula, _ = quad(formula_integrand, 0.0, 1.0, epsabs=1e-12, epsrel=1e-12,
+                      limit=200)
 
     solution = dalembert_solve(data)
 
     def action_integrand(a):
         return solution.f_prime(a) * (solution.g(2.0 - abs(a)) - solution.g(abs(a)))
 
-    neg, _ = quad(action_integrand, -1.0, 0.0, epsabs=quad_tol, epsrel=1e-12,
-                  limit=200)
-    pos, _ = quad(action_integrand, 0.0, 1.0, epsabs=quad_tol, epsrel=1e-12,
-                  limit=200)
+    neg, _ = quad(action_integrand, -1.0, 0.0, epsabs=1e-12, epsrel=1e-12, limit=200)
+    pos, _ = quad(action_integrand, 0.0, 1.0, epsabs=1e-12, epsrel=1e-12, limit=200)
     action = -(neg + pos)
     return WaveSquareReport(formula_value=float(formula),
                             action_value=float(action), solution=solution)
@@ -466,11 +461,12 @@ def dtn_pairing(f: FourierBoundaryData, g: FourierBoundaryData) -> float:
     return out
 
 
-def disc_boundary_lagrangian_quadrature(data: FourierBoundaryData,
-                                        tol: float = 1e-11) -> float:
+def disc_boundary_lagrangian_quadrature(data: FourierBoundaryData) -> float:
     """Quadrature route for the disc boundary Lagrangian: (1/2) ∮ u Λu dθ.
 
-    ValueError, before ``quad`` runs, if a bound of the integral overflows.
+    Adaptive ``quad`` to 1e-11 absolute and 1e-12 relative error, three
+    orders below the 1e-8 gate on the gap to the closed form.  ValueError,
+    before ``quad`` runs, if a bound of the integral overflows.
     """
     if not math.isfinite(2.0 * math.pi * (abs(data.a0) + sum(map(abs, data.a + data.b)))
                          * sum(k * (abs(a) + abs(b)) for k, (a, b) in
@@ -483,6 +479,5 @@ def disc_boundary_lagrangian_quadrature(data: FourierBoundaryData,
     def integrand(theta):
         return data.trace(theta) * ext.dtn.trace(theta)
 
-    val, _ = quad(integrand, 0.0, 2.0 * math.pi, epsabs=tol, epsrel=1e-12,
-                  limit=200)
+    val, _ = quad(integrand, 0.0, 2.0 * math.pi, epsabs=1e-11, epsrel=1e-12, limit=200)
     return 0.5 * val

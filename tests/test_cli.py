@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,6 +9,8 @@ import numpy as np
 import pytest
 
 import mslab
+import mslab.cli
+import mslab.msforms
 from mslab import QuadMesh, field_from_csv
 from mslab.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, EXIT_TOLERANCE, main
 
@@ -43,6 +46,17 @@ class TestExitZero:
         assert report["passed"] is True
         assert report["results"]["max_patch_residual"] <= 1e-9
         assert report["results"]["negative_control"] > 1e-6
+
+    def test_msff_check_with_coefficient_density(self, tmp_path, capsys):
+        # The README's coefficient-mapping form of the wave density.
+        by_name = write_config(tmp_path, "name.json",
+                               dict(MSFF_CONFIG, density="linear_wave"))
+        by_coeffs = write_config(tmp_path, "coeffs.json",
+                                 dict(MSFF_CONFIG, density={"vv": 1.0, "ww": -1.0}))
+        _, named = run(capsys, ["msff-check", "--config", by_name])
+        code, mapped = run(capsys, ["msff-check", "--config", by_coeffs])
+        assert code == EXIT_OK
+        assert json.dumps(mapped["results"]) == json.dumps(named["results"])
 
     def test_bridges_conservation(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", BRIDGES_CONFIG)
@@ -171,6 +185,18 @@ class TestExitConfig:
         assert "distinct" in err
 
 
+    @pytest.mark.parametrize("command, payload", [
+        ("boundary-lagrangian", {"problem": "disc", "fourier": {"a": 5}}),
+        ("boundary-lagrangian", {"problem": "disc", "fourier": {"a0": None}}),
+        ("mechanics", dict(MECH_CONFIG, rule=["midpoint"])),
+    ])
+    def test_malformed_value(self, tmp_path, capsys, command, payload):
+        cfg = write_config(tmp_path, "c.json", payload)
+        assert main([command, "--config", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("mslab: config error: ") and err.count("\n") == 1
+
+
 class TestExitSolver:
     def test_unit_ratio_singularity(self, tmp_path):
         cfg = write_config(tmp_path, "c.json",
@@ -251,6 +277,33 @@ class TestReports:
         monkeypatch.setenv("MSLAB_THREADS", "3")
         _, threaded = run(capsys, ["boundary-lagrangian", "--config", cfg])
         assert serial["results"] == threaded["results"]
+
+
+class TestOnePass:
+    def test_msff_check_makes_one_region_pass(self, tmp_path, capsys, monkeypatch):
+        # One kernel call for the region (its per-node residuals included)
+        # and one for the negative-control patch.
+        calls = []
+        kernel = mslab.msforms.triangle_kernel
+        monkeypatch.setattr(mslab.msforms, "triangle_kernel",
+                            lambda *a, **kw: calls.append(1) or kernel(*a, **kw))
+        cfg = write_config(tmp_path, "c.json", MSFF_CONFIG)
+        code, _ = run(capsys, ["msff-check", "--config", cfg])
+        assert code == EXIT_OK
+        assert len(calls) == 2
+
+    def test_parser_built_once(self, tmp_path, capsys, monkeypatch):
+        builds = []
+        add_subparsers = argparse.ArgumentParser.add_subparsers
+        monkeypatch.setattr(
+            argparse.ArgumentParser, "add_subparsers",
+            lambda self, **kw: builds.append(1) or add_subparsers(self, **kw))
+        mslab.cli._build_parser.cache_clear()
+        cfg = write_config(tmp_path, "c.json", MSFF_CONFIG)
+        _, first = run(capsys, ["msff-check", "--config", cfg])
+        _, second = run(capsys, ["msff-check", "--config", cfg])
+        assert len(builds) == 1
+        assert json.dumps(first["results"]) == json.dumps(second["results"])
 
 
 class TestOutputs:

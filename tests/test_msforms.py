@@ -66,6 +66,22 @@ class TestPatchIdentity:
         rep = msff_residual_region(LinearWave, u, v_var, w_var, reg)
         assert abs(rep.residual) < 1e-13
 
+    @pytest.mark.parametrize("density", [LinearWave, quartic_test_density(0.6)])
+    def test_node_residuals_equal_patch_residuals(self, density):
+        # Noise variations leave every patch residual nonzero.
+        mesh = build_mesh(dt=0.1, dx=0.2, nt=5, nx=6)
+        reg = RectRegion(0, 0, mesh.nt, mesh.nx)
+        rng = np.random.default_rng(8)
+        data = BoundaryData(reg, 0.2 * rng.standard_normal(len(boundary_nodes(reg))))
+        base = solve_bvp(density, mesh, data).field
+        v_var, w_var = (DiscreteField(mesh, rng.standard_normal(mesh.shape))
+                        for _ in range(2))
+        rep = msff_residual_region(density, base, v_var, w_var, reg)
+        per_node = [msff_residual_patch(density, base, v_var, w_var, n, i).residual
+                    for n, i in interior_nodes(reg)]
+        assert np.all(rep.node_residuals != 0.0)
+        assert rep.node_residuals.tolist() == per_node
+
     def test_negative_control_detected(self, wave_setup):
         mesh, u, v_var, w_var = wave_setup
         w_bad = w_var.with_value(7, 6, w_var[7, 6] + 1.0)
