@@ -303,7 +303,8 @@ def _del_newton(density: LagrangianDensity, values: np.ndarray, index, jac_index
 
 def _row_stepper(density: LagrangianDensity, mesh: QuadMesh, closure: Closure, *,
                  max_iter: int = NEWTON_MAX_ITER):
-    """``step(u_prev, u_curr, row_index)``: :func:`step_row` for a whole run.
+    """``step(u_prev, u_curr, row_index)``: :func:`step_row` for a whole run,
+    with at most ``max_iter`` Newton iterations per row.
 
     The closure, triangle indices and column sets are built once, and a
     quadratic density's row Jacobian (the same for every row) is factored,
@@ -341,8 +342,7 @@ def _row_stepper(density: LagrangianDensity, mesh: QuadMesh, closure: Closure, *
 
 
 def step_row(density: LagrangianDensity, mesh: QuadMesh, u_prev, u_curr,
-             closure: Closure, *, row_index: int = 1,
-             max_iter: int = NEWTON_MAX_ITER) -> np.ndarray:
+             closure: Closure, *, row_index: int = 1) -> np.ndarray:
     """Advance one time level: solve the DEL equations of the current row.
 
     ``u_prev``/``u_curr`` are the two known consecutive rows; the return value
@@ -352,15 +352,16 @@ def step_row(density: LagrangianDensity, mesh: QuadMesh, u_prev, u_curr,
     the time index of the new row, used for callable fixed-end values and
     named in solver errors.
     """
-    step = _row_stepper(density, mesh, closure, max_iter=max_iter)
+    step = _row_stepper(density, mesh, closure)
     return step(u_prev, u_curr, row_index)
 
 
 def propagate(density: LagrangianDensity, mesh: QuadMesh, row0, row1,
-              closure: Closure, **step_kwargs) -> DiscreteField:
+              closure: Closure, *, max_iter: int = NEWTON_MAX_ITER) -> DiscreteField:
     """Fill a whole field from its first two rows, one :func:`step_row` per
-    row; a quadratic density's row Jacobian is factored once for the run."""
-    step = _row_stepper(density, mesh, closure, **step_kwargs)
+    row with at most ``max_iter`` Newton iterations each; a quadratic
+    density's row Jacobian is factored once for the run."""
+    step = _row_stepper(density, mesh, closure, max_iter=max_iter)
     values = np.zeros(mesh.shape)
     values[0], values[1] = np.asarray(row0, dtype=float), np.asarray(row1, dtype=float)
     for n in range(1, mesh.nt):
@@ -433,7 +434,8 @@ def tangent_solve(density: LagrangianDensity, field: DiscreteField, region: Regi
         raise ValueError(f"region {region} has no interior nodes")
     terms = triangle_kernel(density, field.values, region_index(region, ncols),
                             mesh.dt, mesh.dx, hessian=True)
-    res, base_tol = terms.residual[inner], 1e-8
+    res = terms.residual[inner]
+    base_tol = 1e-8
     bad = np.flatnonzero(np.abs(res) > base_tol)
     if bad.size:
         (n, i), worst = divmod(int(inner[bad[0]]), ncols), res[bad[0]]

@@ -329,7 +329,8 @@ def symplecticity_check(map_fn: Callable, z0: PhasePoint) -> float:
     map values accurate to the Newton tolerance 1e-12 move each derivative
     by about 1e-6 at most.
     """
-    q, p, fd_step = float(z0.q), float(z0.p), 1e-6
+    q, p = float(z0.q), float(z0.p)
+    fd_step = 1e-6
 
     def at(dq, dp):
         out = map_fn(PhasePoint(q + dq, p + dp))

@@ -30,6 +30,7 @@ for exact solutions as an independent cross-check of the discrete route.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,13 +51,13 @@ class FormResidualReport:
     against) and ``n_terms`` the number of contributions summed.  A region
     report's ``node_residuals`` are the patch residuals at its interior
     nodes, ordered as :func:`~mslab.jetmesh.interior_nodes` (empty for the
-    continuum route).
+    continuum route); reports compare and hash on the other fields.
     """
 
     residual: float
     max_term: float
     n_terms: int
-    node_residuals: np.ndarray
+    node_residuals: np.ndarray = dataclasses.field(compare=False)
 
 
 def _hessian_product(triplets, x, size: int) -> np.ndarray:
@@ -143,7 +144,8 @@ def msff_residual_region(density: LagrangianDensity, field: DiscreteField,
         raise ValueError(f"region {region} has no interior nodes")
     terms, contributions = _region_patch_terms(density, field, v_var, w_var,
                                                region, flat)
-    checks = [("field does not satisfy the DEL equations", terms.residual[flat], 1e-9)]
+    checks = [("field does not satisfy the DEL equations",
+               terms.residual[flat], 1e-9)]
     if check_variations:
         checks += [(f"variation {label} does not satisfy the linearised DEL equations",
                     _hessian_product(terms.triplets, var.values.ravel(),
@@ -287,11 +289,13 @@ def hessian_symmetry(density: LagrangianDensity, mesh: QuadMesh,
             k_bi = _sparse_block(terms.triplets, size, bd, inn)
             h -= k_bi @ lu.solve(k_bi.T.toarray())
     elif method == "fd":
-        base, fd_step = solve_bvp(density, mesh, boundary).field, 1e-4
+        base = solve_bvp(density, mesh, boundary).field
+        fd_step = 1e-4
         nb = len(bnodes)
         h = np.zeros((nb, nb))
         for a in range(nb):
-            plus = solve_bvp(density, mesh, boundary.perturbed(a, fd_step), initial=base)
+            plus = solve_bvp(density, mesh, boundary.perturbed(a, fd_step),
+                             initial=base)
             minus = solve_bvp(density, mesh, boundary.perturbed(a, -fd_step),
                               initial=base)
             pi_plus = normal_momenta(density, plus.field, region)

@@ -257,7 +257,9 @@ def dalembert_solve(data: SquareBoundaryData) -> DalembertSolution:
     hence the gentle lstsq cutoff rcond = 1e-13 — aggressive truncation
     would delete real components.
     """
-    poly_degree, n_sine, n_collocation = 6, 6, 80
+    poly_degree = 6
+    n_sine = 6
+    n_collocation = 80
     nf = poly_degree + 1 + n_sine
 
     def basis(s, shift: float) -> np.ndarray:
@@ -352,8 +354,10 @@ def wave_square_boundary_lagrangian(data: SquareBoundaryData) -> WaveSquareRepor
     def action_integrand(a):
         return solution.f_prime(a) * (solution.g(2.0 - abs(a)) - solution.g(abs(a)))
 
-    neg, _ = quad(action_integrand, -1.0, 0.0, epsabs=1e-12, epsrel=1e-12, limit=200)
-    pos, _ = quad(action_integrand, 0.0, 1.0, epsabs=1e-12, epsrel=1e-12, limit=200)
+    neg, _ = quad(action_integrand, -1.0, 0.0, epsabs=1e-12, epsrel=1e-12,
+                  limit=200)
+    pos, _ = quad(action_integrand, 0.0, 1.0, epsabs=1e-12, epsrel=1e-12,
+                  limit=200)
     action = -(neg + pos)
     return WaveSquareReport(formula_value=float(formula),
                             action_value=float(action), solution=solution)
@@ -479,5 +483,6 @@ def disc_boundary_lagrangian_quadrature(data: FourierBoundaryData) -> float:
     def integrand(theta):
         return data.trace(theta) * ext.dtn.trace(theta)
 
-    val, _ = quad(integrand, 0.0, 2.0 * math.pi, epsabs=1e-11, epsrel=1e-12, limit=200)
+    val, _ = quad(integrand, 0.0, 2.0 * math.pi, epsabs=1e-11, epsrel=1e-12,
+                  limit=200)
     return 0.5 * val

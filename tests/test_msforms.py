@@ -82,6 +82,16 @@ class TestPatchIdentity:
         assert np.all(rep.node_residuals != 0.0)
         assert rep.node_residuals.tolist() == per_node
 
+    def test_region_reports_compare_and_hash(self, wave_setup):
+        mesh, u, v_var, w_var = wave_setup
+        reg = RectRegion(0, 0, mesh.nt, mesh.nx)
+        rep, again = (msff_residual_region(LinearWave, u, v_var, w_var, reg)
+                      for _ in range(2))
+        assert rep.node_residuals.size > 1
+        assert rep == again and hash(rep) == hash(again)
+        w_bad = w_var.with_value(7, 6, w_var[7, 6] + 1.0)
+        assert rep != msff_residual_region(LinearWave, u, v_var, w_bad, reg)
+
     def test_negative_control_detected(self, wave_setup):
         mesh, u, v_var, w_var = wave_setup
         w_bad = w_var.with_value(7, 6, w_var[7, 6] + 1.0)

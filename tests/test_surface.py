@@ -30,7 +30,7 @@ OPTIONS = [
     "delsolve.FixedClosure.__init__:right",
     "delsolve.del_residual:periodic",
     "delsolve.step_row:row_index",
-    "delsolve.step_row:max_iter",
+    "delsolve.propagate:max_iter",
     "delsolve.solve_bvp:initial",
     "msforms.msff_residual_patch:variation_tol",
     "msforms.msff_residual_patch:check_variations",
