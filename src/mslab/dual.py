@@ -13,16 +13,18 @@ Every entry sees the floating-point operations of a one-direction scalar
 call, so the two agree bit for bit.  Functions differentiated on arrays may
 use arithmetic and the functions of this module, but no Python ``if`` on
 values.  ``x[i:j]`` slices the trailing (element) axis of a vector's value
-and tangents; with :func:`matvec` and :func:`concatenate` a residual on n
-unknowns yields its Jacobian from one evaluation.
+and tangents; with :func:`matvec` (one broadcast product, then one running
+sum from 0.0 per row) and :func:`concatenate` a residual on n unknowns
+yields its Jacobian from one evaluation.
 
 Implemented: +, -, *, /, abs, powers (integer exponents by repeated
 multiplication, real exponents by the power rule, ``c ** Dual``) and
-sin/cos/exp/log/sqrt, evaluated through numpy for floats and arrays alike;
-plain operands are Python or numpy reals and arrays.  numpy ufuncs do not
-accept duals: ``np.cosh(Dual(...))`` raises TypeError, since
-``__array_ufunc__ = None`` (which also makes ``ndarray op Dual`` use the
-dual's reflected operator).
+sin/cos/exp/log/sqrt, evaluated through numpy for floats and arrays alike.
+Plain operands are Python or numpy reals and arrays, used inline with the
+operations of ``Dual(other, 0.0)`` (``re * 0.0 + du * other``, ``du + 0.0``,
+...) but no temporary dual.  numpy ufuncs do not accept duals:
+``np.cosh(Dual(...))`` raises TypeError, since ``__array_ufunc__ = None``
+(which also makes ``ndarray op Dual`` use the dual's reflected operator).
 """
 
 from __future__ import annotations
@@ -45,13 +47,6 @@ class Dual:
         self.re = re
         self.du = du
 
-    def _coerce(self, other):
-        if isinstance(other, Dual):
-            return other
-        if isinstance(other, _SCALARS):
-            return Dual(other, 0.0)
-        return None
-
     def __repr__(self):
         return f"Dual({self.re!r}, {self.du!r})"
 
@@ -60,10 +55,11 @@ class Dual:
         return Dual(self.re[..., key], self.du[..., key] if np.ndim(self.du) else self.du)
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Dual(self.re + o.re, self.du + o.du)
+        if isinstance(other, Dual):
+            return Dual(self.re + other.re, self.du + other.du)
+        if isinstance(other, _SCALARS):
+            return Dual(self.re + other, self.du + 0.0)
+        return NotImplemented
 
     __radd__ = __add__
 
@@ -75,37 +71,40 @@ class Dual:
         return Dual(abs(self.re), self.du * sign)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Dual(self.re - o.re, self.du - o.du)
+        if isinstance(other, Dual):
+            return Dual(self.re - other.re, self.du - other.du)
+        if isinstance(other, _SCALARS):
+            return Dual(self.re - other, self.du - 0.0)
+        return NotImplemented
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Dual(o.re - self.re, o.du - self.du)
+        if isinstance(other, _SCALARS):
+            return Dual(other - self.re, 0.0 - self.du)
+        return NotImplemented
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Dual(self.re * o.re, self.re * o.du + self.du * o.re)
+        if isinstance(other, Dual):
+            return Dual(self.re * other.re, self.re * other.du + self.du * other.re)
+        if isinstance(other, _SCALARS):
+            return Dual(self.re * other, self.re * 0.0 + self.du * other)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        q = self.re / o.re
-        return Dual(q, (self.du - q * o.du) / o.re)
+        if isinstance(other, Dual):
+            q = self.re / other.re
+            return Dual(q, (self.du - q * other.du) / other.re)
+        if isinstance(other, _SCALARS):
+            q = self.re / other
+            return Dual(q, (self.du - q * 0.0) / other)
+        return NotImplemented
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o.__truediv__(self)
+        if isinstance(other, _SCALARS):
+            q = other / self.re
+            return Dual(q, (0.0 - q * self.du) / self.re)
+        return NotImplemented
 
     def __pow__(self, exponent):
         if isinstance(exponent, (int, numbers.Integral)):
@@ -226,11 +225,20 @@ def gradient(fn, args):
 
 def matvec(matrix, x):
     """``matrix @ x`` for floats or duals, summed column by column from 0.0 as
-    a plain-Python dot product of each row would be (BLAS may reorder)."""
-    out = 0.0
-    for k in range(matrix.shape[1]):
-        out = out + matrix[:, k] * x[k:k + 1]
-    return out
+    a plain-Python dot product of each row would be (BLAS may reorder): one
+    broadcast product forms every ``matrix[:, k] * x[k]`` (for a dual, as
+    ``x[k] * matrix[:, k]``), then one running sum adds each row's terms."""
+    if not matrix.shape[1]:
+        return 0.0
+    columns = _leafwise(lambda a: a[..., None, :] if np.ndim(a) else a, x)
+    terms = columns * matrix if isinstance(x, Dual) else matrix * columns
+    # 0.0 + s turns a -0.0 sum into +0.0, as starting the sum from 0.0 does.
+    return _leafwise(lambda t: 0.0 + np.cumsum(t, axis=-1)[..., -1], terms)
+
+
+def _leafwise(fn, x):
+    """``fn`` applied to every float or array leaf of a (nested) dual."""
+    return Dual(_leafwise(fn, x.re), _leafwise(fn, x.du)) if isinstance(x, Dual) else fn(x)
 
 
 def concatenate(parts):

@@ -109,10 +109,9 @@ class NormalMomentumField:
 
 def _trapezoid_weights(region: Region, mesh: QuadMesh) -> np.ndarray:
     """Half the summed lengths of the two boundary segments at each node."""
-    nodes = boundary_nodes(region)
-    pts = np.array([(mesh.node_x(i), mesh.node_t(n)) for (n, i) in nodes])
-    m = len(pts)
-    seg = np.array([np.hypot(*(pts[(k + 1) % m] - pts[k])) for k in range(m)])
+    n, i = np.array(boundary_nodes(region)).T
+    x, t = i * mesh.dx, n * mesh.dt
+    seg = np.hypot(np.roll(x, -1) - x, np.roll(t, -1) - t)  # node k to k + 1
     return 0.5 * (seg + np.roll(seg, 1))
 
 

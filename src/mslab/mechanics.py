@@ -180,9 +180,11 @@ def _diff_matrix_unit(n_nodes: int):
 
 def _jacobian(residual_fn, x: np.ndarray) -> np.ndarray:
     """Dense Jacobian from one residual evaluation on every unit tangent
-    stacked, ``Dual(x, eye(n))``: row i of ``du.T`` is the gradient of F_i."""
+    stacked, ``Dual(x, eye(n))``: row i of ``du.T`` is the gradient of F_i.
+    One unknown is seeded with the scalar tangent 1.0 and no direction axis,
+    so its (nested) duals carry floats rather than length-1 arrays."""
     n = len(x)
-    res = residual_fn(dual.Dual(x, np.eye(n)))
+    res = residual_fn(dual.Dual(x, np.eye(n) if n > 1 else 1.0))
     return np.broadcast_to(getattr(res, "du", 0.0), (n, n)).T.copy()
 
 

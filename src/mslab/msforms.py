@@ -242,10 +242,11 @@ def symplectic_flux(mesh: QuadMesh, v_var: DiscreteField, w_var: DiscreteField,
 
 @dataclass(frozen=True)
 class SymmetryReport:
-    """Hessian of the extremal action in the boundary data, plus its defect."""
+    """Hessian of the extremal action in the boundary data, plus its defect;
+    reports compare and hash on the fields other than ``hessian``."""
 
     max_asymmetry: float
-    hessian: np.ndarray
+    hessian: np.ndarray = dataclasses.field(compare=False)
     method: str
     nodes: tuple
 

@@ -1,4 +1,5 @@
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -186,6 +187,86 @@ def test_chain_rule_matches_fd(x):
 
 
 # ---------------------------------------------------------------------------
+# Real operands inline against Dual(other, 0.0) arithmetic, bit for bit
+
+
+def leaves(x):
+    """The float or array leaves of a (nested) dual, value before tangent."""
+    return leaves(x.re) + leaves(x.du) if isinstance(x, Dual) else [x]
+
+
+OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def coerced(op, a, b):
+    """``a op b`` with every real operand of a dual promoted to
+    ``Dual(other, 0.0)`` and the truncated-Taylor rules spelled out."""
+    if not isinstance(a, Dual) and not isinstance(b, Dual):
+        return OPERATORS[op](a, b)
+    if not isinstance(a, Dual):
+        # Reflected: a sum or product is computed with the dual on the left.
+        return coerced(op, b, a) if op in "+*" else coerced(op, Dual(a, 0.0), b)
+    b = b if isinstance(b, Dual) else Dual(b, 0.0)
+    if op in "+-":
+        return Dual(coerced(op, a.re, b.re), coerced(op, a.du, b.du))
+    if op == "*":
+        return Dual(coerced("*", a.re, b.re),
+                    coerced("+", coerced("*", a.re, b.du), coerced("*", a.du, b.re)))
+    q = coerced("/", a.re, b.re)
+    return Dual(q, coerced("/", coerced("-", a.du, coerced("*", q, b.du)), b.re))
+
+
+def outcome(fn):
+    """The leaves of ``fn()`` as (type, dtype, shape, bytes), or the
+    exception type it raises."""
+    try:
+        with np.errstate(all="ignore"):
+            out = fn()
+    except ArithmeticError as err:
+        return type(err)
+    return [(type(v), np.asarray(v).dtype, np.shape(v), np.asarray(v).tobytes())
+            for v in leaves(out)]
+
+
+floats = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                   st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan]))
+float_vectors = st.lists(floats, min_size=3, max_size=3).map(np.array)
+
+
+@st.composite
+def real_operands(draw):
+    kind = draw(st.sampled_from(["float", "int", "float64", "float32", "0-d", "n-d"]))
+    if kind == "int":
+        return draw(st.integers(-3, 3))
+    if kind == "n-d":
+        return draw(float_vectors)
+    v = draw(floats)
+    with np.errstate(all="ignore"):
+        return {"float": v, "float64": np.float64(v), "float32": np.float32(v),
+                "0-d": np.array(v)}[kind]
+
+
+@st.composite
+def dual_operands(draw):
+    kind = draw(st.sampled_from(["scalar", "vector", "nested"]))
+    if kind == "scalar":
+        return Dual(np.float64(draw(floats)), draw(floats))
+    x, inner = draw(float_vectors), np.stack([draw(float_vectors) for _ in range(2)])
+    if kind == "vector":
+        return Dual(x, inner)
+    outer = np.stack([draw(float_vectors) for _ in range(2)])[:, None, :]
+    return Dual(Dual(x, inner), Dual(outer, 0.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=dual_operands(), other=real_operands(), op=st.sampled_from("+-*/"))
+def test_real_operands_match_coerced_arithmetic(d, other, op):
+    fn = OPERATORS[op]
+    assert outcome(lambda: fn(d, other)) == outcome(lambda: coerced(op, d, other))
+    assert outcome(lambda: fn(other, d)) == outcome(lambda: coerced(op, other, d))
+
+
+# ---------------------------------------------------------------------------
 # Array evaluations against scalar calls, bit for bit
 
 
@@ -328,16 +409,70 @@ def dot_row(row, values):
     return out
 
 
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 9), cols=st.integers(1, 9))
-def test_matvec_equals_row_by_row_dot_products(seed, rows, cols):
+def same_bits_up_to_nan_sign(a, b):
+    """Equal shapes, NaN at the same places and identical bits elsewhere.
+    numpy's scalar and array loops pick different operands when two NaNs
+    of opposite sign meet, so a NaN's sign is not pinned."""
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    for arr in (a, b):
+        arr[np.isnan(arr)] = np.nan
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def vector_and_elements(kind, x, inner, outer):
+    """The unknowns ``x`` as one vector for :func:`dual.matvec` and as
+    elements for :func:`dot_row`: floats, duals with a scalar tangent 0.0 or
+    with ``inner`` (directions on axis 0), or nested duals seeded as
+    :func:`dual.hessian` seeds its arguments (inner directions on tangent
+    axis 1, ``outer`` ones on axis 0)."""
+    cols = range(len(x))
+    if kind == "float":
+        return x, list(x)
+    if kind == "scalar_tangent":
+        return Dual(x, 0.0), [Dual(x[k], 0.0) for k in cols]
+    if kind == "tangents":
+        return Dual(x, inner), [Dual(x[k], inner[:, k]) for k in cols]
+    return (Dual(Dual(x, inner), Dual(outer, 0.0)),
+            [Dual(Dual(x[k], inner[:, k]), Dual(outer[..., k], 0.0)) for k in cols])
+
+
+MATVEC_KINDS = ["float", "scalar_tangent", "tangents", "nested"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 9), cols=st.integers(0, 9),
+       kind=st.sampled_from(MATVEC_KINDS),
+       values=st.sampled_from(["finite", "inf_nan", "negative_zero_rows"]))
+def test_matvec_equals_row_by_row_dot_products(seed, rows, cols, kind, values):
     rng = np.random.default_rng(seed)
-    matrix, x, tangents = (rng.standard_normal(s) for s in ((rows, cols), cols, (2, cols)))
-    assert same_bits(dual.matvec(matrix, x), [dot_row(r, x) for r in matrix])
-    out = dual.matvec(matrix, Dual(x, tangents))
-    ref = [dot_row(r, [Dual(xk, t) for xk, t in zip(x, tangents.T)]) for r in matrix]
-    assert same_bits(out.re, [r.re for r in ref])
-    assert same_bits(out.du.T, [r.du for r in ref])
+    arrays = [rng.standard_normal(s) for s in ((rows, cols), cols, (2, cols), (3, 1, cols))]
+    matrix = arrays[0]
+    if values == "inf_nan":
+        specials = np.array([np.inf, -np.inf, np.nan, -np.nan, 0.0, -0.0])
+        for arr in arrays:
+            hit = rng.random(arr.shape) < 0.25
+            arr[hit] = rng.choice(specials, hit.sum())
+    elif values == "negative_zero_rows":
+        # Rows of +0.0 against negative unknowns and tangents: every product,
+        # value and tangent, is -0.0, and summed from 0.0 such a row is +0.0.
+        zero_rows = rng.random(rows) < 0.5
+        matrix[zero_rows] = 0.0
+        for arr in arrays[1:]:
+            np.negative(np.abs(arr), out=arr)
+    x, elements = vector_and_elements(kind, *arrays[1:])
+    with np.errstate(all="ignore"):
+        out = dual.matvec(matrix, x)
+        ref = [dot_row(r, elements) for r in matrix]
+    if cols == 0:  # the float 0.0 that each row's empty sum gives
+        assert type(out) is float and out.hex() == "0x0.0p+0"
+        assert {(type(r), r.hex()) for r in ref} == {(float, "0x0.0p+0")}
+        return
+    ref_leaves = [np.stack(parts, axis=-1) for parts in zip(*map(leaves, ref))]
+    assert len(leaves(out)) == len(ref_leaves)
+    for got, want in zip(leaves(out), ref_leaves):
+        assert same_bits_up_to_nan_sign(got, want)
+        if values == "negative_zero_rows":
+            assert not np.signbit(got[..., zero_rows]).any()
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,26 @@ class TestBoundaryLagrangianEnvelope:
         assert np.allclose(pm.densities(), np.asarray(pm.values) / pm.weights)
 
 
+def trapezoid_weights_per_segment(region, mesh):
+    """Reference: one np.hypot call per boundary segment."""
+    pts = np.array([(mesh.node_x(i), mesh.node_t(n)) for n, i in boundary_nodes(region)])
+    m = len(pts)
+    seg = np.array([np.hypot(*(pts[(k + 1) % m] - pts[k])) for k in range(m)])
+    return 0.5 * (seg + np.roll(seg, 1))
+
+
+@pytest.mark.parametrize("dt,dx", [(0.1, 0.2), (0.3, 0.7), (1.0 / 3.0, 0.1), (1e-3, 7.0)])
+@pytest.mark.parametrize("region", [RectRegion(0, 0, 9, 9), RectRegion(2, 3, 5, 1),
+                                    RectRegion(1, 0, 1, 9), Patch3Region(4, 5),
+                                    Patch3Region(1, 1)], ids=repr)
+def test_trapezoid_weights_equal_the_per_segment_loop(dt, dx, region):
+    mesh = build_mesh(dt=dt, dx=dx, nt=9, nx=9)
+    field = DiscreteField(mesh, np.zeros(mesh.shape))
+    weights = normal_momenta(LinearWave, field, region).weights
+    ref = trapezoid_weights_per_segment(region, mesh)
+    assert weights.shape == ref.shape and weights.tobytes() == ref.tobytes()
+
+
 class TestRegionAction:
     def test_action_additivity(self):
         mesh = build_mesh(dt=0.1, dx=0.2, nt=4, nx=4)

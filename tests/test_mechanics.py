@@ -20,7 +20,7 @@ from mslab import (
     type1_map,
     variational_order_check,
 )
-from mslab import mechanics
+from mslab import dual, mechanics
 from mslab.mechanics import _diff_matrix_unit
 
 
@@ -247,3 +247,55 @@ class TestExactFlows:
         z0 = PhasePoint(0.6, -0.2)
         z1 = ho.exact_flow(z0, 0.33)
         assert h_fn(z1.q, z1.p) == pytest.approx(h_fn(z0.q, z0.p), rel=1e-12)
+
+
+class Pendulum(mechanics.MechLagrangian):
+    """L = qdot^2/2 + cos q: derivatives through dual.partial and dual.cos."""
+
+    name = "pendulum"
+
+    def value(self, q, qdot):
+        return 0.5 * qdot * qdot + dual.cos(q)
+
+
+def pendulum_hamiltonian(q, p):
+    return 0.5 * p * p - dual.cos(q)
+
+
+class TestGoldenBits:
+    """``float.hex`` of the collocation, the type-I map and one order report
+    at fixed inputs.  The values were recorded before the dual-number lane
+    was vectorised (``matvec`` as one product, inline real operands, scalar
+    tangents for one unknown); that rewrite keeps every floating-point
+    operation and its order, so these must not move."""
+
+    def test_exact_discrete_lagrangian(self):
+        assert exact_discrete_lagrangian(
+            HarmonicOscillator(1.3), 0.3, 0.7, 0.4).hex() == "0x1.be87724c8e6f0p-4"
+        assert exact_discrete_lagrangian(
+            Pendulum(), 0.3, 0.7, 0.4).hex() == "0x1.189d560968bd8p-1"
+
+    def test_exact_discrete_hamiltonian(self):
+        assert exact_discrete_hamiltonian(
+            harmonic_hamiltonian(1.3), 0.3, 0.5, 0.4).hex() == "0x1.0bab61af021e9p-2"
+        assert exact_discrete_hamiltonian(
+            pendulum_hamiltonian, 0.3, 0.5, 0.4).hex() == "-0x1.53bc40f6e8b0ep-3"
+
+    @pytest.mark.parametrize("lagr,expected", [
+        (HarmonicOscillator(1.3), ("0x1.77c7316676638p-1", "0x1.1d861e68e5f37p-2")),
+        (Pendulum(), ("0x1.7931f4f8f632fp-1", "0x1.5634ad4cde5d7p-2")),
+    ])
+    def test_type1_map(self, lagr, expected):
+        z = type1_map(midpoint_rule(lagr)(0.1), PhasePoint(0.7, 0.4), 0.1)
+        assert (z.q.hex(), z.p.hex()) == expected
+
+    def test_variational_order_report(self):
+        ho = HarmonicOscillator(1.3)
+        rep = variational_order_check(midpoint_rule(ho), ho,
+                                      PhasePoint(0.7, 0.4), [0.2, 0.1, 0.05])
+        assert rep.functional_order.hex() == "0x1.7f281aef9bf45p+1"
+        assert rep.map_order.hex() == "0x1.ff0596bff7079p+0"
+        assert [e.hex() for e in rep.functional_errors] == [
+            "0x1.2103017883800p-11", "0x1.23249c1f88c00p-14", "0x1.23a9e0bd72000p-17"]
+        assert [e.hex() for e in rep.map_errors] == [
+            "0x1.2c1c0dd04f580p-8", "0x1.2d623c6119c00p-10", "0x1.2db417544e000p-12"]

@@ -243,6 +243,18 @@ class TestHessianSymmetry:
         assert rep.max_asymmetry < 1e-6
         assert rep.method == "fd"
 
+    def test_reports_compare_and_hash(self):
+        # The Hessian array once made == raise "truth value ... ambiguous"
+        # and hash() raise TypeError; reports compare on the other fields.
+        mesh = build_mesh(dt=0.1, dx=0.2, nt=4, nx=4)
+        reg = RectRegion(0, 0, 4, 4)
+        data = BoundaryData(reg, 0.3 * np.random.default_rng(43).standard_normal(
+            len(boundary_nodes(reg))))
+        rep, again = (hessian_symmetry(LinearWave, mesh, data) for _ in range(2))
+        assert rep.hessian.size > 1
+        assert rep == again and hash(rep) == hash(again)
+        assert rep != hessian_symmetry(quartic_test_density(0.1), mesh, data)
+
     def test_auto_dispatch(self):
         mesh = build_mesh(dt=0.1, dx=0.2, nt=5, nx=5)
         reg = RectRegion(1, 1, 3, 3)
