@@ -51,8 +51,11 @@ class Dual:
         return f"Dual({self.re!r}, {self.du!r})"
 
     def __getitem__(self, key):
-        """Slice the trailing (element) axis of the value and tangent arrays."""
-        return Dual(self.re[..., key], self.du[..., key] if np.ndim(self.du) else self.du)
+        """Slice the trailing (element) axis of the value and tangent arrays,
+        at every nested level; a scalar tangent is kept."""
+        re, du = self.re, self.du
+        return Dual(re[key] if isinstance(re, Dual) else re[..., key],
+                    du[key] if isinstance(du, Dual) else du[..., key] if np.ndim(du) else du)
 
     def __add__(self, other):
         if isinstance(other, Dual):
@@ -242,11 +245,13 @@ def _leafwise(fn, x):
 
 
 def concatenate(parts):
-    """Join vectors, all floats or all duals, along the trailing axis."""
+    """Join vectors, all floats or all duals, along the trailing axis, at
+    every nested level; a scalar tangent is broadcast to its part's length."""
     if not isinstance(parts[0], Dual):
         return np.concatenate(parts, axis=-1)
-    return Dual(np.concatenate([p.re for p in parts], axis=-1),
-                np.concatenate([p.du for p in parts], axis=-1))
+    return Dual(concatenate([p.re for p in parts]),
+                concatenate([p.du if isinstance(p.du, Dual) or np.ndim(p.du)
+                             else np.broadcast_to(p.du, np.shape(value(p))) for p in parts]))
 
 
 def partial(fn, index, args):

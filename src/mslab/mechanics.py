@@ -185,7 +185,9 @@ def _jacobian(residual_fn, x: np.ndarray) -> np.ndarray:
     so its (nested) duals carry floats rather than length-1 arrays."""
     n = len(x)
     res = residual_fn(dual.Dual(x, np.eye(n) if n > 1 else 1.0))
-    return np.broadcast_to(getattr(res, "du", 0.0), (n, n)).T.copy()
+    jac = np.empty((n, n))
+    jac.T[...] = getattr(res, "du", 0.0)  # broadcasts a scalar tangent
+    return jac
 
 
 def _newton_dense(residual_fn, x0, context: str) -> np.ndarray:

@@ -1,12 +1,16 @@
 import copy
+import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from mslab import (
     BoundaryData,
     DiscreteField,
     FixedClosure,
+    HarmonicDirichlet,
     LinearWave,
     Patch3Region,
     PeriodicClosure,
@@ -373,7 +377,7 @@ class TestConditionEstimate:
                                 gradient=False, hessian=True)
         jac = delsolve_module._sparse_block(terms.triplets, mesh.shape[0] * ncols,
                                             inner, inner)
-        lu = splu(jac.tocsc())
+        lu = splu(jac.tocsc(), permc_spec="NATURAL")  # the band route's order
         # One solve per column, as onenormest makes them from matvec alone.
         per_column = LinearOperator(jac.shape, matvec=lambda b: lu.solve(b),
                                     rmatvec=lambda b: lu.solve(b, trans="T"))
@@ -383,6 +387,113 @@ class TestConditionEstimate:
         np.random.seed(seed)
         _, rcond = delsolve_module._factor_and_rcond(jac, "probe")
         assert rcond == 1.0 / (max(1.0, norm_j) * norm_inv)
+
+
+def _interior_jacobian(density, nt, nx, ratio, region=None, amplitude=0.0, seed=0):
+    """The Jacobian of the DEL equations at the interior nodes of ``region``
+    (default: the whole nt x nx mesh, dt/dx = ``ratio``), at a field of
+    normal values times ``amplitude``."""
+    from mslab.jetmesh import interior_index, region_index
+    from mslab.lagrangian import triangle_kernel
+
+    mesh = build_mesh(dt=ratio / nx, dx=1.0 / nx, nt=nt, nx=nx)
+    region = region or RectRegion(0, 0, nt, nx)
+    ncols = nx + 1
+    inner = interior_index(region, ncols)
+    values = amplitude * np.random.default_rng(seed).standard_normal(mesh.shape)
+    terms = triangle_kernel(density, values, region_index(region, ncols), mesh.dt, mesh.dx,
+                            gradient=False, hessian=True)
+    return delsolve_module._sparse_block(terms.triplets, values.size, inner, inner)
+
+
+def _column_order(monkeypatch, jac):
+    """(SuperLU's column order spec, the LU) of ``_factor_and_rcond(jac)``."""
+    specs, splu = [], delsolve_module.splu
+
+    def recorded(*args, **kwargs):
+        specs.append(kwargs.get("permc_spec", "COLAMD"))
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr("mslab.delsolve.splu", recorded)
+    lu, _ = delsolve_module._factor_and_rcond(jac, "probe")
+    assert len(specs) == 1
+    return specs[0], lu
+
+
+def _is_identity(perm):
+    return np.array_equal(perm, np.arange(len(perm)))
+
+
+class TestBandOrder:
+    @pytest.mark.parametrize("nt,nx,ratio,region", [
+        (20, 10, 0.5, None),  # tall
+        (16, 16, 0.5, None),  # square
+        (21, 10, 1.0, None),  # tall, gcd(nt, nx) = 1
+        (9, 7, 1.0, None),
+        (20, 12, 0.5, RectRegion(3, 2, 12, 8)),  # offset
+    ])
+    def test_pivoting_narrow_band_keeps_natural_order(self, monkeypatch, nt, nx, ratio,
+                                                      region):
+        jac = _interior_jacobian(LinearWave, nt, nx, ratio, region)
+        spec, lu = _column_order(monkeypatch, jac)
+        assert spec == "NATURAL"
+        assert _is_identity(lu.perm_c)
+
+    @pytest.mark.parametrize("density,nt,nx,ratio,region,amplitude", [
+        (LinearWave, 10, 20, 0.5, None, 0.0),  # wide: nt < nx
+        (LinearWave, 15, 16, 0.5, None, 0.0),
+        (HarmonicDirichlet, 16, 16, 0.5, None, 0.0),
+        (HarmonicDirichlet, 20, 10, 1.0, None, 0.0),
+        (quartic_test_density(0.8), 16, 16, 0.5, None, 0.1),
+        (quartic_test_density(0.8), 20, 10, 0.5, None, 0.1),
+        (LinearWave, 4, 4, 0.5, Patch3Region(2, 2), 0.0),
+    ])
+    def test_other_systems_keep_colamd(self, monkeypatch, density, nt, nx, ratio, region,
+                                       amplitude):
+        jac = _interior_jacobian(density, nt, nx, ratio, region, amplitude)
+        spec, lu = _column_order(monkeypatch, jac)
+        assert spec == "COLAMD"
+        # A 1x1 system (Patch3Region) has only the identity order.
+        assert jac.shape[0] == 1 or not _is_identity(lu.perm_c)
+
+    @pytest.mark.parametrize("size", [20, 48])
+    @pytest.mark.parametrize("ratio", [0.1, 0.25, 1 / 3, 0.5, 0.7, 1.0, 1.3, 2.0])
+    def test_dominance_ties_do_not_flip_on_round_off(self, monkeypatch, size, ratio):
+        # HarmonicDirichlet's interior columns are exact ties,
+        # 2|J_jj| = sum_i |J_ij|; at ratios 0.1 and 0.7 the computed sums
+        # exceed 2|J_jj| by about one ulp.
+        jac = _interior_jacobian(HarmonicDirichlet, size, size, ratio)
+        col_sums = np.asarray(abs(jac).sum(axis=0)).ravel()
+        margin = 2.0 * np.abs(jac.diagonal()) - col_sums
+        assert np.min(np.abs(margin) / col_sums) <= 2 * np.finfo(float).eps
+        assert _column_order(monkeypatch, jac)[0] == "COLAMD"
+
+    @settings(max_examples=40, deadline=None)
+    @given(nt=st.integers(3, 16), nx=st.integers(3, 16),
+           ratio=st.sampled_from([0.3, 0.5, 0.7, 1.3]),
+           density=st.sampled_from(["wave", "harmonic", "quartic", "quadratic"]),
+           seed=st.integers(0, 2**16))
+    @example(nt=14, nx=6, ratio=0.5, density="wave", seed=0)  # natural order
+    @example(nt=6, nx=14, ratio=0.5, density="wave", seed=0)  # COLAMD
+    def test_both_routes_solve_backward_stably(self, nt, nx, ratio, density, seed):
+        density, amplitude = {
+            "wave": (LinearWave, 0.0), "harmonic": (HarmonicDirichlet, 0.0),
+            "quartic": (quartic_test_density(0.8), 0.3),
+            "quadratic": (QuadraticDensity(vv=1.0, ww=-0.8, vw=0.05, vu=0.02, uu=-0.1), 0.0),
+        }[density]
+        jac = _interior_jacobian(density, nt, nx, ratio, amplitude=amplitude, seed=seed)
+        try:
+            lu, _ = delsolve_module._factor_and_rcond(jac, "probe")
+        except SingularSystem:
+            assume(False)
+        rng = np.random.default_rng(seed)
+        n = jac.shape[0]
+        for trans, mat in (("N", jac), ("T", jac.T)):
+            for b in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+                x = lu.solve(b, trans=trans)
+                residual = np.abs(mat @ x - b).max()
+                scale = abs(mat).sum(axis=1).max() * np.abs(x).max()
+                assert residual <= 1e-13 * scale
 
 
 class TestSolveBvp:
@@ -426,6 +537,24 @@ class TestSolveBvp:
         with pytest.raises(SingularSystem) as err:
             solve_bvp(LinearWave, mesh, rect_data)
         assert err.value.rcond < 1e-12
+
+    @pytest.mark.parametrize("nt,nx", [(6, 9), (8, 8), (4, 6), (12, 18), (6, 6),
+                                       (7, 9), (5, 7), (9, 10), (11, 13)])
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_unit_ratio_is_singular_exactly_when_gcd_exceeds_one(self, nt, nx, transposed):
+        # Each shape and its transpose: tall meshes factor in the natural
+        # order, wide ones under COLAMD.
+        if transposed:
+            nt, nx = nx, nt
+        mesh = build_mesh(dt=0.25, dx=0.25, nt=nt, nx=nx)
+        reg = RectRegion(0, 0, nt, nx)
+        rng = np.random.default_rng(nt * 100 + nx)
+        data = BoundaryData(reg, 0.1 * rng.standard_normal(len(boundary_nodes(reg))))
+        if math.gcd(nt, nx) > 1:
+            with pytest.raises(SingularSystem):
+                solve_bvp(LinearWave, mesh, data)
+        else:
+            assert solve_bvp(LinearWave, mesh, data).rcond >= 1e-12
 
     def test_nonlinear_bvp(self):
         mesh = build_mesh(dt=0.1, dx=0.2, nt=6, nx=6)

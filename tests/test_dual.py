@@ -106,6 +106,31 @@ class TestArrays:
         assert Dual(np.arange(4.0), 0.0)[2:].du == 0.0
         assert dual.concatenate((x, x[:1])).du.tolist() == np.eye(4)[:, [1, 2, 1]].tolist()
 
+    @staticmethod
+    def _nested():
+        # Inner tangents eye(3); outer tangent a dual with a scalar tangent.
+        return Dual(Dual(np.arange(3.0), np.eye(3)),
+                    Dual(np.arange(6.0).reshape(2, 1, 3), 0.0))
+
+    def test_slices_act_on_every_nested_level(self):
+        x = self._nested()[1:2]
+        assert x.re.re.tolist() == [1.0]
+        assert x.re.du.tolist() == np.eye(3)[:, 1:2].tolist()
+        assert x.du.re.tolist() == [[[1.0]], [[4.0]]]
+        assert x.du.du == 0.0
+
+    def test_concatenate_joins_every_nested_level(self):
+        x = self._nested()
+        y = dual.concatenate((x, x))
+        twice = [0, 1, 2, 0, 1, 2]
+        assert y.re.re.tolist() == [0.0, 1.0, 2.0, 0.0, 1.0, 2.0]
+        assert y.re.du.tolist() == np.eye(3)[:, twice].tolist()
+        assert y.du.re.tolist() == np.arange(6.0).reshape(2, 1, 3)[..., twice].tolist()
+        assert np.broadcast_to(y.du.du, (2, 1, 6)).tolist() == np.zeros((2, 1, 6)).tolist()
+        # Scalar tangents are broadcast to their part's length.
+        z = dual.concatenate((Dual(np.ones(2), 1.0), Dual(np.ones(1), 0.0)))
+        assert z.du.tolist() == [1.0, 1.0, 0.0]
+
     def test_scalar_arguments_broadcast_against_arrays(self):
         gx, gy = dual.gradient(lambda x, y: x * y * y, (np.array([1.0, 2.0]), 3.0))
         assert gx.tolist() == [9.0, 9.0]
