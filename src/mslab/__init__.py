@@ -63,7 +63,6 @@ from .jetmesh import (
     triangle_index,
 )
 from .lagrangian import (
-    CovectorAtTriple,
     HarmonicDirichlet,
     LagrangianDensity,
     LinearWave,

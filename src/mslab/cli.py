@@ -26,9 +26,7 @@ configuration, 3 solver failure (non-convergence or singular system).
 Reports are JSON with sorted keys; for a fixed config file and seed every
 field outside the ``metadata`` block is bit-identical across runs.  With
 ``--out`` the report and any field dumps (``n,i,u`` CSVs) are written to the
-given directory.  The environment variable ``MSLAB_THREADS`` caps the worker
-threads used for ladder sweeps (default 1; results are order-preserving and
-identical regardless of the cap).
+given directory.
 """
 
 from __future__ import annotations
@@ -37,9 +35,7 @@ import argparse
 import datetime
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 from pathlib import Path
 
@@ -120,29 +116,6 @@ def _parsed(what: str, parse, *args, **kwargs):
         return parse(*args, **kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {what}: {exc}") from exc
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("MSLAB_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"MSLAB_THREADS must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise ConfigError(f"MSLAB_THREADS must be >= 1, got {cap}")
-    return cap
-
-
-def _map_ladder(fn, items):
-    """Apply ``fn`` over ladder entries, order-preserving, thread cap aware."""
-    items = list(items)
-    cap = min(_thread_cap(), len(items))
-    if cap <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=cap) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +281,8 @@ def _cmd_bridges_check(args) -> int:
         _dump_fields(args.out, variation_v=v_var, variation_w=w_var)
         return _emit_report("bridges-check", raw, args.seed, results, passed, args.out)
 
+    if mesh.nt < 2 or mesh.nx < 2:
+        raise ConfigError("bvp-singularity needs nt >= 2 and nx >= 2 for interior nodes")
     region = jetmesh.RectRegion(0, 0, mesh.nt, mesh.nx)
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     with np.errstate(over="ignore"):
@@ -404,8 +379,7 @@ def _cmd_boundary_lagrangian(args) -> int:
         compat = oracles.compatibility_residual(traces)
         continuum = oracles.wave_square_boundary_lagrangian(traces)
 
-        values = _map_ladder(
-            lambda nx: _extremal_action_on_square(solution, nx, ratio), sizes)
+        values = [_extremal_action_on_square(solution, nx, ratio) for nx in sizes]
         errors = [abs(v - continuum.action_value) for v in values]
         order = mechanics._fit_order([1.0 / nx for nx in sizes], errors)
 

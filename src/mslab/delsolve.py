@@ -154,9 +154,9 @@ def del_residual(density: LagrangianDensity, field: DiscreteField, n: int, i: in
         raise ValueError(f"column {i} has no interior stencil (0..{mesh.nx})")
     here, left, below = (jet_extension(field, TriangleIndex(*anchor), periodic)
                          for anchor in ((n, i), (n, i - 1), (n - 1, i)))
-    return (grad_Ld(density, here).d1
-            + grad_Ld(density, left).d2
-            + grad_Ld(density, below).d3)
+    return (grad_Ld(density, here)[0]
+            + grad_Ld(density, left)[1]
+            + grad_Ld(density, below)[2])
 
 
 def _sparse_block(triplets, size: int, eqs, unknowns, known=None):
@@ -185,8 +185,9 @@ def _sparse_block(triplets, size: int, eqs, unknowns, known=None):
 # Newton core (shared by the row stepper, solve_bvp and the mechanics lane)
 
 
-def _newton(residual_fn, factor_fn, x0, tol, max_iter, context: str):
-    """Damped Newton iteration on F(x) = 0 with Armijo backtracking.
+def _newton(residual_fn, factor_fn, x0, max_iter, context: str):
+    """Damped Newton iteration on F(x) = 0 with Armijo backtracking, until
+    the sup-norm of F is at most ``NEWTON_TOL``.
 
     ``factor_fn(x, context)`` returns a solver of the Jacobian at x (with
     ``.solve``), its rcond and a round-off floor at or below which a residual
@@ -211,7 +212,7 @@ def _newton(residual_fn, factor_fn, x0, tol, max_iter, context: str):
     rcond = None
     for iteration in range(max_iter + 1):
         norm = float(np.abs(f).max(initial=0.0))
-        if norm <= tol:
+        if norm <= NEWTON_TOL:
             return x, norm, iteration, rcond
         if iteration == max_iter:
             raise SolverError(f"{context}: Newton did not converge "
@@ -303,9 +304,12 @@ def _del_newton(density: LagrangianDensity, values: np.ndarray, index, jac_index
         if kept:
             return kept
         # The kernel's triplets are freed before the LU.
-        jac = _sparse_block(triangle_kernel(density, fill(x), jac_index, dt, dx,
-                                            gradient=False, hessian=True).triplets,
-                            values.size, eqs, unknowns)
+        try:
+            jac = _sparse_block(triangle_kernel(density, fill(x), jac_index, dt, dx,
+                                                gradient=False, hessian=True).triplets,
+                                values.size, eqs, unknowns)
+        except ValueError as exc:  # the kernel's report of a non-finite Hessian
+            raise SolverError(f"{context}: {exc}") from None
         out = (*_factor_and_rcond(jac, context), 0.0)
         kept = out if density.is_quadratic else None
         return out
@@ -313,7 +317,7 @@ def _del_newton(density: LagrangianDensity, values: np.ndarray, index, jac_index
     def solve(x0, max_iter, context):
         x, norm, iterations, rcond = _newton(
             lambda x: triangle_kernel(density, fill(x), index, dt, dx).residual[eqs],
-            factor, x0, NEWTON_TOL, max_iter, context)
+            factor, x0, max_iter, context)
         fill(x)
         return norm, iterations, factor(x, context)[1] if rcond is None else rcond
 
@@ -357,8 +361,9 @@ def _row_stepper(density: LagrangianDensity, mesh: QuadMesh, closure: Closure, *
         if not periodic:
             stack[2, 0], stack[2, -1] = closure.end_values(row_index)
         if len(columns):
-            solve((2.0 * u_curr - u_prev)[columns], max_iter,
-                  f"step_row (row {row_index})")
+            with np.errstate(all="ignore"):  # _newton reports a non-finite start
+                guess = (2.0 * u_curr - u_prev)[columns]
+            solve(guess, max_iter, f"step_row (row {row_index})")
         return stack[2].copy()
 
     return step

@@ -20,8 +20,8 @@ discrete counterpart of the exactness of the boundary forms.
 Built-in quadratic densities carry analytic derivatives; arbitrary callables
 are differentiated with forward-mode dual numbers (exact to round-off, no
 step-size tuning).  Every evaluation is checked for NaN/Inf, which raises
-ValueError; numpy warnings from non-quadratic densities are silenced, since
-that check reports them.
+ValueError; numpy warnings from non-quadratic densities and from the Hessian
+pull-back to vertex slots are silenced, since that check reports them.
 
 :func:`triangle_kernel` evaluates the same terms for a whole set of
 triangles at once, given as a (3, m) array of flat vertex indices: slot
@@ -165,22 +165,6 @@ def density_from_json(obj) -> LagrangianDensity:
 # Per-triangle action, gradient, Hessian
 
 
-@dataclass(frozen=True)
-class CovectorAtTriple:
-    """Vertex-slot gradient (d1, d2, d3) of the triangle action."""
-
-    d1: float
-    d2: float
-    d3: float
-
-    def as_tuple(self) -> tuple:
-        return (self.d1, self.d2, self.d3)
-
-    def pairing(self, tangent) -> float:
-        x1, x2, x3 = tangent
-        return self.d1 * x1 + self.d2 * x2 + self.d3 * x3
-
-
 def _check_finite(name, *vals):
     for v in vals:
         if not math.isfinite(v):
@@ -207,8 +191,8 @@ def eval_Ld(density: LagrangianDensity, triple: JetTriple) -> float:
     return out
 
 
-def grad_Ld(density: LagrangianDensity, triple: JetTriple) -> CovectorAtTriple:
-    """Vertex-slot gradient of the triangle action.
+def grad_Ld(density: LagrangianDensity, triple: JetTriple) -> tuple:
+    """Vertex-slot gradient (d1, d2, d3) of the triangle action.
 
     Chain rule through the affine jet map: with A = dt*dx/2,
 
@@ -223,7 +207,7 @@ def grad_Ld(density: LagrangianDensity, triple: JetTriple) -> CovectorAtTriple:
             parts = density.partials(triple.v, triple.w, triple.ubar)
     lv, lw, lu = (float(p) for p in parts)
     _check_finite(f"density {density.name} partials", lv, lw, lu)
-    return CovectorAtTriple(*_slot_gradient(lv, lw, lu, triple.dt, triple.dx))
+    return _slot_gradient(lv, lw, lu, triple.dt, triple.dx)
 
 
 @lru_cache(maxsize=64)
@@ -231,16 +215,25 @@ def _quadratic_hessian(coeffs: tuple, dt: float, dx: float):
     h = np.array([[coeffs[0], coeffs[3], coeffs[4]],
                   [coeffs[3], coeffs[1], coeffs[5]],
                   [coeffs[4], coeffs[5], coeffs[2]]])
-    m = _push_hessian(h, dt, dx)
+    m = _push_hessian(h, dt, dx, "quadratic density")
     m.setflags(write=False)
     return m
 
-def _push_hessian(h, dt: float, dx: float):
-    """Pull the (v, w, ubar) Hessian back to vertex slots and scale by area."""
+def _push_hessian(h, dt: float, dx: float, name: str):
+    """Pull the (v, w, ubar) Hessian back to vertex slots and scale by area.
+
+    ValueError names ``name`` if an entry is NaN/Inf.  Every row of the jet
+    map has a nonzero entry, so a NaN/Inf in ``h`` reaches the result; a
+    tiny step can also overflow the product of finite factors.
+    """
     jac = np.array([[-1.0 / dt, 0.0, 1.0 / dt],
                     [-1.0 / dx, 1.0 / dx, 0.0],
                     [1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0]])
-    return 0.5 * dt * dx * (jac.T @ h @ jac)
+    with np.errstate(all="ignore"):  # the finiteness check below reports it
+        m = 0.5 * dt * dx * (jac.T @ h @ jac)
+    if not np.isfinite(m).all():
+        raise ValueError(f"{name} produced a non-finite Hessian")
+    return m
 
 
 def hess_Ld(density: LagrangianDensity, triple: JetTriple):
@@ -249,12 +242,10 @@ def hess_Ld(density: LagrangianDensity, triple: JetTriple):
         coeffs = (density.vv, density.ww, density.uu,
                   density.vw, density.vu, density.wu)
         return _quadratic_hessian(coeffs, triple.dt, triple.dx)
-    with np.errstate(all="ignore"):  # the finiteness check below reports it
+    with np.errstate(all="ignore"):  # _push_hessian's finiteness check reports it
         h = np.asarray(density.second_partials(triple.v, triple.w, triple.ubar),
                        dtype=float)
-    if not np.isfinite(h).all():
-        raise ValueError(f"density {density.name} produced a non-finite Hessian")
-    return _push_hessian(h, triple.dt, triple.dx)
+    return _push_hessian(h, triple.dt, triple.dx, f"density {density.name}")
 
 
 def theta_k(density: LagrangianDensity, triple: JetTriple, k: int, tangent) -> float:
@@ -265,7 +256,7 @@ def theta_k(density: LagrangianDensity, triple: JetTriple, k: int, tangent) -> f
     """
     if k not in (1, 2, 3):
         raise ValueError(f"vertex slot must be 1, 2 or 3, got {k}")
-    return grad_Ld(density, triple).as_tuple()[k - 1] * float(tangent[k - 1])
+    return grad_Ld(density, triple)[k - 1] * float(tangent[k - 1])
 
 
 def omega_k(density: LagrangianDensity, triple: JetTriple, k: int, xi, eta) -> float:
@@ -358,7 +349,5 @@ def triangle_kernel(density: LagrangianDensity, values, index, dt: float,
         else:
             with np.errstate(all="ignore"):
                 h = np.broadcast_to(density.second_partials(v, w, ubar), (len(u1), 3, 3))
-            if not np.isfinite(h).all():
-                raise ValueError(f"density {density.name} produced a non-finite Hessian")
-            hess = _push_hessian(h, dt, dx)
+            hess = _push_hessian(h, dt, dx, f"density {density.name}")
     return TriangleTerms(grads, residual, hess, index)

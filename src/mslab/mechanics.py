@@ -37,7 +37,7 @@ import numpy as np
 from numpy.polynomial import legendre as npleg
 
 from . import dual
-from .delsolve import NEWTON_MAX_ITER, NEWTON_TOL, SolverError, _newton
+from .delsolve import NEWTON_MAX_ITER, SolverError, _newton
 
 
 class PhasePoint(NamedTuple):
@@ -214,7 +214,7 @@ def _newton_dense(residual_fn, x0, context: str) -> np.ndarray:
         return SimpleNamespace(solve=solve), None, floor
 
     return _newton(lambda x: np.atleast_1d(residual_fn(x)), factor,
-                   x0, NEWTON_TOL, NEWTON_MAX_ITER, context)[0]
+                   x0, NEWTON_MAX_ITER, context)[0]
 
 
 def _check_step(lagr: MechLagrangian, h: float) -> None:

@@ -269,13 +269,13 @@ def hessian_symmetry(density: LagrangianDensity, mesh: QuadMesh,
     from .genfunc import normal_momenta
 
     if method == "auto":
-        method = "analytic" if getattr(density, "is_quadratic", False) else "fd"
+        method = "analytic" if density.is_quadratic else "fd"
     region = boundary.region
     check_region_fits(region, mesh)
     bnodes = boundary_nodes(region)
 
     if method == "analytic":
-        if not getattr(density, "is_quadratic", False):
+        if not density.is_quadratic:
             raise ValueError("analytic Hessian requires a quadratic density")
         ncols = mesh.nx + 1
         terms = triangle_kernel(density, np.zeros(mesh.shape), region_index(region, ncols),

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -127,11 +128,6 @@ class TestExitConfig:
         cfg = write_config(tmp_path, "c.json", {"rule": "simpson"})
         assert main(["mechanics", "--config", cfg]) == EXIT_CONFIG
 
-    def test_bad_thread_cap(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("MSLAB_THREADS", "many")
-        cfg = write_config(tmp_path, "c.json", SQUARE_CONFIG)
-        assert main(["boundary-lagrangian", "--config", cfg]) == EXIT_CONFIG
-
     @pytest.mark.parametrize("command, payload", [
         ("msff-check", dict(MSFF_CONFIG, amplitude="big")),
         ("bridges-check", dict(BRIDGES_CONFIG, amplitude="big")),
@@ -226,6 +222,33 @@ class TestOverflowingData:
         assert main(["msff-check", "--config", cfg, "--seed", "1"]) == EXIT_CONFIG
         assert "amplitude" in self.one_error_line(capsys, "config")
 
+    @pytest.mark.parametrize("command, payload, code, where", [
+        # No interior node to solve for.
+        ("bridges-check", {"mode": "bvp-singularity",
+                           "mesh": {"dt": 1, "dx": 1, "nt": 1, "nx": 1}},
+         EXIT_CONFIG, "nt >= 2 and nx >= 2"),
+        # The new row's fixed ends overflow the start guess and the jets.
+        ("msff-check", dict(MSFF_CONFIG, closure={"fixed": [1e308, 1e308]}),
+         EXIT_SOLVER, "step_row (row 2): non-finite residual"),
+        # 1/dt squared overflows the vertex-slot Hessian.
+        ("msff-check", {"mesh": {"dt": 1e-300, "dx": 1, "nt": 6, "nx": 6}},
+         EXIT_SOLVER, "step_row (row 2): quadratic density produced a non-finite Hessian"),
+        ("bridges-check", {"mode": "conservation",
+                           "mesh": {"dt": 1e-300, "dx": 1, "nt": 6, "nx": 6}},
+         EXIT_SOLVER, "step_row (row 2): quadratic density produced a non-finite Hessian"),
+    ], ids=["tiny-bvp-mesh", "overflowing-fixed-ends", "msff-tiny-dt", "bridges-tiny-dt"])
+    def test_breach_is_one_error_line(self, tmp_path, capsys, command, payload,
+                                      code, where):
+        cfg = write_config(tmp_path, "c.json", payload)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning fails the run
+            assert main([command, "--config", cfg]) == code
+        err = capsys.readouterr().err
+        kind = "config" if code == EXIT_CONFIG else "solver"
+        assert err.startswith(f"mslab: {kind} error: ") and err.count("\n") == 1
+        assert where in err
+        assert "Traceback" not in err and "Warning" not in err
+
     def test_huge_disc_data_is_a_config_error(self, tmp_path):
         # Run out of process: quad can crash the interpreter on such data.
         cfg = write_config(tmp_path, "c.json",
@@ -269,14 +292,6 @@ class TestReports:
         assert report["command"] == "msff-check"
         assert report["config"] == MSFF_CONFIG
         assert report["seed"] == 0
-
-    def test_thread_cap_does_not_change_results(self, tmp_path, capsys,
-                                                monkeypatch):
-        cfg = write_config(tmp_path, "c.json", SQUARE_CONFIG)
-        _, serial = run(capsys, ["boundary-lagrangian", "--config", cfg])
-        monkeypatch.setenv("MSLAB_THREADS", "3")
-        _, threaded = run(capsys, ["boundary-lagrangian", "--config", cfg])
-        assert serial["results"] == threaded["results"]
 
 
 class TestOnePass:

@@ -310,6 +310,26 @@ class TestNewtonCore:
         with pytest.raises(SolverError, match=r"step_row \(row 2\): non-finite"):
             propagate(LinearWave, mesh, 1e301 * row0, 1e301 * row1, PeriodicClosure())
 
+    def test_overflowing_start_guess_names_the_row(self):
+        # 2 * 1e308 overflows at the fixed ends, outside the unknowns.
+        mesh = build_mesh(dt=0.05, dx=0.1, nt=4, nx=6)
+        rows = np.zeros(mesh.nx + 1)
+        rows[[0, -1]] = 1e308
+        with pytest.raises(SolverError, match=r"step_row \(row 2\): non-finite"):
+            propagate(LinearWave, mesh, rows, rows, FixedClosure(1e308, 1e308))
+
+    @pytest.mark.parametrize("scale", [0.0, 1e-20], ids=["final-rcond", "newton-step"])
+    def test_overflowing_hessian_is_a_solver_error(self, scale):
+        # 1/dt^2 overflows the Hessian, not the residual.  Zero data meets the
+        # tolerance at the start, so only the final rcond factors; the other
+        # data leave a residual of about 1e140 and factor inside Newton.
+        mesh = build_mesh(dt=1e-160, dx=1.0, nt=4, nx=4)
+        region = RectRegion(0, 0, mesh.nt, mesh.nx)
+        values = scale * np.random.default_rng(3).standard_normal(
+            len(boundary_nodes(region)))
+        with pytest.raises(SolverError, match="solve_bvp: .* non-finite Hessian"):
+            solve_bvp(LinearWave, mesh, BoundaryData(region, values))
+
     def test_non_finite_step_is_a_solver_error(self):
         class Overflowing:
             def solve(self, b):
@@ -318,7 +338,7 @@ class TestNewtonCore:
         with pytest.raises(SolverError, match=r"probe: .* \(non-finite step\)"):
             delsolve_module._newton(lambda x: x - 1.0,
                                     lambda x, context: (Overflowing(), 1.0, 0.0),
-                                    np.zeros(2), 1e-12, 5, "probe")
+                                    np.zeros(2), 5, "probe")
 
 
 def _estimated_problem(n=24):
@@ -339,13 +359,11 @@ class TestConditionEstimate:
         solve_bvp(LinearWave, mesh, data)
         assert np.random.rand() == expected
 
-    @pytest.mark.parametrize("threads", ["2", "4"])
-    def test_threaded_estimates_leave_global_rng_untouched(self, monkeypatch, threads):
+    @pytest.mark.parametrize("threads", [2, 4])
+    def test_threaded_estimates_leave_global_rng_untouched(self, threads):
         import sys
+        from concurrent.futures import ThreadPoolExecutor
 
-        from mslab.cli import _map_ladder
-
-        monkeypatch.setenv("MSLAB_THREADS", threads)
         mesh, data = _estimated_problem()
         np.random.seed(5)
         expected = np.random.rand()
@@ -353,7 +371,9 @@ class TestConditionEstimate:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # switch threads often inside the estimate
         try:
-            reports = _map_ladder(lambda _: solve_bvp(LinearWave, mesh, data), range(6))
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                reports = list(pool.map(lambda _: solve_bvp(LinearWave, mesh, data),
+                                        range(6), timeout=120))
         finally:
             sys.setswitchinterval(interval)
         assert np.random.rand() == expected

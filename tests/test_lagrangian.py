@@ -17,6 +17,7 @@ from mslab import (
     omega_k,
     quartic_test_density,
     theta_k,
+    triangle_kernel,
 )
 
 finite = st.floats(-3.0, 3.0)
@@ -75,7 +76,7 @@ class TestFrozenWaveValues:
         assert eval_Ld(LinearWave, self.jet) == pytest.approx(0.75)
 
     def test_gradient(self):
-        assert grad_Ld(LinearWave, self.jet).as_tuple() == pytest.approx(
+        assert grad_Ld(LinearWave, self.jet) == pytest.approx(
             (-0.5, -0.5, 1.0))
 
     def test_hessian(self):
@@ -94,7 +95,7 @@ class TestGradientAndHessianConsistency:
     @pytest.mark.parametrize("density", DENSITIES, ids=lambda d: d.name)
     def test_gradient_matches_fd(self, density):
         jet = JetTriple(0.3, -0.8, 1.1, dt=0.5, dx=0.75)
-        grad = grad_Ld(density, jet).as_tuple()
+        grad = grad_Ld(density, jet)
         eps = 1e-6
         for k in range(3):
             vals = list((jet.u1, jet.u2, jet.u3))
@@ -113,9 +114,9 @@ class TestGradientAndHessianConsistency:
         for k in range(3):
             vals = list((jet.u1, jet.u2, jet.u3))
             vals[k] += eps
-            gp = np.array(grad_Ld(density, JetTriple(*vals, dt=jet.dt, dx=jet.dx)).as_tuple())
+            gp = np.array(grad_Ld(density, JetTriple(*vals, dt=jet.dt, dx=jet.dx)))
             vals[k] -= 2 * eps
-            gm = np.array(grad_Ld(density, JetTriple(*vals, dt=jet.dt, dx=jet.dx)).as_tuple())
+            gm = np.array(grad_Ld(density, JetTriple(*vals, dt=jet.dt, dx=jet.dx)))
             assert np.allclose(hess[:, k], (gp - gm) / (2 * eps), atol=1e-5)
 
 
@@ -124,7 +125,8 @@ class TestFormIdentities:
     @given(jet=jets, tangent=tangents)
     def test_theta_sum_is_differential(self, jet, tangent):
         total = sum(theta_k(LinearWave, jet, k, tangent) for k in (1, 2, 3))
-        pairing = grad_Ld(LinearWave, jet).pairing(tangent)
+        (d1, d2, d3), (x1, x2, x3) = grad_Ld(LinearWave, jet), tangent
+        pairing = d1 * x1 + d2 * x2 + d3 * x3
         scale = max(1.0, abs(pairing))
         assert abs(total - pairing) <= 1e-13 * scale
 
@@ -170,3 +172,14 @@ class TestNonFiniteDensity:
         jet = JetTriple(1.0, 1.0, 1.0, dt=1.0, dx=1.0)
         with pytest.raises(ValueError, match="blowup"):
             fn(self.blowup, jet)
+
+    @pytest.mark.parametrize("density", [LinearWave, quartic_test_density(0.5)],
+                             ids=lambda d: d.name)
+    def test_overflowing_step_raises_value_error(self, density):
+        # 1/dt^2 overflows the vertex-slot pull-back of a finite Hessian.
+        jet = JetTriple(0.0, 0.0, 0.0, dt=1e-300, dx=1.0)
+        with pytest.raises(ValueError, match="non-finite Hessian"):
+            hess_Ld(density, jet)
+        with pytest.raises(ValueError, match="non-finite Hessian"):
+            triangle_kernel(density, np.zeros(3), np.array([[0], [1], [2]]),
+                            jet.dt, jet.dx, gradient=False, hessian=True)
