@@ -22,7 +22,9 @@ Three solution drivers are provided:
 * :func:`step_row` advances one time level by solving the DEL equations of
   the current level for the new row (a bidiagonal system, explicit for the
   wave density); its errors name the row.  :func:`propagate` steps a whole
-  field with one row stepper;
+  field with one row stepper.  For a quadratic density the stepper's
+  residuals are one sparse row operator applied to the three stacked rows
+  (see below), not kernel calls;
 * :func:`solve_bvp` solves the space-time boundary-value problem on a region
   with Dirichlet data on the single boundary layer;
 * :func:`tangent_solve` solves the linearised DEL equations for first
@@ -35,7 +37,15 @@ sup-norm of the residual at or below ``NEWTON_TOL`` = 1e-12 (or the
 factoriser's round-off floor), within ``NEWTON_MAX_ITER`` = 50 iterations.
 A quadratic density's Jacobian is the same at every iterate and row, so one
 sparse LU serves a whole :func:`propagate` run or :func:`solve_bvp`, whatever
-its iteration count.
+its iteration count.  Its DEL residuals are linear in the node values, so the
+row stepper builds one sparse operator R on its first row, from a single
+kernel call: the Hessian of the two triangle rows, with a row per equation
+and a column per node of the three stacked rows.  Each residual is then
+R @ stack (equal to the kernel's to round-off, not bit for bit), and R's
+columns at the new row are the Jacobian, the same matrix the kernel's
+triplets give.  :func:`solve_bvp`, :func:`tangent_solve` and the
+non-quadratic rows keep the kernel's residuals.  A non-finite Hessian raises
+:class:`SolverError` naming the function (and the row) it was built for.
 
 Every factorisation is accompanied by a reciprocal condition indicator
 
@@ -282,8 +292,31 @@ def _factor_and_rcond(jac: csc_matrix, context: str):
     return lu, rcond
 
 
+def _kernel_triplets(density: LagrangianDensity, values, index, dt: float, dx: float,
+                     context: str) -> tuple:
+    """The kernel's Hessian triplets of the triangles ``index`` at ``values``;
+    a non-finite Hessian (the kernel's ValueError) raises :class:`SolverError`
+    naming ``context``."""
+    try:
+        return triangle_kernel(density, values, index, dt, dx, gradient=False,
+                               hessian=True).triplets
+    except ValueError as exc:
+        raise SolverError(f"{context}: {exc}") from None
+
+
+def _hessian_operator(density: LagrangianDensity, values: np.ndarray, index, eqs,
+                      dt: float, dx: float, context: str):
+    """The sparse Hessian R of a quadratic density on the triangles ``index``,
+    with a row per flat node of ``eqs`` and a column per node of ``values``:
+    ``R @ values.ravel()`` are the DEL residuals at ``eqs``.  The Hessian is
+    the same at any values, so it is taken at zeros."""
+    return _sparse_block(
+        _kernel_triplets(density, np.zeros_like(values), index, dt, dx, context),
+        values.size, eqs, np.arange(values.size))
+
+
 def _del_newton(density: LagrangianDensity, values: np.ndarray, index, jac_index,
-                eqs, unknowns, dt: float, dx: float):
+                eqs, unknowns, dt: float, dx: float, *, linear: bool = False):
     """``solve(x0, max_iter, context)``: Newton on the DEL residuals of
     the triangles ``index`` at the flat nodes ``eqs`` of the C-contiguous
     work array ``values``, for the values at the flat nodes ``unknowns``,
@@ -291,33 +324,44 @@ def _del_newton(density: LagrangianDensity, values: np.ndarray, index, jac_index
     the triangles ``jac_index``.  A quadratic density's LU is made once and
     kept.  Returns (residual norm, iterations, rcond); ``values`` then holds
     the solution.
+
+    With ``linear`` (a quadratic density), the residuals are R @ values for
+    one sparse operator R, built on the first solve: the Hessian of the
+    triangles ``index``, with a row per node of ``eqs`` and a column per node.
+    Its columns at ``unknowns`` are the Jacobian.
     """
-    kept = None
+    kept = operator = None
     work = values.reshape(-1)  # a view of ``values``
 
     def fill(x):
         work[unknowns] = x
         return values
 
+    def residual(x):
+        if operator is None:
+            return triangle_kernel(density, fill(x), index, dt, dx).residual[eqs]
+        fill(x)
+        return operator @ work
+
     def factor(x, context):
         nonlocal kept
         if kept:
             return kept
-        # The kernel's triplets are freed before the LU.
-        try:
-            jac = _sparse_block(triangle_kernel(density, fill(x), jac_index, dt, dx,
-                                                gradient=False, hessian=True).triplets,
-                                values.size, eqs, unknowns)
-        except ValueError as exc:  # the kernel's report of a non-finite Hessian
-            raise SolverError(f"{context}: {exc}") from None
+        if operator is None:
+            # The kernel's triplets are freed before the LU.
+            jac = _sparse_block(_kernel_triplets(density, fill(x), jac_index, dt, dx,
+                                                 context), values.size, eqs, unknowns)
+        else:
+            jac = operator[:, unknowns]
         out = (*_factor_and_rcond(jac, context), 0.0)
         kept = out if density.is_quadratic else None
         return out
 
     def solve(x0, max_iter, context):
-        x, norm, iterations, rcond = _newton(
-            lambda x: triangle_kernel(density, fill(x), index, dt, dx).residual[eqs],
-            factor, x0, max_iter, context)
+        nonlocal operator
+        if linear and operator is None:
+            operator = _hessian_operator(density, values, index, eqs, dt, dx, context)
+        x, norm, iterations, rcond = _newton(residual, factor, x0, max_iter, context)
         fill(x)
         return norm, iterations, factor(x, context)[1] if rcond is None else rcond
 
@@ -333,9 +377,10 @@ def _row_stepper(density: LagrangianDensity, mesh: QuadMesh, closure: Closure, *
     """``step(u_prev, u_curr, row_index)``: :func:`step_row` for a whole run,
     with at most ``max_iter`` Newton iterations per row.
 
-    The closure, triangle indices and column sets are built once, and a
-    quadratic density's row Jacobian (the same for every row) is factored,
-    with its rcond check, once on first use.
+    The closure, triangle indices and column sets are built once.  A
+    quadratic density's row operator and row Jacobian (the same for every
+    row) are built, and the Jacobian factored with its rcond check, once on
+    first use.
     """
     closure = parse_closure(closure)
     periodic = isinstance(closure, PeriodicClosure)
@@ -351,7 +396,8 @@ def _row_stepper(density: LagrangianDensity, mesh: QuadMesh, closure: Closure, *
     solve = _del_newton(density, stack,
                         triangle_index(np.array([[0], [1]]), anchors, ncols, periodic),
                         triangle_index(np.array([1]), anchors, ncols, periodic),
-                        ncols + columns, 2 * ncols + columns, mesh.dt, mesh.dx)
+                        ncols + columns, 2 * ncols + columns, mesh.dt, mesh.dx,
+                        linear=density.is_quadratic)
 
     def step(u_prev, u_curr, row_index: int) -> np.ndarray:
         u_prev, u_curr = (np.asarray(u, dtype=float) for u in (u_prev, u_curr))
@@ -460,9 +506,8 @@ def tangent_solve(density: LagrangianDensity, field: DiscreteField, region: Regi
     inner = interior_index(region, ncols)
     if not inner.size:
         raise ValueError(f"region {region} has no interior nodes")
-    terms = triangle_kernel(density, field.values, region_index(region, ncols),
-                            mesh.dt, mesh.dx, hessian=True)
-    res = terms.residual[inner]
+    index = region_index(region, ncols)
+    res = triangle_kernel(density, field.values, index, mesh.dt, mesh.dx).residual[inner]
     base_tol = 1e-8
     bad = np.flatnonzero(np.abs(res) > base_tol)
     if bad.size:
@@ -474,8 +519,10 @@ def tangent_solve(density: LagrangianDensity, field: DiscreteField, region: Regi
     taus = np.zeros((len(boundaries), mesh.shape[0] * ncols))
     for tau, tb in zip(taus, boundaries):
         tau[node_index(tb.nodes, ncols)] = tb.values
-    jac, rhs = _sparse_block(terms.triplets, taus.shape[1], inner, inner, taus)
-    del terms  # free the kernel's triplets before factoring
+    triplets = _kernel_triplets(density, field.values, index, mesh.dt, mesh.dx,
+                                "tangent_solve")
+    jac, rhs = _sparse_block(triplets, taus.shape[1], inner, inner, taus)
+    del triplets  # freed before factoring
     lu, _ = _factor_and_rcond(jac, "tangent_solve")
     fields = []
     for tau, b in zip(taus, rhs):

@@ -37,8 +37,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .delsolve import (BvpSolveReport, _factor_and_rcond, _sparse_block,
-                       solve_bvp)
+from .delsolve import (BvpSolveReport, _factor_and_rcond, _kernel_triplets,
+                       _sparse_block, solve_bvp)
 from .jetmesh import (BoundaryData, DiscreteField, JetTriple, QuadMesh, RectRegion,
                       Region, boundary_nodes, check_region_fits, interior_index,
                       node_index, parse_region, region_index, region_to_json)
@@ -352,9 +352,9 @@ def boundary_hamiltonian(density: QuadraticDensity, mesh: QuadMesh,
     # Equations: row per unknown.  Interior rows are DEL slot sums over the
     # node's three triangles; B rows are slot sums over region triangles
     # containing the node (here: the single top triangle below it).
-    terms = triangle_kernel(density, np.zeros(mesh.shape), region_index(region, ncols),
-                            mesh.dt, mesh.dx, gradient=False, hessian=True)
-    jac, (rhs,) = _sparse_block(terms.triplets, arr.size, flat, flat, [arr.ravel()])
+    triplets = _kernel_triplets(density, np.zeros(mesh.shape), region_index(region, ncols),
+                                mesh.dt, mesh.dx, "boundary_hamiltonian")
+    jac, (rhs,) = _sparse_block(triplets, arr.size, flat, flat, [arr.ravel()])
     rhs[len(flat) - len(b_side):] += list(data.momenta.values())
     lu, rcond = _factor_and_rcond(jac, "boundary_hamiltonian")
 

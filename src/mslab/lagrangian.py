@@ -49,6 +49,8 @@ class LagrangianDensity:
     """Base class: a named density with value/partials/second-partials."""
 
     name = "density"
+    # True for a quadratic form in (v, w, ubar): the Hessian is constant and
+    # the DEL residuals are linear in the node values.
     is_quadratic = False
 
     def value(self, v, w, ubar):

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .delsolve import _factor_and_rcond, _sparse_block, solve_bvp
+from .delsolve import _factor_and_rcond, _kernel_triplets, _sparse_block, solve_bvp
 from .jetmesh import (BoundaryData, DiscreteField, Patch3Region, QuadMesh,
                       Region, boundary_nodes, check_region_fits, interior_index,
                       node_index, region_index)
@@ -231,9 +231,15 @@ def symplectic_flux(mesh: QuadMesh, v_var: DiscreteField, w_var: DiscreteField,
     """
     if not 0 <= n <= mesh.nt - 1:
         raise ValueError(f"slice {n} needs rows n and n+1 inside the mesh")
-    dvdu, _ = _wedges(mesh, v_var, w_var, n, n + 1)
+    return float(_fluxes(mesh, v_var, w_var, n, n + 1)[0])
+
+
+def _fluxes(mesh: QuadMesh, v_var: DiscreteField, w_var: DiscreteField,
+            lo: int, hi: int) -> np.ndarray:
+    """:func:`symplectic_flux` of slices lo..hi-1, from one wedge pass."""
+    dvdu, _ = _wedges(mesh, v_var, w_var, lo, hi)
     # A running total from 0.0 in column order; np.sum would add pairwise.
-    return float(np.cumsum(np.append(0.0, dvdu))[-1])
+    return np.cumsum(np.hstack([np.zeros((hi - lo, 1)), dvdu]), axis=1)[:, -1]
 
 
 # ---------------------------------------------------------------------------
@@ -278,16 +284,17 @@ def hessian_symmetry(density: LagrangianDensity, mesh: QuadMesh,
         if not density.is_quadratic:
             raise ValueError("analytic Hessian requires a quadratic density")
         ncols = mesh.nx + 1
-        terms = triangle_kernel(density, np.zeros(mesh.shape), region_index(region, ncols),
-                                mesh.dt, mesh.dx, gradient=False, hessian=True)
+        triplets = _kernel_triplets(density, np.zeros(mesh.shape),
+                                    region_index(region, ncols), mesh.dt, mesh.dx,
+                                    "hessian_symmetry")
         size = mesh.shape[0] * ncols
         bd, inn = node_index(bnodes, ncols), interior_index(region, ncols)
-        h = _sparse_block(terms.triplets, size, bd, bd).toarray()
+        h = _sparse_block(triplets, size, bd, bd).toarray()
         if inn.size:
             # K_bb - K_bi K_ii^-1 K_ib, with K_ii factored once.
-            lu, _ = _factor_and_rcond(_sparse_block(terms.triplets, size, inn, inn),
+            lu, _ = _factor_and_rcond(_sparse_block(triplets, size, inn, inn),
                                       "hessian_symmetry")
-            k_bi = _sparse_block(terms.triplets, size, bd, inn)
+            k_bi = _sparse_block(triplets, size, bd, inn)
             h -= k_bi @ lu.solve(k_bi.T.toarray())
     elif method == "fd":
         base = solve_bvp(density, mesh, boundary).field

@@ -236,7 +236,12 @@ class TestOverflowingData:
         ("bridges-check", {"mode": "conservation",
                            "mesh": {"dt": 1e-300, "dx": 1, "nt": 6, "nx": 6}},
          EXIT_SOLVER, "step_row (row 2): quadratic density produced a non-finite Hessian"),
-    ], ids=["tiny-bvp-mesh", "overflowing-fixed-ends", "msff-tiny-dt", "bridges-tiny-dt"])
+        # One slice and no interior node: nothing to compare.
+        ("bridges-check", {"mode": "conservation",
+                           "mesh": {"dt": 1, "dx": 1, "nt": 1, "nx": 1}},
+         EXIT_CONFIG, "nt >= 2"),
+    ], ids=["tiny-bvp-mesh", "overflowing-fixed-ends", "msff-tiny-dt", "bridges-tiny-dt",
+            "one-slice-conservation"])
     def test_breach_is_one_error_line(self, tmp_path, capsys, command, payload,
                                       code, where):
         cfg = write_config(tmp_path, "c.json", payload)
@@ -306,6 +311,20 @@ class TestOnePass:
         code, _ = run(capsys, ["msff-check", "--config", cfg])
         assert code == EXIT_OK
         assert len(calls) == 2
+
+    def test_fluxes_equal_per_slice_fluxes(self, tmp_path, capsys, monkeypatch):
+        # The one-pass list against one symplectic_flux call per slice.
+        seen, residuals = [], mslab.msforms.bridges_residuals
+        monkeypatch.setattr(mslab.msforms, "bridges_residuals",
+                            lambda *a, **kw: seen.append(a) or residuals(*a, **kw))
+        cfg = write_config(tmp_path, "c.json", BRIDGES_CONFIG)
+        code, report = run(capsys, ["bridges-check", "--config", cfg, "--seed", "3"])
+        assert code == EXIT_OK
+        (mesh, v_var, w_var), = seen
+        expected = [mslab.msforms.symplectic_flux(mesh, v_var, w_var, n)
+                    for n in range(mesh.nt)]
+        assert len(expected) == mesh.nt
+        assert json.dumps(report["results"]["flux_per_slice"]) == json.dumps(expected)
 
     def test_parser_built_once(self, tmp_path, capsys, monkeypatch):
         builds = []

@@ -12,21 +12,27 @@ from mslab import (
     FixedClosure,
     HarmonicDirichlet,
     LinearWave,
+    MixedBoundaryData,
     Patch3Region,
     PeriodicClosure,
     QuadraticDensity,
     RectRegion,
     SingularSystem,
     SolverError,
+    boundary_hamiltonian,
     boundary_nodes,
     build_mesh,
+    canonical_type2_split,
     del_residual,
+    hessian_symmetry,
     parse_closure,
     propagate,
     quartic_test_density,
     solve_bvp,
     step_row,
     tangent_solve,
+    triangle_index,
+    triangle_kernel,
 )
 from mslab import delsolve as delsolve_module
 from mslab.msforms import linearized_del_residual
@@ -204,6 +210,21 @@ class TestRowFactorisation:
         assert len(calls) == 1
 
     @pytest.mark.parametrize("closure", CLOSURES)
+    def test_quadratic_run_makes_one_kernel_call(self, monkeypatch, closure):
+        # The row operator's Hessian; every residual and the Jacobian are
+        # read off it.
+        mesh = build_mesh(dt=0.05, dx=0.1, nt=12, nx=9)
+        row0, row1 = _rows(mesh, 21, closure)
+        kernel_calls, kernel = [], delsolve_module.triangle_kernel
+        monkeypatch.setattr("mslab.delsolve.triangle_kernel",
+                            lambda *a, **kw: kernel_calls.append(1) or kernel(*a, **kw))
+        lu_calls = _count_splu(monkeypatch)
+        propagate(QuadraticDensity(vv=1.0, ww=-0.8, vw=0.05, vu=0.02, uu=-0.1),
+                  mesh, row0, row1, closure)
+        assert len(kernel_calls) == 1
+        assert len(lu_calls) == 1
+
+    @pytest.mark.parametrize("closure", CLOSURES)
     def test_quartic_run_factors_every_newton_iteration(self, monkeypatch, closure):
         mesh = build_mesh(dt=0.05, dx=0.1, nt=6, nx=9)
         row0, row1 = _rows(mesh, 22, closure)
@@ -233,6 +254,62 @@ class TestRowFactorisation:
             rows.append(step_row(density, mesh, rows[-2], rows[-1], closure,
                                  row_index=n + 1))
         assert np.array_equal(field.values, np.array(rows))
+
+
+# Bound on |R @ stack - kernel residual| in unit round-offs u = 2^-53 of the
+# uncancelled magnitude B = sum over the triangles of A |J|^T |H| |J| |u_t|
+# at each equation node (A = dt*dx/2, J the jet map, H the coefficient
+# matrix, u_t the vertex values).  The kernel forms the jets (<= 3u), the
+# partials (<= 3u more), the slot gradients (<= 6u more) and sums three
+# slots (2u): 14u.  The operator rounds J and the two 3x3 products and the
+# area factor into each Hessian entry (<= 10u), sums up to three duplicate
+# entries and then the at most nine products of a row (<= 10u): 20u.  The
+# two routes differ by at most 34u B to first order; c = 40 leaves room for
+# the second-order terms.  |R| |stack| is no bound: the entries of R cancel
+# (on LinearWave at dt = dx the centre entry is exactly 0), while both routes
+# still round at the size of the terms.
+ROUND_OFFS = 40
+COEFFS = st.floats(-10.0, 10.0)
+NODE_VALUES = st.floats(-1e3, 1e3)
+
+
+class TestRowOperator:
+    @settings(max_examples=150, deadline=None)
+    @given(coeffs=st.tuples(*[COEFFS] * 6), periodic=st.booleans(),
+           dt=st.floats(0.01, 100.0), dx=st.floats(0.01, 100.0),
+           nx=st.integers(1, 12), data=st.data())
+    @example(coeffs=(1.0, -1.0, 0.0, 0.0, 0.0, 0.0), periodic=False, dt=0.1, dx=0.1,
+             nx=4, data=None)
+    def test_operator_matches_kernel_residual(self, coeffs, periodic, dt, dx, nx, data):
+        density = QuadraticDensity(*coeffs)
+        ncols = nx + 1
+        if data is None:  # the centre entry of R cancels to 0 here
+            stack = np.zeros((3, ncols))
+            stack[1, 2] = 1.0
+        else:
+            stack = np.reshape(data.draw(st.lists(NODE_VALUES, min_size=3 * ncols,
+                                                  max_size=3 * ncols)), (3, ncols))
+        # The row stepper's layout: equations on row 1, triangles of rows 0, 1.
+        if periodic:
+            columns = anchors = np.arange(ncols)
+        else:
+            columns, anchors = np.arange(1, ncols - 1), np.arange(ncols - 1)
+        index = triangle_index(np.array([[0], [1]]), anchors, ncols, periodic)
+        eqs = ncols + columns
+        op = delsolve_module._hessian_operator(density, stack, index, eqs, dt, dx, "probe")
+        reference = triangle_kernel(density, stack, index, dt, dx).residual[eqs]
+
+        jac = np.abs([[-1.0 / dt, 0.0, 1.0 / dt], [-1.0 / dx, 1.0 / dx, 0.0],
+                      [1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0]])
+        slots = 0.5 * dt * dx * (jac.T @ np.abs(density.second_partials(0, 0, 0)) @ jac)
+        terms = slots @ np.abs(stack.ravel()[index])
+        magnitude = np.bincount(index.ravel(), weights=terms.ravel(),
+                                minlength=stack.size)[eqs]
+        # Gradual underflow adds at most 2^-1075 per operation, scaled by at
+        # most 5e8 on these ranges: far below the smallest normal number.
+        bound = ROUND_OFFS * 2.0 ** -53 * magnitude + np.finfo(float).tiny
+        assert op.shape == (len(eqs), stack.size)
+        assert np.all(np.abs(op @ stack.ravel() - reference) <= bound)
 
 
 class TestWorkArrayAliasing:
@@ -329,6 +406,27 @@ class TestNewtonCore:
             len(boundary_nodes(region)))
         with pytest.raises(SolverError, match="solve_bvp: .* non-finite Hessian"):
             solve_bvp(LinearWave, mesh, BoundaryData(region, values))
+
+    @pytest.mark.parametrize("where", ["tangent_solve", "hessian_symmetry",
+                                       "boundary_hamiltonian"])
+    def test_overflowing_hessian_names_its_function(self, where):
+        # 1/dt^2 overflows the vertex-slot Hessian of a zero field.
+        mesh = build_mesh(dt=1e-160, dx=1.0, nt=4, nx=4)
+        region = RectRegion(0, 0, mesh.nt, mesh.nx)
+        zeros = BoundaryData(region, np.zeros(len(boundary_nodes(region))))
+        a_side, b_side = canonical_type2_split(region)
+        calls = {
+            "tangent_solve": lambda: tangent_solve(
+                LinearWave, DiscreteField.zeros(mesh), region, zeros),
+            "hessian_symmetry": lambda: hessian_symmetry(
+                LinearWave, mesh, zeros, method="analytic"),
+            "boundary_hamiltonian": lambda: boundary_hamiltonian(
+                LinearWave, mesh, MixedBoundaryData(region, dict.fromkeys(a_side, 0.0),
+                                                    dict.fromkeys(b_side, 0.0))),
+        }
+        with pytest.raises(SolverError,
+                           match=f"^{where}: quadratic density produced a non-finite Hessian$"):
+            calls[where]()
 
     def test_non_finite_step_is_a_solver_error(self):
         class Overflowing:
