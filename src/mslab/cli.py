@@ -21,7 +21,8 @@ Subcommands
     (midpoint or rectangle) against the exact flow.
 
 Exit codes: 0 all checks passed, 1 a tolerance check failed, 2 bad
-configuration, 3 solver failure (non-convergence or singular system).
+configuration (among them a negative ``--seed`` and a negative or non-finite
+``--tol``), 3 solver failure (non-convergence or singular system).
 
 Reports are JSON with sorted keys; for a fixed config file and seed every
 field outside the ``metadata`` block is bit-identical across runs.  With
@@ -510,9 +511,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to a JSON config file")
         p.add_argument("--seed", type=int, default=0,
-                       help="root seed for all random draws (default 0)")
+                       help="non-negative root seed for all random draws (default 0)")
         p.add_argument("--tol", type=float, default=None,
-                       help="override the subcommand's default tolerance")
+                       help="override the subcommand's default tolerance "
+                            "(finite, non-negative)")
         p.add_argument("--out", default=None,
                        help="directory for the JSON report and CSV dumps")
         p.set_defaults(handler=handler)
@@ -523,6 +525,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be non-negative, got {args.seed}")
+        if args.tol is not None and not 0.0 <= args.tol < math.inf:
+            raise ConfigError(f"--tol must be finite and non-negative, got {args.tol!r}")
         return args.handler(args)
     except ConfigError as exc:
         print(f"mslab: config error: {exc}", file=sys.stderr)

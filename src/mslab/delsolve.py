@@ -9,13 +9,17 @@ each vertex slot), so the discrete Euler-Lagrange (DEL) residual at (n, i) is
 where dk is the k-th vertex-slot derivative.  For the wave density this is
 the classical leapfrog stencil scaled by dt*dx/2.
 
-The solvers evaluate residuals and Jacobians for all triangles at once with
-:func:`~mslab.lagrangian.triangle_kernel`: the residual vector is the
-scatter-add of the slot gradients, and the sparse Jacobian is assembled from
-the kernel's Hessian triplets.  Newton writes each iterate in place into one
-work array (the row stepper's three rows, or the field of a solve), copied
-once per returned row or field.  :func:`del_residual` is the per-node view,
-built on the per-triangle :func:`~mslab.lagrangian.grad_Ld`.
+The solvers evaluate residuals for all triangles at once with
+:func:`~mslab.lagrangian.triangle_kernel` (a scatter-add of slot gradients).
+A kernel Hessian becomes a sparse matrix in one place, ``_hessian_operator``:
+K, with a row per equation node and a column per node or unknown.  Newton
+Jacobians are K at the unknowns; :func:`tangent_solve` and
+:func:`~mslab.genfunc.boundary_hamiltonian` take K[:, unknowns] and
+``0.0 - K @ known``; the analytic :func:`~mslab.msforms.hessian_symmetry`
+slices its Schur blocks out of one K; linearised residuals are
+K @ variation.  Newton writes each iterate in place into one work array,
+copied once per returned row or field.  :func:`del_residual` is the
+per-node view, built on :func:`~mslab.lagrangian.grad_Ld`.
 
 Three solution drivers are provided:
 
@@ -38,14 +42,13 @@ factoriser's round-off floor), within ``NEWTON_MAX_ITER`` = 50 iterations.
 A quadratic density's Jacobian is the same at every iterate and row, so one
 sparse LU serves a whole :func:`propagate` run or :func:`solve_bvp`, whatever
 its iteration count.  Its DEL residuals are linear in the node values, so the
-row stepper builds one sparse operator R on its first row, from a single
-kernel call: the Hessian of the two triangle rows, with a row per equation
-and a column per node of the three stacked rows.  Each residual is then
-R @ stack (equal to the kernel's to round-off, not bit for bit), and R's
-columns at the new row are the Jacobian, the same matrix the kernel's
-triplets give.  :func:`solve_bvp`, :func:`tangent_solve` and the
-non-quadratic rows keep the kernel's residuals.  A non-finite Hessian raises
-:class:`SolverError` naming the function (and the row) it was built for.
+row stepper builds one operator R on its first row, from a single kernel
+call: K of the two triangle rows at every node of the three stacked rows.
+Each residual is then R @ stack (equal to the kernel's to round-off, not bit
+for bit), and R's columns at the new row are the Jacobian.
+:func:`solve_bvp` and the non-quadratic rows keep the kernel's residuals.
+A non-finite Hessian raises :class:`SolverError` naming the function (and
+the row) it was built for.
 
 Every factorisation is accompanied by a reciprocal condition indicator
 
@@ -119,11 +122,16 @@ class PeriodicClosure:
 class FixedClosure:
     """Fixed-value spatial closure: prescribed end values for each new row.
 
-    ``left``/``right`` may be floats or callables of the new row index.
+    ``left``/``right`` may be finite floats or callables of the new row index.
     """
 
     left: Union[float, Callable[[int], float]] = 0.0
     right: Union[float, Callable[[int], float]] = 0.0
+
+    def __post_init__(self):
+        for end in (self.left, self.right):
+            if not (callable(end) or math.isfinite(end)):
+                raise ValueError(f"fixed closure end {end!r} is not finite")
 
     def end_values(self, row_index: int) -> tuple:
         return tuple(end(row_index) if callable(end) else float(end)
@@ -169,26 +177,16 @@ def del_residual(density: LagrangianDensity, field: DiscreteField, n: int, i: in
             + grad_Ld(density, below)[2])
 
 
-def _sparse_block(triplets, size: int, eqs, unknowns, known=None):
+def _sparse_block(triplets, size: int, eqs, cols=None):
     """Sparse matrix of Hessian triplets, rows at the flat nodes ``eqs`` and
-    columns at the flat nodes ``unknowns`` (of ``size`` nodes in all).
-
-    With ``known`` (a sequence of flat node-value vectors), also returns one
-    right-hand side per vector: minus the product of the remaining columns
-    with those values.
-    """
-    rows, cols, vals = triplets
+    columns at the flat nodes ``cols`` (default: all ``size`` nodes)."""
+    rows, nodes, vals = triplets
+    cols = np.arange(size) if cols is None else cols
     number = np.full((2, size), -1, dtype=np.int32)
-    number[0, eqs], number[1, unknowns] = np.arange(len(eqs)), np.arange(len(unknowns))
-    r, c = number[0, rows], number[1, cols]
+    number[0, eqs], number[1, cols] = np.arange(len(eqs)), np.arange(len(cols))
+    r, c = number[0, rows], number[1, nodes]
     keep = (r >= 0) & (c >= 0)
-    mat = csc_matrix((vals[keep], (r[keep], c[keep])), shape=(len(eqs), len(unknowns)))
-    if known is None:
-        return mat
-    rest = (r >= 0) & (c < 0)
-    # 0.0 - s rather than -s: rows without a known column stay +0.0.
-    return mat, [0.0 - np.bincount(r[rest], weights=vals[rest] * kv[cols[rest]],
-                                   minlength=len(eqs)) for kv in known]
+    return csc_matrix((vals[keep], (r[keep], c[keep])), shape=(len(eqs), len(cols)))
 
 
 # ---------------------------------------------------------------------------
@@ -292,43 +290,39 @@ def _factor_and_rcond(jac: csc_matrix, context: str):
     return lu, rcond
 
 
-def _kernel_triplets(density: LagrangianDensity, values, index, dt: float, dx: float,
-                     context: str) -> tuple:
-    """The kernel's Hessian triplets of the triangles ``index`` at ``values``;
-    a non-finite Hessian (the kernel's ValueError) raises :class:`SolverError`
-    naming ``context``."""
+def _hessian_operator(density: LagrangianDensity, values: np.ndarray, index, eqs,
+                      dt: float, dx: float, context: str, cols=None):
+    """The sparse Hessian K of the DEL residuals of the triangles ``index``,
+    with a row per flat node of ``eqs`` and a column per flat node of
+    ``cols`` (default: every node of ``values``).
+
+    K is taken at ``values``, or at zeros for a quadratic density, whose
+    Hessian is the same everywhere; for such a density the DEL residuals at
+    ``eqs`` are ``K @ values.ravel()``.  A non-finite Hessian (the kernel's
+    ValueError) raises :class:`SolverError` naming ``context``.
+    """
     try:
-        return triangle_kernel(density, values, index, dt, dx, gradient=False,
-                               hessian=True).triplets
+        triplets = triangle_kernel(density,
+                                   np.zeros_like(values) if density.is_quadratic else values,
+                                   index, dt, dx, gradient=False, hessian=True).triplets
     except ValueError as exc:
         raise SolverError(f"{context}: {exc}") from None
+    return _sparse_block(triplets, values.size, eqs, cols)
 
 
-def _hessian_operator(density: LagrangianDensity, values: np.ndarray, index, eqs,
-                      dt: float, dx: float, context: str):
-    """The sparse Hessian R of a quadratic density on the triangles ``index``,
-    with a row per flat node of ``eqs`` and a column per node of ``values``:
-    ``R @ values.ravel()`` are the DEL residuals at ``eqs``.  The Hessian is
-    the same at any values, so it is taken at zeros."""
-    return _sparse_block(
-        _kernel_triplets(density, np.zeros_like(values), index, dt, dx, context),
-        values.size, eqs, np.arange(values.size))
-
-
-def _del_newton(density: LagrangianDensity, values: np.ndarray, index, jac_index,
-                eqs, unknowns, dt: float, dx: float, *, linear: bool = False):
+def _del_newton(density: LagrangianDensity, values: np.ndarray, index, eqs, unknowns,
+                dt: float, dx: float, *, linear: bool = False):
     """``solve(x0, max_iter, context)``: Newton on the DEL residuals of
     the triangles ``index`` at the flat nodes ``eqs`` of the C-contiguous
     work array ``values``, for the values at the flat nodes ``unknowns``,
-    written in place (other nodes keep their value), with the Jacobian of
-    the triangles ``jac_index``.  A quadratic density's LU is made once and
-    kept.  Returns (residual norm, iterations, rcond); ``values`` then holds
-    the solution.
+    written in place (other nodes keep their value).  The Jacobian is
+    :func:`_hessian_operator` at the ``unknowns`` columns; a quadratic
+    density's LU is made once and kept.  Returns (residual norm, iterations,
+    rcond); ``values`` then holds the solution.
 
     With ``linear`` (a quadratic density), the residuals are R @ values for
-    one sparse operator R, built on the first solve: the Hessian of the
-    triangles ``index``, with a row per node of ``eqs`` and a column per node.
-    Its columns at ``unknowns`` are the Jacobian.
+    one operator R (:func:`_hessian_operator` at every column), built on the
+    first solve; its columns at ``unknowns`` are the Jacobian.
     """
     kept = operator = None
     work = values.reshape(-1)  # a view of ``values``
@@ -347,10 +341,8 @@ def _del_newton(density: LagrangianDensity, values: np.ndarray, index, jac_index
         nonlocal kept
         if kept:
             return kept
-        if operator is None:
-            # The kernel's triplets are freed before the LU.
-            jac = _sparse_block(_kernel_triplets(density, fill(x), jac_index, dt, dx,
-                                                 context), values.size, eqs, unknowns)
+        if operator is None:  # built at the unknowns: no whole-node K is held
+            jac = _hessian_operator(density, fill(x), index, eqs, dt, dx, context, unknowns)
         else:
             jac = operator[:, unknowns]
         out = (*_factor_and_rcond(jac, context), 0.0)
@@ -390,12 +382,11 @@ def _row_stepper(density: LagrangianDensity, mesh: QuadMesh, closure: Closure, *
     else:
         columns, anchors = np.arange(1, ncols - 1), np.arange(ncols - 1)
     # Rows 0, 1, 2 of ``stack`` are u_prev, u_curr and the new row; the
-    # equations sit on row 1 and the unknowns on row 2.  Only the upper
-    # triangles hold new-row values, so only they enter the Jacobian.
+    # equations sit on row 1 and the unknowns on row 2.  The lower triangles
+    # hold no new-row value, so they put nothing in the Jacobian's columns.
     stack = np.zeros((3, ncols))
     solve = _del_newton(density, stack,
                         triangle_index(np.array([[0], [1]]), anchors, ncols, periodic),
-                        triangle_index(np.array([1]), anchors, ncols, periodic),
                         ncols + columns, 2 * ncols + columns, mesh.dt, mesh.dx,
                         linear=density.is_quadratic)
 
@@ -478,7 +469,7 @@ def solve_bvp(density: LagrangianDensity, mesh: QuadMesh, boundary: BoundaryData
     x0 = (np.full(inner.size, float(np.mean(boundary.values))) if initial is None
           else initial.values.ravel()[inner])
     index = region_index(region, ncols)
-    solve = _del_newton(density, base, index, index, inner, inner, mesh.dt, mesh.dx)
+    solve = _del_newton(density, base, index, inner, inner, mesh.dt, mesh.dx)
     norm, iters, rcond = solve(x0, NEWTON_MAX_ITER, "solve_bvp")
     return BvpSolveReport(field=DiscreteField(mesh, base), region=region,
                           residual_norm=norm, iterations=iters, rcond=rcond)
@@ -519,10 +510,11 @@ def tangent_solve(density: LagrangianDensity, field: DiscreteField, region: Regi
     taus = np.zeros((len(boundaries), mesh.shape[0] * ncols))
     for tau, tb in zip(taus, boundaries):
         tau[node_index(tb.nodes, ncols)] = tb.values
-    triplets = _kernel_triplets(density, field.values, index, mesh.dt, mesh.dx,
-                                "tangent_solve")
-    jac, rhs = _sparse_block(triplets, taus.shape[1], inner, inner, taus)
-    del triplets  # freed before factoring
+    k = _hessian_operator(density, field.values, index, inner, mesh.dt, mesh.dx,
+                          "tangent_solve")
+    # 0.0 - K tau rather than -K tau: rows without a boundary column stay +0.0.
+    jac, rhs = k[:, inner], [0.0 - k @ tau for tau in taus]
+    del k  # freed before factoring
     lu, _ = _factor_and_rcond(jac, "tangent_solve")
     fields = []
     for tau, b in zip(taus, rhs):

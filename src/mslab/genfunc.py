@@ -37,8 +37,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .delsolve import (BvpSolveReport, _factor_and_rcond, _kernel_triplets,
-                       _sparse_block, solve_bvp)
+from .delsolve import BvpSolveReport, _factor_and_rcond, _hessian_operator, solve_bvp
 from .jetmesh import (BoundaryData, DiscreteField, JetTriple, QuadMesh, RectRegion,
                       Region, boundary_nodes, check_region_fits, interior_index,
                       node_index, parse_region, region_index, region_to_json)
@@ -352,9 +351,10 @@ def boundary_hamiltonian(density: QuadraticDensity, mesh: QuadMesh,
     # Equations: row per unknown.  Interior rows are DEL slot sums over the
     # node's three triangles; B rows are slot sums over region triangles
     # containing the node (here: the single top triangle below it).
-    triplets = _kernel_triplets(density, np.zeros(mesh.shape), region_index(region, ncols),
-                                mesh.dt, mesh.dx, "boundary_hamiltonian")
-    jac, (rhs,) = _sparse_block(triplets, arr.size, flat, flat, [arr.ravel()])
+    k = _hessian_operator(density, arr, region_index(region, ncols), flat, mesh.dt,
+                          mesh.dx, "boundary_hamiltonian")
+    jac, rhs = k[:, flat], 0.0 - k @ arr.ravel()
+    del k  # freed before factoring
     rhs[len(flat) - len(b_side):] += list(data.momenta.values())
     lu, rcond = _factor_and_rcond(jac, "boundary_hamiltonian")
 

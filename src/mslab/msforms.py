@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .delsolve import _factor_and_rcond, _kernel_triplets, _sparse_block, solve_bvp
+from .delsolve import _factor_and_rcond, _hessian_operator, _sparse_block, solve_bvp
 from .jetmesh import (BoundaryData, DiscreteField, Patch3Region, QuadMesh,
                       Region, boundary_nodes, check_region_fits, interior_index,
                       node_index, region_index)
@@ -60,22 +60,15 @@ class FormResidualReport:
     node_residuals: np.ndarray = dataclasses.field(compare=False)
 
 
-def _hessian_product(triplets, x, size: int) -> np.ndarray:
-    """Hessian triplets applied to the flat node values ``x``, per row node."""
-    rows, cols, vals = triplets
-    return np.bincount(rows, weights=vals * x[cols], minlength=size)
-
-
 def linearized_del_residual(density: LagrangianDensity, field: DiscreteField,
                             variation: DiscreteField, n: int, i: int) -> float:
     """Residual of the linearised DEL equations at (n, i) for a variation."""
     mesh = field.mesh
     ncols = mesh.nx + 1
     check_region_fits(patch := Patch3Region(n, i), mesh)
-    terms = triangle_kernel(density, field.values, region_index(patch, ncols),
-                            mesh.dt, mesh.dx, gradient=False, hessian=True)
-    lin = _hessian_product(terms.triplets, variation.values.ravel(), field.values.size)
-    return float(lin[n * ncols + i])
+    k = _hessian_operator(density, field.values, region_index(patch, ncols),
+                          [n * ncols + i], mesh.dt, mesh.dx, "linearized_del_residual")
+    return float((k @ variation.values.ravel())[0])
 
 
 def _region_patch_terms(density, field, v_var, w_var, region, flat):
@@ -147,9 +140,9 @@ def msff_residual_region(density: LagrangianDensity, field: DiscreteField,
     checks = [("field does not satisfy the DEL equations",
                terms.residual[flat], 1e-9)]
     if check_variations:
+        k = _sparse_block(terms.triplets, field.values.size, flat)
         checks += [(f"variation {label} does not satisfy the linearised DEL equations",
-                    _hessian_product(terms.triplets, var.values.ravel(),
-                                     len(terms.residual))[flat], variation_tol)
+                    k @ var.values.ravel(), variation_tol)
                    for label, var in (("V", v_var), ("W", w_var))]
     failures = [(bad[0], c) for c, (_, res, tol) in enumerate(checks)
                 if (bad := np.flatnonzero(np.abs(res) > tol)).size]
@@ -283,18 +276,15 @@ def hessian_symmetry(density: LagrangianDensity, mesh: QuadMesh,
     if method == "analytic":
         if not density.is_quadratic:
             raise ValueError("analytic Hessian requires a quadratic density")
-        ncols = mesh.nx + 1
-        triplets = _kernel_triplets(density, np.zeros(mesh.shape),
-                                    region_index(region, ncols), mesh.dt, mesh.dx,
-                                    "hessian_symmetry")
-        size = mesh.shape[0] * ncols
-        bd, inn = node_index(bnodes, ncols), interior_index(region, ncols)
-        h = _sparse_block(triplets, size, bd, bd).toarray()
-        if inn.size:
+        ncols, nb = mesh.nx + 1, len(bnodes)
+        nodes = np.concatenate([node_index(bnodes, ncols), interior_index(region, ncols)])
+        k = _hessian_operator(density, np.zeros(mesh.shape), region_index(region, ncols),
+                              nodes, mesh.dt, mesh.dx, "hessian_symmetry", nodes)
+        h = k[:nb, :nb].toarray()
+        if len(nodes) > nb:
             # K_bb - K_bi K_ii^-1 K_ib, with K_ii factored once.
-            lu, _ = _factor_and_rcond(_sparse_block(triplets, size, inn, inn),
-                                      "hessian_symmetry")
-            k_bi = _sparse_block(triplets, size, bd, inn)
+            lu, _ = _factor_and_rcond(k[nb:, nb:], "hessian_symmetry")
+            k_bi = k[:nb, nb:]
             h -= k_bi @ lu.solve(k_bi.T.toarray())
     elif method == "fd":
         base = solve_bvp(density, mesh, boundary).field

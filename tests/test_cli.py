@@ -181,6 +181,24 @@ class TestExitConfig:
         assert "distinct" in err
 
 
+    @pytest.mark.parametrize("option", [["--seed", "-1"], ["--tol", "inf"],
+                                        ["--tol", "nan"], ["--tol", "-1"]],
+                             ids=["negative-seed", "infinite-tol", "nan-tol", "negative-tol"])
+    @pytest.mark.parametrize("command, payload", [
+        ("msff-check", MSFF_CONFIG),
+        ("bridges-check", BRIDGES_CONFIG),
+        ("bridges-check", dict(BRIDGES_CONFIG, mode="bvp-singularity")),
+        ("boundary-lagrangian", DISC_CONFIG),
+        ("mechanics", MECH_CONFIG),  # --tol is the order window here
+    ], ids=["msff", "conservation", "bvp-singularity", "disc", "mechanics"])
+    def test_bad_seed_or_tolerance(self, tmp_path, capsys, command, payload, option):
+        # A negative seed made SeedSequence raise (a traceback and exit 1); an
+        # infinite tolerance passed any residual, a NaN or negative one none.
+        cfg = write_config(tmp_path, "c.json", payload)
+        assert main([command, "--config", cfg, *option]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"mslab: config error: {option[0]} ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("command, payload", [
         ("boundary-lagrangian", {"problem": "disc", "fourier": {"a": 5}}),
         ("boundary-lagrangian", {"problem": "disc", "fourier": {"a0": None}}),
@@ -240,8 +258,13 @@ class TestOverflowingData:
         ("bridges-check", {"mode": "conservation",
                            "mesh": {"dt": 1, "dx": 1, "nt": 1, "nx": 1}},
          EXIT_CONFIG, "nt >= 2"),
+        # json reads Infinity and NaN; such ends are no boundary data.
+        ("msff-check", dict(MSFF_CONFIG, closure={"fixed": [float("inf"), 0.0]}),
+         EXIT_CONFIG, "bad closure: fixed closure end inf is not finite"),
+        ("msff-check", dict(MSFF_CONFIG, closure={"fixed": [0.0, float("nan")]}),
+         EXIT_CONFIG, "bad closure: fixed closure end nan is not finite"),
     ], ids=["tiny-bvp-mesh", "overflowing-fixed-ends", "msff-tiny-dt", "bridges-tiny-dt",
-            "one-slice-conservation"])
+            "one-slice-conservation", "infinite-fixed-end", "nan-fixed-end"])
     def test_breach_is_one_error_line(self, tmp_path, capsys, command, payload,
                                       code, where):
         cfg = write_config(tmp_path, "c.json", payload)

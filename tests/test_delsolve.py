@@ -25,6 +25,7 @@ from mslab import (
     canonical_type2_split,
     del_residual,
     hessian_symmetry,
+    node_index,
     parse_closure,
     propagate,
     quartic_test_density,
@@ -64,6 +65,13 @@ class TestClosures:
     def test_callable_ends(self):
         clos = FixedClosure(lambda n: float(n), 0.0)
         assert clos.end_values(3) == (3.0, 0.0)
+
+    @pytest.mark.parametrize("ends", [[math.inf, 0.0], [0.0, -math.inf], [math.nan, 0.0]])
+    def test_non_finite_ends_rejected(self, ends):
+        with pytest.raises(ValueError, match="fixed closure end .* is not finite"):
+            parse_closure({"fixed": ends})
+        with pytest.raises(ValueError, match="is not finite"):
+            FixedClosure(*ends)
 
 
 class TestDelResidual:
@@ -310,6 +318,110 @@ class TestRowOperator:
         bound = ROUND_OFFS * 2.0 ** -53 * magnitude + np.finfo(float).tiny
         assert op.shape == (len(eqs), stack.size)
         assert np.all(np.abs(op @ stack.ravel() - reference) <= bound)
+
+
+# Bound on |0.0 - K @ tau - reference| in unit round-offs u = 2^-53 of the
+# uncancelled magnitude M = sum |h tau_c| over the Hessian triplets h of an
+# equation row at known columns c.  A row holds nine triplets (three
+# triangles, three column slots each).  The reference rounds each product
+# (u) and sums at most nine of them from 0.0 (<= 8u): 9u.  K sums at most
+# two duplicate entries of a known column (u), rounds each product (u) and
+# sums at most seven columns (<= 6u): 8u.  The routes differ by at most 17u M
+# to first order; 20 leaves room for the second-order terms.
+RHS_ROUND_OFFS = 20
+
+
+def _recorded_right_hand_sides(density, base, region, taus):
+    """The right-hand sides :func:`tangent_solve` back-solves for ``taus``."""
+    seen = []
+
+    class Recorder:
+        def solve(self, b):
+            seen.append(np.array(b))
+            return np.zeros_like(b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(delsolve_module, "_factor_and_rcond", lambda jac, context: (Recorder(), 1.0))
+        tangent_solve(density, base, region, taus)
+    return seen
+
+
+class TestOneOperator:
+    @settings(max_examples=80, deadline=None)
+    @given(coeffs=st.tuples(*[COEFFS] * 6), strength=st.one_of(st.none(), st.floats(0.0, 2.0)),
+           patch=st.booleans(), nt=st.integers(2, 6), nx=st.integers(2, 6),
+           dt=st.floats(0.01, 100.0), dx=st.floats(0.01, 100.0), data=st.data())
+    def test_tangent_right_hand_sides_match_triplet_reference(self, coeffs, strength, patch,
+                                                              nt, nx, dt, dx, data):
+        from mslab.jetmesh import interior_index, region_index
+
+        mesh = build_mesh(dt=dt, dx=dx, nt=nt, nx=nx)
+        ncols = nx + 1
+        region = (Patch3Region(data.draw(st.integers(1, nt - 1)),
+                               data.draw(st.integers(1, nx - 1)))
+                  if patch else RectRegion(0, 0, nt, nx))
+        nodes = boundary_nodes(region)
+        if strength is None:  # a zero field solves any quadratic density's DEL
+            density, base = QuadraticDensity(*coeffs), DiscreteField.zeros(mesh)
+        else:  # the quartic Hessian varies over a solved field
+            density = quartic_test_density(strength)
+            edge = data.draw(st.lists(st.floats(-0.5, 0.5), min_size=len(nodes),
+                                      max_size=len(nodes)))
+            base = solve_bvp(density, mesh, BoundaryData(region, edge)).field
+        taus = [BoundaryData(region, data.draw(st.lists(NODE_VALUES, min_size=len(nodes),
+                                                        max_size=len(nodes))))
+                for _ in range(2)]
+        rhs = _recorded_right_hand_sides(density, base, region, taus)
+
+        rows, cols, vals = triangle_kernel(density, base.values, region_index(region, ncols),
+                                           dt, dx, gradient=False, hessian=True).triplets
+        inner = interior_index(region, ncols)
+        number = np.full(base.values.size, -1)
+        number[inner] = np.arange(inner.size)
+        rest = (number[rows] >= 0) & (number[cols] < 0)
+        assert len(rhs) == len(taus)
+        for got, tb in zip(rhs, taus):
+            tau = np.zeros(base.values.size)
+            tau[node_index(tb.nodes, ncols)] = tb.values
+            terms = vals[rest] * tau[cols[rest]]
+            reference = 0.0 - np.bincount(number[rows[rest]], weights=terms,
+                                          minlength=inner.size)
+            magnitude = np.bincount(number[rows[rest]], weights=np.abs(terms),
+                                    minlength=inner.size)
+            bound = RHS_ROUND_OFFS * 2.0 ** -53 * magnitude + np.finfo(float).tiny
+            assert np.all(np.abs(got - reference) <= bound)
+
+    @pytest.mark.parametrize("closure", CLOSURES)
+    @pytest.mark.parametrize("density", [quartic_test_density(0.8),
+                                         QuadraticDensity(vv=1.0, ww=-0.8, vw=0.05,
+                                                          vu=0.02, uu=-0.1)],
+                             ids=["quartic", "cross-term"])
+    def test_row_jacobian_equals_upper_row_block(self, monkeypatch, density, closure):
+        # The stepper takes K of both triangle rows; the lower row holds no
+        # new-row value, so K's new-row columns are the upper row's block.
+        mesh = build_mesh(dt=0.05, dx=0.1, nt=6, nx=9)
+        ncols, periodic = mesh.nx + 1, isinstance(closure, PeriodicClosure)
+        if periodic:
+            columns = anchors = np.arange(ncols)
+        else:
+            columns, anchors = np.arange(1, ncols - 1), np.arange(ncols - 1)
+        upper = triangle_index(np.array([1]), anchors, ncols, periodic)
+        unknowns = 2 * ncols + columns
+        calls, operator = [], delsolve_module._hessian_operator
+
+        def recorded(density, values, index, eqs, dt, dx, context, cols=None):
+            k = operator(density, values, index, eqs, dt, dx, context, cols)
+            calls.append((values.copy(), index, eqs, k if cols is not None else k[:, unknowns]))
+            return k
+
+        monkeypatch.setattr(delsolve_module, "_hessian_operator", recorded)
+        propagate(density, mesh, *_rows(mesh, 28, closure), closure)
+        assert calls
+        for values, index, eqs, jac in calls:
+            assert index.shape[1] == 2 * len(anchors)
+            block = operator(density, values, upper, eqs, mesh.dt, mesh.dx, "probe", unknowns)
+            for part in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(jac, part), getattr(block, part))
 
 
 class TestWorkArrayAliasing:
