@@ -55,13 +55,13 @@ Every factorisation is accompanied by a reciprocal condition indicator
     rcond = 1 / (max(1, ||J||_1) * ||J^-1||_1),
 
 exact for n <= 200 and otherwise estimated by ``onenormest`` (Higham-Tisseur,
-two columns; each block product is one two-column SuperLU solve).  The
-estimate draws from numpy's global RNG and then restores its state.  The
-indicator is scale-sensitive on purpose: the three-triangle point stencil
-degenerates when dt = dx (its 1x1 Jacobian dx/dt - dt/dx vanishes with
-bounded data), and a scale-invariant measure would hide that.  Indicators
-below 1e-12, and exactly singular factorisations, raise
-:class:`SingularSystem`.
+two columns; each block product is one two-column SuperLU solve) from numpy's
+global RNG seeded with ``_RCOND_SEED``, so it is the same in every process;
+the caller's RNG state is restored.  The indicator is scale-sensitive on
+purpose: the three-triangle point stencil degenerates when dt = dx (its 1x1
+Jacobian dx/dt - dt/dx vanishes with bounded data), and a scale-invariant
+measure would hide that.  Indicators below 1e-12, and exactly singular
+factorisations, raise :class:`SingularSystem`.
 
 SuperLU's column order is read off the matrix.  If some column is not
 diagonally dominant (2|J_jj| < sum_i |J_ij|, so partial pivoting swaps rows)
@@ -95,6 +95,7 @@ NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
 # Held while onenormest draws from numpy's global RNG, until it is restored.
 _GLOBAL_RNG_LOCK = threading.Lock()
+_RCOND_SEED = 0  # seeds the global RNG for each estimate, in every process
 
 
 class SolverError(RuntimeError):
@@ -255,8 +256,7 @@ def _factor_and_rcond(jac: csc_matrix, context: str):
     order = "COLAMD"
     # 8 ulps of slack: a tie (|J_jj| = the rest of its column) may round either way.
     if np.any(2.0 * np.abs(jac.diagonal()) < (1.0 - 8 * np.finfo(float).eps) * col_sums):
-        coo = jac.tocoo()
-        width = int(np.abs(coo.row - coo.col).max())
+        width = int(np.abs(jac.indices - np.repeat(np.arange(n), np.diff(jac.indptr))).max())
         order = "NATURAL" if width * width <= n else order
     try:
         lu = splu(jac.tocsc(), permc_spec=order)
@@ -276,9 +276,10 @@ def _factor_and_rcond(jac: csc_matrix, context: str):
         fwd, adj = (lambda b, t=t: np.ascontiguousarray(lu.solve(b, trans=t)) for t in "NT")
         op = LinearOperator((n, n), matvec=fwd, rmatvec=adj, matmat=fwd, rmatmat=adj,
                             dtype=float)
-        with _GLOBAL_RNG_LOCK:  # each estimate starts from the caller's state
+        with _GLOBAL_RNG_LOCK:  # the caller's state is restored afterwards
             state = np.random.get_state()
             try:
+                np.random.seed(_RCOND_SEED)
                 norm_inv = float(onenormest(op))
             finally:
                 np.random.set_state(state)

@@ -40,6 +40,7 @@ from .jetmesh import (BoundaryData, DiscreteField, Patch3Region, QuadMesh,
                       Region, boundary_nodes, check_region_fits, interior_index,
                       node_index, region_index)
 from .lagrangian import LagrangianDensity, QuadraticDensity, triangle_kernel
+from .oracles import _gauss
 
 
 @dataclass(frozen=True)
@@ -256,7 +257,8 @@ def hessian_symmetry(density: LagrangianDensity, mesh: QuadMesh,
 
     ``analytic`` (quadratic densities) eliminates the interior block, factored
     once under the solvers' singular-system guard, from the sparse region-wide
-    vertex-slot Hessian (Schur complement).  ``fd`` recovers the
+    vertex-slot Hessian (Schur complement), solving for 32 boundary columns at
+    a time so that no dense array spans them all.  ``fd`` recovers the
     same matrix by central differences of the boundary momenta around the
     given data, which probes the nonlinear solve path; each perturbed solve
     starts from the solution for the given data.  The step 1e-4 keeps both
@@ -284,8 +286,10 @@ def hessian_symmetry(density: LagrangianDensity, mesh: QuadMesh,
         if len(nodes) > nb:
             # K_bb - K_bi K_ii^-1 K_ib, with K_ii factored once.
             lu, _ = _factor_and_rcond(k[nb:, nb:], "hessian_symmetry")
-            k_bi = k[:nb, nb:]
-            h -= k_bi @ lu.solve(k_bi.T.toarray())
+            k_bi, block = k[:nb, nb:], 32  # boundary columns per interior solve
+            for lo in range(0, nb, block):
+                cols = slice(lo, lo + block)
+                h[:, cols] -= k_bi @ lu.solve(k_bi[cols].T.toarray())
     elif method == "fd":
         base = solve_bvp(density, mesh, boundary).field
         fd_step = 1e-4
@@ -344,16 +348,10 @@ def continuous_msff_residual(density: QuadraticDensity, v_sol,
         vx = v_sol.value(t, x) * w_sol.dx(t, x) - w_sol.value(t, x) * v_sol.dx(t, x)
         return lvv * vt + lvw * vx, lvw * vt + lww * vx
 
-    nodes, weights = np.polynomial.legendre.leggauss(32)
-
-    def line(f):  # over [0, 1]
-        return 0.5 * sum(w * f(0.5 + 0.5 * s) for s, w in zip(nodes, weights))
-
-    bottom = line(lambda x: a_components(0.0, x)[0])
-    right = line(lambda t: -a_components(t, 1.0)[1])
-    top = -line(lambda x: a_components(1.0, x)[0])
-    left = line(lambda t: a_components(t, 0.0)[1])
-    edges = [bottom, right, top, left]
+    edges = [_gauss(lambda x: a_components(0.0, x)[0], 0.0, 1.0),   # bottom
+             _gauss(lambda t: -a_components(t, 1.0)[1], 0.0, 1.0),  # right
+             -_gauss(lambda x: a_components(1.0, x)[0], 0.0, 1.0),  # top
+             _gauss(lambda t: a_components(t, 0.0)[1], 0.0, 1.0)]   # left
     return FormResidualReport(residual=float(sum(edges)),
                               max_term=float(max(abs(e) for e in edges)),
                               n_terms=4, node_residuals=np.zeros(0))

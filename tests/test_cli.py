@@ -278,7 +278,7 @@ class TestOverflowingData:
         assert "Traceback" not in err and "Warning" not in err
 
     def test_huge_disc_data_is_a_config_error(self, tmp_path):
-        # Run out of process: quad can crash the interpreter on such data.
+        # Run out of process, so the check sees all the interpreter writes to stderr.
         cfg = write_config(tmp_path, "c.json",
                            {"problem": "disc",
                             "fourier": {"a0": 1e308, "a": [1.0, 0.0], "b": [0.0, 0.5]}})

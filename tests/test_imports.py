@@ -1,4 +1,4 @@
-"""Import footprint: only the quadrature oracles load scipy.integrate.
+"""Import footprint: no subcommand loads scipy.integrate or scipy.optimize.
 
 Each check runs in a fresh interpreter, since the test session itself has
 long since imported scipy.integrate through other tests.
@@ -18,6 +18,7 @@ BRIDGES_CONFIG = {"mesh": {"dt": 0.05, "dx": 0.1, "nt": 8, "nx": 8},
 MECH_CONFIG = {"rule": "midpoint", "problem": {"kind": "harmonic", "omega": 1.0}}
 DISC_CONFIG = {"problem": "disc",
                "fourier": {"a0": 0.2, "a": [1.0, 0.0], "b": [0.0, 0.5]}}
+SQUARE_CONFIG = {"problem": "wave_square", "nx_ladder": [8, 16]}
 
 PROBE = """
 import contextlib, io, json, sys
@@ -53,14 +54,14 @@ def probe(tmp_path, runs):
     return json.loads(proc.stdout)
 
 
-def test_only_the_quadrature_oracles_load_scipy_integrate(tmp_path):
+def test_no_subcommand_loads_scipy_integrate_or_optimize(tmp_path):
     steps = probe(tmp_path, [("msff-check", MSFF_CONFIG),
                              ("bridges-check", BRIDGES_CONFIG),
                              ("mechanics", MECH_CONFIG),
-                             ("boundary-lagrangian", DISC_CONFIG)])
+                             ("boundary-lagrangian", DISC_CONFIG),
+                             ("boundary-lagrangian", SQUARE_CONFIG)])
     assert [(name, code) for name, code, _ in steps] == [
         ("import", None), ("msff-check", 0), ("bridges-check", 0),
-        ("mechanics", 0), ("boundary-lagrangian", 0)]
-    for name, _, loaded in steps[:-1]:
+        ("mechanics", 0), ("boundary-lagrangian", 0), ("boundary-lagrangian", 0)]
+    for name, _, loaded in steps:
         assert loaded == [], f"{name} loaded {loaded}"
-    assert "scipy.integrate" in steps[-1][2]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,8 @@ from mslab import (
     symplectic_flux,
     tangent_solve,
 )
+from mslab.delsolve import _factor_and_rcond, _hessian_operator
+from mslab.jetmesh import interior_index, node_index, region_index
 
 
 def wave_field(mesh, seed, closure=None, amplitude=0.1):
@@ -300,6 +304,61 @@ class TestAnalyticHessian:
         data = BoundaryData(region, np.zeros(len(boundary_nodes(region))))
         with pytest.raises(SingularSystem, match="hessian_symmetry"):
             hessian_symmetry(LinearWave, mesh, data, method="analytic")
+
+
+def schur_reference(density, mesh, region, block=None):
+    """The analytic boundary Hessian from one interior solve over all boundary
+    columns, or (with ``block``) from solves of that many columns each."""
+    ncols, bnodes = mesh.nx + 1, boundary_nodes(region)
+    nb = len(bnodes)
+    nodes = np.concatenate([node_index(bnodes, ncols), interior_index(region, ncols)])
+    k = _hessian_operator(density, np.zeros(mesh.shape), region_index(region, ncols),
+                          nodes, mesh.dt, mesh.dx, "reference", nodes)
+    lu, _ = _factor_and_rcond(k[nb:, nb:], "reference")
+    k_bi, h = k[:nb, nb:], k[:nb, :nb].toarray()
+    if block is None:
+        h -= k_bi @ lu.solve(k_bi.T.toarray())
+    else:
+        for lo in range(0, nb, block):
+            cols = slice(lo, lo + block)
+            h[:, cols] -= k_bi @ lu.solve(k_bi[cols].T.toarray())
+    return h
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that ``fn()`` allocates, as numpy reports them to tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBlockedSchurSolve:
+    # 192 boundary nodes at 48x48 (six blocks of 32); 66 at 20x13.
+    @pytest.mark.parametrize("nt, nx", [(48, 48), (20, 13)])
+    def test_equals_one_shot_solve(self, nt, nx):
+        mesh = build_mesh(dt=0.5 / nx, dx=1.0 / nx, nt=nt, nx=nx)
+        region = RectRegion(0, 0, nt, nx)
+        data = BoundaryData(region, np.zeros(len(boundary_nodes(region))))
+        h = hessian_symmetry(HarmonicDirichlet, mesh, data, method="analytic").hessian
+        ref = schur_reference(HarmonicDirichlet, mesh, region)
+        assert h.tobytes() == ref.tobytes()
+
+    def test_peak_memory_is_the_blocked_one(self):
+        mesh = build_mesh(dt=0.5 / 48, dx=1.0 / 48, nt=48, nx=48)
+        region = RectRegion(0, 0, 48, 48)
+        data = BoundaryData(region, np.zeros(len(boundary_nodes(region))))
+        blocked, one_shot = (
+            traced_peak(lambda: schur_reference(HarmonicDirichlet, mesh, region, block))
+            for block in (32, None))
+        # The one-shot solve holds a dense 2209x192 right-hand side and its
+        # solution (3.4 MB each) at once; blocks of 32 columns a sixth of that.
+        assert one_shot - blocked > 4e6
+        peak = traced_peak(lambda: hessian_symmetry(HarmonicDirichlet, mesh, data,
+                                                    method="analytic"))
+        assert peak < 0.5 * (blocked + one_shot)
 
 
 class TestContinuousResidual:

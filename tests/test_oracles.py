@@ -185,6 +185,69 @@ class TestWaveSquareFunctional:
         assert abs(report.action_value) < 1e-12
 
 
+FULL_CATALOGUE = (["zero", "bilinear", "cubic"]
+                  + [f"{kind}:{k}" for kind in ("standing", "travelling")
+                     for k in range(1, 7)])
+
+
+class TestQuadratureAccuracy:
+    """The fixed rules reach round-off on the whole catalogue."""
+
+    @pytest.mark.parametrize("name", FULL_CATALOGUE)
+    def test_routes_agree_to_round_off(self, name):
+        report = wave_square_boundary_lagrangian(
+            wave_exact_solutions(name).trace_square())
+        assert report.magnitude_gap <= 1e-12
+
+    @pytest.mark.parametrize("name, value", [
+        ("cubic", 0.8), ("bilinear", 0.0),
+        *((f"standing:{k}", 0.0) for k in range(1, 7))])
+    def test_closed_values(self, name, value):
+        report = wave_square_boundary_lagrangian(
+            wave_exact_solutions(name).trace_square())
+        assert report.formula_value == pytest.approx(-value, rel=0.0, abs=1e-13)
+        assert report.action_value == pytest.approx(value, rel=0.0, abs=1e-13)
+
+    @pytest.mark.parametrize("name", FULL_CATALOGUE)
+    def test_matches_adaptive_quadrature(self, name):
+        from scipy.integrate import quad
+
+        data = wave_exact_solutions(name).trace_square()
+        report = wave_square_boundary_lagrangian(data)
+        sol = report.solution
+
+        def formula(a):
+            return ((data.bottom.derivative(a) - data.left.derivative(a))
+                    * (data.right.value(1.0 - a) - data.bottom.value(a)))
+
+        def action(a):
+            return sol.f_prime(a) * (sol.g(2.0 - abs(a)) - sol.g(abs(a)))
+
+        def adaptive(f, lo, hi):  # the rule's reference, to quad's own bound
+            return quad(f, lo, hi, epsabs=1e-12, epsrel=1e-12, limit=200)[0]
+
+        assert report.formula_value == pytest.approx(adaptive(formula, 0.0, 1.0),
+                                                     rel=0.0, abs=1e-12)
+        assert report.action_value == pytest.approx(
+            -(adaptive(action, -1.0, 0.0) + adaptive(action, 0.0, 1.0)), rel=0.0, abs=1e-12)
+
+
+disc_modes = st.lists(st.floats(-2.0, 2.0), min_size=0, max_size=16)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a0=st.floats(-2.0, 2.0), a=disc_modes, b=disc_modes)
+def test_disc_quadrature_matches_closed_form(a0, a, b):
+    data = FourierBoundaryData(a0, a, b)
+    closed = harmonic_extension_disc(data).boundary_lagrangian
+    # Relative to the value, or to the integrand's bound where the value is
+    # much smaller than the terms the rule sums.
+    bound = math.pi * (abs(a0) + sum(map(abs, data.a + data.b))) * sum(
+        k * (abs(ak) + abs(bk)) for k, (ak, bk) in enumerate(zip(data.a, data.b), 1))
+    assert disc_boundary_lagrangian_quadrature(data) == pytest.approx(
+        closed, rel=1e-13, abs=1e-13 * bound)
+
+
 class TestDisc:
     def test_frozen_single_mode(self):
         ext = harmonic_extension_disc(FourierBoundaryData(0.0, (1.0,), ()))
