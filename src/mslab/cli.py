@@ -22,7 +22,8 @@ Subcommands
 
 Exit codes: 0 all checks passed, 1 a tolerance check failed, 2 bad
 configuration (among them a negative ``--seed`` and a negative or non-finite
-``--tol``), 3 solver failure (non-convergence or singular system).
+``--tol``), 3 solver failure (non-convergence, a singular system, or a solved
+field that misses a DEL tolerance).
 
 Reports are JSON with sorted keys; for a fixed config file and seed every
 field outside the ``metadata`` block is bit-identical across runs.  With
@@ -119,6 +120,16 @@ def _parsed(what: str, parse, *args, **kwargs):
         raise ConfigError(f"bad {what}: {exc}") from exc
 
 
+def _solved(name: str, check, *args, **kwargs):
+    """``check(*args, **kwargs)`` on fields the solvers made; its ValueError
+    (a field misses a DEL tolerance at a node) becomes a SolverError naming
+    ``name``."""
+    try:
+        return check(*args, **kwargs)
+    except ValueError as exc:
+        raise SolverError(f"{name}: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # Report plumbing
 
@@ -212,12 +223,13 @@ def _cmd_msff_check(args) -> int:
 
     region = jetmesh.RectRegion(0, 0, mesh.nt, mesh.nx)
     n_bd = len(jetmesh.boundary_nodes(region))
-    v_var, w_var = delsolve.tangent_solve(
-        density, field, region,
+    v_var, w_var = _solved(
+        "tangent_solve", delsolve.tangent_solve, density, field, region,
         [jetmesh.BoundaryData(region, amplitude * rng.standard_normal(n_bd))
          for rng in (rng_v, rng_w)])
 
-    region_rep = msforms.msff_residual_region(density, field, v_var, w_var, region)
+    region_rep = _solved("msff_residual_region", msforms.msff_residual_region,
+                         density, field, v_var, w_var, region)
     patch = np.abs(region_rep.node_residuals)
     k = int(np.argmax(patch))
     worst = float(patch[k])
@@ -226,8 +238,8 @@ def _cmd_msff_check(args) -> int:
 
     centre = (mesh.nt // 2, mesh.nx // 2)
     w_bad = w_var.with_value(*centre, w_var[centre] + 1.0)
-    control = abs(msforms.msff_residual_patch(density, field, v_var, w_bad,
-                                              *centre).residual)
+    control = abs(_solved("msff_residual_patch", msforms.msff_residual_patch,
+                          density, field, v_var, w_bad, *centre).residual)
 
     passed = (worst <= tol and abs(region_rep.residual) <= tol * 10.0
               and control > control_floor)

@@ -52,10 +52,14 @@ the row) it was built for.
 
 Every factorisation is accompanied by a reciprocal condition indicator
 
-    rcond = 1 / (max(1, ||J||_1) * ||J^-1||_1),
+    rcond = 1 / (max(1, ||J||_1) * ||J^-1||_1).
 
-exact for n <= 200 and otherwise estimated by ``onenormest`` (Higham-Tisseur,
-two columns; each block product is one two-column SuperLU solve) from numpy's
+For a Z-matrix J (no positive off-diagonal entry, as the Dirichlet-energy
+systems are) one transposed solve gives y = J^-T 1.  If y > 0, then J^T y > 0
+certifies J as a nonsingular M-matrix, so J^-1 >= 0 and ||J^-1||_1 is
+max(y) exactly.  Any other J takes the exact value from the inverse for
+n <= 200, and otherwise the ``onenormest`` estimate (Higham-Tisseur, two
+columns; each block product is one two-column SuperLU solve) from numpy's
 global RNG seeded with ``_RCOND_SEED``, so it is the same in every process;
 the caller's RNG state is restored.  The indicator is scale-sensitive on
 purpose: the three-triangle point stencil degenerates when dt = dx (its 1x1
@@ -63,15 +67,18 @@ Jacobian dx/dt - dt/dx vanishes with bounded data), and a scale-invariant
 measure would hide that.  Indicators below 1e-12, and exactly singular
 factorisations, raise :class:`SingularSystem`.
 
-SuperLU's column order is read off the matrix.  If some column is not
-diagonally dominant (2|J_jj| < sum_i |J_ij|, so partial pivoting swaps rows)
-and the half-bandwidth w = max|i - j| satisfies w^2 <= n, the natural order
-is kept: under partial pivoting L stays within w and U within 2w of the
-diagonal, while COLAMD picks its order before pivoting and the row swaps
-undo its fill prediction.  The wave Jacobian of an nt x nx rectangle is such
-a matrix when nt >= nx (w is then the interior width).  Otherwise COLAMD
-orders the columns: dominant columns need no row swaps (ties within 8 ulps
-count as dominant), and a wide band fills less under COLAMD.
+SuperLU's column order is read off the matrix.  If every column is
+diagonally dominant (2|J_jj| >= sum_i |J_ij|, ties within 8 ulps included),
+partial pivoting swaps no rows, so a symmetric order is kept as chosen: the
+minimum-degree order of J + J^T, in SuperLU's symmetric mode, which takes
+the diagonal pivot on ties.  The Dirichlet-energy and mixed (type-II)
+systems are such matrices.  Otherwise, if the half-bandwidth
+w = max|i - j| satisfies w^2 <= n, the natural order is kept: under partial
+pivoting L stays within w and U within 2w of the diagonal, while COLAMD
+picks its order before pivoting and the row swaps undo its fill prediction.
+The wave Jacobian of an nt x nx rectangle is such a matrix when nt >= nx (w
+is then the interior width).  Any other matrix is ordered by COLAMD; a wide
+band fills less under it.
 """
 
 from __future__ import annotations
@@ -241,25 +248,65 @@ def _newton(residual_fn, factor_fn, x0, max_iter, context: str):
         x, f, merit = x_try, f_try, merit_try
 
 
+def _inverse_norm(lu, n: int, z_matrix: bool) -> float:
+    """||J^-1||_1 of the factored J: exact from one transposed solve for an
+    M-matrix, exact from the inverse for n <= 200, else ``onenormest``'s."""
+    if z_matrix:
+        y = lu.solve(np.ones(n), trans="T")
+        if np.all(y > 0.0):  # with J^T y = 1 > 0: a nonsingular M-matrix
+            return float(y.max())
+    if n <= 200:
+        inv = lu.solve(np.eye(n))
+        return float(np.max(np.abs(inv).sum(axis=0)))
+    # One SuperLU solve per block product; C order keeps onenormest's
+    # column sums those of one solve per column.
+    fwd, adj = (lambda b, t=t: np.ascontiguousarray(lu.solve(b, trans=t)) for t in "NT")
+    op = LinearOperator((n, n), matvec=fwd, rmatvec=adj, matmat=fwd, rmatmat=adj,
+                        dtype=float)
+    with _GLOBAL_RNG_LOCK:  # the caller's state is restored afterwards
+        state = np.random.get_state()
+        try:
+            np.random.seed(_RCOND_SEED)
+            return float(onenormest(op))
+        finally:
+            np.random.set_state(state)
+
+
 def _factor_and_rcond(jac: csc_matrix, context: str):
     """Sparse LU plus the reciprocal condition indicator; raises on singularity.
 
-    The natural column order is kept when some column is not diagonally
-    dominant (pivoting will swap rows) and the half-bandwidth w satisfies
+    If every column is diagonally dominant, pivoting swaps no rows and a
+    symmetric minimum-degree order of J + J^T is kept as it is.  Otherwise
+    the natural column order is kept when the half-bandwidth w satisfies
     w^2 <= n: pivoting keeps the factors in a band, and the swaps undo
     COLAMD's fill prediction.  Otherwise COLAMD orders the columns.
+
+    For a Z-matrix (no positive off-diagonal entry) one transposed solve
+    gives y = J^-T 1; if y > 0, J is a nonsingular M-matrix, J^-1 >= 0 and
+    ||J^-1||_1 = max(y) exactly.  Any other J takes the dense inverse
+    (n <= 200) or ``onenormest``.
     """
     n = jac.shape[0]
     if n == 0:
         raise SolverError(f"{context}: empty system")
-    col_sums = np.asarray(abs(jac).sum(axis=0)).ravel()
-    order = "COLAMD"
+    jac = jac.tocsc()
+    counts = np.diff(jac.indptr)
+    offset = jac.indices - np.repeat(np.arange(n), counts)  # i - j per entry
+    z_matrix = not np.any(jac.data[offset != 0] > 0.0)
+    # abs(J).sum(axis=0) summed as scipy sums it, without the sparse copy.
+    filled = np.flatnonzero(counts)
+    col_sums = np.zeros(n)
+    col_sums[filled] = np.add.reduceat(np.abs(jac.data), jac.indptr[filled])
     # 8 ulps of slack: a tie (|J_jj| = the rest of its column) may round either way.
-    if np.any(2.0 * np.abs(jac.diagonal()) < (1.0 - 8 * np.finfo(float).eps) * col_sums):
-        width = int(np.abs(jac.indices - np.repeat(np.arange(n), np.diff(jac.indptr))).max())
-        order = "NATURAL" if width * width <= n else order
+    if not np.any(2.0 * np.abs(jac.diagonal()) < (1.0 - 8 * np.finfo(float).eps) * col_sums):
+        # Threshold 1 still pivots partially; SuperLU takes the diagonal on ties.
+        order = {"permc_spec": "MMD_AT_PLUS_A", "options": {"SymmetricMode": True}}
+    else:
+        width = int(np.abs(offset).max())
+        order = {"permc_spec": "NATURAL" if width * width <= n else "COLAMD"}
+    del offset  # freed before factoring
     try:
-        lu = splu(jac.tocsc(), permc_spec=order)
+        lu = splu(jac, **order)
     except RuntimeError as err:
         if "exactly singular" not in str(err):
             raise
@@ -267,23 +314,7 @@ def _factor_and_rcond(jac: csc_matrix, context: str):
     norm_j = float(col_sums.max()) if jac.nnz else 0.0
     if norm_j == 0.0:
         raise SingularSystem(f"{context}: zero Jacobian")
-    if n <= 200:
-        inv = lu.solve(np.eye(n))
-        norm_inv = float(np.max(np.abs(inv).sum(axis=0)))
-    else:
-        # One SuperLU solve per block product; C order keeps onenormest's
-        # column sums those of one solve per column.
-        fwd, adj = (lambda b, t=t: np.ascontiguousarray(lu.solve(b, trans=t)) for t in "NT")
-        op = LinearOperator((n, n), matvec=fwd, rmatvec=adj, matmat=fwd, rmatmat=adj,
-                            dtype=float)
-        with _GLOBAL_RNG_LOCK:  # the caller's state is restored afterwards
-            state = np.random.get_state()
-            try:
-                np.random.seed(_RCOND_SEED)
-                norm_inv = float(onenormest(op))
-            finally:
-                np.random.set_state(state)
-    rcond = 1.0 / (max(1.0, norm_j) * norm_inv)
+    rcond = 1.0 / (max(1.0, norm_j) * _inverse_norm(lu, n, z_matrix))
     if not np.isfinite(rcond) or rcond < RCOND_FLOOR:
         raise SingularSystem(
             f"{context}: linearised system numerically singular (rcond {rcond:.3e})",

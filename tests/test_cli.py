@@ -218,6 +218,23 @@ class TestExitSolver:
                             "mesh": {"dt": 0.1, "dx": 0.1, "nt": 6, "nx": 6}})
         assert main(["bridges-check", "--config", cfg]) == EXIT_SOLVER
 
+    # At these amplitudes the propagated field's DEL residuals, about 1e-16
+    # of its values, exceed the checks' absolute tolerances.
+    @pytest.mark.parametrize("amplitude, where", [
+        (1e7, "msff_residual_region: field does not satisfy the DEL equations at (1, 3)"),
+        (1e8, "tangent_solve: base field does not satisfy the DEL equations at (1, 3)"),
+    ], ids=["amplitude-1e7", "amplitude-1e8"])
+    def test_missed_del_tolerance_is_one_error_line(self, tmp_path, capsys, amplitude,
+                                                    where):
+        cfg = write_config(tmp_path, "c.json",
+                           {"mesh": {"dt": 0.05, "dx": 0.1, "nt": 8, "nx": 8},
+                            "density": "linear_wave", "closure": {"fixed": [0, 0]},
+                            "amplitude": amplitude})
+        assert main(["msff-check", "--config", cfg, "--seed", "1"]) == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert err.startswith("mslab: solver error: ") and err.count("\n") == 1
+        assert where in err
+
 
 class TestOverflowingData:
     def one_error_line(self, capsys, kind):

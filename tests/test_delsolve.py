@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csc_matrix, diags
+from scipy.sparse.linalg import splu
 
 from mslab import (
     BoundaryData,
@@ -700,19 +702,28 @@ class TestBandOrder:
     @pytest.mark.parametrize("density,nt,nx,ratio,region,amplitude", [
         (LinearWave, 10, 20, 0.5, None, 0.0),  # wide: nt < nx
         (LinearWave, 15, 16, 0.5, None, 0.0),
-        (HarmonicDirichlet, 16, 16, 0.5, None, 0.0),
-        (HarmonicDirichlet, 20, 10, 1.0, None, 0.0),
-        (quartic_test_density(0.8), 16, 16, 0.5, None, 0.1),
-        (quartic_test_density(0.8), 20, 10, 0.5, None, 0.1),
-        (LinearWave, 4, 4, 0.5, Patch3Region(2, 2), 0.0),
     ])
     def test_other_systems_keep_colamd(self, monkeypatch, density, nt, nx, ratio, region,
                                        amplitude):
         jac = _interior_jacobian(density, nt, nx, ratio, region, amplitude)
         spec, lu = _column_order(monkeypatch, jac)
         assert spec == "COLAMD"
-        # A 1x1 system (Patch3Region) has only the identity order.
-        assert jac.shape[0] == 1 or not _is_identity(lu.perm_c)
+        assert not _is_identity(lu.perm_c)
+
+    @pytest.mark.parametrize("density,nt,nx,ratio,region,amplitude", [
+        (HarmonicDirichlet, 16, 16, 0.5, None, 0.0),
+        (HarmonicDirichlet, 20, 10, 1.0, None, 0.0),
+        (quartic_test_density(0.8), 16, 16, 0.5, None, 0.1),
+        (quartic_test_density(0.8), 20, 10, 0.5, None, 0.1),
+        (LinearWave, 4, 4, 0.5, Patch3Region(2, 2), 0.0),
+    ], ids=["harmonic-16x16", "harmonic-20x10", "quartic-16x16", "quartic-20x10",
+            "wave-patch3"])
+    def test_dominant_systems_take_symmetric_order(self, monkeypatch, density, nt, nx,
+                                                   ratio, region, amplitude):
+        jac = _interior_jacobian(density, nt, nx, ratio, region, amplitude)
+        spec, lu = _column_order(monkeypatch, jac)
+        assert spec == "MMD_AT_PLUS_A"
+        assert np.array_equal(lu.perm_r, lu.perm_c)  # no row swaps
 
     @pytest.mark.parametrize("size", [20, 48])
     @pytest.mark.parametrize("ratio", [0.1, 0.25, 1 / 3, 0.5, 0.7, 1.0, 1.3, 2.0])
@@ -724,7 +735,9 @@ class TestBandOrder:
         col_sums = np.asarray(abs(jac).sum(axis=0)).ravel()
         margin = 2.0 * np.abs(jac.diagonal()) - col_sums
         assert np.min(np.abs(margin) / col_sums) <= 2 * np.finfo(float).eps
-        assert _column_order(monkeypatch, jac)[0] == "COLAMD"
+        spec, lu = _column_order(monkeypatch, jac)
+        assert spec == "MMD_AT_PLUS_A"
+        assert np.array_equal(lu.perm_r, lu.perm_c)  # SuperLU takes the diagonal on ties
 
     @settings(max_examples=40, deadline=None)
     @given(nt=st.integers(3, 16), nx=st.integers(3, 16),
@@ -752,6 +765,156 @@ class TestBandOrder:
                 residual = np.abs(mat @ x - b).max()
                 scale = abs(mat).sum(axis=1).max() * np.abs(x).max()
                 assert residual <= 1e-13 * scale
+
+
+def _dense_rcond(jac):
+    """1 / (max(1, ||J||_1) ||J^-1||_1) from the dense inverse."""
+    dense = jac.toarray()
+    return 1.0 / (max(1.0, np.abs(dense).sum(axis=0).max())
+                  * np.abs(np.linalg.inv(dense)).sum(axis=0).max())
+
+
+def _general_route_rcond(jac):
+    """rcond without the M-matrix certificate or the symmetric order: a
+    dominant J under COLAMD, a pivoting J under the band rule, and
+    ||J^-1||_1 from the dense inverse (n <= 200) or from ``onenormest`` with
+    one solve per column, seeded as ``_factor_and_rcond`` seeds it."""
+    from scipy.sparse.linalg import LinearOperator, onenormest
+
+    jac = jac.tocsc()
+    n = jac.shape[0]
+    col_sums = np.asarray(abs(jac).sum(axis=0)).ravel()
+    order = "COLAMD"
+    if np.any(2.0 * np.abs(jac.diagonal()) < (1.0 - 8 * np.finfo(float).eps) * col_sums):
+        coo = jac.tocoo()
+        width = int(np.abs(coo.row - coo.col).max())
+        order = "NATURAL" if width * width <= n else order
+    lu = splu(jac, permc_spec=order)
+    if n <= 200:
+        norm_inv = np.abs(lu.solve(np.eye(n))).sum(axis=0).max()
+    else:
+        op = LinearOperator(jac.shape, matvec=lambda b: lu.solve(b),
+                            rmatvec=lambda b: lu.solve(b, trans="T"))
+        state = np.random.get_state()
+        try:
+            np.random.seed(delsolve_module._RCOND_SEED)
+            norm_inv = onenormest(op)
+        finally:
+            np.random.set_state(state)
+    return 1.0 / (max(1.0, col_sums.max()) * norm_inv)
+
+
+def _type2_jacobian(nt, nx, ratio):
+    """The canonical mixed (type-II) system of HarmonicDirichlet on the whole
+    nt x nx mesh: interior DEL rows and top-row momentum rows."""
+    from mslab.delsolve import _hessian_operator
+    from mslab.jetmesh import interior_index, region_index
+
+    mesh = build_mesh(dt=ratio / nx, dx=1.0 / nx, nt=nt, nx=nx)
+    region, ncols = RectRegion(0, 0, nt, nx), nx + 1
+    flat = np.concatenate([interior_index(region, ncols),
+                           node_index(canonical_type2_split(region)[1], ncols)])
+    return _hessian_operator(HarmonicDirichlet, np.zeros(mesh.shape),
+                             region_index(region, ncols), flat, mesh.dt, mesh.dx,
+                             "probe")[:, flat]
+
+
+def _random_dominant_z_matrix(n, density, seed):
+    """A sparse Z-matrix whose columns are strictly diagonally dominant."""
+    from scipy.sparse import random as sparse_random
+
+    rng = np.random.default_rng(seed)
+    off = sparse_random(n, n, density=density, format="csc", random_state=rng)
+    off.setdiag(0.0)
+    off.eliminate_zeros()
+    col_sums = np.asarray(off.sum(axis=0)).ravel()
+    scale = 10.0 ** rng.uniform(-2.0, 2.0)  # either side of ||J||_1 = 1
+    return (scale * (diags(col_sums + rng.uniform(0.01, 1.0, n)) - off)).tocsc()
+
+
+class _RecordingLu:
+    """Stands in for a SuperLU object and records the ``solve`` calls."""
+
+    def __init__(self, lu, solves):
+        self._lu, self.solves = lu, solves
+
+    def solve(self, rhs, trans="N"):
+        self.solves.append((np.shape(rhs), trans))
+        return self._lu.solve(rhs, trans=trans)
+
+    def __getattr__(self, name):
+        return getattr(self._lu, name)
+
+
+class TestMMatrixIndicator:
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(["harmonic", "type2", "random"]),
+           nt=st.integers(2, 31), nx=st.integers(2, 31),
+           ratio=st.floats(0.1, 3.0), density=st.floats(0.001, 0.05),
+           seed=st.integers(0, 2**16))
+    @example(kind="harmonic", nt=31, nx=31, ratio=0.5, density=0.01, seed=0)  # n = 900
+    @example(kind="type2", nt=29, nx=31, ratio=1.0, density=0.01, seed=0)
+    @example(kind="random", nt=31, nx=31, ratio=1.0, density=0.002, seed=3)
+    def test_certified_rcond_is_exact(self, kind, nt, nx, ratio, density, seed):
+        if kind == "harmonic":
+            jac = _interior_jacobian(HarmonicDirichlet, nt, nx, ratio)
+        elif kind == "type2":
+            jac = _type2_jacobian(nt, nx, ratio)
+        else:
+            jac = _random_dominant_z_matrix((nt - 1) * (nx - 1), density, seed)
+        assume(jac.shape[0] <= 900)
+        _, rcond = delsolve_module._factor_and_rcond(jac, "probe")
+        assert rcond == pytest.approx(_dense_rcond(jac), rel=1e-12)
+        # The general route's indicator is exact (n <= 200) or a lower bound
+        # of ||J^-1||_1, so the certified one is never larger beyond round-off.
+        assert rcond <= _general_route_rcond(jac) * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("jac", [
+        [[1.0, -2.0], [-2.0, 1.0]],  # J^-T 1 = (-1, -1)
+        # I - 0.6 (S + S^T): a Z-matrix with negative eigenvalues, estimated.
+        diags([-0.6, 1.0, -0.6], [-1, 0, 1], shape=(250, 250)),
+    ], ids=["2x2", "tridiagonal-250"])
+    def test_z_matrix_that_is_not_an_m_matrix_takes_the_general_route(self, jac):
+        jac = csc_matrix(jac)
+        assert not np.all(splu(jac).solve(np.ones(jac.shape[0]), trans="T") > 0.0)
+        _, rcond = delsolve_module._factor_and_rcond(jac, "probe")
+        assert rcond == _general_route_rcond(jac)
+
+    @pytest.mark.parametrize("nt,nx,ratio", [
+        (20, 10, 0.5),  # natural order, dense inverse
+        (10, 20, 0.5),  # COLAMD, dense inverse
+        (24, 24, 0.5),  # natural order, onenormest
+        (16, 30, 0.7),  # COLAMD, onenormest
+    ])
+    def test_wave_jacobians_take_the_general_route(self, nt, nx, ratio):
+        jac = _interior_jacobian(LinearWave, nt, nx, ratio)
+        assert jac.max() > 0.0 > jac.min()  # not a Z-matrix
+        _, rcond = delsolve_module._factor_and_rcond(jac, "probe")
+        assert rcond == _general_route_rcond(jac)
+
+    @pytest.mark.parametrize("size", [8, 48])  # the dense inverse and onenormest sizes
+    @pytest.mark.parametrize("jacobian", [
+        lambda size: _interior_jacobian(HarmonicDirichlet, size, size, 0.5),
+        lambda size: _type2_jacobian(size, size, 1.0),
+    ], ids=["dirichlet", "type2"])
+    def test_m_matrix_indicator_is_one_transposed_solve(self, monkeypatch, size, jacobian):
+        jac = jacobian(size)
+        orders, solves, normests = [], [], []
+        splu_ = delsolve_module.splu
+
+        def recorded(*args, **kwargs):
+            orders.append(kwargs)
+            return _RecordingLu(splu_(*args, **kwargs), solves)
+
+        monkeypatch.setattr("mslab.delsolve.splu", recorded)
+        monkeypatch.setattr("mslab.delsolve.onenormest",
+                            lambda *args, **kwargs: normests.append(1))
+        lu, _ = delsolve_module._factor_and_rcond(jac, "probe")
+        assert orders == [{"permc_spec": "MMD_AT_PLUS_A",
+                           "options": {"SymmetricMode": True}}]
+        assert solves == [((jac.shape[0],), "T")]
+        assert normests == []
+        assert np.array_equal(lu.perm_r, lu.perm_c)  # no row swaps
 
 
 class TestSolveBvp:
