@@ -13,15 +13,18 @@ The solvers evaluate residuals for all triangles at once with
 :func:`~mslab.lagrangian.triangle_kernel` (a scatter-add of slot gradients).
 A kernel Hessian becomes a sparse matrix in one place, ``_hessian_operator``:
 K, with a row per equation node and a column per node or unknown.  Newton
-Jacobians are K at the unknowns; :func:`tangent_solve` and
-:func:`~mslab.genfunc.boundary_hamiltonian` take K[:, unknowns] and
-``0.0 - K @ known``; the analytic :func:`~mslab.msforms.hessian_symmetry`
-slices its Schur blocks out of one K; linearised residuals are
-K @ variation.  Newton writes each iterate in place into one work array,
-copied once per returned row or field.  :func:`del_residual` is the
-per-node view, built on :func:`~mslab.lagrangian.grad_Ld`.
+Jacobians are K at the unknowns.  Three consumers take K directly:
+:func:`tangent_solve` (K[:, unknowns] and ``0.0 - K @ known``), the analytic
+:func:`~mslab.msforms.hessian_symmetry` (Schur blocks sliced out of one K)
+and the linearised residuals (K @ variation).  Newton writes each iterate in
+place into one work array, copied once per returned row or field.
+:func:`del_residual` is the per-node view, built on
+:func:`~mslab.lagrangian.grad_Ld`.
 
-Three solution drivers are provided:
+Three solution drivers are provided, and the Newton driver behind them also
+solves the mixed (type-II) problem of
+:func:`~mslab.genfunc.boundary_hamiltonian`, whose residuals are slot sums
+minus prescribed momenta:
 
 * :func:`step_row` advances one time level by solving the DEL equations of
   the current level for the new row (a bidiagonal system, explicit for the
@@ -36,17 +39,25 @@ Three solution drivers are provided:
   on a single factorisation.
 
 Both nonlinear drivers, and the mechanics collocations with a dense Jacobian,
-run one Newton core (Armijo backtracking).  All of them stop on one rule: the
-sup-norm of the residual at or below ``NEWTON_TOL`` = 1e-12 (or the
-factoriser's round-off floor), within ``NEWTON_MAX_ITER`` = 50 iterations.
+run one Newton core (Armijo backtracking).  They stop when the sup-norm of
+the residual is at or below ``NEWTON_TOL`` = 1e-12, within
+``NEWTON_MAX_ITER`` = 50 iterations; the dense collocations and the linear
+solves below also stop at or below the round-off floor ``_roundoff_floor``
+(64 ulps of the largest row sum of |J| times max(1, |x|_inf)).
 A quadratic density's Jacobian is the same at every iterate and row, so one
-sparse LU serves a whole :func:`propagate` run or :func:`solve_bvp`, whatever
-its iteration count.  Its DEL residuals are linear in the node values, so the
-row stepper builds one operator R on its first row, from a single kernel
-call: K of the two triangle rows at every node of the three stacked rows.
-Each residual is then R @ stack (equal to the kernel's to round-off, not bit
-for bit), and R's columns at the new row are the Jacobian.
-:func:`solve_bvp` and the non-quadratic rows keep the kernel's residuals.
+sparse LU serves a whole :func:`propagate` run, :func:`solve_bvp` or
+type-II solve, whatever its iteration count.  Its DEL residuals are linear in
+the node values, so the row stepper and the type-II solve build one operator
+R on their first solve, from a single kernel call; for the rows, K of the two
+triangle rows at every node of the three stacked rows.  Each residual is then
+R @ values (equal to the kernel's to round-off, not bit for bit), and R's
+columns at the unknowns are the Jacobian.  Such a linear solve always takes
+its first, exact step: an absolute tolerance cannot tell small data from a
+solution.  After it, the floor of R @ values - target applies, so
+large data stop at round-off instead of stalling above ``NEWTON_TOL``; rows
+at normal scale meet ``NEWTON_TOL`` first and never compute it.
+:func:`solve_bvp` and the non-quadratic rows keep the kernel's residuals and
+the absolute tolerance alone.
 A non-finite Hessian raises :class:`SolverError` naming the function (and
 the row) it was built for.
 
@@ -201,16 +212,17 @@ def _sparse_block(triplets, size: int, eqs, cols=None):
 # Newton core (shared by the row stepper, solve_bvp and the mechanics lane)
 
 
-def _newton(residual_fn, factor_fn, x0, max_iter, context: str):
+def _newton(residual_fn, factor_fn, x0, max_iter, context: str, linear: bool = False):
     """Damped Newton iteration on F(x) = 0 with Armijo backtracking, until
     the sup-norm of F is at most ``NEWTON_TOL``.
 
     ``factor_fn(x, context)`` returns a solver of the Jacobian at x (with
     ``.solve``), its rcond and a round-off floor at or below which a residual
     is accepted.  A non-finite residual at the start raises
-    :class:`SolverError`; at a trial iterate it fails the Armijo test.
-    Returns (x, sup-norm of residual, iterations, rcond of the last
-    factorisation or None).
+    :class:`SolverError`; at a trial iterate it fails the Armijo test.  With
+    ``linear`` (F affine), the first step is always taken: an absolute
+    tolerance cannot tell small data from a solution.  Returns (x, sup-norm
+    of residual, iterations, rcond of the last factorisation or None).
     """
 
     def evaluate(x):  # F(x) and the merit |F|^2 / 2
@@ -228,7 +240,7 @@ def _newton(residual_fn, factor_fn, x0, max_iter, context: str):
     rcond = None
     for iteration in range(max_iter + 1):
         norm = float(np.abs(f).max(initial=0.0))
-        if norm <= NEWTON_TOL:
+        if norm <= NEWTON_TOL and (iteration or not linear):
             return x, norm, iteration, rcond
         if iteration == max_iter:
             raise SolverError(f"{context}: Newton did not converge "
@@ -246,6 +258,14 @@ def _newton(residual_fn, factor_fn, x0, max_iter, context: str):
             raise SolverError(f"{context}: Armijo line search failed"
                               + ("" if np.isfinite(step).all() else " (non-finite step)"))
         x, f, merit = x_try, f_try, merit_try
+
+
+def _roundoff_floor(jac, x) -> float:
+    """Round-off level of a residual J x - b, at or below which no Newton
+    step can reduce it: 64 ulps of the largest row sum of |J| (dense or
+    sparse) times max(1, |x|_inf)."""
+    return (64.0 * np.finfo(float).eps * float(np.max(abs(jac).sum(axis=1)))
+            * max(1.0, float(np.max(np.abs(x)))))
 
 
 def _inverse_norm(lu, n: int, z_matrix: bool) -> float:
@@ -343,20 +363,24 @@ def _hessian_operator(density: LagrangianDensity, values: np.ndarray, index, eqs
 
 
 def _del_newton(density: LagrangianDensity, values: np.ndarray, index, eqs, unknowns,
-                dt: float, dx: float, *, linear: bool = False):
-    """``solve(x0, max_iter, context)``: Newton on the DEL residuals of
-    the triangles ``index`` at the flat nodes ``eqs`` of the C-contiguous
-    work array ``values``, for the values at the flat nodes ``unknowns``,
-    written in place (other nodes keep their value).  The Jacobian is
-    :func:`_hessian_operator` at the ``unknowns`` columns; a quadratic
-    density's LU is made once and kept.  Returns (residual norm, iterations,
-    rcond); ``values`` then holds the solution.
+                dt: float, dx: float, *, linear: bool = False, target=None):
+    """``solve(x0, max_iter, context)``: Newton on the DEL residuals (slot
+    sums) of the triangles ``index`` at the flat nodes ``eqs`` of the
+    C-contiguous work array ``values``, minus ``target`` (default zero), for
+    the values at the flat nodes ``unknowns``, written in place (other nodes
+    keep their value).  The Jacobian is :func:`_hessian_operator` at the
+    ``unknowns`` columns; a quadratic density's LU is made once and kept.
+    Returns (residual norm, iterations, rcond); ``values`` then holds the
+    solution.
 
-    With ``linear`` (a quadratic density), the residuals are R @ values for
-    one operator R (:func:`_hessian_operator` at every column), built on the
-    first solve; its columns at ``unknowns`` are the Jacobian.
+    With ``linear`` (a quadratic density), the residuals are R @ values -
+    target for one operator R (:func:`_hessian_operator` at every column),
+    built on the first solve; its columns at ``unknowns`` are the Jacobian.
+    Each solve then takes at least one Newton step, and after the first it
+    also stops at the round-off floor of R @ values - target
+    (:func:`_roundoff_floor`).
     """
-    kept = operator = None
+    kept, operator, stepped = None, None, False
     work = values.reshape(-1)  # a view of ``values``
 
     def fill(x):
@@ -364,28 +388,28 @@ def _del_newton(density: LagrangianDensity, values: np.ndarray, index, eqs, unkn
         return values
 
     def residual(x):
-        if operator is None:
-            return triangle_kernel(density, fill(x), index, dt, dx).residual[eqs]
         fill(x)
-        return operator @ work
+        f = (operator @ work if linear
+             else triangle_kernel(density, values, index, dt, dx).residual[eqs])
+        return f if target is None else f - target
 
     def factor(x, context):
-        nonlocal kept
-        if kept:
-            return kept
-        if operator is None:  # built at the unknowns: no whole-node K is held
-            jac = _hessian_operator(density, fill(x), index, eqs, dt, dx, context, unknowns)
-        else:
-            jac = operator[:, unknowns]
-        out = (*_factor_and_rcond(jac, context), 0.0)
-        kept = out if density.is_quadratic else None
-        return out
+        nonlocal kept, stepped
+        lu_rcond = kept or _factor_and_rcond(
+            operator[:, unknowns] if linear  # else built at the unknowns only
+            else _hessian_operator(density, fill(x), index, eqs, dt, dx, context, unknowns),
+            context)
+        kept = lu_rcond if density.is_quadratic else None
+        floor = _roundoff_floor(operator, work) if linear and stepped else 0.0
+        stepped = True
+        return (*lu_rcond, floor)
 
     def solve(x0, max_iter, context):
-        nonlocal operator
+        nonlocal operator, stepped
+        stepped = False  # no floor before the first step, which small data need too
         if linear and operator is None:
             operator = _hessian_operator(density, values, index, eqs, dt, dx, context)
-        x, norm, iterations, rcond = _newton(residual, factor, x0, max_iter, context)
+        x, norm, iterations, rcond = _newton(residual, factor, x0, max_iter, context, linear)
         fill(x)
         return norm, iterations, factor(x, context)[1] if rcond is None else rcond
 

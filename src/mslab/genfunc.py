@@ -11,8 +11,10 @@ can cross-check them.
 The *boundary Hamiltonian* is the Type-II transform for the supported mixed
 split of a rectangle boundary: values prescribed on the bottom row and both
 full side columns (side A, including all four corners), momenta prescribed
-on the strict interior of the top row (side B).  With u* the solution of the
-mixed problem,
+on the strict interior of the top row (side B).  It is defined for every
+density: the mixed problem is solved by the Newton driver of the Dirichlet
+solver (on one LU for a quadratic density, whose mixed system is linear).
+With u* the solution of the mixed problem,
 
     H(phi_A, pi_B) = -S(u*) + sum_B pi_b * u*_b,
 
@@ -37,7 +39,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .delsolve import BvpSolveReport, _factor_and_rcond, _hessian_operator, solve_bvp
+from .delsolve import NEWTON_MAX_ITER, BvpSolveReport, _del_newton, solve_bvp
 from .jetmesh import (BoundaryData, DiscreteField, JetTriple, QuadMesh, RectRegion,
                       Region, boundary_nodes, check_region_fits, interior_index,
                       node_index, parse_region, region_index, region_to_json)
@@ -291,11 +293,15 @@ class MixedBoundaryData:
             raise ValueError("mixed data needs exactly the keys region/A/B")
         region = parse_region(obj["region"])
 
-        def decode(mapping):
-            pairs = ((key.split(","), val) for key, val in mapping.items())
-            return {(int(n), int(i)): float(val) for (n, i), val in pairs}
+        def decode(side):
+            try:
+                pairs = ((key.split(","), val) for key, val in obj[side].items())
+                return {(int(n), int(i)): float(val) for (n, i), val in pairs}
+            except (AttributeError, ValueError):  # not a mapping, or a bad key or value
+                raise ValueError(f'side {side} must map "n,i" keys to numbers, '
+                                 f'got {obj[side]!r}') from None
 
-        return cls(region, decode(obj["A"]), decode(obj["B"]))
+        return cls(region, decode("A"), decode("B"))
 
     def perturbed_value(self, node, delta: float) -> "MixedBoundaryData":
         d = dict(self.dirichlet)
@@ -327,38 +333,32 @@ class BoundaryHamiltonianResult:
     rcond: float
 
 
-def boundary_hamiltonian(density: QuadraticDensity, mesh: QuadMesh,
+def boundary_hamiltonian(density: LagrangianDensity, mesh: QuadMesh,
                          data: MixedBoundaryData) -> BoundaryHamiltonianResult:
     """Type-II generating value of the canonical mixed problem.
 
-    Solves the square linear system consisting of the DEL equations at the
-    strict interior nodes and the momentum conditions (slot sum = prescribed
-    momentum) at the B nodes, then evaluates
-    ``-S(u*) + sum_B pi_b * u*_b``.  Quadratic densities only (the mixed
-    system is linear); the factorisation shares the condition guard of the
+    Solves the DEL equations at the strict interior nodes together with the
+    momentum conditions (slot sum = prescribed momentum) at the B nodes, for
+    the values at both, with the Newton driver of
+    :func:`~mslab.delsolve.solve_bvp` from zero, then evaluates
+    ``-S(u*) + sum_B pi_b * u*_b``.  A quadratic density's system is linear:
+    one step on one LU solves it, and the solve stops at the round-off floor
+    of its residual.  The factorisation shares the condition guard of the
     Dirichlet solver.
     """
-    if not isinstance(density, QuadraticDensity):
-        raise ValueError("the mixed solve supports quadratic densities only")
     region = data.region
     check_region_fits(region, mesh)
-    b_side = list(data.momenta)
     ncols = mesh.nx + 1
-    flat = np.concatenate([interior_index(region, ncols), node_index(b_side, ncols)])
+    # Interior rows are DEL slot sums over the node's three triangles; B rows
+    # are slot sums over the region triangles containing the node.
+    flat = np.concatenate([interior_index(region, ncols), node_index(list(data.momenta), ncols)])
+    target = np.zeros(len(flat))
+    target[len(flat) - len(data.momenta):] = list(data.momenta.values())
     arr = np.zeros(mesh.shape)
     arr.flat[node_index(list(data.dirichlet), ncols)] = list(data.dirichlet.values())
-
-    # Equations: row per unknown.  Interior rows are DEL slot sums over the
-    # node's three triangles; B rows are slot sums over region triangles
-    # containing the node (here: the single top triangle below it).
-    k = _hessian_operator(density, arr, region_index(region, ncols), flat, mesh.dt,
-                          mesh.dx, "boundary_hamiltonian")
-    jac, rhs = k[:, flat], 0.0 - k @ arr.ravel()
-    del k  # freed before factoring
-    rhs[len(flat) - len(b_side):] += list(data.momenta.values())
-    lu, rcond = _factor_and_rcond(jac, "boundary_hamiltonian")
-
-    arr.flat[flat] = lu.solve(rhs)
+    solve = _del_newton(density, arr, region_index(region, ncols), flat, flat, mesh.dt,
+                        mesh.dx, linear=density.is_quadratic, target=target)
+    _, _, rcond = solve(np.zeros(len(flat)), NEWTON_MAX_ITER, "boundary_hamiltonian")
     field = DiscreteField(mesh, arr)
     action = region_action(density, field, region)
     pairing = sum(pi * field[nd] for nd, pi in data.momenta.items())

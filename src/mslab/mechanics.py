@@ -37,7 +37,7 @@ import numpy as np
 from numpy.polynomial import legendre as npleg
 
 from . import dual
-from .delsolve import NEWTON_MAX_ITER, SolverError, _newton
+from .delsolve import NEWTON_MAX_ITER, SolverError, _newton, _roundoff_floor
 
 
 class PhasePoint(NamedTuple):
@@ -204,14 +204,9 @@ def _newton_dense(residual_fn, x0, context: str) -> np.ndarray:
             except np.linalg.LinAlgError as err:
                 raise SolverError(f"{context}: singular Jacobian ({err})") from None
 
-        # Evaluating the residual rows incurs round-off of the order of the
-        # Jacobian row magnitudes times the iterate; below that level no
-        # Newton step can improve the residual, so accept the iterate even
-        # when the absolute tolerance is tighter than the floor.
-        floor = (64.0 * np.finfo(float).eps
-                 * float(np.max(np.sum(np.abs(jac), axis=1)))
-                 * max(1.0, float(np.max(np.abs(x)))))
-        return SimpleNamespace(solve=solve), None, floor
+        # Accept an iterate at the round-off floor even when the absolute
+        # tolerance is tighter than the floor.
+        return SimpleNamespace(solve=solve), None, _roundoff_floor(jac, x)
 
     return _newton(lambda x: np.atleast_1d(residual_fn(x)), factor,
                    x0, NEWTON_MAX_ITER, context)[0]

@@ -23,7 +23,8 @@ levels); :func:`bridges_residuals` evaluates it at every interior node and
 :func:`hessian_symmetry` checks symmetry of the second derivative of the
 extremal action with respect to boundary data (equality of mixed partials —
 the generating-function face of the same structure; a sparse Schur
-complement for quadratic densities), and
+complement of the Hessian at the solution, or finite differences of the
+boundary momenta), and
 :func:`continuous_msff_residual` evaluates the continuum boundary integral
 for exact solutions as an independent cross-check of the discrete route.
 """
@@ -255,10 +256,14 @@ def hessian_symmetry(density: LagrangianDensity, mesh: QuadMesh,
                      boundary: BoundaryData, *, method: str = "auto") -> SymmetryReport:
     """Second derivative of the extremal action w.r.t. boundary values.
 
-    ``analytic`` (quadratic densities) eliminates the interior block, factored
-    once under the solvers' singular-system guard, from the sparse region-wide
-    vertex-slot Hessian (Schur complement), solving for 32 boundary columns at
-    a time so that no dense array spans them all.  ``fd`` recovers the
+    ``analytic`` eliminates the interior block, factored once under the
+    solvers' singular-system guard, from the sparse region-wide vertex-slot
+    Hessian K (Schur complement), solving for 32 boundary columns at a time
+    so that no dense array spans them all.  K is taken at the
+    :func:`~mslab.delsolve.solve_bvp` field, where by the implicit-function
+    theorem its Schur complement is the exact Hessian; a quadratic density's
+    K is the same everywhere and needs no solve.  ``auto`` takes it for
+    quadratic densities and ``fd`` otherwise.  ``fd`` recovers the
     same matrix by central differences of the boundary momenta around the
     given data, which probes the nonlinear solve path; each perturbed solve
     starts from the solution for the given data.  The step 1e-4 keeps both
@@ -271,16 +276,21 @@ def hessian_symmetry(density: LagrangianDensity, mesh: QuadMesh,
 
     if method == "auto":
         method = "analytic" if density.is_quadratic else "fd"
+    if method not in ("analytic", "fd"):
+        raise ValueError(f"unknown method {method!r}; use 'auto', 'analytic' or 'fd'")
     region = boundary.region
     check_region_fits(region, mesh)
     bnodes = boundary_nodes(region)
+    nb = len(bnodes)
+    # The solution for the given data: where K is taken, and where each
+    # perturbed fd solve starts.  A quadratic density's K needs none.
+    base = (DiscreteField.zeros(mesh) if method == "analytic" and density.is_quadratic
+            else solve_bvp(density, mesh, boundary).field)
 
     if method == "analytic":
-        if not density.is_quadratic:
-            raise ValueError("analytic Hessian requires a quadratic density")
-        ncols, nb = mesh.nx + 1, len(bnodes)
+        ncols = mesh.nx + 1
         nodes = np.concatenate([node_index(bnodes, ncols), interior_index(region, ncols)])
-        k = _hessian_operator(density, np.zeros(mesh.shape), region_index(region, ncols),
+        k = _hessian_operator(density, base.values, region_index(region, ncols),
                               nodes, mesh.dt, mesh.dx, "hessian_symmetry", nodes)
         h = k[:nb, :nb].toarray()
         if len(nodes) > nb:
@@ -290,21 +300,14 @@ def hessian_symmetry(density: LagrangianDensity, mesh: QuadMesh,
             for lo in range(0, nb, block):
                 cols = slice(lo, lo + block)
                 h[:, cols] -= k_bi @ lu.solve(k_bi[cols].T.toarray())
-    elif method == "fd":
-        base = solve_bvp(density, mesh, boundary).field
+    else:
         fd_step = 1e-4
-        nb = len(bnodes)
         h = np.zeros((nb, nb))
         for a in range(nb):
-            plus = solve_bvp(density, mesh, boundary.perturbed(a, fd_step),
-                             initial=base)
-            minus = solve_bvp(density, mesh, boundary.perturbed(a, -fd_step),
-                              initial=base)
-            pi_plus = normal_momenta(density, plus.field, region)
-            pi_minus = normal_momenta(density, minus.field, region)
-            h[a, :] = (pi_plus.values - pi_minus.values) / (2.0 * fd_step)
-    else:
-        raise ValueError(f"unknown method {method!r}; use 'auto', 'analytic' or 'fd'")
+            plus, minus = (normal_momenta(density, solve_bvp(
+                density, mesh, boundary.perturbed(a, step), initial=base).field, region).values
+                for step in (fd_step, -fd_step))
+            h[a, :] = (plus - minus) / (2.0 * fd_step)
 
     asym = float(np.max(np.abs(h - h.T))) if h.size else 0.0
     return SymmetryReport(max_asymmetry=asym, hessian=h, method=method,

@@ -404,6 +404,8 @@ class FourierBoundaryData:
         extra = set(obj) - {"a0", "a", "b"}
         if extra:
             raise ValueError(f"unknown Fourier data keys {sorted(extra)}")
+        if not all(isinstance(obj.get(key, []), list) for key in ("a", "b")):
+            raise ValueError(f"Fourier modes 'a' and 'b' must be lists, got {obj!r}")
         return cls(float(obj.get("a0", 0.0)), obj.get("a", ()), obj.get("b", ()))
 
 
@@ -438,9 +440,13 @@ def harmonic_extension_disc(data: FourierBoundaryData) -> HarmonicDiscResult:
         0.0,
         tuple(k * ak for k, ak in enumerate(data.a, start=1)),
         tuple(k * bk for k, bk in enumerate(data.b, start=1)))
-    energy = 0.5 * math.pi * sum(
-        k * (ak * ak + bk * bk)
-        for k, (ak, bk) in enumerate(zip(data.a, data.b), start=1))
+    # Summed in units of 2^(e-1), e the binary exponent of the largest
+    # coefficient (never 0 nor inf), so that no square of a tiny coefficient
+    # goes subnormal; exact otherwise.  An energy that overflows is inf.
+    unit = 2.0 ** (math.frexp(max(map(abs, data.a + data.b), default=0.0))[1] - 1)
+    a, b = (np.array(c, dtype=float) / unit for c in (data.a, data.b))
+    energy = 0.5 * math.pi * float(sum(
+        k * (ak * ak + bk * bk) for k, (ak, bk) in enumerate(zip(a, b), start=1))) * unit * unit
 
     def value(r: float, theta: float) -> float:
         out = data.a0
@@ -483,6 +489,8 @@ def disc_boundary_lagrangian_quadrature(data: FourierBoundaryData) -> float:
     k = np.arange(1, len(data.a) + 1)
     n = 2 * len(k) + 2
     angles = np.outer(2.0 * math.pi / n * np.arange(n), k)
-    waves, coeffs = np.hstack([np.cos(angles), np.sin(angles)]), np.array(data.a + data.b)
-    u, lam_u = data.a0 + waves @ coeffs, waves @ (np.tile(k, 2) * coeffs)
-    return math.pi * float((u / n) @ lam_u)  # each partial sum within the bound
+    # In units of a power of two, as in the closed form.
+    unit = 2.0 ** (math.frexp(max(map(abs, (data.a0,) + data.a + data.b)))[1] - 1)
+    waves, coeffs = np.hstack([np.cos(angles), np.sin(angles)]), np.array(data.a + data.b) / unit
+    u, lam_u = data.a0 / unit + waves @ coeffs, waves @ (np.tile(k, 2) * coeffs)
+    return math.pi * float((u / n) @ lam_u) * unit * unit  # each partial sum within the bound

@@ -203,6 +203,9 @@ class TestExitConfig:
         ("boundary-lagrangian", {"problem": "disc", "fourier": {"a": 5}}),
         ("boundary-lagrangian", {"problem": "disc", "fourier": {"a0": None}}),
         ("mechanics", dict(MECH_CONFIG, rule=["midpoint"])),
+        # Strings were read as digit modes: "12" as [1.0, 2.0].
+        ("boundary-lagrangian", {"problem": "disc",
+                                 "fourier": {"a0": 0.5, "a": "12", "b": "3"}}),
     ])
     def test_malformed_value(self, tmp_path, capsys, command, payload):
         cfg = write_config(tmp_path, "c.json", payload)

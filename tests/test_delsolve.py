@@ -486,6 +486,21 @@ class TestNewtonCore:
         assert np.array_equal(report.field.values, reference.field.values)
         assert report.rcond == reference.rcond
 
+    @pytest.mark.parametrize("density", [LinearWave, STEP_DENSITIES[2]], ids=["wave", "cross"])
+    @pytest.mark.parametrize("closure", [PeriodicClosure(), FixedClosure(0.0, 0.0)],
+                             ids=["periodic", "fixed"])
+    def test_quadratic_rows_scale_with_their_data(self, density, closure):
+        # The absolute tolerance once accepted tiny rows at their start guess
+        # (170% off), and large rows of the cross-term density stalled above it
+        # ("Armijo line search failed" from 1e6).  A linear solve now always
+        # takes its exact step, then stops at the round-off floor.
+        mesh = build_mesh(dt=0.05, dx=0.1, nt=12, nx=9)
+        row0, row1 = _rows(mesh, 29, closure)
+        unit = propagate(density, mesh, row0, row1, closure).values
+        for scale in [1e-14, 1e-100, 1e6, 1e12, 1e100]:
+            field = propagate(density, mesh, scale * row0, scale * row1, closure).values
+            assert np.max(np.abs(field - scale * unit)) <= 1e-12 * scale * np.max(np.abs(unit))
+
     def test_only_a_singular_factor_is_a_singular_system(self, monkeypatch):
         def recursing(*args, **kwargs):
             raise RecursionError("maximum recursion depth exceeded")

@@ -12,6 +12,7 @@ from mslab import (
     Patch3Region,
     QuadraticDensity,
     RectRegion,
+    SolverError,
     boundary_hamiltonian,
     boundary_lagrangian,
     boundary_nodes,
@@ -180,6 +181,21 @@ class TestMixedBoundaryData:
         assert clone.dirichlet == data.dirichlet
         assert clone.momenta == data.momenta
 
+    @pytest.mark.parametrize("side, value", [
+        ("A", []), ("B", 1.5), ("A", {"0": 0.0}), ("B", {"2,1,0": 0.0}),
+        ("A", {"n,1": 0.0}), ("B", {"2,1": "x"}),
+    ])
+    def test_json_names_the_bad_side(self, side, value):
+        # A list once raised AttributeError, a key "0" a bare unpacking error.
+        reg = RectRegion(0, 0, 2, 3)
+        a_nodes, b_nodes = canonical_type2_split(reg)
+        good = MixedBoundaryData(reg, dict.fromkeys(a_nodes, 0.0),
+                                 dict.fromkeys(b_nodes, 0.0)).to_json()
+        with pytest.raises(ValueError) as err:
+            MixedBoundaryData.from_json(dict(good, **{side: value}))
+        assert str(err.value) == (f'side {side} must map "n,i" keys to numbers, '
+                                  f'got {value!r}')
+
     def test_validates_exact_cover(self):
         reg = RectRegion(0, 0, 2, 3)
         a_nodes, b_nodes = canonical_type2_split(reg)
@@ -251,7 +267,82 @@ class TestBoundaryHamiltonian:
         for nd in interior_nodes(reg):
             assert abs(del_residual(LinearWave, result.field, *nd)) < 1e-11
 
-    def test_quartic_density_rejected(self, setup):
+    def test_overflowing_momentum_is_a_solver_error(self, setup):
+        # The merit of the starting residual overflows; the one-solve route
+        # once returned an infinite field and failed on building it.
         mesh, reg, field, data = setup
-        with pytest.raises(ValueError, match="quadratic"):
-            boundary_hamiltonian(quartic_test_density(0.5), mesh, data)
+        node = next(iter(data.momenta))
+        with pytest.raises(SolverError,
+                           match=r"^boundary_hamiltonian: non-finite residual at the start$"):
+            boundary_hamiltonian(LinearWave, mesh, data.perturbed_momentum(
+                node, 1e308 - data.momenta[node]))
+
+
+def _type2_case(density, n, amplitude, seed):
+    """A Dirichlet solve on the full n x n rectangle (dt/dx = 0.5), its
+    canonical mixed data and the Type-II solve of those data."""
+    mesh = build_mesh(dt=0.5 / n, dx=1.0 / n, nt=n, nx=n)
+    region = RectRegion(0, 0, n, n)
+    ref = solve_bvp(density, mesh, seeded_boundary(region, seed, amplitude)).field
+    data = type2_data_from_field(density, ref, region)
+    return mesh, region, ref, data, boundary_hamiltonian(density, mesh, data)
+
+
+def _legendre_gap(density, region, data, result):
+    """|H + S(u*) - pi_B . u*_B| / max(1, |S(u*)|)."""
+    action = region_action(density, result.field, region)
+    pairing = sum(pi * result.field[nd] for nd, pi in data.momenta.items())
+    return abs(result.value + action - pairing) / max(1.0, abs(action))
+
+
+class TestQuarticBoundaryHamiltonian:
+    """The Type-II contracts for a non-quadratic density, which the mixed
+    solve takes through Newton like the Dirichlet solver."""
+
+    @pytest.mark.parametrize("n", [6, 12, 20])
+    @pytest.mark.parametrize("amplitude", [0.1, 1.0])
+    def test_legendre_relation_and_recovery(self, n, amplitude):
+        density = quartic_test_density(1.0)
+        mesh, region, ref, data, result = _type2_case(density, n, amplitude, 60 + n)
+        assert _legendre_gap(density, region, data, result) <= 1e-12
+        assert np.max(np.abs(result.field.values - ref.values)) <= 1e-9
+
+    @pytest.mark.parametrize("n", [6, 12, 20])
+    @pytest.mark.parametrize("amplitude", [0.1, 1.0])
+    def test_derivatives_by_central_differences(self, n, amplitude):
+        density = quartic_test_density(1.0)
+        mesh, region, _, data, result = _type2_case(density, n, amplitude, 70 + n)
+        momenta = normal_momenta(density, result.field, region).as_mapping()
+        # Central differences of H lose about |H| * 1e-16 / eps to round-off.
+        eps, tol = 1e-5, 2e-9 * max(1.0, abs(result.value))
+
+        def slope(perturbed):
+            up, dn = (boundary_hamiltonian(density, mesh, perturbed(d)).value
+                      for d in (eps, -eps))
+            return (up - dn) / (2.0 * eps)
+
+        a_nodes, b_nodes = canonical_type2_split(region)
+        for nd in a_nodes[1::n]:
+            assert slope(lambda d: data.perturbed_value(nd, d)) == pytest.approx(
+                -momenta[nd], abs=tol)
+        for nd in b_nodes[::n // 3]:
+            assert slope(lambda d: data.perturbed_momentum(nd, d)) == pytest.approx(
+                result.field[nd], abs=tol)
+
+
+@pytest.mark.parametrize("density, n", [(LinearWave, 12), (LinearWave, 40),
+                                        (HarmonicDirichlet, 48)],
+                         ids=["wave-12", "wave-40", "harmonic-48"])
+def test_linear_type2_solves_at_every_data_scale(density, n):
+    # The linear route stops at the round-off floor of its residual, which
+    # grows with the data, and always takes its one exact step, which an
+    # absolute tolerance would skip for small data.
+    mesh, region, _, data, unit = _type2_case(density, n, 1.0, 80 + n)
+    for scale in [1.0, 1e3, 1e6, 1e12, 1e100, 1e-13, 1e-100]:
+        scaled = MixedBoundaryData(region,
+                                   {nd: scale * v for nd, v in data.dirichlet.items()},
+                                   {nd: scale * v for nd, v in data.momenta.items()})
+        result = boundary_hamiltonian(density, mesh, scaled)
+        assert _legendre_gap(density, region, scaled, result) <= 1e-12
+        gap = np.max(np.abs(result.field.values - scale * unit.field.values))
+        assert gap <= 1e-9 * scale * np.max(np.abs(unit.field.values))

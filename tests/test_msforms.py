@@ -259,6 +259,21 @@ class TestHessianSymmetry:
         assert rep == again and hash(rep) == hash(again)
         assert rep != hessian_symmetry(quartic_test_density(0.1), mesh, data)
 
+    @pytest.mark.parametrize("n", [4, 6])
+    @pytest.mark.parametrize("amplitude", [0.1, 1.0])
+    def test_analytic_nonlinear_density_matches_fd(self, n, amplitude):
+        # The Schur complement of the Hessian at the solution is the exact
+        # Hessian of the extremal action (implicit-function theorem).
+        mesh = build_mesh(dt=0.5 / n, dx=1.0 / n, nt=n, nx=n)
+        reg = RectRegion(0, 0, n, n)
+        rng = np.random.default_rng(44 + n)
+        data = BoundaryData(reg, amplitude * rng.standard_normal(len(boundary_nodes(reg))))
+        density = quartic_test_density(1.0)
+        analytic = hessian_symmetry(density, mesh, data, method="analytic")
+        fd = hessian_symmetry(density, mesh, data, method="fd").hessian
+        assert analytic.method == "analytic" and analytic.max_asymmetry <= 1e-12
+        assert np.max(np.abs(analytic.hessian - fd)) <= 1e-8 * np.max(np.abs(fd))
+
     def test_auto_dispatch(self):
         mesh = build_mesh(dt=0.1, dx=0.2, nt=5, nx=5)
         reg = RectRegion(1, 1, 3, 3)
