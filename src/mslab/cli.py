@@ -73,7 +73,19 @@ def _load_config(path: str) -> tuple:
         raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ConfigError(f"config root must be a JSON object, got {type(obj).__name__}")
+    _reject_booleans(obj)
     return obj, dict(obj)
+
+
+def _reject_booleans(obj, key=None) -> None:
+    """ConfigError naming the key of the first boolean in ``obj`` (a list's
+    items go by its key): no key takes one, and ``float()``/``int()`` would
+    read ``true`` as 1."""
+    if isinstance(obj, bool):
+        raise ConfigError(f"{key!r} must not be a boolean, got {json.dumps(obj)}")
+    for name, value in (obj.items() if isinstance(obj, dict)
+                        else [(key, v) for v in obj] if isinstance(obj, list) else ()):
+        _reject_booleans(value, name)
 
 
 def _take(cfg: dict, key: str, default=None, *, required: bool = False):
@@ -143,9 +155,7 @@ def _jsonable(obj):
         return obj
     if isinstance(obj, (float, np.floating)):
         val = float(obj)
-        if not math.isfinite(val):
-            return repr(val)
-        return val
+        return val if math.isfinite(val) else repr(val)
     if isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, np.ndarray):

@@ -47,17 +47,17 @@ solves below also stop at or below the round-off floor ``_roundoff_floor``
 A quadratic density's Jacobian is the same at every iterate and row, so one
 sparse LU serves a whole :func:`propagate` run, :func:`solve_bvp` or
 type-II solve, whatever its iteration count.  Its DEL residuals are linear in
-the node values, so the row stepper and the type-II solve build one operator
-R on their first solve, from a single kernel call; for the rows, K of the two
-triangle rows at every node of the three stacked rows.  Each residual is then
-R @ values (equal to the kernel's to round-off, not bit for bit), and R's
-columns at the unknowns are the Jacobian.  Such a linear solve always takes
-its first, exact step: an absolute tolerance cannot tell small data from a
-solution.  After it, the floor of R @ values - target applies, so
-large data stop at round-off instead of stalling above ``NEWTON_TOL``; rows
-at normal scale meet ``NEWTON_TOL`` first and never compute it.
-:func:`solve_bvp` and the non-quadratic rows keep the kernel's residuals and
-the absolute tolerance alone.
+the node values, so each of these solvers builds one operator R on its first
+solve, from a single kernel call; for the rows, K of the two triangle rows
+at every node of the three stacked rows.  Each residual is then R @ values
+(equal to the kernel's to round-off, not bit for bit), and R's columns at
+the unknowns are the Jacobian.  Such a linear solve always takes its first,
+exact step: an absolute tolerance cannot tell small data from a solution.
+After it, the floor of R @ values - target applies, so large data stop at
+round-off instead of stalling above ``NEWTON_TOL``; a solve whose first step
+meets ``NEWTON_TOL`` never computes it.  A quadratic density's solutions
+thus scale with their data, to round-off.  Other densities keep the
+kernel's residuals and the absolute tolerance alone.
 A non-finite Hessian raises :class:`SolverError` naming the function (and
 the row) it was built for.
 
@@ -331,10 +331,8 @@ def _factor_and_rcond(jac: csc_matrix, context: str):
         if "exactly singular" not in str(err):
             raise
         raise SingularSystem(f"{context}: singular linearised system ({err})") from None
-    norm_j = float(col_sums.max()) if jac.nnz else 0.0
-    if norm_j == 0.0:
-        raise SingularSystem(f"{context}: zero Jacobian")
-    rcond = 1.0 / (max(1.0, norm_j) * _inverse_norm(lu, n, z_matrix))
+    # A zero J is exactly singular above, so ||J||_1 > 0 here.
+    rcond = 1.0 / (max(1.0, float(col_sums.max())) * _inverse_norm(lu, n, z_matrix))
     if not np.isfinite(rcond) or rcond < RCOND_FLOOR:
         raise SingularSystem(
             f"{context}: linearised system numerically singular (rcond {rcond:.3e})",
@@ -363,24 +361,25 @@ def _hessian_operator(density: LagrangianDensity, values: np.ndarray, index, eqs
 
 
 def _del_newton(density: LagrangianDensity, values: np.ndarray, index, eqs, unknowns,
-                dt: float, dx: float, *, linear: bool = False, target=None):
+                dt: float, dx: float, *, target=None):
     """``solve(x0, max_iter, context)``: Newton on the DEL residuals (slot
     sums) of the triangles ``index`` at the flat nodes ``eqs`` of the
     C-contiguous work array ``values``, minus ``target`` (default zero), for
     the values at the flat nodes ``unknowns``, written in place (other nodes
     keep their value).  The Jacobian is :func:`_hessian_operator` at the
-    ``unknowns`` columns; a quadratic density's LU is made once and kept.
-    Returns (residual norm, iterations, rcond); ``values`` then holds the
-    solution.
+    ``unknowns`` columns.  Returns (residual norm, iterations, rcond);
+    ``values`` then holds the solution.
 
-    With ``linear`` (a quadratic density), the residuals are R @ values -
-    target for one operator R (:func:`_hessian_operator` at every column),
-    built on the first solve; its columns at ``unknowns`` are the Jacobian.
-    Each solve then takes at least one Newton step, and after the first it
-    also stops at the round-off floor of R @ values - target
-    (:func:`_roundoff_floor`).
+    For a quadratic density the residuals are R @ values - target for one
+    operator R (:func:`_hessian_operator` at every column); R and the LU of
+    its columns at ``unknowns`` are made on the first solve and kept.  Each
+    solve then takes at least one Newton step, and after the first it also
+    stops at the round-off floor of R @ values - target
+    (:func:`_roundoff_floor`).  Other densities take kernel residuals, a
+    Jacobian at every iterate and the absolute ``NEWTON_TOL`` alone.
     """
-    kept, operator, stepped = None, None, False
+    linear = density.is_quadratic
+    operator, kept, stepped = None, None, False
     work = values.reshape(-1)  # a view of ``values``
 
     def fill(x):
@@ -394,21 +393,19 @@ def _del_newton(density: LagrangianDensity, values: np.ndarray, index, eqs, unkn
         return f if target is None else f - target
 
     def factor(x, context):
-        nonlocal kept, stepped
-        lu_rcond = kept or _factor_and_rcond(
-            operator[:, unknowns] if linear  # else built at the unknowns only
-            else _hessian_operator(density, fill(x), index, eqs, dt, dx, context, unknowns),
-            context)
-        kept = lu_rcond if density.is_quadratic else None
+        nonlocal stepped
+        lu_rcond = kept or _factor_and_rcond(  # K at the unknowns' columns only
+            _hessian_operator(density, fill(x), index, eqs, dt, dx, context, unknowns), context)
         floor = _roundoff_floor(operator, work) if linear and stepped else 0.0
         stepped = True
         return (*lu_rcond, floor)
 
     def solve(x0, max_iter, context):
-        nonlocal operator, stepped
+        nonlocal operator, kept, stepped
         stepped = False  # no floor before the first step, which small data need too
-        if linear and operator is None:
+        if linear and kept is None:
             operator = _hessian_operator(density, values, index, eqs, dt, dx, context)
+            kept = _factor_and_rcond(operator[:, unknowns], context)
         x, norm, iterations, rcond = _newton(residual, factor, x0, max_iter, context, linear)
         fill(x)
         return norm, iterations, factor(x, context)[1] if rcond is None else rcond
@@ -443,8 +440,7 @@ def _row_stepper(density: LagrangianDensity, mesh: QuadMesh, closure: Closure, *
     stack = np.zeros((3, ncols))
     solve = _del_newton(density, stack,
                         triangle_index(np.array([[0], [1]]), anchors, ncols, periodic),
-                        ncols + columns, 2 * ncols + columns, mesh.dt, mesh.dx,
-                        linear=density.is_quadratic)
+                        ncols + columns, 2 * ncols + columns, mesh.dt, mesh.dx)
 
     def step(u_prev, u_curr, row_index: int) -> np.ndarray:
         u_prev, u_curr = (np.asarray(u, dtype=float) for u in (u_prev, u_curr))
@@ -513,6 +509,11 @@ def solve_bvp(density: LagrangianDensity, mesh: QuadMesh, boundary: BoundaryData
     are the DEL residuals there.  Nodes outside the region keep the value of
     ``initial`` (zero by default).  Returns the filled field together with
     the final residual norm, Newton iteration count and condition indicator.
+
+    For a quadratic density the system is linear and the solve is
+    scale-invariant: data s*b give s times the field of b, to round-off,
+    from tiny data up to where the Newton merit |F|^2 overflows (about
+    1e154).
     """
     region = boundary.region
     check_region_fits(region, mesh)
@@ -572,8 +573,7 @@ def tangent_solve(density: LagrangianDensity, field: DiscreteField, region: Regi
     jac, rhs = k[:, inner], [0.0 - k @ tau for tau in taus]
     del k  # freed before factoring
     lu, _ = _factor_and_rcond(jac, "tangent_solve")
-    fields = []
     for tau, b in zip(taus, rhs):
         tau[inner] = lu.solve(b)
-        fields.append(DiscreteField(mesh, tau.reshape(mesh.shape)))
+    fields = [DiscreteField(mesh, tau.reshape(mesh.shape)) for tau in taus]
     return fields[0] if single else fields

@@ -357,7 +357,7 @@ def boundary_hamiltonian(density: LagrangianDensity, mesh: QuadMesh,
     arr = np.zeros(mesh.shape)
     arr.flat[node_index(list(data.dirichlet), ncols)] = list(data.dirichlet.values())
     solve = _del_newton(density, arr, region_index(region, ncols), flat, flat, mesh.dt,
-                        mesh.dx, linear=density.is_quadratic, target=target)
+                        mesh.dx, target=target)
     _, _, rcond = solve(np.zeros(len(flat)), NEWTON_MAX_ITER, "boundary_hamiltonian")
     field = DiscreteField(mesh, arr)
     action = region_action(density, field, region)

@@ -206,12 +206,35 @@ class TestExitConfig:
         # Strings were read as digit modes: "12" as [1.0, 2.0].
         ("boundary-lagrangian", {"problem": "disc",
                                  "fourier": {"a0": 0.5, "a": "12", "b": "3"}}),
+        # Booleans were read as numbers: true as amplitude 1.0, as nx = 1.
+        ("msff-check", dict(MSFF_CONFIG, amplitude=True)),
+        ("bridges-check", dict(BRIDGES_CONFIG, mesh={"dt": 0.05, "dx": 0.1, "nt": 8,
+                                                     "nx": True})),
+        ("msff-check", dict(MSFF_CONFIG, closure={"fixed": [False, 0.0]})),
+        ("msff-check", dict(MSFF_CONFIG, density={"vv": True, "ww": -1.0})),
+        ("boundary-lagrangian", {"problem": "disc",
+                                 "fourier": {"a0": 0.5, "a": [1.0, True], "b": [0.0]}}),
+        ("boundary-lagrangian", dict(SQUARE_CONFIG, min_order=True)),
+        ("mechanics", dict(MECH_CONFIG, z0=[0.7, False])),
+        ("mechanics", dict(MECH_CONFIG, h_ladder=[0.4, 0.2, True])),
     ])
     def test_malformed_value(self, tmp_path, capsys, command, payload):
         cfg = write_config(tmp_path, "c.json", payload)
         assert main([command, "--config", cfg]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("mslab: config error: ") and err.count("\n") == 1
+        assert all(key in err for key in _boolean_keys(payload))
+
+
+def _boolean_keys(obj, key=None):
+    """The config keys that hold a boolean, directly or in a list."""
+    if isinstance(obj, bool):
+        return [key]
+    if isinstance(obj, dict):
+        return [k for name, value in obj.items() for k in _boolean_keys(value, name)]
+    if isinstance(obj, list):
+        return [k for value in obj for k in _boolean_keys(value, key)]
+    return []
 
 
 class TestExitSolver:
