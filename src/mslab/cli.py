@@ -71,21 +71,26 @@ def _load_config(path: str) -> tuple:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ConfigError(f"config file {path!r} is nested too deeply to parse") from None
     if not isinstance(obj, dict):
         raise ConfigError(f"config root must be a JSON object, got {type(obj).__name__}")
     _reject_booleans(obj)
     return obj, dict(obj)
 
 
-def _reject_booleans(obj, key=None) -> None:
+def _reject_booleans(obj) -> None:
     """ConfigError naming the key of the first boolean in ``obj`` (a list's
     items go by its key): no key takes one, and ``float()``/``int()`` would
-    read ``true`` as 1."""
-    if isinstance(obj, bool):
-        raise ConfigError(f"{key!r} must not be a boolean, got {json.dumps(obj)}")
-    for name, value in (obj.items() if isinstance(obj, dict)
-                        else [(key, v) for v in obj] if isinstance(obj, list) else ()):
-        _reject_booleans(value, name)
+    read ``true`` as 1.  The walk keeps its own stack, so it reaches every
+    depth that ``json.loads`` does."""
+    todo = [(None, obj)]
+    while todo:
+        key, obj = todo.pop()
+        if isinstance(obj, bool):
+            raise ConfigError(f"{key!r} must not be a boolean, got {json.dumps(obj)}")
+        todo.extend(reversed(obj.items() if isinstance(obj, dict)
+                             else [(key, v) for v in obj] if isinstance(obj, list) else ()))
 
 
 def _take(cfg: dict, key: str, default=None, *, required: bool = False):

@@ -39,25 +39,29 @@ minus prescribed momenta:
   on a single factorisation.
 
 Both nonlinear drivers, and the mechanics collocations with a dense Jacobian,
-run one Newton core (Armijo backtracking).  They stop when the sup-norm of
-the residual is at or below ``NEWTON_TOL`` = 1e-12, within
-``NEWTON_MAX_ITER`` = 50 iterations; the dense collocations and the linear
-solves below also stop at or below the round-off floor ``_roundoff_floor``
-(64 ulps of the largest row sum of |J| times max(1, |x|_inf)).
+run one Newton core (Armijo backtracking, at most ``NEWTON_MAX_ITER`` = 50
+iterations) with one stopping rule.  Any iterate, the start included, is
+accepted when the sup-norm of its residual is at or below its round-off floor
+(``_roundoff_floor``): 64 ulps of ||J||_inf, the largest row sum of |J| over
+every value the residual reads, times ||x||_inf of those values.  No Newton
+step on a fixed factorisation can reduce a residual below that level (Higham
+2002, ch. 12), and the floor scales with the data, so a start at the
+solution is returned as it is and large data stop at round-off instead of
+stalling.  After at least one step an iterate is also accepted at or below
+``NEWTON_TOL`` = 1e-12; the start is not, since an absolute tolerance cannot
+tell small data from a solution.  So every solve factors at least once and
+reports the rcond of its last factorisation.
 A quadratic density's Jacobian is the same at every iterate and row, so one
 sparse LU serves a whole :func:`propagate` run, :func:`solve_bvp` or
 type-II solve, whatever its iteration count.  Its DEL residuals are linear in
 the node values, so each of these solvers builds one operator R on its first
 solve, from a single kernel call; for the rows, K of the two triangle rows
 at every node of the three stacked rows.  Each residual is then R @ values
-(equal to the kernel's to round-off, not bit for bit), and R's columns at
-the unknowns are the Jacobian.  Such a linear solve always takes its first,
-exact step: an absolute tolerance cannot tell small data from a solution.
-After it, the floor of R @ values - target applies, so large data stop at
-round-off instead of stalling above ``NEWTON_TOL``; a solve whose first step
-meets ``NEWTON_TOL`` never computes it.  A quadratic density's solutions
-thus scale with their data, to round-off.  Other densities keep the
-kernel's residuals and the absolute tolerance alone.
+(equal to the kernel's to round-off, not bit for bit), R's columns at the
+unknowns are the Jacobian, and ||R||_inf is taken once, so the floor of an
+iterate costs one sup-norm of the values.  Other densities take kernel
+residuals, and K over every column, at each iterate.  Solutions of a
+quadratic density scale with their data, to round-off.
 A non-finite Hessian raises :class:`SolverError` naming the function (and
 the row) it was built for.
 
@@ -100,6 +104,7 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
+from scipy.linalg.blas import idamax
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
@@ -212,17 +217,18 @@ def _sparse_block(triplets, size: int, eqs, cols=None):
 # Newton core (shared by the row stepper, solve_bvp and the mechanics lane)
 
 
-def _newton(residual_fn, factor_fn, x0, max_iter, context: str, linear: bool = False):
-    """Damped Newton iteration on F(x) = 0 with Armijo backtracking, until
-    the sup-norm of F is at most ``NEWTON_TOL``.
+def _newton(residual_fn, factor_fn, x0, max_iter, context: str):
+    """Damped Newton iteration on F(x) = 0 with Armijo backtracking.
 
     ``factor_fn(x, context)`` returns a solver of the Jacobian at x (with
-    ``.solve``), its rcond and a round-off floor at or below which a residual
-    is accepted.  A non-finite residual at the start raises
-    :class:`SolverError`; at a trial iterate it fails the Armijo test.  With
-    ``linear`` (F affine), the first step is always taken: an absolute
-    tolerance cannot tell small data from a solution.  Returns (x, sup-norm
-    of residual, iterations, rcond of the last factorisation or None).
+    ``.solve``), its rcond and the round-off floor of F at x
+    (:func:`_roundoff_floor`).  Every iterate, the start included, is
+    accepted when the sup-norm of F is at or below its floor; an iterate
+    after at least one step also when it is at or below ``NEWTON_TOL``.  A
+    non-finite residual at the start raises :class:`SolverError`; at a trial
+    iterate it fails the Armijo test.  Returns (x, sup-norm of residual,
+    iterations, rcond of the last factorisation).  ``factor_fn`` is called,
+    and x returned, at the point of the last ``residual_fn`` call.
     """
 
     def evaluate(x):  # F(x) and the merit |F|^2 / 2
@@ -237,17 +243,16 @@ def _newton(residual_fn, factor_fn, x0, max_iter, context: str, linear: bool = F
     f, merit = evaluate(x)
     if not math.isfinite(merit):
         raise SolverError(f"{context}: non-finite residual at the start")
-    rcond = None
     for iteration in range(max_iter + 1):
         norm = float(np.abs(f).max(initial=0.0))
-        if norm <= NEWTON_TOL and (iteration or not linear):
+        if iteration and norm <= NEWTON_TOL:
+            return x, norm, iteration, rcond
+        solver, rcond, floor = factor_fn(x, context)
+        if norm <= floor:
             return x, norm, iteration, rcond
         if iteration == max_iter:
             raise SolverError(f"{context}: Newton did not converge "
                               f"(residual {norm:.3e} after {max_iter} iterations)")
-        solver, rcond, floor = factor_fn(x, context)
-        if norm <= floor:
-            return x, norm, iteration, rcond
         step = -solver.solve(f)
         for t in (0.5 ** k for k in range(40)):
             x_try = x + t * step
@@ -260,12 +265,15 @@ def _newton(residual_fn, factor_fn, x0, max_iter, context: str, linear: bool = F
         x, f, merit = x_try, f_try, merit_try
 
 
-def _roundoff_floor(jac, x) -> float:
+def _roundoff_floor(jac, x=1.0) -> float:
     """Round-off level of a residual J x - b, at or below which no Newton
-    step can reduce it: 64 ulps of the largest row sum of |J| (dense or
-    sparse) times max(1, |x|_inf)."""
-    return (64.0 * np.finfo(float).eps * float(np.max(abs(jac).sum(axis=1)))
-            * max(1.0, float(np.max(np.abs(x)))))
+    step can reduce it: 64 ulps of ||J||_inf, the largest row sum of |J|
+    (dense or sparse), times ||x||_inf.  The default x gives the floor per
+    unit of ||x||_inf."""
+    # A CSC matrix's abs(J).sum(axis=1) summed as scipy sums it, without the sparse copy.
+    rows = (np.bincount(jac.indices, np.abs(jac.data), jac.shape[0])
+            if isinstance(jac, csc_matrix) else abs(jac).sum(axis=1))
+    return 64.0 * np.finfo(float).eps * float(np.max(rows)) * float(np.max(np.abs(x)))
 
 
 def _inverse_norm(lu, n: int, z_matrix: bool) -> float:
@@ -366,49 +374,41 @@ def _del_newton(density: LagrangianDensity, values: np.ndarray, index, eqs, unkn
     sums) of the triangles ``index`` at the flat nodes ``eqs`` of the
     C-contiguous work array ``values``, minus ``target`` (default zero), for
     the values at the flat nodes ``unknowns``, written in place (other nodes
-    keep their value).  The Jacobian is :func:`_hessian_operator` at the
-    ``unknowns`` columns.  Returns (residual norm, iterations, rcond);
-    ``values`` then holds the solution.
+    keep their value).  The Jacobian is K (:func:`_hessian_operator` at every
+    column) at the ``unknowns`` columns, and the round-off floor is that of
+    K and all of ``values`` (:func:`_roundoff_floor`).  Returns (residual
+    norm, iterations, rcond); ``values`` then holds the solution.
 
     For a quadratic density the residuals are R @ values - target for one
-    operator R (:func:`_hessian_operator` at every column); R and the LU of
-    its columns at ``unknowns`` are made on the first solve and kept.  Each
-    solve then takes at least one Newton step, and after the first it also
-    stops at the round-off floor of R @ values - target
-    (:func:`_roundoff_floor`).  Other densities take kernel residuals, a
-    Jacobian at every iterate and the absolute ``NEWTON_TOL`` alone.
+    operator R, K at any values; R, the LU of its columns at ``unknowns``
+    and its floor per unit of ||values||_inf are made on the first solve and
+    kept.  Other densities take kernel residuals and K at every iterate.
     """
     linear = density.is_quadratic
-    operator, kept, stepped = None, None, False
+    operator = kept = unit_floor = None
     work = values.reshape(-1)  # a view of ``values``
 
-    def fill(x):
-        work[unknowns] = x
-        return values
-
     def residual(x):
-        fill(x)
+        work[unknowns] = x
         f = (operator @ work if linear
              else triangle_kernel(density, values, index, dt, dx).residual[eqs])
         return f if target is None else f - target
 
-    def factor(x, context):
-        nonlocal stepped
-        lu_rcond = kept or _factor_and_rcond(  # K at the unknowns' columns only
-            _hessian_operator(density, fill(x), index, eqs, dt, dx, context, unknowns), context)
-        floor = _roundoff_floor(operator, work) if linear and stepped else 0.0
-        stepped = True
-        return (*lu_rcond, floor)
+    def factor(x, context):  # ``work`` holds x, where the last residual was taken
+        if linear:
+            # BLAS idamax finds the largest |value| without a temporary array.
+            return (*kept, unit_floor * abs(work[idamax(work)]))
+        k = _hessian_operator(density, values, index, eqs, dt, dx, context)
+        return (*_factor_and_rcond(k[:, unknowns], context), _roundoff_floor(k, work))
 
     def solve(x0, max_iter, context):
-        nonlocal operator, kept, stepped
-        stepped = False  # no floor before the first step, which small data need too
+        nonlocal operator, kept, unit_floor
         if linear and kept is None:
             operator = _hessian_operator(density, values, index, eqs, dt, dx, context)
             kept = _factor_and_rcond(operator[:, unknowns], context)
-        x, norm, iterations, rcond = _newton(residual, factor, x0, max_iter, context, linear)
-        fill(x)
-        return norm, iterations, factor(x, context)[1] if rcond is None else rcond
+            unit_floor = _roundoff_floor(operator)
+        # ``values`` is left at the returned x, where the last residual was taken.
+        return _newton(residual, factor, x0, max_iter, context)[1:]
 
     return solve
 
@@ -510,10 +510,13 @@ def solve_bvp(density: LagrangianDensity, mesh: QuadMesh, boundary: BoundaryData
     ``initial`` (zero by default).  Returns the filled field together with
     the final residual norm, Newton iteration count and condition indicator.
 
-    For a quadratic density the system is linear and the solve is
-    scale-invariant: data s*b give s times the field of b, to round-off,
-    from tiny data up to where the Newton merit |F|^2 overflows (about
-    1e154).
+    Newton stops at the round-off floor of the residual, or at
+    ``NEWTON_TOL`` after a step (see the module docstring), so a start at
+    the solution is returned as it is and tiny data are solved rather than
+    accepted at their start guess.  For a quadratic density the system is
+    linear and the solve is scale-invariant: data s*b give s times the field
+    of b, to round-off, from tiny data up to where the Newton merit |F|^2
+    overflows (about 1e154).
     """
     region = boundary.region
     check_region_fits(region, mesh)

@@ -11,8 +11,9 @@ functions are
 
 related by Hd(q0, p1) = p1 q1 - Ld(q0, q1) on matched data.  Extremals are
 computed by Gauss-Lobatto collocation (8 nodes by default, quadrature on the
-same nodes, the Newton core of :mod:`mslab.delsolve` to 1e-12 with a dense
-Jacobian from one dual evaluation of the vector residual), which is
+same nodes, the Newton core of :mod:`mslab.delsolve` to its round-off
+floor, or to 1e-12 after a step, with a dense Jacobian from one dual
+evaluation of the vector residual), which is
 spectrally exact for the polynomial and trigonometric model problems used in
 tests.  The residuals call a Lagrangian's ``value``, ``d_q`` and ``d_qdot``
 (or a Hamiltonian) once on arrays of node values.

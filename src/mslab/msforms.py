@@ -253,7 +253,7 @@ class SymmetryReport:
 
 
 def hessian_symmetry(density: LagrangianDensity, mesh: QuadMesh,
-                     boundary: BoundaryData, *, method: str = "auto") -> SymmetryReport:
+                     boundary: BoundaryData, *, method: str = "analytic") -> SymmetryReport:
     """Second derivative of the extremal action w.r.t. boundary values.
 
     ``analytic`` eliminates the interior block, factored once under the
@@ -262,8 +262,7 @@ def hessian_symmetry(density: LagrangianDensity, mesh: QuadMesh,
     so that no dense array spans them all.  K is taken at the
     :func:`~mslab.delsolve.solve_bvp` field, where by the implicit-function
     theorem its Schur complement is the exact Hessian; a quadratic density's
-    K is the same everywhere and needs no solve.  ``auto`` takes it for
-    quadratic densities and ``fd`` otherwise.  ``fd`` recovers the
+    K is the same everywhere and needs no solve.  ``fd`` recovers the
     same matrix by central differences of the boundary momenta around the
     given data, which probes the nonlinear solve path; each perturbed solve
     starts from the solution for the given data.  The step 1e-4 keeps both
@@ -274,10 +273,8 @@ def hessian_symmetry(density: LagrangianDensity, mesh: QuadMesh,
     """
     from .genfunc import normal_momenta
 
-    if method == "auto":
-        method = "analytic" if density.is_quadratic else "fd"
     if method not in ("analytic", "fd"):
-        raise ValueError(f"unknown method {method!r}; use 'auto', 'analytic' or 'fd'")
+        raise ValueError(f"unknown method {method!r}; use 'analytic' or 'fd'")
     region = boundary.region
     check_region_fits(region, mesh)
     bnodes = boundary_nodes(region)

@@ -221,7 +221,8 @@ def test_05_mixed_partials_of_extremal_action():
                           nx=int(rng.integers(2, 4)))
         region = RectRegion(0, 0, mesh.nt, mesh.nx)
         rep = hessian_symmetry(quartic_test_density(), mesh,
-                               seeded_boundary(region, 600 + k, amplitude=0.1))
+                               seeded_boundary(region, 600 + k, amplitude=0.1),
+                               method="fd")
         assert rep.method == "fd"
         worst_fd = max(worst_fd, rep.max_asymmetry)
     ok = worst_analytic <= 1e-12 and worst_fd <= 1e-6

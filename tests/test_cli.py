@@ -88,6 +88,16 @@ class TestExitZero:
         assert code == EXIT_OK
         assert report["results"]["map_order"] == pytest.approx(2.0, abs=0.15)
 
+    @pytest.mark.parametrize("problem", ["free", {"kind": "free"}], ids=["name", "kind"])
+    def test_mechanics_free_particle(self, tmp_path, capsys, problem):
+        # The midpoint rule is exact here: every collocation starts at its
+        # extremal, and the fitted order of round-off errors is infinite.
+        cfg = write_config(tmp_path, "c.json", dict(MECH_CONFIG, problem=problem))
+        code, report = run(capsys, ["mechanics", "--config", cfg])
+        assert code == EXIT_OK
+        assert report["results"]["lagrangian"] == "free_particle"
+        assert report["results"]["map_order"] == "inf"  # non-finite floats as strings
+
 
 class TestExitTolerance:
     def test_mechanics_with_impossible_window(self, tmp_path, capsys):
@@ -224,6 +234,14 @@ class TestExitConfig:
         err = capsys.readouterr().err
         assert err.startswith("mslab: config error: ") and err.count("\n") == 1
         assert all(key in err for key in _boolean_keys(payload))
+
+    def test_deeply_nested_config(self, tmp_path, capsys):
+        # json.loads once raised RecursionError: a traceback and exit 1.
+        path = tmp_path / "deep.json"
+        path.write_text('{"mesh": ' + "[" * 1000 + "]" * 1000 + "}")
+        assert main(["msff-check", "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("mslab: config error: ") and err.count("\n") == 1
 
 
 def _boolean_keys(obj, key=None):

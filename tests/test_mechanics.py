@@ -168,21 +168,43 @@ class TestType1Map:
                                   PhasePoint(0.3, 0.2))
         assert dev <= 1e-8
 
-    def test_no_jacobian_at_a_converged_start(self, monkeypatch):
-        # The linear start is the free particle's extremal: Newton accepts
-        # it without forming a Jacobian.
+    def test_no_step_at_a_converged_start(self, monkeypatch):
+        # The linear start is the free particle's extremal: Newton accepts it
+        # at its round-off floor, which costs one Jacobian, and returns it
+        # bit for bit.
         calls = []
         jacobian = mechanics._jacobian
         monkeypatch.setattr(mechanics, "_jacobian",
                             lambda *args: calls.append(1) or jacobian(*args))
-        exact_discrete_lagrangian(FreeParticle(), 0.2, 0.7, 0.5)
-        assert calls == []
+        nodes, _ = lobatto(8)
+        _, qs, _ = mechanics._collocation_extremal(FreeParticle(), 0.2, 0.7, 0.5, 8)
+        assert len(calls) == 1
+        assert np.array_equal(qs, 0.2 + (0.7 - 0.2) * (nodes + 1.0) / 2.0)
+        calls.clear()
         exact_discrete_lagrangian(HarmonicOscillator(1.0), 0.2, 0.7, 0.5)
-        assert calls
+        assert calls  # Newton forms its Jacobians through the patched name
 
     def test_degenerate_generating_function_raises(self):
         with pytest.raises(SolverError):
             type1_map(lambda a, b: 0.0 * a * b, PhasePoint(0.0, 1.0), 0.1)
+
+
+class TestDataScale:
+    # The absolute tolerance once accepted start guesses of tiny data: the
+    # linear interpolant (0.22 relative error at 1e-12) and q0 + h p0.
+    @pytest.mark.parametrize("scale", [1e-12, 1e-16])
+    def test_tiny_endpoint_values(self, scale):
+        ho = HarmonicOscillator(1.0)
+        exact = ho.exact_ld(0.3 * scale, 0.7 * scale, 0.9)
+        value = exact_discrete_lagrangian(ho, 0.3 * scale, 0.7 * scale, 0.9)
+        assert abs(value - exact) <= 1e-13 * abs(exact)
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e-16])
+    def test_tiny_type1_map(self, scale):
+        # The midpoint rule's map is linear: q1 = (p0 + q0 (1/h - h/4)) / (1/h + h/4).
+        ld = midpoint_rule(HarmonicOscillator(1.0))(0.9)
+        z = type1_map(ld, PhasePoint(0.3 * scale, 0.2 * scale), 0.9)
+        assert z.q / scale == pytest.approx(0.348648648648649, rel=1e-13)
 
 
 class TestVariationalOrders:

@@ -274,13 +274,28 @@ class TestHessianSymmetry:
         assert analytic.method == "analytic" and analytic.max_asymmetry <= 1e-12
         assert np.max(np.abs(analytic.hessian - fd)) <= 1e-8 * np.max(np.abs(fd))
 
+    @pytest.mark.parametrize("density", [LinearWave, HarmonicDirichlet],
+                             ids=["wave", "harmonic"])
+    def test_fd_route_of_quadratic_densities(self, density):
+        # Each perturbed solve starts at the base solution, where a forced
+        # first step once failed its line search.
+        mesh = build_mesh(dt=0.125, dx=0.25, nt=4, nx=4)
+        reg = RectRegion(0, 0, 4, 4)
+        data = BoundaryData(reg, 0.3 * np.random.default_rng(4).standard_normal(16))
+        fd = hessian_symmetry(density, mesh, data, method="fd")
+        analytic = hessian_symmetry(density, mesh, data, method="analytic").hessian
+        assert fd.max_asymmetry <= 1e-8
+        assert np.max(np.abs(fd.hessian - analytic)) <= 1e-8 * np.max(np.abs(analytic))
+
     def test_auto_dispatch(self):
         mesh = build_mesh(dt=0.1, dx=0.2, nt=5, nx=5)
         reg = RectRegion(1, 1, 3, 3)
         data = BoundaryData(reg, np.zeros(len(boundary_nodes(reg))))
+        # The analytic route serves every density: at 20^2 the quartic's took
+        # 18 ms against 800 ms for fd's 160 nonlinear solves.
         assert hessian_symmetry(LinearWave, mesh, data).method == "analytic"
         assert hessian_symmetry(quartic_test_density(0.1), mesh,
-                                data).method == "fd"
+                                data).method == "analytic"
 
 
 def dense_schur_hessian(density, mesh, region):
