@@ -51,6 +51,16 @@ stalling.  After at least one step an iterate is also accepted at or below
 ``NEWTON_TOL`` = 1e-12; the start is not, since an absolute tolerance cannot
 tell small data from a solution.  So every solve factors at least once and
 reports the rcond of its last factorisation.
+
+Whether a given field solves its DEL equations is decided by the same
+level, in one place (``_check_solution``): every residual must be at or
+below ``SOLVED_MARGIN`` = 2 times max(``NEWTON_TOL``, the round-off floor of
+K and the field).  The margin covers kernel residuals that round differently
+from ``R @ x``; a row's floor is at most that of any region holding it.  The
+base-field checks of :func:`tangent_solve` and
+:func:`~mslab.msforms.msff_residual_region`, and the latter's checks of the
+variations against the linearised equations (floor of K and the variation),
+all apply it, so every field a solver returns passes, at any data scale.
 A quadratic density's Jacobian is the same at every iterate and row, so one
 sparse LU serves a whole :func:`propagate` run, :func:`solve_bvp` or
 type-II solve, whatever its iteration count.  Its DEL residuals are linear in
@@ -116,6 +126,8 @@ from .lagrangian import LagrangianDensity, grad_Ld, triangle_kernel
 RCOND_FLOOR = 1e-12
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
+# A residual within this many Newton stopping levels is a solution (_check_solution).
+SOLVED_MARGIN = 2.0
 # Held while onenormest draws from numpy's global RNG, until it is restored.
 _GLOBAL_RNG_LOCK = threading.Lock()
 _RCOND_SEED = 0  # seeds the global RNG for each estimate, in every process
@@ -274,6 +286,23 @@ def _roundoff_floor(jac, x=1.0) -> float:
     rows = (np.bincount(jac.indices, np.abs(jac.data), jac.shape[0])
             if isinstance(jac, csc_matrix) else abs(jac).sum(axis=1))
     return 64.0 * np.finfo(float).eps * float(np.max(rows)) * float(np.max(np.abs(x)))
+
+
+def _check_solution(residual, nodes, ncols: int, what: str, hessian, values) -> None:
+    """ValueError naming ``what`` at the first of the flat ``nodes``, in
+    their order, whose residual is not within ``SOLVED_MARGIN`` times the
+    level at which :func:`_newton` stops: max(``NEWTON_TOL``, the round-off
+    floor of K = ``hessian()`` and ``values``).  K is built, and the floor
+    taken, only when some |residual| exceeds ``SOLVED_MARGIN * NEWTON_TOL``.
+    A non-finite residual always fails."""
+    bound = SOLVED_MARGIN * NEWTON_TOL
+    if np.abs(residual).max(initial=0.0) <= bound:
+        return
+    bound = max(bound, SOLVED_MARGIN * _roundoff_floor(hessian(), values))
+    bad = np.flatnonzero(~np.isfinite(residual) | (np.abs(residual) > bound))
+    if bad.size:
+        (n, i), worst = divmod(int(nodes[bad[0]]), ncols), residual[bad[0]]
+        raise ValueError(f"{what} at ({n}, {i}): residual {worst:.3e} exceeds {bound:.1e}")
 
 
 def _inverse_norm(lu, n: int, z_matrix: bool) -> float:
@@ -539,8 +568,9 @@ def tangent_solve(density: LagrangianDensity, field: DiscreteField, region: Regi
                   tangent_boundary):
     """Solve the linearised DEL equations for first variations.
 
-    ``field`` must satisfy the DEL equations at the interior nodes of
-    ``region`` to 1e-8, a margin well above the solvers' 1e-12.
+    ``field`` must solve the DEL equations at the interior nodes of
+    ``region`` at the level at which the Newton solves stop, with the margin
+    of the module docstring; the first node that does not raises ValueError.
     ``tangent_boundary`` is one :class:`BoundaryData` or a sequence of them;
     the Jacobian is factored once and back-solved for each.  Each returned
     field carries its prescribed boundary tangent, solves the linearisation
@@ -559,19 +589,14 @@ def tangent_solve(density: LagrangianDensity, field: DiscreteField, region: Regi
         raise ValueError(f"region {region} has no interior nodes")
     index = region_index(region, ncols)
     res = triangle_kernel(density, field.values, index, mesh.dt, mesh.dx).residual[inner]
-    base_tol = 1e-8
-    bad = np.flatnonzero(np.abs(res) > base_tol)
-    if bad.size:
-        (n, i), worst = divmod(int(inner[bad[0]]), ncols), res[bad[0]]
-        raise ValueError(
-            f"base field does not satisfy the DEL equations at ({n}, {i}): "
-            f"residual {worst:.3e} exceeds {base_tol:.1e}")
+    k = _hessian_operator(density, field.values, index, inner, mesh.dt, mesh.dx,
+                          "tangent_solve")
+    _check_solution(res, inner, ncols, "base field does not satisfy the DEL equations",
+                    lambda: k, field.values)
 
     taus = np.zeros((len(boundaries), mesh.shape[0] * ncols))
     for tau, tb in zip(taus, boundaries):
         tau[node_index(tb.nodes, ncols)] = tb.values
-    k = _hessian_operator(density, field.values, index, inner, mesh.dt, mesh.dx,
-                          "tangent_solve")
     # 0.0 - K tau rather than -K tau: rows without a boundary column stay +0.0.
     jac, rhs = k[:, inner], [0.0 - k @ tau for tau in taus]
     del k  # freed before factoring

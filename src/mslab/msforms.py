@@ -32,11 +32,13 @@ for exact solutions as an independent cross-check of the discrete route.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .delsolve import _factor_and_rcond, _hessian_operator, _sparse_block, solve_bvp
+from .delsolve import (_check_solution, _factor_and_rcond, _hessian_operator, _sparse_block,
+                       solve_bvp)
 from .jetmesh import (BoundaryData, DiscreteField, Patch3Region, QuadMesh,
                       Region, boundary_nodes, check_region_fits, interior_index,
                       node_index, region_index)
@@ -100,38 +102,34 @@ def _region_patch_terms(density, field, v_var, w_var, region, flat):
                             omega[2][left], omega[0][below], omega[1][below]], axis=1)
 
 
-def _patch_terms(density, field, v_var, w_var, n, i):
-    """The six slot two-form contributions of the patch at (n, i)."""
-    _, terms = _region_patch_terms(density, field, v_var, w_var, Patch3Region(n, i),
-                                   np.array([n * (field.mesh.nx + 1) + i]))
-    return list(terms[0])
-
-
 def msff_residual_patch(density: LagrangianDensity, field: DiscreteField,
                         v_var: DiscreteField, w_var: DiscreteField,
-                        n: int, i: int, *, variation_tol: float = 1e-9,
+                        n: int, i: int, *,
                         check_variations: bool = False) -> FormResidualReport:
     """Six-term two-form cancellation at one interior node.
 
     The field must solve the DEL equations at (n, i) (always checked); V and
     W must solve the linearised equations there for the identity to hold —
     pass ``check_variations=True`` to have that verified too (left off by
-    default so deliberate negative controls can be evaluated).
+    default so deliberate negative controls can be evaluated).  Both are
+    judged as in :func:`msff_residual_region`.
     """
     return msff_residual_region(density, field, v_var, w_var, Patch3Region(n, i),
-                                variation_tol=variation_tol,
                                 check_variations=check_variations)
 
 
 def msff_residual_region(density: LagrangianDensity, field: DiscreteField,
                          v_var: DiscreteField, w_var: DiscreteField,
-                         region: Region, *, variation_tol: float = 1e-9,
+                         region: Region, *,
                          check_variations: bool = False) -> FormResidualReport:
     """Patch identity at every interior node of a region, and its sum.
 
-    Raises at the first node (in order) where the field does not solve the
-    DEL equations to 1e-9, a margin above the solvers' 1e-12, or, when
-    checked, a variation the linearised ones to ``variation_tol``.
+    Raises ValueError if the field does not solve the DEL equations or, when
+    checked, V or W the linearised ones, naming the first node (in order) of
+    the first of these that fails.  Each is the test of
+    :mod:`~mslab.delsolve`: every residual within twice the level at which
+    the Newton solves stop, max(``NEWTON_TOL``, the round-off floor of the
+    Hessian K and the field or variation).
     """
     ncols = field.mesh.nx + 1
     flat = interior_index(region, ncols)
@@ -139,21 +137,14 @@ def msff_residual_region(density: LagrangianDensity, field: DiscreteField,
         raise ValueError(f"region {region} has no interior nodes")
     terms, contributions = _region_patch_terms(density, field, v_var, w_var,
                                                region, flat)
-    checks = [("field does not satisfy the DEL equations",
-               terms.residual[flat], 1e-9)]
+    hessian = functools.cache(lambda: _sparse_block(terms.triplets, field.values.size, flat))
+    _check_solution(terms.residual[flat], flat, ncols,
+                    "field does not satisfy the DEL equations", hessian, field.values)
     if check_variations:
-        k = _sparse_block(terms.triplets, field.values.size, flat)
-        checks += [(f"variation {label} does not satisfy the linearised DEL equations",
-                    k @ var.values.ravel(), variation_tol)
-                   for label, var in (("V", v_var), ("W", w_var))]
-    failures = [(bad[0], c) for c, (_, res, tol) in enumerate(checks)
-                if (bad := np.flatnonzero(np.abs(res) > tol)).size]
-    if failures:
-        k, c = min(failures)
-        what, res, tol = checks[c]
-        n, i = divmod(int(flat[k]), ncols)
-        raise ValueError(f"{what} at ({n}, {i}): residual {res[k]:.3e} "
-                         f"exceeds {tol:.1e}")
+        for label, var in (("V", v_var), ("W", w_var)):
+            _check_solution(hessian() @ var.values.ravel(), flat, ncols,
+                            f"variation {label} does not satisfy the linearised DEL equations",
+                            hessian, var.values)
     sums = np.zeros(flat.size)
     for column in contributions.T:  # a running total, term by term
         sums += column

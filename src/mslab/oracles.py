@@ -473,6 +473,14 @@ def dtn_pairing(f: FourierBoundaryData, g: FourierBoundaryData) -> float:
     return out
 
 
+def _disc_bound(data: FourierBoundaryData) -> float:
+    """B = pi (|a0| + sum_k (|a_k| + |b_k|)) sum_k k (|a_k| + |b_k|), a bound
+    of the terms the two disc routes sum, so both agree to a few ulps of B."""
+    return (math.pi * (abs(data.a0) + sum(map(abs, data.a + data.b)))
+            * sum(k * (abs(a) + abs(b)) for k, (a, b) in
+                  enumerate(zip(data.a, data.b), start=1)))
+
+
 def disc_boundary_lagrangian_quadrature(data: FourierBoundaryData) -> float:
     """Quadrature route for the disc boundary Lagrangian: (1/2) ∮ u Λu dθ.
 
@@ -482,9 +490,7 @@ def disc_boundary_lagrangian_quadrature(data: FourierBoundaryData) -> float:
     by round-off only.  ValueError, before the sum, if a bound of the
     integral overflows.
     """
-    if not math.isfinite(2.0 * math.pi * (abs(data.a0) + sum(map(abs, data.a + data.b)))
-                         * sum(k * (abs(a) + abs(b)) for k, (a, b) in
-                               enumerate(zip(data.a, data.b), start=1))):
+    if not math.isfinite(2.0 * _disc_bound(data)):
         raise ValueError("coefficients too large: the integrand bound overflows")
     k = np.arange(1, len(data.a) + 1)
     n = 2 * len(k) + 2

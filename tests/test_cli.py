@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -35,6 +36,8 @@ DISC_CONFIG = {"problem": "disc",
                "fourier": {"a0": 0.2, "a": [1.0, 0.0], "b": [0.0, 0.5]}}
 SQUARE_CONFIG = {"problem": "wave_square", "solution": "cubic",
                  "nx_ladder": [8, 16, 32], "min_order": 0.8}
+LARGE_MSFF_CONFIG = {"mesh": {"dt": 0.05, "dx": 0.1, "nt": 8, "nx": 8},
+                     "density": "linear_wave", "closure": {"fixed": [0, 0]}}
 MECH_CONFIG = {"rule": "midpoint",
                "problem": {"kind": "harmonic", "omega": 1.0}}
 
@@ -74,6 +77,18 @@ class TestExitZero:
         assert res["route_gap"] <= 1e-8
         assert res["closed_form"] == pytest.approx(res["quadrature"], abs=1e-8)
 
+    def test_boundary_lagrangian_disc_at_the_round_off_floor(self, tmp_path, capsys):
+        # The routes' gap, 9.8e-4 on a closed form of 1.1e12, is round-off of
+        # terms bounded by B = pi (|a0| + sum |a_k| + |b_k|) sum k (|a_k| + |b_k|).
+        cfg = write_config(tmp_path, "c.json", {"problem": "disc", "fourier": {
+            "a0": 0, "a": [1e5] * 8, "b": [1e5] * 8}})
+        code, report = run(capsys, ["boundary-lagrangian", "--config", cfg])
+        assert code == EXIT_OK
+        res = report["results"]
+        bound = math.pi * 16e5 * sum(k * 2e5 for k in range(1, 9))
+        assert res["tolerance"] == pytest.approx(64 * np.finfo(float).eps * bound, rel=1e-12)
+        assert 1e-8 < res["route_gap"] <= res["tolerance"]
+
     def test_boundary_lagrangian_wave_square(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", SQUARE_CONFIG)
         code, report = run(capsys, ["boundary-lagrangian", "--config", cfg])
@@ -106,6 +121,21 @@ class TestExitTolerance:
                                     "--tol", "1e-6"])
         assert code == EXIT_TOLERANCE
         assert report["passed"] is False
+
+    # The propagated field and its variations pass the DEL-solution test,
+    # which scales with the data; the absolute --tol on the patch sums,
+    # whose round-off is about 1e-16 of the amplitude squared, does not.
+    @pytest.mark.parametrize("amplitude", [1e7, 1e8, 1e150],
+                             ids=["amplitude-1e7", "amplitude-1e8", "amplitude-1e150"])
+    def test_large_amplitude_misses_the_absolute_tolerance(self, tmp_path, capsys,
+                                                            amplitude):
+        cfg = write_config(tmp_path, "c.json", dict(LARGE_MSFF_CONFIG, amplitude=amplitude))
+        assert main(["msff-check", "--config", cfg, "--seed", "1"]) == EXIT_TOLERANCE
+        out, err = capsys.readouterr()
+        report = json.loads(out)
+        assert err == "" and report["passed"] is False
+        numbers = [v for v in report["results"].values() if isinstance(v, float)]
+        assert numbers and all(np.isfinite(numbers))
 
 
 class TestExitConfig:
@@ -262,22 +292,12 @@ class TestExitSolver:
                             "mesh": {"dt": 0.1, "dx": 0.1, "nt": 6, "nx": 6}})
         assert main(["bridges-check", "--config", cfg]) == EXIT_SOLVER
 
-    # At these amplitudes the propagated field's DEL residuals, about 1e-16
-    # of its values, exceed the checks' absolute tolerances.
-    @pytest.mark.parametrize("amplitude, where", [
-        (1e7, "msff_residual_region: field does not satisfy the DEL equations at (1, 3)"),
-        (1e8, "tangent_solve: base field does not satisfy the DEL equations at (1, 3)"),
-    ], ids=["amplitude-1e7", "amplitude-1e8"])
-    def test_missed_del_tolerance_is_one_error_line(self, tmp_path, capsys, amplitude,
-                                                    where):
-        cfg = write_config(tmp_path, "c.json",
-                           {"mesh": {"dt": 0.05, "dx": 0.1, "nt": 8, "nx": 8},
-                            "density": "linear_wave", "closure": {"fixed": [0, 0]},
-                            "amplitude": amplitude})
+    def test_overflowing_amplitude_is_one_error_line(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", dict(LARGE_MSFF_CONFIG, amplitude=1e200))
         assert main(["msff-check", "--config", cfg, "--seed", "1"]) == EXIT_SOLVER
         err = capsys.readouterr().err
         assert err.startswith("mslab: solver error: ") and err.count("\n") == 1
-        assert where in err
+        assert "step_row (row 2)" in err
 
 
 class TestOverflowingData:

@@ -42,7 +42,7 @@ from mslab import (
     triangle_kernel,
 )
 from mslab import delsolve as delsolve_module
-from mslab.msforms import linearized_del_residual
+from mslab.msforms import linearized_del_residual, msff_residual_patch, msff_residual_region
 
 
 def seeded_wave_field(mesh, seed, closure=None, amplitude=0.1):
@@ -1161,3 +1161,70 @@ class TestTangentSolve:
         tb = BoundaryData(reg, rng.standard_normal(len(boundary_nodes(reg))))
         with pytest.raises(ValueError, match="DEL"):
             tangent_solve(LinearWave, base, reg, tb)
+
+
+QUARTIC = quartic_test_density(0.8)
+# (density, route, largest data scale exponent).  Above about 1e50 the
+# quartic's Newton merit overflows; from about 1e-2 its row Newton can stop
+# with a failed line search as the elliptic rows grow.
+SOLVED_CASES = st.one_of(
+    st.tuples(st.sampled_from([LinearWave, HarmonicDirichlet,
+                               QuadraticDensity(vv=1.0, ww=-0.7, uu=-0.3, vw=0.2)]),
+              st.sampled_from(["solve_bvp", "propagate"]), st.integers(-100, 100)),
+    st.tuples(st.just(QUARTIC), st.just("solve_bvp"), st.integers(-100, 50)),
+    st.tuples(st.just(QUARTIC), st.just("propagate"), st.integers(-100, -3)))
+
+
+class TestSolutionTest:
+    @settings(max_examples=60, deadline=None)
+    @given(case=SOLVED_CASES, nt=st.integers(2, 12), nx=st.integers(2, 12),
+           periodic=st.booleans(), j=st.integers(-100, 100),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_solved_fields_pass_and_a_moved_node_fails(self, case, nt, nx, periodic, j,
+                                                        seed):
+        density, route, k = case
+        mesh = build_mesh(dt=0.05, dx=0.1, nt=nt, nx=nx)
+        reg = RectRegion(0, 0, nt, nx)
+        rng = np.random.default_rng(seed)
+        nb = len(boundary_nodes(reg))
+        if route == "solve_bvp":
+            data = BoundaryData(reg, 10.0 ** k * rng.standard_normal(nb))
+            field = solve_bvp(density, mesh, data).field
+        else:
+            row0, step = 10.0 ** k * rng.standard_normal((2, nx + 1))
+            field = propagate(density, mesh, row0, row0 + mesh.dt * step,
+                              PeriodicClosure() if periodic else FixedClosure(0.0, 0.0))
+        # tangent_solve tests the base field, msff_residual_region the base
+        # field and both variations.
+        v_var, w_var = tangent_solve(density, field, reg,
+                                     [BoundaryData(reg, 10.0 ** j * rng.standard_normal(nb))
+                                      for _ in range(2)])
+        msff_residual_region(density, field, v_var, w_var, reg, check_variations=True)
+
+        # Moving one interior node so that its residual grows by 1e3 times
+        # the level at which Newton stops fails the test there.
+        n, i = int(rng.integers(1, nt)), int(rng.integers(1, nx))
+        patch, flat = Patch3Region(n, i), n * (nx + 1) + i
+        k_row = delsolve_module._hessian_operator(
+            density, field.values, region_index(patch, nx + 1), [flat], mesh.dt, mesh.dx,
+            "probe")
+        level = max(delsolve_module.NEWTON_TOL,
+                    delsolve_module._roundoff_floor(k_row, field.values))
+        moved = field.with_value(n, i, field[n, i] + 1e3 * level / abs(k_row[0, flat]))
+        named = rf"satisfy the DEL equations at \({n}, {i}\)"
+        with pytest.raises(ValueError, match=named):
+            msff_residual_patch(density, moved, v_var, w_var, n, i)
+        with pytest.raises(ValueError, match=named):
+            tangent_solve(density, moved, patch,
+                          BoundaryData(patch, np.zeros(len(boundary_nodes(patch)))))
+
+    # An overflowing K @ x can leave a non-finite residual, and an infinite
+    # floor with it.
+    @pytest.mark.parametrize("residual, values", [
+        ([0.0, math.nan], [1.0, 1.0]), ([0.0, math.inf], [1.0, 1.0]),
+        ([0.0, math.inf], [math.inf, 1.0])], ids=["nan", "inf", "inf-floor"])
+    def test_non_finite_residual_fails(self, residual, values):
+        k = csc_matrix(np.eye(2))
+        with pytest.raises(ValueError, match=r"^probe at \(1, 2\): residual"):
+            delsolve_module._check_solution(np.array(residual), np.array([10, 11]), 9,
+                                            "probe", lambda: k, np.array(values))

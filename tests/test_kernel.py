@@ -38,7 +38,7 @@ from mslab import (
 from mslab import lagrangian
 from mslab.jetmesh import region_index, triangle_index
 from mslab.lagrangian import triangle_kernel
-from mslab.msforms import _patch_terms
+from mslab.msforms import _region_patch_terms
 
 RTOL = 1e-13
 
@@ -167,7 +167,9 @@ def test_patch_forms_match_per_triangle_loops(case):
         terms += [omega_k(density, jet, k, xi, eta) for k in (1, 2, 3)
                   if k - 1 != slot]
         linear += float(np.dot(hess_Ld(density, jet)[slot], xi))
-    assert close(_patch_terms(density, field, v_var, w_var, n, i), terms)
+    _, patch = _region_patch_terms(density, field, v_var, w_var, Patch3Region(n, i),
+                                   np.array([n * (mesh.nx + 1) + i]))
+    assert close(patch[0], terms)
     assert close(linearized_del_residual(density, field, v_var, n, i), linear)
 
 

@@ -9,6 +9,7 @@ from mslab import (
     FixedClosure,
     HarmonicDirichlet,
     LinearWave,
+    Patch3Region,
     PeriodicClosure,
     QuadraticDensity,
     RectRegion,
@@ -133,8 +134,7 @@ class TestPatchIdentity:
         for n in range(1, mesh.nt):
             for i in range(1, mesh.nx):
                 rep = msff_residual_patch(dens, base, v_var, w_var, n, i,
-                                          check_variations=True,
-                                          variation_tol=1e-8)
+                                          check_variations=True)
                 assert abs(rep.residual) < 1e-12
 
 
@@ -147,10 +147,13 @@ class TestBridgesResidual:
         # just solutions, so check it on noise fields too.
         v_noise = DiscreteField(mesh, rng.standard_normal(mesh.shape))
         w_noise = DiscreteField(mesh, rng.standard_normal(mesh.shape))
-        from mslab.msforms import _patch_terms
+        from mslab.msforms import _region_patch_terms
         for n in range(1, mesh.nt):
             for i in range(1, mesh.nx):
-                patch = sum(_patch_terms(LinearWave, u, v_noise, w_noise, n, i))
+                _, terms = _region_patch_terms(LinearWave, u, v_noise, w_noise,
+                                               Patch3Region(n, i),
+                                               np.array([n * (mesh.nx + 1) + i]))
+                patch = sum(terms[0])
                 bridges = bridges_residual(mesh, v_noise, w_noise, n, i)
                 assert patch == pytest.approx(area * bridges, rel=1e-10,
                                               abs=1e-13)

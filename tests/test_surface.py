@@ -32,9 +32,7 @@ OPTIONS = [
     "delsolve.step_row:row_index",
     "delsolve.propagate:max_iter",
     "delsolve.solve_bvp:initial",
-    "msforms.msff_residual_patch:variation_tol",
     "msforms.msff_residual_patch:check_variations",
-    "msforms.msff_residual_region:variation_tol",
     "msforms.msff_residual_region:check_variations",
     "msforms.bridges_residual:periodic",
     "msforms.bridges_residuals:periodic",
