@@ -22,16 +22,21 @@ Subcommands
 
 Exit codes: 0 all checks passed, 1 a tolerance check failed, 2 bad
 configuration (among them a negative ``--seed`` and a negative or non-finite
-``--tol``), 3 solver failure (non-convergence, a singular system, or a solved
+``--tol``), 3 solver failure (non-convergence, a singular system, a float
+overflow or invalid operation where no solver step expects one, or a solved
 field that fails the DEL-solution test of :mod:`~mslab.delsolve`, which no
-field the solvers return should).  The ``disc`` gate is the tolerance or 64
+field the solvers return should).  Exits 2 and 3 print one ``mslab: ...``
+line to stderr and no report.  The ``disc`` gate is the tolerance or 64
 ulps of the bound of the terms both routes sum, whichever is larger; that is
 the reported ``tolerance``.
 
-Reports are JSON with sorted keys; for a fixed config file and seed every
-field outside the ``metadata`` block is bit-identical across runs.  With
-``--out`` the report and any field dumps (``n,i,u`` CSVs) are written to the
-given directory.
+Each subcommand handler only computes: it takes and checks its own config
+keys, then returns its ``results``, whether they passed, and the files it
+has for ``--out``.  :func:`main` owns the rest of a run: it loads the config,
+writes those files and then the report under ``--out``, and prints the
+report.  Reports are JSON with sorted keys; for a fixed config file and seed
+every field outside the ``metadata`` block is bit-identical across runs.
+Field dumps are ``n,i,u`` CSVs.
 """
 
 from __future__ import annotations
@@ -172,35 +177,16 @@ def _jsonable(obj):
     raise TypeError(f"cannot serialise {type(obj).__name__} into a report")
 
 
-def _emit_report(command: str, config: dict, seed, results: dict,
-                 passed: bool, out_dir) -> int:
-    """Print (and with ``out_dir`` write) the report; returns the exit code."""
-    report = {
-        "command": command,
-        "config": _jsonable(config),
-        "seed": seed,
-        "results": _jsonable(results),
-        "passed": bool(passed),
-        "metadata": {
-            "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        },
-    }
-    text = json.dumps(report, sort_keys=True, indent=2)
-    print(text)
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / f"{command}_report.json").write_text(text + "\n")
-    return EXIT_OK if passed else EXIT_TOLERANCE
-
-
-def _dump_fields(out_dir, **fields) -> None:
-    if out_dir is None:
-        return
+def _write_files(out_dir, files: dict) -> None:
+    """Write each of ``files`` into ``out_dir``, in order: a
+    :class:`~mslab.jetmesh.DiscreteField` as a CSV dump, text as it is."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for name, field in fields.items():
-        jetmesh.field_to_csv(field, out / f"{name}.csv")
+    for name, data in files.items():
+        if isinstance(data, str):
+            (out / name).write_text(data)
+        else:
+            jetmesh.field_to_csv(data, out / name)
 
 
 def _seeded_rows(mesh: jetmesh.QuadMesh, rng: np.random.Generator,
@@ -221,8 +207,7 @@ def _seeded_rows(mesh: jetmesh.QuadMesh, rng: np.random.Generator,
 # msff-check
 
 
-def _cmd_msff_check(args) -> int:
-    cfg, raw = _load_config(args.config)
+def _cmd_msff_check(cfg: dict, args) -> tuple:
     mesh = _mesh_from_config(_take(cfg, "mesh", required=True))
     density = _parsed("density", density_from_json, _take(cfg, "density", "linear_wave"))
     closure = _parsed("closure", delsolve.parse_closure,
@@ -231,7 +216,6 @@ def _cmd_msff_check(args) -> int:
     _reject_extra(cfg, "msff-check")
     if mesh.nt < 2 or mesh.nx < 2:
         raise ConfigError("msff-check needs nt >= 2 and nx >= 2 for interior patches")
-    tol = args.tol if args.tol is not None else 1e-9
     control_floor = 1e-6
 
     streams = np.random.SeedSequence(args.seed).spawn(3)
@@ -260,7 +244,7 @@ def _cmd_msff_check(args) -> int:
     control = abs(_solved("msff_residual_patch", msforms.msff_residual_patch,
                           density, field, v_var, w_bad, *centre).residual)
 
-    passed = (worst <= tol and abs(region_rep.residual) <= tol * 10.0
+    passed = (worst <= args.tol and abs(region_rep.residual) <= args.tol * 10.0
               and control > control_floor)
     results = {
         "max_patch_residual": worst,
@@ -269,19 +253,18 @@ def _cmd_msff_check(args) -> int:
         "region_max_term": region_rep.max_term,
         "negative_control": control,
         "negative_control_floor": control_floor,
-        "tolerance": tol,
+        "tolerance": args.tol,
         "n_interior_nodes": (mesh.nt - 1) * (mesh.nx - 1),
     }
-    _dump_fields(args.out, base_field=field, variation_v=v_var, variation_w=w_var)
-    return _emit_report("msff-check", raw, args.seed, results, passed, args.out)
+    return results, passed, {"base_field.csv": field, "variation_v.csv": v_var,
+                             "variation_w.csv": w_var}
 
 
 # ---------------------------------------------------------------------------
 # bridges-check
 
 
-def _cmd_bridges_check(args) -> int:
-    cfg, raw = _load_config(args.config)
+def _cmd_bridges_check(cfg: dict, args) -> tuple:
     mode = _take(cfg, "mode", "conservation")
     if mode not in ("conservation", "bvp-singularity"):
         raise ConfigError(f"unknown bridges-check mode {mode!r}")
@@ -291,7 +274,6 @@ def _cmd_bridges_check(args) -> int:
     if mode == "conservation":
         if mesh.nt < 2:
             raise ConfigError("conservation needs nt >= 2 for interior nodes")
-        tol = args.tol if args.tol is not None else 1e-10
         closure = delsolve.PeriodicClosure()
 
         streams = np.random.SeedSequence(args.seed).spawn(2)
@@ -304,15 +286,14 @@ def _cmd_bridges_check(args) -> int:
         worst = float(np.max(np.abs(residuals), initial=0.0))
         fluxes = msforms._fluxes(mesh, v_var, w_var, 0, mesh.nt).tolist()
         spread = max(fluxes) - min(fluxes)
-        passed = worst <= tol and spread <= tol
+        passed = worst <= args.tol and spread <= args.tol
         results = {
             "max_node_residual": worst,
             "flux_per_slice": fluxes,
             "flux_spread": spread,
-            "tolerance": tol,
+            "tolerance": args.tol,
         }
-        _dump_fields(args.out, variation_v=v_var, variation_w=w_var)
-        return _emit_report("bridges-check", raw, args.seed, results, passed, args.out)
+        return results, passed, {"variation_v.csv": v_var, "variation_w.csv": w_var}
 
     if mesh.nt < 2 or mesh.nx < 2:
         raise ConfigError("bvp-singularity needs nt >= 2 and nx >= 2 for interior nodes")
@@ -330,7 +311,7 @@ def _cmd_bridges_check(args) -> int:
         "mesh_ratio": mesh.aspect_ratio,
         "note": "solve succeeded; no singularity at this mesh ratio",
     }
-    return _emit_report("bridges-check", raw, args.seed, results, False, args.out)
+    return results, False, {}
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +344,7 @@ def _extremal_action_on_square(solution: oracles.WaveSolution, nx: int,
     return 2.0 * result.value
 
 
-def _cmd_boundary_lagrangian(args) -> int:
-    cfg, raw = _load_config(args.config)
+def _cmd_boundary_lagrangian(cfg: dict, args) -> tuple:
     problem = _take(cfg, "problem", required=True)
 
     if problem == "disc":
@@ -376,8 +356,7 @@ def _cmd_boundary_lagrangian(args) -> int:
         ext = oracles.harmonic_extension_disc(data)
         gap = abs(ext.boundary_lagrangian - quad_val)
         # The tolerance, or the round-off floor of the terms both routes sum.
-        tol = max(args.tol if args.tol is not None else 1e-8,
-                  64.0 * np.finfo(float).eps * oracles._disc_bound(data))
+        tol = max(args.tol, 64.0 * np.finfo(float).eps * oracles._disc_bound(data))
         passed = gap <= tol
         results = {
             "closed_form": ext.boundary_lagrangian,
@@ -386,8 +365,7 @@ def _cmd_boundary_lagrangian(args) -> int:
             "normal_derivative_modes": ext.dtn.to_json(),
             "tolerance": tol,
         }
-        return _emit_report("boundary-lagrangian", raw, args.seed, results,
-                            passed, args.out)
+        return results, passed, {}
 
     if problem == "wave_square":
         name = _take(cfg, "solution", "cubic")
@@ -395,7 +373,6 @@ def _cmd_boundary_lagrangian(args) -> int:
         ratio = _number(_take(cfg, "time_step_ratio", 0.5), "time_step_ratio")
         min_order = _number(_take(cfg, "min_order", 0.9), "min_order")
         _reject_extra(cfg, "boundary-lagrangian")
-        tol = args.tol if args.tol is not None else 1e-8
         sizes = ([_number(v, "nx_ladder", int) for v in ladder]
                  if isinstance(ladder, list) else [])
         for nx in sizes:
@@ -418,7 +395,7 @@ def _cmd_boundary_lagrangian(args) -> int:
         errors = [abs(v - continuum.action_value) for v in values]
         order = mechanics._fit_order([1.0 / nx for nx in sizes], errors)
 
-        passed = (continuum.magnitude_gap <= tol and compat <= 1e-10
+        passed = (continuum.magnitude_gap <= args.tol and compat <= 1e-10
                   and order >= min_order)
         results = {
             "closed_form": continuum.formula_value,
@@ -431,10 +408,9 @@ def _cmd_boundary_lagrangian(args) -> int:
             "action_errors": errors,
             "observed_order": order,
             "min_order": min_order,
-            "tolerance": tol,
+            "tolerance": args.tol,
         }
-        return _emit_report("boundary-lagrangian", raw, args.seed, results,
-                            passed, args.out)
+        return results, passed, {}
 
     raise ConfigError(f"unknown boundary-lagrangian problem {problem!r}")
 
@@ -465,8 +441,7 @@ def _mech_lagrangian_from_config(obj):
 _EXPECTED_MAP_ORDER = {"midpoint": 2.0, "rectangle": 1.0}
 
 
-def _cmd_mechanics(args) -> int:
-    cfg, raw = _load_config(args.config)
+def _cmd_mechanics(cfg: dict, args) -> tuple:
     rule = _take(cfg, "rule", required=True)
     problem = _take(cfg, "problem", {"kind": "harmonic", "omega": 1.0})
     z0 = _take(cfg, "z0", [0.7, 0.4])
@@ -477,7 +452,6 @@ def _cmd_mechanics(args) -> int:
                           f"choose from {sorted(_EXPECTED_MAP_ORDER)}")
     if not (isinstance(z0, list) and len(z0) == 2):
         raise ConfigError("'z0' must be a [position, momentum] pair")
-    window = args.tol if args.tol is not None else 0.15
 
     lagr = _mech_lagrangian_from_config(problem)
     h_values = ([_number(h, "h_ladder") for h in ladder]
@@ -491,12 +465,13 @@ def _cmd_mechanics(args) -> int:
     family = {"midpoint": mechanics.midpoint_rule,
               "rectangle": mechanics.rectangle_rule}[rule](lagr)
     start = mechanics.PhasePoint(*(_number(z, "z0") for z in z0))
-    report = mechanics.variational_order_check(family, lagr, start, h_values)
+    report = _parsed("order study", mechanics.variational_order_check,
+                     family, lagr, start, h_values)
     expected = _EXPECTED_MAP_ORDER[rule]
     # An infinite fitted order marks a family that is exact on this problem
     # (errors at round-off for every h); that trivially clears the bar.
     passed = (math.isinf(report.map_order)
-              or abs(report.map_order - expected) <= window)
+              or abs(report.map_order - expected) <= args.tol)
     results = {
         "rule": rule,
         "lagrangian": lagr.name,
@@ -506,16 +481,12 @@ def _cmd_mechanics(args) -> int:
         "functional_order": report.functional_order,
         "map_order": report.map_order,
         "expected_map_order": expected,
-        "order_window": window,
+        "order_window": args.tol,
     }
-    if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        lines = ["h,functional_error,map_error"]
-        lines += [f"{h!r},{ef!r},{em!r}" for h, ef, em in
-                  zip(h_values, report.functional_errors, report.map_errors)]
-        (out / "mechanics_ladder.csv").write_text("\n".join(lines) + "\n")
-    return _emit_report("mechanics", raw, args.seed, results, passed, args.out)
+    rows = ["h,functional_error,map_error"] + [
+        f"{h!r},{ef!r},{em!r}" for h, ef, em in
+        zip(h_values, report.functional_errors, report.map_errors)]
+    return results, passed, {"mechanics_ladder.csv": "\n".join(rows) + "\n"}
 
 
 # ---------------------------------------------------------------------------
@@ -531,23 +502,23 @@ def _build_parser() -> argparse.ArgumentParser:
                     "one-step map order studies.")
     sub = parser.add_subparsers(dest="command", required=True)
     specs = [
-        ("msff-check", _cmd_msff_check,
+        ("msff-check", _cmd_msff_check, 1e-9,
          "patch two-form cancellation on a propagated field"),
-        ("bridges-check", _cmd_bridges_check,
+        ("bridges-check", _cmd_bridges_check, 1e-10,
          "conservation residuals or the singular-mesh demonstration"),
-        ("boundary-lagrangian", _cmd_boundary_lagrangian,
+        ("boundary-lagrangian", _cmd_boundary_lagrangian, 1e-8,
          "boundary functionals of the disc and unit-square model problems"),
-        ("mechanics", _cmd_mechanics,
+        ("mechanics", _cmd_mechanics, 0.15,  # the order window
          "order study for one-step discrete-Lagrangian families"),
     ]
-    for name, handler, help_text in specs:
+    for name, handler, tol, help_text in specs:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to a JSON config file")
         p.add_argument("--seed", type=int, default=0,
                        help="non-negative root seed for all random draws (default 0)")
-        p.add_argument("--tol", type=float, default=None,
-                       help="override the subcommand's default tolerance "
-                            "(finite, non-negative)")
+        p.add_argument("--tol", type=float, default=tol,
+                       help="tolerance (mechanics: the order window), finite and "
+                            f"non-negative (default {tol:g})")
         p.add_argument("--out", default=None,
                        help="directory for the JSON report and CSV dumps")
         p.set_defaults(handler=handler)
@@ -555,20 +526,43 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand: load its config, run its handler, write its
+    ``--out`` files and report, and print the report.  Returns the exit code."""
+    args = _build_parser().parse_args(argv)
     try:
         if args.seed < 0:
             raise ConfigError(f"--seed must be non-negative, got {args.seed}")
-        if args.tol is not None and not 0.0 <= args.tol < math.inf:
+        if not 0.0 <= args.tol < math.inf:
             raise ConfigError(f"--tol must be finite and non-negative, got {args.tol!r}")
-        return args.handler(args)
+        cfg, raw = _load_config(args.config)
+        # A float overflow or invalid operation that no solver step expects
+        # raises, so it ends the run as one error line, not a warning.
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            results, passed, files = args.handler(cfg, args)
     except ConfigError as exc:
         print(f"mslab: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SolverError as exc:
         print(f"mslab: solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except ArithmeticError as exc:  # numpy's FloatingPointError, or a float power's
+        print(f"mslab: solver error: floating-point error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
+    report = {
+        "command": args.command,
+        "config": _jsonable(raw),
+        "seed": args.seed,
+        "results": _jsonable(results),
+        "passed": bool(passed),
+        "metadata": {
+            "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        },
+    }
+    text = json.dumps(report, sort_keys=True, indent=2)
+    if args.out is not None:
+        _write_files(args.out, {**files, f"{args.command}_report.json": text + "\n"})
+    print(text)
+    return EXIT_OK if passed else EXIT_TOLERANCE
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -555,8 +555,9 @@ def solve_bvp(density: LagrangianDensity, mesh: QuadMesh, boundary: BoundaryData
         raise ValueError(f"region {region} has no interior nodes")
     base = np.zeros(mesh.shape) if initial is None else initial.values.copy()
     base.flat[node_index(boundary.nodes, ncols)] = boundary.values
-    x0 = (np.full(inner.size, float(np.mean(boundary.values))) if initial is None
-          else initial.values.ravel()[inner])
+    with np.errstate(all="ignore"):  # a sum that overflows is a non-finite start
+        x0 = (np.full(inner.size, float(np.mean(boundary.values))) if initial is None
+              else initial.values.ravel()[inner])
     index = region_index(region, ncols)
     solve = _del_newton(density, base, index, inner, inner, mesh.dt, mesh.dx)
     norm, iters, rcond = solve(x0, NEWTON_MAX_ITER, "solve_bvp")

@@ -412,7 +412,8 @@ def variational_order_check(family: Callable, lagr: MechLagrangian,
     the exact flow over the same elapsed time, so its fitted rate is the
     usual global order of the method.  Requires a Lagrangian from the
     built-in catalogue (exact flow available) and at least three distinct
-    ladder steps.
+    ladder steps.  An error that is not finite (data that overflow) raises
+    :class:`SolverError` before the fit.
     """
     if len(set(h_values)) < 3:
         raise ValueError("order fit needs at least three distinct step sizes")
@@ -434,6 +435,8 @@ def variational_order_check(family: Callable, lagr: MechLagrangian,
             z_num = type1_map(ld_h, z_num, h)
         z_ref = lagr.exact_flow(z0, n_steps * h)
         e_map.append(max(abs(z_num.q - z_ref.q), abs(z_num.p - z_ref.p)))
+    if not np.isfinite(e_func + e_map).all():
+        raise SolverError("order study: an error is not finite (the data overflow)")
     return OrderReport(functional_order=_fit_order(h_values, e_func),
                        map_order=_fit_order(h_values, e_map),
                        h_values=tuple(float(h) for h in h_values),

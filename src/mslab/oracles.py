@@ -495,8 +495,11 @@ def disc_boundary_lagrangian_quadrature(data: FourierBoundaryData) -> float:
     k = np.arange(1, len(data.a) + 1)
     n = 2 * len(k) + 2
     angles = np.outer(2.0 * math.pi / n * np.arange(n), k)
-    # In units of a power of two, as in the closed form.
-    unit = 2.0 ** (math.frexp(max(map(abs, (data.a0,) + data.a + data.b)))[1] - 1)
+    # In units of a power of two over the modes, as in the closed form.  u
+    # leaves a0 out: its term a0 ∮ Λu dθ is 0, since Λu has no constant mode
+    # and the rule integrates its modes exactly; and a large a0 in the unit
+    # left small modes subnormal.
+    unit = 2.0 ** (math.frexp(max(map(abs, data.a + data.b), default=0.0))[1] - 1)
     waves, coeffs = np.hstack([np.cos(angles), np.sin(angles)]), np.array(data.a + data.b) / unit
-    u, lam_u = data.a0 / unit + waves @ coeffs, waves @ (np.tile(k, 2) * coeffs)
+    u, lam_u = waves @ coeffs, waves @ (np.tile(k, 2) * coeffs)
     return math.pi * float((u / n) @ lam_u) * unit * unit  # each partial sum within the bound

@@ -1,14 +1,19 @@
 import argparse
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mslab
 import mslab.cli
@@ -112,6 +117,42 @@ class TestExitZero:
         assert code == EXIT_OK
         assert report["results"]["lagrangian"] == "free_particle"
         assert report["results"]["map_order"] == "inf"  # non-finite floats as strings
+
+
+def _disc_floor(fourier):
+    """64 ulps of the bound B of the terms both disc routes sum (modes a and
+    b of equal length)."""
+    a, b = fourier["a"], fourier["b"]
+    bound = math.pi * (abs(fourier["a0"]) + sum(map(abs, a + b))) * sum(
+        k * (abs(ak) + abs(bk)) for k, (ak, bk) in enumerate(zip(a, b), start=1))
+    return 64 * np.finfo(float).eps * bound
+
+
+ROUND_OFF_DISC_CONFIG = {"problem": "disc",
+                         "fourier": {"a0": 0, "a": [1e5] * 8, "b": [1e5] * 8}}
+
+
+class TestDefaultTolerance:
+    # The documented default of each subcommand's --tol, reported as
+    # `tolerance` (for mechanics `order_window`), and any --tol as given; the
+    # disc gate is the larger of that and its round-off floor.
+    @pytest.mark.parametrize("tol", [None, 0.0123], ids=["default", "given"])
+    @pytest.mark.parametrize("command, payload, key, default", [
+        ("msff-check", MSFF_CONFIG, "tolerance", 1e-9),
+        ("bridges-check", BRIDGES_CONFIG, "tolerance", 1e-10),
+        ("boundary-lagrangian", dict(SQUARE_CONFIG, nx_ladder=[8, 16]), "tolerance", 1e-8),
+        ("boundary-lagrangian", DISC_CONFIG, "tolerance", 1e-8),
+        ("boundary-lagrangian", ROUND_OFF_DISC_CONFIG, "tolerance", 1e-8),
+        ("mechanics", MECH_CONFIG, "order_window", 0.15),
+    ], ids=["msff", "conservation", "wave-square", "disc", "disc-floor", "mechanics"])
+    def test_reported_tolerance(self, tmp_path, capsys, command, payload, key, default, tol):
+        cfg = write_config(tmp_path, "c.json", payload)
+        option = [] if tol is None else ["--tol", repr(tol)]
+        _, report = run(capsys, [command, "--config", cfg, *option])
+        expected = default if tol is None else tol
+        if payload.get("problem") == "disc":
+            expected = max(expected, _disc_floor(payload["fourier"]))
+        assert report["results"][key] == expected
 
 
 class TestExitTolerance:
@@ -344,8 +385,40 @@ class TestOverflowingData:
          EXIT_CONFIG, "bad closure: fixed closure end inf is not finite"),
         ("msff-check", dict(MSFF_CONFIG, closure={"fixed": [0.0, float("nan")]}),
          EXIT_CONFIG, "bad closure: fixed closure end nan is not finite"),
+        # The sum of the boundary data, whose mean starts the solve, overflows;
+        # numpy's overflow warning once came before the error line.
+        ("bridges-check", {"mode": "bvp-singularity", "amplitude": 1e308,
+                           "mesh": {"dt": 0.1, "dx": 0.2, "nt": 3, "nx": 3}},
+         EXIT_SOLVER, "solve_bvp: non-finite residual at the start"),
+        # A float overflow in a sum no solver step expects once printed
+        # numpy's warnings, then exit 1 with NaN results (the two-form sums),
+        # exit 0 or exit 3 (the Jacobian's norms); now it is one error line.
+        ("msff-check", {"mesh": {"dt": 1e-154, "dx": 0.2, "nt": 2, "nx": 2},
+                        "amplitude": 1e154},
+         EXIT_SOLVER, "floating-point error: overflow encountered in multiply"),
+        ("bridges-check", {"mode": "conservation",
+                           "mesh": {"dt": 0.3, "dx": 1e308, "nt": 2, "nx": 2}},
+         EXIT_SOLVER, "floating-point error: overflow encountered in multiply"),
+        ("bridges-check", {"mode": "bvp-singularity", "amplitude": 5e-324,
+                           "mesh": {"dt": 1.0, "dx": 1e308, "nt": 5, "nx": 3}},
+         EXIT_SOLVER, "floating-point error: overflow encountered in reduceat"),
+        # The order study once overflowed into a traceback (a float power),
+        # warnings, or a report of infinite errors.
+        ("mechanics", dict(MECH_CONFIG, problem="free", h_ladder=[1.0, 0.5, 1e308]),
+         EXIT_SOLVER, "floating-point error: "),
+        ("mechanics", dict(MECH_CONFIG, problem="free", z0=[1e308, 0.0]),
+         EXIT_SOLVER, "floating-point error: overflow encountered in add"),
+        ("mechanics", dict(MECH_CONFIG, rule="rectangle", z0=[1e154, 1e154],
+                           h_ladder=[0.4, 0.2, 0.1]),
+         EXIT_SOLVER, "order study: an error is not finite"),
+        # omega * h underflows to 0: once a ValueError traceback.
+        ("mechanics", dict(MECH_CONFIG, problem={"kind": "harmonic", "omega": 5e-324}),
+         EXIT_CONFIG, "bad order study: h*omega = 0 outside (0, pi)"),
     ], ids=["tiny-bvp-mesh", "overflowing-fixed-ends", "msff-tiny-dt", "bridges-tiny-dt",
-            "one-slice-conservation", "infinite-fixed-end", "nan-fixed-end"])
+            "one-slice-conservation", "infinite-fixed-end", "nan-fixed-end",
+            "overflowing-bvp-start", "overflowing-two-forms", "overflowing-row-norms",
+            "overflowing-bvp-norms", "overflowing-free-action", "overflowing-free-flow",
+            "infinite-order-errors", "subnormal-omega"])
     def test_breach_is_one_error_line(self, tmp_path, capsys, command, payload,
                                       code, where):
         cfg = write_config(tmp_path, "c.json", payload)
@@ -372,6 +445,142 @@ class TestOverflowingData:
         assert proc.returncode == EXIT_CONFIG
         assert proc.stderr.startswith("mslab: config error: ")
         assert proc.stderr.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# The exit contract on generated configs.  Work sizes stay small: mesh nt and
+# nx, nx_ladder entries, time_step_ratio and h_ladder entries are drawn from
+# ranges where each run takes milliseconds; every other number may be any
+# double, mesh spacings and amplitudes are often extreme, and any value may
+# have the wrong type.
+
+_NUMBER = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from([0.0, -1.0, 1e308, -1e308, 1e-300, math.inf, math.nan]))
+_JUNK = st.one_of(st.sampled_from(["NaN", "nan", "inf", "", None, True]),
+                  st.text(max_size=3), st.lists(st.integers(-2, 2), max_size=2),
+                  st.dictionaries(st.sampled_from(["a", "x"]), st.integers(0, 1), max_size=1))
+
+
+def _or_bad(good, bad=st.one_of(_NUMBER, _JUNK)):
+    """``good`` nine times in ten, else ``bad``: by default any double or a
+    value of a wrong type."""
+    return st.integers(0, 9).flatmap(lambda k: bad if k == 0 else good)
+
+
+def _small(good, *bad_numbers):
+    """``good``, else a number from ``bad_numbers`` or a wrong type: for work
+    sizes, which no extreme double may set."""
+    return _or_bad(good, st.one_of(st.sampled_from(bad_numbers), _JUNK))
+
+
+def _configs(required: dict, optional: dict):
+    """Config objects: optional keys come and go, a required one may be
+    missing, and an unknown key may be added."""
+    @st.composite
+    def draw_config(draw):
+        config = draw(st.fixed_dictionaries(required, optional=optional))
+        if draw(st.integers(0, 19)) == 0:
+            config.pop(draw(st.sampled_from(sorted(required))))
+        if draw(st.integers(0, 19)) == 0:
+            config["extra_key"] = draw(_NUMBER)
+        return config
+    return draw_config()
+
+
+_EXTREME = st.sampled_from([5e-324, 1e-300, 1e-154, 1e154, 1e200, 1e308])
+_SIZE = _small(st.integers(2, 6), -1, 0, 1, 2.5, math.inf)
+_SPACING = _or_bad(st.one_of(*[st.floats(0.01, 1.0)] * 3, _EXTREME))
+_AMPLITUDE = _or_bad(st.one_of(*[st.floats(-10.0, 10.0)] * 3, _EXTREME))
+_MESH = _or_bad(st.fixed_dictionaries({"dt": _SPACING, "dx": _SPACING,
+                                       "nt": _SIZE, "nx": _SIZE}))
+_CONFIGS = {
+    "msff-check": _configs({"mesh": _MESH}, {
+        "density": _or_bad(st.sampled_from(["linear_wave", "harmonic_dirichlet"])
+                           | st.dictionaries(st.sampled_from(["vv", "ww", "uu", "vw", "vu", "wu"]),
+                                             _or_bad(st.floats(-2.0, 2.0)), max_size=4)),
+        "closure": _or_bad(st.just("periodic") | st.fixed_dictionaries({"fixed": _or_bad(
+            st.lists(_or_bad(st.floats(-1.0, 1.0)), min_size=2, max_size=2))})),
+        "amplitude": _AMPLITUDE}),
+    "bridges-check": _configs({"mesh": _MESH}, {
+        "mode": _or_bad(st.sampled_from(["conservation", "bvp-singularity"])),
+        "amplitude": _AMPLITUDE}),
+    "boundary-lagrangian": st.one_of(
+        _configs({"problem": _or_bad(st.just("disc")), "fourier": _or_bad(
+            st.fixed_dictionaries({}, optional={
+                "a0": _or_bad(st.floats(-10.0, 10.0)),
+                "a": _or_bad(st.lists(_or_bad(st.floats(-10.0, 10.0)), max_size=4)),
+                "b": _or_bad(st.lists(_or_bad(st.floats(-10.0, 10.0)), max_size=4))}))}, {}),
+        _configs({"problem": st.just("wave_square")}, {
+            "solution": _or_bad(st.sampled_from(["cubic", "zero", "bilinear",
+                                                 "travelling:2", "standing:1", "standing:9"])),
+            "nx_ladder": _or_bad(st.lists(_small(st.integers(2, 8), 0, 1, 2.5, math.nan),
+                                          max_size=3)),
+            "time_step_ratio": _small(st.sampled_from([0.5, 0.25]) | st.floats(0.25, 1.0),
+                                      0.0, 1.0, -0.5, 1e308, math.nan),
+            "min_order": _or_bad(st.floats(-1.0, 3.0))})),
+    "mechanics": _configs({"rule": _or_bad(st.sampled_from(["midpoint", "rectangle"]))}, {
+        "problem": _or_bad(st.sampled_from(["free", {"kind": "free"}])
+                           | st.fixed_dictionaries({"kind": st.just("harmonic")}, optional={
+                               "omega": _or_bad(st.floats(0.1, 3.0) | _EXTREME)})),
+        "z0": _or_bad(st.lists(_AMPLITUDE, min_size=2, max_size=2)),
+        "h_ladder": _or_bad(st.lists(_small(st.floats(0.05, 1.0), 0.0, -0.1, 10.0, 1e308,
+                                            math.nan), min_size=3, max_size=5))}),
+}
+# Fitted orders, infinite where every error is at round-off (an exact
+# family, or the zero solution on the square).
+_INFINITE_ORDERS = {"mechanics": {"functional_order", "map_order"},
+                    "boundary-lagrangian": {"observed_order"}}
+
+
+def _leaves(obj):
+    """The scalars in ``obj``, at any depth of its lists and objects."""
+    if isinstance(obj, (dict, list)):
+        return [leaf for value in (obj.values() if isinstance(obj, dict) else obj)
+                for leaf in _leaves(value)]
+    return [obj]
+
+
+def _non_finite(results, allowed):
+    """The keys of ``results`` that hold a non-finite number (serialised as
+    a string) at any depth, other than ``allowed`` ones holding "inf"."""
+    return sorted(key for key, value in results.items()
+                  if any(leaf in ("inf", "-inf", "nan") for leaf in _leaves(value))
+                  and not (key in allowed and value == "inf"))
+
+
+class TestExitContract:
+    @pytest.mark.parametrize("command", sorted(_CONFIGS))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_exit_code_report_and_stderr(self, command, data):
+        config = data.draw(_CONFIGS[command], label="config")
+        option = data.draw(_or_bad(st.just([]), st.sampled_from([
+            ["--tol", "0"], ["--tol", "0.5"], ["--tol", "1e308"], ["--tol", "nan"],
+            ["--seed", "-1"], ["--seed", str(2 ** 64)]])), label="option")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "c.json"
+            path.write_text(json.dumps(config))
+            argv = [command, "--config", str(path), *option, "--out", str(Path(tmp) / "out")]
+            out, err = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    redirect_stdout(out), redirect_stderr(err):
+                warnings.simplefilter("always")
+                code = main(argv)
+        assert not [str(w.message) for w in caught]
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (EXIT_OK, EXIT_TOLERANCE, EXIT_CONFIG, EXIT_SOLVER)
+        if code in (EXIT_OK, EXIT_TOLERANCE):
+            assert err == ""
+            report = json.loads(out)
+            assert set(report) == {"command", "config", "seed", "results",
+                                   "passed", "metadata"}
+            assert report["passed"] is (code == EXIT_OK)
+            assert not _non_finite(report["results"], _INFINITE_ORDERS.get(command, ()))
+        else:
+            kind = "config" if code == EXIT_CONFIG else "solver"
+            assert out == ""
+            assert err.startswith(f"mslab: {kind} error: ") and err.count("\n") == 1
+            assert "Traceback" not in err
 
 
 class TestReports:

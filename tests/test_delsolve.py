@@ -21,6 +21,7 @@ from mslab import (
     RectRegion,
     SingularSystem,
     SolverError,
+    UserDensity,
     boundary_hamiltonian,
     boundary_lagrangian,
     boundary_nodes,
@@ -42,6 +43,7 @@ from mslab import (
     triangle_kernel,
 )
 from mslab import delsolve as delsolve_module
+from mslab import dual
 from mslab.msforms import linearized_del_residual, msff_residual_patch, msff_residual_region
 
 
@@ -563,6 +565,39 @@ class TestNewtonCore:
         with pytest.raises(SolverError,
                            match=f"^{where}: quadratic density produced a non-finite Hessian$"):
             calls[where]()
+
+    def test_kernel_error_at_a_trial_iterate_fails_the_line_search(self, monkeypatch):
+        # sqrt(u) turns non-finite where a trial step takes u below 0; the
+        # kernel's ValueError there must fail the Armijo test, not escape.
+        raised, newton = [], delsolve_module._newton
+
+        def recording(residual_fn, *args):
+            def residual(x):
+                try:
+                    return residual_fn(x)
+                except ValueError:
+                    raised.append(x)
+                    raise
+            return newton(residual, *args)
+
+        monkeypatch.setattr(delsolve_module, "_newton", recording)
+        density = UserDensity(lambda v, w, u: 0.5 * (v * v + w * w) + 10.0 * dual.sqrt(u))
+        mesh = build_mesh(dt=0.1, dx=0.2, nt=4, nx=4)
+        region = RectRegion(0, 0, mesh.nt, mesh.nx)
+        values = np.full(len(boundary_nodes(region)), 1e-3)
+        values[0] = 10.0
+        with pytest.raises(SolverError, match="^solve_bvp: Armijo line search failed$"):
+            solve_bvp(density, mesh, BoundaryData(region, values))
+        assert raised
+
+    def test_ill_conditioned_factor_is_a_singular_system(self):
+        # A mesh ratio 1e-13 from 1 factors, but its rcond is below the floor.
+        mesh = build_mesh(dt=0.1, dx=0.1 * (1 + 1e-13), nt=4, nx=4)
+        with pytest.raises(SingularSystem) as err:
+            solve_bvp(LinearWave, mesh, BoundaryData(Patch3Region(1, 1), np.zeros(6)))
+        assert 0.0 < err.value.rcond < 1e-12
+        assert str(err.value) == ("solve_bvp: linearised system numerically singular "
+                                  f"(rcond {err.value.rcond:.3e})")
 
     def test_non_finite_step_is_a_solver_error(self):
         class Overflowing:

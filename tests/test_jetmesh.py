@@ -207,6 +207,11 @@ class TestRegions:
         assert inner | outer == set(region_nodes(reg))
         assert len(outer) == 2 * (3 + 4)
 
+    def test_patch3_nodes_are_its_boundary_then_its_centre(self):
+        patch = Patch3Region(2, 3)
+        assert region_nodes(patch) == boundary_nodes(patch) + [(2, 3)]
+        assert len(set(region_nodes(patch))) == 7
+
     def test_rect_boundary_counterclockwise(self):
         reg = RectRegion(0, 0, 2, 2)
         assert boundary_nodes(reg) == [

@@ -239,6 +239,8 @@ disc_modes = st.lists(st.floats(-2.0, 2.0), min_size=0, max_size=16)
 @given(a0=st.floats(-2.0, 2.0), a=disc_modes, b=disc_modes)
 # Squared, this coefficient is subnormal: both routes once lost bits there.
 @example(a0=0.0, a=[], b=[4.4699804105247135e-158])
+# A unit taken over a0 too kept these modes subnormal: a negative energy.
+@example(a0=0.625, a=[0.0, 2.2250738585e-313], b=[])
 def test_disc_quadrature_matches_closed_form(a0, a, b):
     data = FourierBoundaryData(a0, a, b)
     closed = harmonic_extension_disc(data).boundary_lagrangian

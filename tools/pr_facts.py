@@ -1,4 +1,4 @@
-"""Print two facts about a checkout of mslab, for comparing two commits.
+"""Print three facts about a checkout of mslab, for comparing two commits.
 
 1. The code-only line count of every Python file under ``src/``: the lines
    that hold a token other than a comment, with blank lines and docstrings
@@ -6,6 +6,13 @@
 2. The sha256 of ``workloads.results_key`` for every check of the three
    benchmark workloads at seeds 3 and 17, each check run once.  Equal hashes
    mean bit-identical ``results`` blocks.
+3. For every CLI run of ``CLI_RUNS`` (each subcommand on small fixed
+   configs, both ``bridges-check`` modes and both ``boundary-lagrangian``
+   problems) at seeds 3 and 17, in-process with ``--out`` in a temporary
+   directory: the exit code, the sha256 of stderr, of the printed report
+   with its ``metadata`` block cut out of the text, and of each file written
+   (a JSON report also without ``metadata``).  Equal lines mean byte-identical
+   runs apart from the timestamp.
 
 Usage::
 
@@ -23,14 +30,34 @@ import argparse
 import ast
 import hashlib
 import io
+import json
+import re
 import sys
 import tempfile
 import tokenize
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 SEEDS = (3, 17)
 _LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
            tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+
+_MESH = {"dt": 0.05, "dx": 0.1, "nt": 6, "nx": 6}
+CLI_RUNS = {
+    "msff": ("msff-check", {"mesh": _MESH, "closure": {"fixed": [0.01, -0.02]},
+                            "amplitude": 0.1}),
+    "conservation": ("bridges-check", {"mode": "conservation", "mesh": _MESH}),
+    "bvp-singular": ("bridges-check", {"mode": "bvp-singularity",
+                                       "mesh": {"dt": 0.1, "dx": 0.1, "nt": 4, "nx": 4}}),
+    "bvp-solved": ("bridges-check", {"mode": "bvp-singularity", "mesh": _MESH}),
+    "disc": ("boundary-lagrangian", {"problem": "disc", "fourier": {
+        "a0": 0.2, "a": [1.0, -0.3], "b": [0.0, 0.5, 0.25]}}),
+    "wave-square": ("boundary-lagrangian", {"problem": "wave_square", "solution": "cubic",
+                                            "nx_ladder": [8, 16]}),
+    "mechanics-midpoint": ("mechanics", {"rule": "midpoint"}),
+    "mechanics-rectangle": ("mechanics", {"rule": "rectangle",
+                                          "h_ladder": [0.4, 0.2, 0.1]}),
+}
 
 
 def code_lines(source: str) -> int:
@@ -61,8 +88,36 @@ def print_line_counts(root: Path) -> None:
     print(f"total {total}")
 
 
-def print_results_hashes(root: Path) -> None:
-    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _without_metadata(text: str) -> str:
+    """A report's text, byte for byte, without its top-level ``metadata`` block."""
+    return re.sub(r'\n  "metadata": \{.*?\n  \},?', "", text, count=1, flags=re.S)
+
+
+def print_cli_hashes() -> None:
+    import mslab.cli
+
+    print("# CLI runs: exit code and sha256 of stderr, report and --out files")
+    for name, (command, config) in CLI_RUNS.items():
+        for seed in SEEDS:
+            with tempfile.TemporaryDirectory() as tmp:
+                path = Path(tmp) / "config.json"
+                path.write_text(json.dumps(config))
+                out, err = io.StringIO(), io.StringIO()
+                with redirect_stdout(out), redirect_stderr(err):
+                    code = mslab.cli.main([command, "--config", str(path), "--seed",
+                                           str(seed), "--out", str(Path(tmp) / "out")])
+                print(f"{name} seed {seed} exit {code} stderr {_sha(err.getvalue())} "
+                      f"report {_sha(_without_metadata(out.getvalue()))}")
+                for file in sorted((Path(tmp) / "out").glob("*")):
+                    text = _without_metadata(file.read_text())
+                    print(f"{name} seed {seed} file {file.name} {_sha(text)}")
+
+
+def print_results_hashes() -> None:
     import workloads
 
     print("# sha256 of workloads.results_key, per check")
@@ -81,8 +136,10 @@ def main(argv=None) -> int:
                         help="checkout to describe (default: this one)")
     args = parser.parse_args(argv)
     root = args.root.resolve()
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     print_line_counts(root)
-    print_results_hashes(root)
+    print_results_hashes()
+    print_cli_hashes()
     return 0
 
 
