@@ -21,12 +21,14 @@ Subcommands
     (midpoint or rectangle) against the exact flow.
 
 Exit codes: 0 all checks passed, 1 a tolerance check failed, 2 bad
-configuration (among them a negative ``--seed`` and a negative or non-finite
-``--tol``), 3 solver failure (non-convergence, a singular system, a float
-overflow or invalid operation where no solver step expects one, or a solved
-field that fails the DEL-solution test of :mod:`~mslab.delsolve`, which no
-field the solvers return should).  Exits 2 and 3 print one ``mslab: ...``
-line to stderr and no report.  The ``disc`` gate is the tolerance or 64
+configuration (among them a negative ``--seed``, a negative or non-finite
+``--tol``, and a config that asks for more than ``MAX_WORK`` mesh nodes plus
+map steps, checked before any work), 3 solver failure (non-convergence, a
+singular system, a float overflow or invalid operation where no solver step
+expects one, named by the innermost mslab function it passed through, or a
+solved field that fails the DEL-solution test of :mod:`~mslab.delsolve`,
+which no field the solvers return should).  Exits 2 and 3 print one
+``mslab: ...`` line to stderr and no report.  The ``disc`` gate is the tolerance or 64
 ulps of the bound of the terms both routes sum, whichever is larger; that is
 the reported ``tolerance``.
 
@@ -46,6 +48,7 @@ import datetime
 import json
 import math
 import sys
+import traceback
 from functools import lru_cache
 from pathlib import Path
 
@@ -59,6 +62,9 @@ EXIT_OK = 0
 EXIT_TOLERANCE = 1
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
+# The most mesh nodes plus map steps one config may ask for; a 200 x 200
+# msff-check, about 4e4 nodes, peaks near 180 MB.
+MAX_WORK = 100_000
 
 
 class ConfigError(ValueError):
@@ -122,6 +128,14 @@ def _number(value, key: str, kind=float):
     return out
 
 
+def _check_work(count: float, key: str) -> None:
+    """ConfigError unless the ``count`` mesh nodes or map steps that config
+    key ``key`` asks for are at most ``MAX_WORK``; checked before any work."""
+    if not count <= MAX_WORK:
+        raise ConfigError(f"{key!r} asks for {count:.3g} mesh nodes or map steps, "
+                          f"more than the cap of {MAX_WORK}")
+
+
 def _reject_extra(cfg: dict, context: str) -> None:
     if cfg:
         raise ConfigError(f"unknown {context} config keys: {sorted(cfg)}")
@@ -133,7 +147,9 @@ def _mesh_from_config(obj) -> jetmesh.QuadMesh:
     cfg = dict(obj)
     sizes = {key: _take(cfg, key, required=True) for key in ("dt", "dx", "nt", "nx")}
     _reject_extra(cfg, "mesh")
-    return _parsed("mesh parameters", jetmesh.build_mesh, **sizes)
+    mesh = _parsed("mesh parameters", jetmesh.build_mesh, **sizes)
+    _check_work((mesh.nt + 1) * (mesh.nx + 1), "mesh")
+    return mesh
 
 
 def _parsed(what: str, parse, *args, **kwargs):
@@ -382,6 +398,8 @@ def _cmd_boundary_lagrangian(cfg: dict, args) -> tuple:
             raise ConfigError("'nx_ladder' must list at least two distinct mesh sizes")
         if not 0.0 < ratio < 1.0:
             raise ConfigError(f"time step ratio must lie in (0, 1), got {ratio}")
+        # nx + 1 columns of about nx / ratio + 1 time levels each.
+        _check_work(sum((nx + 1) * (nx / ratio + 1) for nx in sizes), "nx_ladder")
         try:
             solution = oracles.wave_exact_solutions(str(name))
         except ValueError as exc:
@@ -462,6 +480,7 @@ def _cmd_mechanics(cfg: dict, args) -> tuple:
         if not 0.0 < h < lagr.conjugate_time:
             raise ConfigError(
                 f"step {h} outside the valid range (0, {lagr.conjugate_time})")
+    _check_work(sum(1.0 / h for h in h_values), "h_ladder")  # about 1/h map steps each
     family = {"midpoint": mechanics.midpoint_rule,
               "rectangle": mechanics.rectangle_rule}[rule](lagr)
     start = mechanics.PhasePoint(*(_number(z, "z0") for z in z0))
@@ -491,6 +510,18 @@ def _cmd_mechanics(cfg: dict, args) -> tuple:
 
 # ---------------------------------------------------------------------------
 # Entry point
+
+
+def _raised_in(exc: BaseException) -> str:
+    """``module.function`` of the innermost mslab frame that ``exc`` passed
+    through, e.g. ``msforms._region_patch_terms``."""
+    where = "mslab"
+    for frame, _ in traceback.walk_tb(exc.__traceback__):
+        module = frame.f_globals.get("__name__", "")
+        if module.startswith("mslab."):
+            code = frame.f_code
+            where = f"{module[len('mslab.'):]}.{getattr(code, 'co_qualname', code.co_name)}"
+    return where
 
 
 @lru_cache(maxsize=None)  # one parser per process: each build takes about 0.7 ms
@@ -546,7 +577,8 @@ def main(argv=None) -> int:
         print(f"mslab: solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except ArithmeticError as exc:  # numpy's FloatingPointError, or a float power's
-        print(f"mslab: solver error: floating-point error: {exc}", file=sys.stderr)
+        print(f"mslab: solver error: floating-point error in {_raised_in(exc)}: {exc}",
+              file=sys.stderr)
         return EXIT_SOLVER
     report = {
         "command": args.command,

@@ -40,17 +40,36 @@ minus prescribed momenta:
 
 Both nonlinear drivers, and the mechanics collocations with a dense Jacobian,
 run one Newton core (Armijo backtracking, at most ``NEWTON_MAX_ITER`` = 50
-iterations) with one stopping rule.  Any iterate, the start included, is
-accepted when the sup-norm of its residual is at or below its round-off floor
-(``_roundoff_floor``): 64 ulps of ||J||_inf, the largest row sum of |J| over
-every value the residual reads, times ||x||_inf of those values.  No Newton
-step on a fixed factorisation can reduce a residual below that level (Higham
-2002, ch. 12), and the floor scales with the data, so a start at the
+steps).  The sparse drivers keep an LU across steps: simplified Newton with a
+contraction monitor (Deuflhard 2004; the chord iteration of Kelley 2003).  A
+solve factors K at its start and keeps that LU while the contraction
+theta = ||dx_k+1||_inf / ||dx_k||_inf of its successive full steps stays at
+or below ``THETA_MAX`` = 1/4, so that each kept step still gains at least
+0.6 of a digit for the cost of a back-solve and a kernel residual.  When
+theta exceeds it, or the line search fails on a kept LU, the current iterate
+is factored afresh; only a line search that fails on a fresh LU raises.  A
+quadratic density is the theta = 0 case: its LU is the Jacobian at every
+iterate, so it is never refactored and takes no monitor work.  The
+collocations factor at every iterate (Newton's method).
+
+One stopping rule serves them all.  Any iterate, the start included, is
+accepted when the sup-norm of its residual is at or below its round-off
+floor (``_roundoff_floor``): 64 ulps of ||J||_inf, the largest row sum of |J|
+over every value the residual reads, times ||x||_inf of those values.  No
+Newton step on a fixed factorisation can reduce a residual below that level
+(Higham 2002, ch. 12), and the floor scales with the data, so a start at the
 solution is returned as it is and large data stop at round-off instead of
-stalling.  After at least one step an iterate is also accepted at or below
+stalling.  J is the K of the LU in use, which may have been taken at an
+earlier iterate: under the monitor the iterates stay close to it, a floor
+that is too low only stalls the steps, which then stop contracting and
+refactor, and the test of returned fields below takes K at the field.  A
+floor that is not finite (||J|| ||x|| overflows) raises :class:`SolverError`.
+After at least one step an iterate is also accepted at or below
 ``NEWTON_TOL`` = 1e-12; the start is not, since an absolute tolerance cannot
-tell small data from a solution.  So every solve factors at least once and
-reports the rcond of its last factorisation.
+tell small data from a solution.  So every solve reports the rcond of the LU
+it ended on, which may come from an earlier iterate or, for a solver that
+keeps its LU across solves (a quadratic density's, and the fd sweep of
+:func:`~mslab.msforms.hessian_symmetry`), from an earlier solve.
 
 Whether a given field solves its DEL equations is decided by the same
 level, in one place (``_check_solution``): every residual must be at or
@@ -70,7 +89,8 @@ at every node of the three stacked rows.  Each residual is then R @ values
 (equal to the kernel's to round-off, not bit for bit), R's columns at the
 unknowns are the Jacobian, and ||R||_inf is taken once, so the floor of an
 iterate costs one sup-norm of the values.  Other densities take kernel
-residuals, and K over every column, at each iterate.  Solutions of a
+residuals at each iterate, and K over every column at each factorisation.
+Solutions of a
 quadratic density scale with their data, to round-off.
 A non-finite Hessian raises :class:`SolverError` naming the function (and
 the row) it was built for.
@@ -126,6 +146,8 @@ from .lagrangian import LagrangianDensity, grad_Ld, triangle_kernel
 RCOND_FLOOR = 1e-12
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
+# A kept LU is refactored when its steps contract by less than this (_newton).
+THETA_MAX = 0.25
 # A residual within this many Newton stopping levels is a solution (_check_solution).
 SOLVED_MARGIN = 2.0
 # Held while onenormest draws from numpy's global RNG, until it is restored.
@@ -229,18 +251,33 @@ def _sparse_block(triplets, size: int, eqs, cols=None):
 # Newton core (shared by the row stepper, solve_bvp and the mechanics lane)
 
 
-def _newton(residual_fn, factor_fn, x0, max_iter, context: str):
-    """Damped Newton iteration on F(x) = 0 with Armijo backtracking.
+def _newton(residual_fn, factor_fn, x0, max_iter, context: str, factor=None,
+            exact: bool = False, theta_max: float = THETA_MAX):
+    """Damped Newton iteration on F(x) = 0 with Armijo backtracking, on a
+    kept factorisation under a contraction monitor.
 
-    ``factor_fn(x, context)`` returns a solver of the Jacobian at x (with
-    ``.solve``), its rcond and the round-off floor of F at x
-    (:func:`_roundoff_floor`).  Every iterate, the start included, is
-    accepted when the sup-norm of F is at or below its floor; an iterate
-    after at least one step also when it is at or below ``NEWTON_TOL``.  A
-    non-finite residual at the start raises :class:`SolverError`; at a trial
-    iterate it fails the Armijo test.  Returns (x, sup-norm of residual,
-    iterations, rcond of the last factorisation).  ``factor_fn`` is called,
-    and x returned, at the point of the last ``residual_fn`` call.
+    ``factor_fn(x, context)`` factors the Jacobian at x, the point of the
+    last ``residual_fn`` call, and returns (solver with ``.solve``, rcond,
+    floor), where ``floor(x)`` is the round-off floor of F at an iterate x
+    taken with that Jacobian (:func:`_roundoff_floor`).  ``factor`` is such a
+    triple to start from; without one the start is factored.
+
+    A factor is kept across steps (simplified Newton; Deuflhard 2004,
+    Kelley 2003) while the contraction theta = ||dx_k+1||_inf / ||dx_k||_inf
+    of successive full steps on it stays at or below ``theta_max``.  When
+    theta exceeds it, or the line search fails on a kept factor, the current
+    iterate is factored again and its step taken on that; only a failed line
+    search on a fresh factor raises.  ``theta_max`` = 0 factors at every
+    iterate: Newton's method.  An ``exact`` factor is the Jacobian at every
+    x (F is linear): it is never refactored and takes no monitor work.
+
+    Every iterate, the start included, is accepted when the sup-norm of F is
+    at or below its floor; an iterate after at least one step also when it
+    is at or below ``NEWTON_TOL``.  A non-finite floor, or a non-finite
+    residual at the start, raises :class:`SolverError`; a non-finite
+    residual at a trial iterate fails the Armijo test.  Returns (x, sup-norm
+    of residual, steps, the factor in use), x being the point of the last
+    ``residual_fn`` call.
     """
 
     def evaluate(x):  # F(x) and the merit |F|^2 / 2
@@ -255,26 +292,46 @@ def _newton(residual_fn, factor_fn, x0, max_iter, context: str):
     f, merit = evaluate(x)
     if not math.isfinite(merit):
         raise SolverError(f"{context}: non-finite residual at the start")
-    for iteration in range(max_iter + 1):
+    monitored = not exact and theta_max > 0.0
+    steps, fresh, last = 0, exact, math.inf  # last: ||step||_inf of the last step kept
+    while True:
         norm = float(np.abs(f).max(initial=0.0))
-        if iteration and norm <= NEWTON_TOL:
-            return x, norm, iteration, rcond
-        solver, rcond, floor = factor_fn(x, context)
-        if norm <= floor:
-            return x, norm, iteration, rcond
-        if iteration == max_iter:
+        if steps and norm <= NEWTON_TOL:
+            return x, norm, steps, factor
+        if factor is None:
+            factor, fresh, last = factor_fn(x, context), True, math.inf
+        solver, _, floor = factor
+        level = floor(x)
+        if not math.isfinite(level):
+            raise SolverError(f"{context}: round-off floor is not finite")
+        if norm <= level:
+            return x, norm, steps, factor
+        if steps == max_iter:
             raise SolverError(f"{context}: Newton did not converge "
                               f"(residual {norm:.3e} after {max_iter} iterations)")
         step = -solver.solve(f)
+        if monitored:
+            size = float(np.abs(step).max(initial=0.0))
+            if not (fresh or size <= theta_max * last):  # theta > theta_max, or NaN
+                factor = None
+                continue
         for t in (0.5 ** k for k in range(40)):
             x_try = x + t * step
             f_try, merit_try = evaluate(x_try)
             if merit_try <= merit - 1e-4 * t * 2.0 * merit:
                 break
         else:
+            if not fresh:  # a step on a kept factor need not descend
+                factor = None
+                continue
             raise SolverError(f"{context}: Armijo line search failed"
                               + ("" if np.isfinite(step).all() else " (non-finite step)"))
         x, f, merit = x_try, f_try, merit_try
+        steps += 1
+        if monitored:
+            fresh, last = False, size
+        elif not exact:
+            factor = None
 
 
 def _roundoff_floor(jac, x=1.0) -> float:
@@ -285,7 +342,8 @@ def _roundoff_floor(jac, x=1.0) -> float:
     # A CSC matrix's abs(J).sum(axis=1) summed as scipy sums it, without the sparse copy.
     rows = (np.bincount(jac.indices, np.abs(jac.data), jac.shape[0])
             if isinstance(jac, csc_matrix) else abs(jac).sum(axis=1))
-    return 64.0 * np.finfo(float).eps * float(np.max(rows)) * float(np.max(np.abs(x)))
+    # Python floats: a product that overflows is inf, without a numpy warning.
+    return 64.0 * float(np.finfo(float).eps) * float(np.max(rows)) * float(np.max(np.abs(x)))
 
 
 def _check_solution(residual, nodes, ncols: int, what: str, hessian, values) -> None:
@@ -398,23 +456,28 @@ def _hessian_operator(density: LagrangianDensity, values: np.ndarray, index, eqs
 
 
 def _del_newton(density: LagrangianDensity, values: np.ndarray, index, eqs, unknowns,
-                dt: float, dx: float, *, target=None):
+                dt: float, dx: float, *, target=None, keep: bool = False):
     """``solve(x0, max_iter, context)``: Newton on the DEL residuals (slot
     sums) of the triangles ``index`` at the flat nodes ``eqs`` of the
     C-contiguous work array ``values``, minus ``target`` (default zero), for
     the values at the flat nodes ``unknowns``, written in place (other nodes
     keep their value).  The Jacobian is K (:func:`_hessian_operator` at every
-    column) at the ``unknowns`` columns, and the round-off floor is that of
-    K and all of ``values`` (:func:`_roundoff_floor`).  Returns (residual
-    norm, iterations, rcond); ``values`` then holds the solution.
+    column) at the ``unknowns`` columns.  Its LU is kept under
+    :func:`_newton`'s contraction monitor, and the round-off floor of an
+    iterate is that of the kept K and all of ``values``
+    (:func:`_roundoff_floor`).  Each solve factors K at its start or, with
+    ``keep``, goes on from the LU its previous solve ended on.  Returns
+    (residual norm, steps, rcond of the LU in use); ``values`` then holds the
+    solution.
 
     For a quadratic density the residuals are R @ values - target for one
     operator R, K at any values; R, the LU of its columns at ``unknowns``
     and its floor per unit of ||values||_inf are made on the first solve and
-    kept.  Other densities take kernel residuals and K at every iterate.
+    kept for every solve, exact at every iterate.  Other densities take
+    kernel residuals.
     """
     linear = density.is_quadratic
-    operator = kept = unit_floor = None
+    operator = kept = None
     work = values.reshape(-1)  # a view of ``values``
 
     def residual(x):
@@ -424,20 +487,24 @@ def _del_newton(density: LagrangianDensity, values: np.ndarray, index, eqs, unkn
         return f if target is None else f - target
 
     def factor(x, context):  # ``work`` holds x, where the last residual was taken
-        if linear:
-            # BLAS idamax finds the largest |value| without a temporary array.
-            return (*kept, unit_floor * abs(work[idamax(work)]))
+        nonlocal operator
         k = _hessian_operator(density, values, index, eqs, dt, dx, context)
-        return (*_factor_and_rcond(k[:, unknowns], context), _roundoff_floor(k, work))
+        if linear:
+            operator = k
+        unit_floor = _roundoff_floor(k)
+        # BLAS idamax finds the largest |value| without a temporary array.
+        return (*_factor_and_rcond(k[:, unknowns], context),
+                lambda x: unit_floor * abs(float(work[idamax(work)])))
 
     def solve(x0, max_iter, context):
-        nonlocal operator, kept, unit_floor
+        nonlocal kept
         if linear and kept is None:
-            operator = _hessian_operator(density, values, index, eqs, dt, dx, context)
-            kept = _factor_and_rcond(operator[:, unknowns], context)
-            unit_floor = _roundoff_floor(operator)
+            kept = factor(x0, context)  # R is needed by the first residual
         # ``values`` is left at the returned x, where the last residual was taken.
-        return _newton(residual, factor, x0, max_iter, context)[1:]
+        _, norm, steps, used = _newton(residual, factor, x0, max_iter, context, kept, linear)
+        if keep:
+            kept = used
+        return norm, steps, used[1]
 
     return solve
 
@@ -454,7 +521,8 @@ def _row_stepper(density: LagrangianDensity, mesh: QuadMesh, closure: Closure, *
     The closure, triangle indices and column sets are built once.  A
     quadratic density's row operator and row Jacobian (the same for every
     row) are built, and the Jacobian factored with its rcond check, once on
-    first use.
+    first use.  Another density's row Jacobian is factored at each row's
+    start guess and kept for that row's steps under the contraction monitor.
     """
     closure = parse_closure(closure)
     periodic = isinstance(closure, PeriodicClosure)
@@ -521,7 +589,12 @@ def propagate(density: LagrangianDensity, mesh: QuadMesh, row0, row1,
 
 @dataclass(frozen=True)
 class BvpSolveReport:
-    """Result of a DEL boundary-value solve."""
+    """Result of a DEL boundary-value solve.
+
+    ``iterations`` counts Newton steps; ``rcond`` is the condition indicator
+    of the LU the solve ended on, which may have been taken at an earlier
+    iterate (see the module docstring).
+    """
 
     field: DiscreteField
     region: Region
@@ -537,7 +610,8 @@ def solve_bvp(density: LagrangianDensity, mesh: QuadMesh, boundary: BoundaryData
     Unknowns are the strict interior nodes of ``boundary.region``; equations
     are the DEL residuals there.  Nodes outside the region keep the value of
     ``initial`` (zero by default).  Returns the filled field together with
-    the final residual norm, Newton iteration count and condition indicator.
+    the final residual norm, Newton step count and the condition indicator
+    of the LU it ended on.
 
     Newton stops at the round-off floor of the residual, or at
     ``NEWTON_TOL`` after a step (see the module docstring), so a start at

@@ -326,7 +326,9 @@ def type2_data_from_field(density: LagrangianDensity, field: DiscreteField,
 
 @dataclass(frozen=True)
 class BoundaryHamiltonianResult:
-    """Type-II value, the mixed-problem solution and the condition indicator."""
+    """Type-II value, the mixed-problem solution and the condition indicator
+    of the LU its solve ended on, which may have been taken at an earlier
+    iterate (a nonlinear density's kept LU; see :mod:`~mslab.delsolve`)."""
 
     value: float
     field: DiscreteField

@@ -193,8 +193,8 @@ def _jacobian(residual_fn, x: np.ndarray) -> np.ndarray:
 
 def _newton_dense(residual_fn, x0, context: str) -> np.ndarray:
     """:func:`~mslab.delsolve._newton`, with its stopping rule, on a vector
-    residual (a scalar for one unknown), with the dual-number Jacobian solved
-    densely."""
+    residual (a scalar for one unknown), with the dual-number Jacobian taken
+    and solved densely at every iterate (Newton's method)."""
 
     def factor(x, context):
         jac = _jacobian(residual_fn, x)
@@ -207,10 +207,10 @@ def _newton_dense(residual_fn, x0, context: str) -> np.ndarray:
 
         # Accept an iterate at the round-off floor even when the absolute
         # tolerance is tighter than the floor.
-        return SimpleNamespace(solve=solve), None, _roundoff_floor(jac, x)
+        return SimpleNamespace(solve=solve), None, lambda x: _roundoff_floor(jac, x)
 
     return _newton(lambda x: np.atleast_1d(residual_fn(x)), factor,
-                   x0, NEWTON_MAX_ITER, context)[0]
+                   x0, NEWTON_MAX_ITER, context, theta_max=0.0)[0]
 
 
 def _check_step(lagr: MechLagrangian, h: float) -> None:

@@ -37,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .delsolve import (_check_solution, _factor_and_rcond, _hessian_operator, _sparse_block,
-                       solve_bvp)
+from .delsolve import (NEWTON_MAX_ITER, _check_solution, _del_newton, _factor_and_rcond,
+                       _hessian_operator, _sparse_block, solve_bvp)
 from .jetmesh import (BoundaryData, DiscreteField, Patch3Region, QuadMesh,
                       Region, boundary_nodes, check_region_fits, interior_index,
                       node_index, region_index)
@@ -256,9 +256,12 @@ def hessian_symmetry(density: LagrangianDensity, mesh: QuadMesh,
     K is the same everywhere and needs no solve.  ``fd`` recovers the
     same matrix by central differences of the boundary momenta around the
     given data, which probes the nonlinear solve path; each perturbed solve
-    starts from the solution for the given data.  The step 1e-4 keeps both
-    the O(step^2) truncation error and the Newton tolerance 1e-12 divided by
-    the step near 1e-8.  Either way the matrix
+    starts from the solution for the given data.  All 2 * nb of them run on
+    one solver, which factors K at the start of the first and keeps that LU
+    for the others while their steps contract (the monitor of
+    :mod:`~mslab.delsolve`), so the sweep factors once, not once per solve.
+    The step 1e-4 keeps both the O(step^2) truncation error and the Newton
+    tolerance 1e-12 divided by the step near 1e-8.  Either way the matrix
     is the mixed-partials matrix of a single scalar function, so its
     asymmetry measures only numerical error.
     """
@@ -290,12 +293,21 @@ def hessian_symmetry(density: LagrangianDensity, mesh: QuadMesh,
                 h[:, cols] -= k_bi @ lu.solve(k_bi[cols].T.toarray())
     else:
         fd_step = 1e-4
+        ncols = mesh.nx + 1
+        inner, flat = interior_index(region, ncols), node_index(bnodes, ncols)
+        work, start = base.values.copy(), base.values.ravel()[inner]
+        solve = _del_newton(density, work, region_index(region, ncols), inner, inner,
+                            mesh.dt, mesh.dx, keep=True)
+
+        def momenta(a, step):  # of the solution for the data moved by step at node a
+            work.flat[flat[a]] = boundary.values[a] + step
+            solve(start, NEWTON_MAX_ITER, "hessian_symmetry")
+            return normal_momenta(density, DiscreteField(mesh, work), region).values
+
         h = np.zeros((nb, nb))
         for a in range(nb):
-            plus, minus = (normal_momenta(density, solve_bvp(
-                density, mesh, boundary.perturbed(a, step), initial=base).field, region).values
-                for step in (fd_step, -fd_step))
-            h[a, :] = (plus - minus) / (2.0 * fd_step)
+            h[a, :] = (momenta(a, fd_step) - momenta(a, -fd_step)) / (2.0 * fd_step)
+            work.flat[flat[a]] = boundary.values[a]
 
     asym = float(np.max(np.abs(h - h.T))) if h.size else 0.0
     return SymmetryReport(max_asymmetry=asym, hessian=h, method=method,

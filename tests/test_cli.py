@@ -6,6 +6,8 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
+import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -315,6 +317,41 @@ class TestExitConfig:
         assert err.startswith("mslab: config error: ") and err.count("\n") == 1
 
 
+class TestWorkCap:
+    # A config once asked for unbounded work: the ladder below raised
+    # MemoryError out of main, and a 1e-300 step ran for minutes.
+    @pytest.mark.parametrize("command, payload, key", [
+        ("boundary-lagrangian",
+         {"problem": "wave_square", "nx_ladder": [2, 4], "time_step_ratio": 1e-300},
+         "nx_ladder"),
+        ("mechanics", dict(MECH_CONFIG, h_ladder=[0.4, 0.2, 1e-300]), "h_ladder"),
+        ("msff-check", {"mesh": {"dt": 0.1, "dx": 0.1, "nt": 10 ** 9, "nx": 10 ** 9}},
+         "mesh"),
+        ("bridges-check", {"mode": "conservation",
+                           "mesh": {"dt": 1e-9, "dx": 0.1, "nt": 10 ** 9, "nx": 8}}, "mesh"),
+    ], ids=["square-ladder", "mechanics-ladder", "msff-mesh", "bridges-mesh"])
+    def test_work_beyond_the_cap_is_a_config_error(self, tmp_path, capsys, command,
+                                                    payload, key):
+        cfg = write_config(tmp_path, "c.json", payload)
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            code = main([command, "--config", cfg])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1.0
+        assert peak < 1 << 20  # no mesh-sized array was made
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"mslab: config error: {key!r} asks for ") and err.count("\n") == 1
+
+    def test_cap_is_inclusive(self):
+        mslab.cli._check_work(mslab.cli.MAX_WORK, "mesh")
+        with pytest.raises(mslab.cli.ConfigError, match="more than the cap of 100000$"):
+            mslab.cli._check_work(mslab.cli.MAX_WORK + 1, "mesh")
+
+
 def _boolean_keys(obj, key=None):
     """The config keys that hold a boolean, directly or in a list."""
     if isinstance(obj, bool):
@@ -395,19 +432,22 @@ class TestOverflowingData:
         # exit 0 or exit 3 (the Jacobian's norms); now it is one error line.
         ("msff-check", {"mesh": {"dt": 1e-154, "dx": 0.2, "nt": 2, "nx": 2},
                         "amplitude": 1e154},
-         EXIT_SOLVER, "floating-point error: overflow encountered in multiply"),
+         EXIT_SOLVER,
+         "floating-point error in msforms._region_patch_terms: overflow encountered in multiply"),
         ("bridges-check", {"mode": "conservation",
                            "mesh": {"dt": 0.3, "dx": 1e308, "nt": 2, "nx": 2}},
-         EXIT_SOLVER, "floating-point error: overflow encountered in multiply"),
+         EXIT_SOLVER,
+         "floating-point error in delsolve._factor_and_rcond: overflow encountered in multiply"),
         ("bridges-check", {"mode": "bvp-singularity", "amplitude": 5e-324,
                            "mesh": {"dt": 1.0, "dx": 1e308, "nt": 5, "nx": 3}},
-         EXIT_SOLVER, "floating-point error: overflow encountered in reduceat"),
+         EXIT_SOLVER,
+         "floating-point error in delsolve._factor_and_rcond: overflow encountered in reduceat"),
         # The order study once overflowed into a traceback (a float power),
         # warnings, or a report of infinite errors.
         ("mechanics", dict(MECH_CONFIG, problem="free", h_ladder=[1.0, 0.5, 1e308]),
-         EXIT_SOLVER, "floating-point error: "),
+         EXIT_SOLVER, "floating-point error in mechanics.FreeParticle.exact_ld: "),
         ("mechanics", dict(MECH_CONFIG, problem="free", z0=[1e308, 0.0]),
-         EXIT_SOLVER, "floating-point error: overflow encountered in add"),
+         EXIT_SOLVER, "floating-point error in dual.Dual.__add__: overflow encountered in add"),
         ("mechanics", dict(MECH_CONFIG, rule="rectangle", z0=[1e154, 1e154],
                            h_ladder=[0.4, 0.2, 0.1]),
          EXIT_SOLVER, "order study: an error is not finite"),

@@ -1,5 +1,7 @@
 import copy
 import math
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -244,20 +246,29 @@ class TestRowFactorisation:
     def test_quartic_run_factors_every_newton_iteration(self, monkeypatch, closure):
         mesh = build_mesh(dt=0.05, dx=0.1, nt=6, nx=9)
         row0, row1 = _rows(mesh, 22, closure)
-        iterations = []
+        iterations, refactors = [], []
         newton = delsolve_module._newton
 
-        def recorded(*args):
-            out = newton(*args)
+        def recorded(residual_fn, factor_fn, x0, *args):
+            factored = []
+
+            def factor(x, context):
+                factored.append(np.array(x))
+                return factor_fn(x, context)
+
+            out = newton(residual_fn, factor, x0, *args)
+            assert np.array_equal(factored[0], x0)  # each row factors at its start
             iterations.append(out[2])
+            refactors.append(len(factored) - 1)
             return out
 
         monkeypatch.setattr("mslab.delsolve._newton", recorded)
         calls = _count_splu(monkeypatch)
         propagate(quartic_test_density(0.8), mesh, row0, row1, closure)
-        # One LU per Newton step; a row that needs none factors once for rcond.
+        # One LU per row, at its start guess, plus one per refactor of the
+        # contraction monitor; at least one row takes several steps on one LU.
         assert len(iterations) == mesh.nt - 1
-        assert len(calls) == sum(max(k, 1) for k in iterations) > mesh.nt - 1
+        assert len(calls) == mesh.nt - 1 + sum(refactors) < sum(iterations)
 
     @pytest.mark.parametrize("closure", CLOSURES)
     @pytest.mark.parametrize("density", STEP_DENSITIES)
@@ -606,8 +617,98 @@ class TestNewtonCore:
 
         with pytest.raises(SolverError, match=r"probe: .* \(non-finite step\)"):
             delsolve_module._newton(lambda x: x - 1.0,
-                                    lambda x, context: (Overflowing(), 1.0, 0.0),
+                                    lambda x, context: (Overflowing(), 1.0, lambda x: 0.0),
                                     np.zeros(2), 5, "probe")
+
+    def test_non_finite_floor_is_a_solver_error(self):
+        # ||J||_inf is about 1e154 (the time couplings dx/dt) and ||x||_inf
+        # 1e300 (an end of the current row, coupled only in space), so 64
+        # ulps of their product overflow.  The start guess, row 2 = 0, was
+        # once accepted at that infinite floor, after a numpy overflow warning.
+        mesh = build_mesh(dt=1e-154, dx=1.0, nt=2, nx=3)
+        row = [1e300, 0.0, 0.0, 0.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError,
+                               match=r"^step_row \(row 2\): round-off floor is not finite$"):
+                propagate(HarmonicDirichlet, mesh, row, row, FixedClosure(0.0, 0.0))
+
+
+def _stand_in_factor(inverses, factored):
+    """``factor_fn`` of :func:`_newton` whose k-th factor solves with the
+    k-th matrix of ``inverses``, at a zero floor; records where it factors."""
+
+    def factor(x, context):
+        inverse = inverses[len(factored)]
+        factored.append(np.array(x))
+        return SimpleNamespace(solve=lambda b: inverse @ b), 1.0, lambda x: 0.0
+
+    return factor
+
+
+class TestKeptFactor:
+    def test_fd_hessian_sweep_factors_twice(self, monkeypatch):
+        # One LU for the base solve and one, at the base solution, for all
+        # 2 * 16 perturbed solves; each solve once factored afresh (36 LUs).
+        mesh = build_mesh(dt=0.125, dx=0.25, nt=4, nx=4)
+        reg = RectRegion(0, 0, 4, 4)
+        data = BoundaryData(reg, 0.1 * np.random.default_rng(3).standard_normal(16))
+        calls = _count_splu(monkeypatch)
+        rep = hessian_symmetry(quartic_test_density(1.0), mesh, data, method="fd")
+        assert len(calls) == 2
+        assert rep.max_asymmetry <= 1e-10
+
+    def test_kept_factor_that_stops_contracting_is_refactored(self):
+        # F(x) = x^3 - 8 from x = 1.  The first step, on J(1) = 3, is halved by
+        # the line search; the next step on that LU contracts by about 0.31 >
+        # THETA_MAX, so the iterate is factored again and the solve goes on.
+        factored, sizes = [], []
+
+        def factor(x, context):
+            jac = 3.0 * x[0] ** 2
+            factored.append(float(x[0]))
+            return (SimpleNamespace(solve=lambda b: sizes.append(abs(b[0] / jac)) or b / jac),
+                    1.0, lambda x: 0.0)
+
+        x, norm, steps, _ = delsolve_module._newton(lambda x: x ** 3 - 8.0, factor,
+                                                    np.ones(1), 50, "probe")
+        assert abs(x[0] - 2.0) <= 1e-12 and norm <= delsolve_module.NEWTON_TOL
+        assert factored == [1.0, 1.0 + 0.5 * 7.0 / 3.0]
+        assert sizes[1] > delsolve_module.THETA_MAX * sizes[0]  # the step not taken
+        assert len(factored) < steps
+
+    def test_line_search_failure_on_a_kept_factor_refactors(self):
+        # F(x) = x from (1, 0.1).  The first factor solves with diag(1, -1): a
+        # descent step from the start to (0, 0.2), where its next step
+        # contracts by 0.2 <= THETA_MAX but ascends.  The line search fails on
+        # that kept factor, so (0, 0.2) is factored again (exactly) and solved.
+        factored = []
+        factor = _stand_in_factor([np.diag([1.0, -1.0]), np.eye(2)], factored)
+        x, norm, steps, _ = delsolve_module._newton(lambda x: x, factor,
+                                                    np.array([1.0, 0.1]), 5, "probe")
+        assert norm == 0.0 and steps == 2
+        assert np.array_equal(factored[1], [0.0, 0.2])
+
+    def test_line_search_failure_on_a_fresh_factor_raises(self):
+        factor = _stand_in_factor([-np.eye(2)], [])
+        with pytest.raises(SolverError, match="^probe: Armijo line search failed$"):
+            delsolve_module._newton(lambda x: x, factor, np.array([1.0, 0.1]), 5, "probe")
+
+    def test_large_quartic_solve_keeps_its_lu(self, monkeypatch):
+        n = 40
+        mesh = build_mesh(dt=0.5 / n, dx=1.0 / n, nt=n, nx=n)
+        reg = RectRegion(0, 0, n, n)
+        data = np.random.default_rng(0).standard_normal(len(boundary_nodes(reg)))
+        density = quartic_test_density(1.0)
+        calls = _count_splu(monkeypatch)
+        report = solve_bvp(density, mesh, BoundaryData(reg, data))
+        assert len(calls) < report.iterations
+        values = report.field.values
+        index, inner = region_index(reg, n + 1), interior_index(reg, n + 1)
+        residual = triangle_kernel(density, values, index, mesh.dt, mesh.dx).residual[inner]
+        delsolve_module._check_solution(
+            residual, inner, n + 1, "probe", lambda: delsolve_module._hessian_operator(
+                density, values, index, inner, mesh.dt, mesh.dx, "probe"), values)
 
 
 def _estimated_problem(n=24):

@@ -1,4 +1,4 @@
-"""Print three facts about a checkout of mslab, for comparing two commits.
+"""Print four facts about a checkout of mslab, for comparing two commits.
 
 1. The code-only line count of every Python file under ``src/``: the lines
    that hold a token other than a comment, with blank lines and docstrings
@@ -13,6 +13,12 @@
    with its ``metadata`` block cut out of the text, and of each file written
    (a JSON report also without ``metadata``).  Equal lines mean byte-identical
    runs apart from the timestamp.
+4. For every check of item 2, the solver work it did: its sparse LU
+   factorisations (``splu`` calls), its Hessian operator builds
+   (``_hessian_operator`` calls) and its Newton steps summed over its solves
+   (``_newton`` returns).  Every binding of those names in the ``mslab``
+   modules is wrapped in-process while the checks run; the counts are
+   deterministic, so two checkouts can be compared line by line.
 
 Usage::
 
@@ -35,7 +41,7 @@ import re
 import sys
 import tempfile
 import tokenize
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
 
 SEEDS = (3, 17)
@@ -117,17 +123,66 @@ def print_cli_hashes() -> None:
                     print(f"{name} seed {seed} file {file.name} {_sha(text)}")
 
 
-def print_results_hashes() -> None:
+@contextmanager
+def solver_counts():
+    """A dict of running counts, ``lu``, ``K`` and ``newton_steps``, kept
+    while every ``mslab`` binding of ``splu``, ``_hessian_operator`` and
+    ``_newton`` is wrapped; the bindings are restored on exit."""
+    import mslab.delsolve as delsolve
+
+    counts = dict.fromkeys(("lu", "K", "newton_steps"), 0)
+
+    def counted(fn, key, add):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            counts[key] += add(out)
+            return out
+        return wrapper
+
+    wrappers = {name: counted(getattr(delsolve, name), key, add) for name, key, add in (
+        ("splu", "lu", lambda out: 1), ("_hessian_operator", "K", lambda out: 1),
+        ("_newton", "newton_steps", lambda out: out[2]))}
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "mslab"]
+    saved = [(m, name, getattr(m, name)) for m in modules for name in wrappers
+             if getattr(m, name, None) is getattr(delsolve, name)]
+    try:
+        for m, name, _ in saved:
+            setattr(m, name, wrappers[name])
+        yield counts
+    finally:
+        for m, name, fn in saved:
+            setattr(m, name, fn)
+
+
+def run_checks() -> list:
+    """(workload, seed, check name, sha256 of ``results_key``, solver counts)
+    for every check, each run once."""
+    import mslab.cli  # noqa: F401  (every mslab module, so each binding is wrapped)
     import workloads
 
-    print("# sha256 of workloads.results_key, per check")
+    rows = []
     for workload in workloads.WORKLOADS:
         for seed in SEEDS:
             with tempfile.TemporaryDirectory() as tmp:
                 for check in workloads.build(workload, seed, Path(tmp)):
-                    key = workloads.results_key(check.run().results)
-                    digest = hashlib.sha256(key.encode()).hexdigest()
-                    print(f"{workload} seed {seed} {check.name} {digest}")
+                    with solver_counts() as counts:
+                        key = workloads.results_key(check.run().results)
+                    rows.append((workload, seed, check.name,
+                                 hashlib.sha256(key.encode()).hexdigest(), counts))
+    return rows
+
+
+def print_results_hashes(rows) -> None:
+    print("# sha256 of workloads.results_key, per check")
+    for workload, seed, name, digest, _ in rows:
+        print(f"{workload} seed {seed} {name} {digest}")
+
+
+def print_solver_counts(rows) -> None:
+    print("# solver work per check: splu factorisations, K builds, Newton steps")
+    for workload, seed, name, _, counts in rows:
+        print(f"{workload} seed {seed} {name} lu {counts['lu']} K {counts['K']} "
+              f"newton_steps {counts['newton_steps']}")
 
 
 def main(argv=None) -> int:
@@ -138,8 +193,10 @@ def main(argv=None) -> int:
     root = args.root.resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     print_line_counts(root)
-    print_results_hashes()
+    rows = run_checks()
+    print_results_hashes(rows)
     print_cli_hashes()
+    print_solver_counts(rows)
     return 0
 
 
