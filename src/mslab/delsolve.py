@@ -40,17 +40,21 @@ minus prescribed momenta:
 
 Both nonlinear drivers, and the mechanics collocations with a dense Jacobian,
 run one Newton core (Armijo backtracking, at most ``NEWTON_MAX_ITER`` = 50
-steps).  The sparse drivers keep an LU across steps: simplified Newton with a
-contraction monitor (Deuflhard 2004; the chord iteration of Kelley 2003).  A
-solve factors K at its start and keeps that LU while the contraction
-theta = ||dx_k+1||_inf / ||dx_k||_inf of its successive full steps stays at
-or below ``THETA_MAX`` = 1/4, so that each kept step still gains at least
+steps).  Every sparse solver has one policy: it goes on from the LU its last
+solve ended on, under a contraction monitor (simplified Newton; Deuflhard
+2004, and the chord iteration of Kelley 2003).  A solver factors K at the
+start of its first solve and keeps that LU, across steps and across solves
+(the rows of a :func:`propagate` run, the fd sweep of
+:func:`~mslab.msforms.hessian_symmetry`), while the contraction
+theta = ||dx_k+1||_inf / ||dx_k||_inf of successive full steps on it stays
+at or below ``THETA_MAX`` = 1/4, so that each kept step still gains at least
 0.6 of a digit for the cost of a back-solve and a kernel residual.  When
 theta exceeds it, or the line search fails on a kept LU, the current iterate
 is factored afresh; only a line search that fails on a fresh LU raises.  A
 quadratic density is the theta = 0 case: its LU is the Jacobian at every
-iterate, so it is never refactored and takes no monitor work.  The
-collocations factor at every iterate (Newton's method).
+iterate, so one step lands on the solution to round-off and the monitor
+keeps the LU, and a solve that ends after one step takes no sup-norm for the
+monitor.  The collocations factor at every iterate (Newton's method).
 
 One stopping rule serves them all.  Any iterate, the start included, is
 accepted when the sup-norm of its residual is at or below its round-off
@@ -67,9 +71,8 @@ floor that is not finite (||J|| ||x|| overflows) raises :class:`SolverError`.
 After at least one step an iterate is also accepted at or below
 ``NEWTON_TOL`` = 1e-12; the start is not, since an absolute tolerance cannot
 tell small data from a solution.  So every solve reports the rcond of the LU
-it ended on, which may come from an earlier iterate or, for a solver that
-keeps its LU across solves (a quadratic density's, and the fd sweep of
-:func:`~mslab.msforms.hessian_symmetry`), from an earlier solve.
+it ended on, which may come from an earlier iterate or an earlier solve of
+the same solver.
 
 Whether a given field solves its DEL equations is decided by the same
 level, in one place (``_check_solution``): every residual must be at or
@@ -251,25 +254,33 @@ def _sparse_block(triplets, size: int, eqs, cols=None):
 # Newton core (shared by the row stepper, solve_bvp and the mechanics lane)
 
 
-def _newton(residual_fn, factor_fn, x0, max_iter, context: str, factor=None,
-            exact: bool = False, theta_max: float = THETA_MAX):
+def _newton(residual_fn, factor_fn, x0, context: str, factor=None,
+            theta_max: float = THETA_MAX):
     """Damped Newton iteration on F(x) = 0 with Armijo backtracking, on a
-    kept factorisation under a contraction monitor.
+    kept factorisation under a contraction monitor, for at most
+    ``NEWTON_MAX_ITER`` steps.
 
     ``factor_fn(x, context)`` factors the Jacobian at x, the point of the
     last ``residual_fn`` call, and returns (solver with ``.solve``, rcond,
     floor), where ``floor(x)`` is the round-off floor of F at an iterate x
     taken with that Jacobian (:func:`_roundoff_floor`).  ``factor`` is such a
-    triple to start from; without one the start is factored.
+    triple to go on from, as a solver's last solve left it; without one the
+    start is factored.
 
     A factor is kept across steps (simplified Newton; Deuflhard 2004,
     Kelley 2003) while the contraction theta = ||dx_k+1||_inf / ||dx_k||_inf
     of successive full steps on it stays at or below ``theta_max``.  When
-    theta exceeds it, or the line search fails on a kept factor, the current
-    iterate is factored again and its step taken on that; only a failed line
-    search on a fresh factor raises.  ``theta_max`` = 0 factors at every
-    iterate: Newton's method.  An ``exact`` factor is the Jacobian at every
-    x (F is linear): it is never refactored and takes no monitor work.
+    theta exceeds it, or the line search fails on a factor not taken at the
+    current iterate, the current iterate is factored again and its step
+    taken on that; only a failed line search on a fresh factor raises.  The
+    two sup-norms are taken only when a second step is taken on one factor,
+    so a solve that ends after one step does no monitor work.  A factor of a
+    linear F is its Jacobian everywhere: theta is 0 up to round-off, and the
+    factor is kept.  ``theta_max`` = 0 refactors at every iterate: Newton's
+    method.  The mechanics collocations take it: under the monitor the
+    pendulum's golden values moved (its discrete Lagrangian by 1 ulp, its
+    Hamiltonian by 6 and its type-I map momentum by about 1.2e-13), though
+    the harmonic ones stayed bit-identical.
 
     Every iterate, the start included, is accepted when the sup-norm of F is
     at or below its floor; an iterate after at least one step also when it
@@ -292,29 +303,27 @@ def _newton(residual_fn, factor_fn, x0, max_iter, context: str, factor=None,
     f, merit = evaluate(x)
     if not math.isfinite(merit):
         raise SolverError(f"{context}: non-finite residual at the start")
-    monitored = not exact and theta_max > 0.0
-    steps, fresh, last = 0, exact, math.inf  # last: ||step||_inf of the last step kept
+    steps, fresh, last = 0, False, None  # last: the last full step on this factor
     while True:
         norm = float(np.abs(f).max(initial=0.0))
         if steps and norm <= NEWTON_TOL:
             return x, norm, steps, factor
         if factor is None:
-            factor, fresh, last = factor_fn(x, context), True, math.inf
+            factor, fresh, last = factor_fn(x, context), True, None
         solver, _, floor = factor
         level = floor(x)
         if not math.isfinite(level):
             raise SolverError(f"{context}: round-off floor is not finite")
         if norm <= level:
             return x, norm, steps, factor
-        if steps == max_iter:
+        if steps == NEWTON_MAX_ITER:
             raise SolverError(f"{context}: Newton did not converge "
-                              f"(residual {norm:.3e} after {max_iter} iterations)")
+                              f"(residual {norm:.3e} after {steps} iterations)")
         step = -solver.solve(f)
-        if monitored:
-            size = float(np.abs(step).max(initial=0.0))
-            if not (fresh or size <= theta_max * last):  # theta > theta_max, or NaN
-                factor = None
-                continue
+        if last is not None and not (np.abs(step).max(initial=0.0)
+                                     <= theta_max * np.abs(last).max(initial=0.0)):
+            factor = None  # theta > theta_max, or NaN: refactor here
+            continue
         for t in (0.5 ** k for k in range(40)):
             x_try = x + t * step
             f_try, merit_try = evaluate(x_try)
@@ -327,11 +336,7 @@ def _newton(residual_fn, factor_fn, x0, max_iter, context: str, factor=None,
             raise SolverError(f"{context}: Armijo line search failed"
                               + ("" if np.isfinite(step).all() else " (non-finite step)"))
         x, f, merit = x_try, f_try, merit_try
-        steps += 1
-        if monitored:
-            fresh, last = False, size
-        elif not exact:
-            factor = None
+        steps, fresh, last = steps + 1, False, step
 
 
 def _roundoff_floor(jac, x=1.0) -> float:
@@ -413,7 +418,8 @@ def _factor_and_rcond(jac: csc_matrix, context: str):
     col_sums = np.zeros(n)
     col_sums[filled] = np.add.reduceat(np.abs(jac.data), jac.indptr[filled])
     # 8 ulps of slack: a tie (|J_jj| = the rest of its column) may round either way.
-    if not np.any(2.0 * np.abs(jac.diagonal()) < (1.0 - 8 * np.finfo(float).eps) * col_sums):
+    # Halving the sums, not doubling |J_jj|, is exact and cannot overflow.
+    if not np.any(np.abs(jac.diagonal()) < 0.5 * (1.0 - 8 * np.finfo(float).eps) * col_sums):
         # Threshold 1 still pivots partially; SuperLU takes the diagonal on ties.
         order = {"permc_spec": "MMD_AT_PLUS_A", "options": {"SymmetricMode": True}}
     else:
@@ -456,25 +462,23 @@ def _hessian_operator(density: LagrangianDensity, values: np.ndarray, index, eqs
 
 
 def _del_newton(density: LagrangianDensity, values: np.ndarray, index, eqs, unknowns,
-                dt: float, dx: float, *, target=None, keep: bool = False):
-    """``solve(x0, max_iter, context)``: Newton on the DEL residuals (slot
-    sums) of the triangles ``index`` at the flat nodes ``eqs`` of the
-    C-contiguous work array ``values``, minus ``target`` (default zero), for
-    the values at the flat nodes ``unknowns``, written in place (other nodes
-    keep their value).  The Jacobian is K (:func:`_hessian_operator` at every
-    column) at the ``unknowns`` columns.  Its LU is kept under
-    :func:`_newton`'s contraction monitor, and the round-off floor of an
+                dt: float, dx: float, *, target=None):
+    """``solve(x0, context)``: Newton on the DEL residuals (slot sums) of the
+    triangles ``index`` at the flat nodes ``eqs`` of the C-contiguous work
+    array ``values``, minus ``target`` (default zero), for the values at the
+    flat nodes ``unknowns``, written in place (other nodes keep their
+    value).  The Jacobian is K (:func:`_hessian_operator` at every column)
+    at the ``unknowns`` columns.  The first solve factors K at its start;
+    every later solve goes on from the LU the one before it ended on, under
+    :func:`_newton`'s contraction monitor.  The round-off floor of an
     iterate is that of the kept K and all of ``values``
-    (:func:`_roundoff_floor`).  Each solve factors K at its start or, with
-    ``keep``, goes on from the LU its previous solve ended on.  Returns
-    (residual norm, steps, rcond of the LU in use); ``values`` then holds the
-    solution.
+    (:func:`_roundoff_floor`).  Returns (residual norm, steps, rcond of the
+    LU in use); ``values`` then holds the solution.
 
     For a quadratic density the residuals are R @ values - target for one
-    operator R, K at any values; R, the LU of its columns at ``unknowns``
-    and its floor per unit of ||values||_inf are made on the first solve and
-    kept for every solve, exact at every iterate.  Other densities take
-    kernel residuals.
+    operator R, K at any values, made with the first LU; that LU is the
+    Jacobian at every iterate, so the monitor keeps it.  Other
+    densities take kernel residuals.
     """
     linear = density.is_quadratic
     operator = kept = None
@@ -496,15 +500,13 @@ def _del_newton(density: LagrangianDensity, values: np.ndarray, index, eqs, unkn
         return (*_factor_and_rcond(k[:, unknowns], context),
                 lambda x: unit_floor * abs(float(work[idamax(work)])))
 
-    def solve(x0, max_iter, context):
+    def solve(x0, context):
         nonlocal kept
         if linear and kept is None:
             kept = factor(x0, context)  # R is needed by the first residual
         # ``values`` is left at the returned x, where the last residual was taken.
-        _, norm, steps, used = _newton(residual, factor, x0, max_iter, context, kept, linear)
-        if keep:
-            kept = used
-        return norm, steps, used[1]
+        _, norm, steps, kept = _newton(residual, factor, x0, context, kept)
+        return norm, steps, kept[1]
 
     return solve
 
@@ -513,16 +515,15 @@ def _del_newton(density: LagrangianDensity, values: np.ndarray, index, eqs, unkn
 # Time stepping
 
 
-def _row_stepper(density: LagrangianDensity, mesh: QuadMesh, closure: Closure, *,
-                 max_iter: int = NEWTON_MAX_ITER):
-    """``step(u_prev, u_curr, row_index)``: :func:`step_row` for a whole run,
-    with at most ``max_iter`` Newton iterations per row.
+def _row_stepper(density: LagrangianDensity, mesh: QuadMesh, closure: Closure):
+    """``step(u_prev, u_curr, row_index)``: :func:`step_row` for a whole run.
 
-    The closure, triangle indices and column sets are built once.  A
-    quadratic density's row operator and row Jacobian (the same for every
-    row) are built, and the Jacobian factored with its rcond check, once on
-    first use.  Another density's row Jacobian is factored at each row's
-    start guess and kept for that row's steps under the contraction monitor.
+    The closure, triangle indices and column sets are built once, and the
+    rows are solved by one :func:`_del_newton` solver: its row Jacobian is
+    factored, with its rcond check, at the first row's start guess, and each
+    row goes on from the LU the row before it ended on.  A quadratic
+    density's row operator and LU serve every row; another density's LU is
+    refactored only when the contraction monitor asks for it.
     """
     closure = parse_closure(closure)
     periodic = isinstance(closure, PeriodicClosure)
@@ -549,7 +550,7 @@ def _row_stepper(density: LagrangianDensity, mesh: QuadMesh, closure: Closure, *
         if len(columns):
             with np.errstate(all="ignore"):  # _newton reports a non-finite start
                 guess = (2.0 * u_curr - u_prev)[columns]
-            solve(guess, max_iter, f"step_row (row {row_index})")
+            solve(guess, f"step_row (row {row_index})")
         return stack[2].copy()
 
     return step
@@ -564,18 +565,23 @@ def step_row(density: LagrangianDensity, mesh: QuadMesh, u_prev, u_curr,
     neighbour only (bidiagonal; cyclic for the periodic closure), and is
     explicit for densities without space-time cross terms.  ``row_index`` is
     the time index of the new row, used for callable fixed-end values and
-    named in solver errors.
+    named in solver errors.  The row Jacobian is factored at the start
+    guess 2 u_curr - u_prev.
     """
     step = _row_stepper(density, mesh, closure)
     return step(u_prev, u_curr, row_index)
 
 
 def propagate(density: LagrangianDensity, mesh: QuadMesh, row0, row1,
-              closure: Closure, *, max_iter: int = NEWTON_MAX_ITER) -> DiscreteField:
-    """Fill a whole field from its first two rows, one :func:`step_row` per
-    row with at most ``max_iter`` Newton iterations each; a quadratic
-    density's row Jacobian is factored once for the run."""
-    step = _row_stepper(density, mesh, closure, max_iter=max_iter)
+              closure: Closure) -> DiscreteField:
+    """Fill a whole field from its first two rows, solving each row's DEL
+    equations as :func:`step_row` does.  The row Jacobian is factored at the
+    first row's start guess and kept across rows, for any density, until the
+    contraction monitor asks for a refactor (a quadratic density's LU is the
+    Jacobian of every row).  So a non-quadratic field solves each row to
+    the Newton stopping level, but is not bit for bit the chained
+    :func:`step_row` rows."""
+    step = _row_stepper(density, mesh, closure)
     values = np.zeros(mesh.shape)
     values[0], values[1] = np.asarray(row0, dtype=float), np.asarray(row1, dtype=float)
     for n in range(1, mesh.nt):
@@ -634,7 +640,7 @@ def solve_bvp(density: LagrangianDensity, mesh: QuadMesh, boundary: BoundaryData
               else initial.values.ravel()[inner])
     index = region_index(region, ncols)
     solve = _del_newton(density, base, index, inner, inner, mesh.dt, mesh.dx)
-    norm, iters, rcond = solve(x0, NEWTON_MAX_ITER, "solve_bvp")
+    norm, iters, rcond = solve(x0, "solve_bvp")
     return BvpSolveReport(field=DiscreteField(mesh, base), region=region,
                           residual_norm=norm, iterations=iters, rcond=rcond)
 

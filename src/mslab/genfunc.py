@@ -39,7 +39,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .delsolve import NEWTON_MAX_ITER, BvpSolveReport, _del_newton, solve_bvp
+from .delsolve import BvpSolveReport, _del_newton, solve_bvp
 from .jetmesh import (BoundaryData, DiscreteField, JetTriple, QuadMesh, RectRegion,
                       Region, boundary_nodes, check_region_fits, interior_index,
                       node_index, parse_region, region_index, region_to_json)
@@ -360,7 +360,7 @@ def boundary_hamiltonian(density: LagrangianDensity, mesh: QuadMesh,
     arr.flat[node_index(list(data.dirichlet), ncols)] = list(data.dirichlet.values())
     solve = _del_newton(density, arr, region_index(region, ncols), flat, flat, mesh.dt,
                         mesh.dx, target=target)
-    _, _, rcond = solve(np.zeros(len(flat)), NEWTON_MAX_ITER, "boundary_hamiltonian")
+    _, _, rcond = solve(np.zeros(len(flat)), "boundary_hamiltonian")
     field = DiscreteField(mesh, arr)
     action = region_action(density, field, region)
     pairing = sum(pi * field[nd] for nd, pi in data.momenta.items())

@@ -38,7 +38,7 @@ import numpy as np
 from numpy.polynomial import legendre as npleg
 
 from . import dual
-from .delsolve import NEWTON_MAX_ITER, SolverError, _newton, _roundoff_floor
+from .delsolve import SolverError, _newton, _roundoff_floor
 
 
 class PhasePoint(NamedTuple):
@@ -209,8 +209,8 @@ def _newton_dense(residual_fn, x0, context: str) -> np.ndarray:
         # tolerance is tighter than the floor.
         return SimpleNamespace(solve=solve), None, lambda x: _roundoff_floor(jac, x)
 
-    return _newton(lambda x: np.atleast_1d(residual_fn(x)), factor,
-                   x0, NEWTON_MAX_ITER, context, theta_max=0.0)[0]
+    return _newton(lambda x: np.atleast_1d(residual_fn(x)), factor, x0, context,
+                   theta_max=0.0)[0]
 
 
 def _check_step(lagr: MechLagrangian, h: float) -> None:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .delsolve import (NEWTON_MAX_ITER, _check_solution, _del_newton, _factor_and_rcond,
+from .delsolve import (_check_solution, _del_newton, _factor_and_rcond,
                        _hessian_operator, _sparse_block, solve_bvp)
 from .jetmesh import (BoundaryData, DiscreteField, Patch3Region, QuadMesh,
                       Region, boundary_nodes, check_region_fits, interior_index,
@@ -297,11 +297,11 @@ def hessian_symmetry(density: LagrangianDensity, mesh: QuadMesh,
         inner, flat = interior_index(region, ncols), node_index(bnodes, ncols)
         work, start = base.values.copy(), base.values.ravel()[inner]
         solve = _del_newton(density, work, region_index(region, ncols), inner, inner,
-                            mesh.dt, mesh.dx, keep=True)
+                            mesh.dt, mesh.dx)
 
         def momenta(a, step):  # of the solution for the data moved by step at node a
             work.flat[flat[a]] = boundary.values[a] + step
-            solve(start, NEWTON_MAX_ITER, "hessian_symmetry")
+            solve(start, "hessian_symmetry")
             return normal_momenta(density, DiscreteField(mesh, work), region).values
 
         h = np.zeros((nb, nb))

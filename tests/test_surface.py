@@ -30,7 +30,6 @@ OPTIONS = [
     "delsolve.FixedClosure.__init__:right",
     "delsolve.del_residual:periodic",
     "delsolve.step_row:row_index",
-    "delsolve.propagate:max_iter",
     "delsolve.solve_bvp:initial",
     "msforms.msff_residual_patch:check_variations",
     "msforms.msff_residual_region:check_variations",

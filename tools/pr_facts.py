@@ -18,7 +18,11 @@
    (``_hessian_operator`` calls) and its Newton steps summed over its solves
    (``_newton`` returns).  Every binding of those names in the ``mslab``
    modules is wrapped in-process while the checks run; the counts are
-   deterministic, so two checkouts can be compared line by line.
+   deterministic, so two checkouts can be compared line by line.  The same
+   counts, and the sha256 of the field, follow for fixed probes that no
+   workload covers: ``PROBE_N``-squared runs of ``propagate`` on the phi^4
+   wave L = (v^2 - w^2)/2 + u^4/4 (dt/dx = 1/2, rows of amplitude 1), with
+   each closure, so that changes to the nonlinear row stepper show.
 
 Usage::
 
@@ -45,6 +49,7 @@ from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
 
 SEEDS = (3, 17)
+PROBE_N = 40
 _LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
            tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
 
@@ -172,17 +177,43 @@ def run_checks() -> list:
     return rows
 
 
+def run_probes() -> list:
+    """(probe name, sha256 of the field values, solver counts) for each
+    phi^4-wave ``propagate`` probe."""
+    import numpy as np
+
+    from mslab import FixedClosure, PeriodicClosure, UserDensity, build_mesh, propagate
+
+    mesh = build_mesh(dt=0.5 / PROBE_N, dx=1.0 / PROBE_N, nt=PROBE_N, nx=PROBE_N)
+    density = UserDensity(lambda v, w, u: 0.5 * (v * v - w * w) + 0.25 * u ** 4)
+    rows = []
+    for name, closure in (("periodic", PeriodicClosure()), ("fixed", FixedClosure(0.0, 0.0))):
+        rng = np.random.default_rng(0)
+        row0 = rng.standard_normal(PROBE_N + 1)
+        row1 = row0 + mesh.dt * rng.standard_normal(PROBE_N + 1)
+        if name == "fixed":
+            row0[[0, -1]] = row1[[0, -1]] = 0.0
+        with solver_counts() as counts:
+            field = propagate(density, mesh, row0, row1, closure)
+        rows.append((f"phi4-propagate-{name}", hashlib.sha256(field.values.tobytes()).hexdigest(),
+                     counts))
+    return rows
+
+
 def print_results_hashes(rows) -> None:
     print("# sha256 of workloads.results_key, per check")
     for workload, seed, name, digest, _ in rows:
         print(f"{workload} seed {seed} {name} {digest}")
 
 
-def print_solver_counts(rows) -> None:
+def print_solver_counts(rows, probes) -> None:
     print("# solver work per check: splu factorisations, K builds, Newton steps")
     for workload, seed, name, _, counts in rows:
         print(f"{workload} seed {seed} {name} lu {counts['lu']} K {counts['K']} "
               f"newton_steps {counts['newton_steps']}")
+    for name, digest, counts in probes:
+        print(f"probe {name} lu {counts['lu']} K {counts['K']} "
+              f"newton_steps {counts['newton_steps']} field {digest}")
 
 
 def main(argv=None) -> int:
@@ -196,7 +227,7 @@ def main(argv=None) -> int:
     rows = run_checks()
     print_results_hashes(rows)
     print_cli_hashes()
-    print_solver_counts(rows)
+    print_solver_counts(rows, run_probes())
     return 0
 
 
