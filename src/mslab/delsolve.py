@@ -126,7 +126,8 @@ pivoting L stays within w and U within 2w of the diagonal, while COLAMD
 picks its order before pivoting and the row swaps undo its fill prediction.
 The wave Jacobian of an nt x nx rectangle is such a matrix when nt >= nx (w
 is then the interior width).  Any other matrix is ordered by COLAMD; a wide
-band fills less under it.
+band fills less under it.  A column sum of |J| that overflows raises
+:class:`SolverError` naming the solve.
 """
 
 from __future__ import annotations
@@ -276,11 +277,12 @@ def _newton(residual_fn, factor_fn, x0, context: str, factor=None,
     two sup-norms are taken only when a second step is taken on one factor,
     so a solve that ends after one step does no monitor work.  A factor of a
     linear F is its Jacobian everywhere: theta is 0 up to round-off, and the
-    factor is kept.  ``theta_max`` = 0 refactors at every iterate: Newton's
-    method.  The mechanics collocations take it: under the monitor the
-    pendulum's golden values moved (its discrete Lagrangian by 1 ulp, its
-    Hamiltonian by 6 and its type-I map momentum by about 1.2e-13), though
-    the harmonic ones stayed bit-identical.
+    factor is kept.  ``theta_max`` = 0 refactors at every iterate, after the
+    old factor's floor test and without a step on it: Newton's method.  The
+    mechanics collocations take it: under the monitor the pendulum's golden
+    values moved (its discrete Lagrangian by 1 ulp, its Hamiltonian by 6 and
+    its type-I map momentum by about 1.2e-13), though the harmonic ones
+    stayed bit-identical.
 
     Every iterate, the start included, is accepted when the sup-norm of F is
     at or below its floor; an iterate after at least one step also when it
@@ -319,6 +321,9 @@ def _newton(residual_fn, factor_fn, x0, context: str, factor=None,
         if steps == NEWTON_MAX_ITER:
             raise SolverError(f"{context}: Newton did not converge "
                               f"(residual {norm:.3e} after {steps} iterations)")
+        if last is not None and theta_max == 0.0:
+            factor = None  # no step on an old factor could pass theta <= 0
+            continue
         step = -solver.solve(f)
         if last is not None and not (np.abs(step).max(initial=0.0)
                                      <= theta_max * np.abs(last).max(initial=0.0)):
@@ -393,7 +398,8 @@ def _inverse_norm(lu, n: int, z_matrix: bool) -> float:
 
 
 def _factor_and_rcond(jac: csc_matrix, context: str):
-    """Sparse LU plus the reciprocal condition indicator; raises on singularity.
+    """Sparse LU plus the reciprocal condition indicator; raises on singularity,
+    and SolverError when a column sum of |J| overflows.
 
     If every column is diagonally dominant, pivoting swaps no rows and a
     symmetric minimum-degree order of J + J^T is kept as it is.  Otherwise
@@ -416,7 +422,10 @@ def _factor_and_rcond(jac: csc_matrix, context: str):
     # abs(J).sum(axis=0) summed as scipy sums it, without the sparse copy.
     filled = np.flatnonzero(counts)
     col_sums = np.zeros(n)
-    col_sums[filled] = np.add.reduceat(np.abs(jac.data), jac.indptr[filled])
+    with np.errstate(over="ignore"):  # an overflowing sum is reported below
+        col_sums[filled] = np.add.reduceat(np.abs(jac.data), jac.indptr[filled])
+    if not np.isfinite(col_sums).all():
+        raise SolverError(f"{context}: a column sum of the Jacobian is not finite")
     # 8 ulps of slack: a tie (|J_jj| = the rest of its column) may round either way.
     # Halving the sums, not doubling |J_jj|, is exact and cannot overflow.
     if not np.any(np.abs(jac.diagonal()) < 0.5 * (1.0 - 8 * np.finfo(float).eps) * col_sums):

@@ -19,6 +19,14 @@ which is what the Lagrangian densities consume.
 Periodic runs treat all nx+1 stored columns as distinct ring sites with index
 arithmetic mod (nx+1); column nx is a neighbour of column 0, not a copy of it.
 
+A region is a set of triangles: a rectangle (:class:`RectRegion`) or the
+three-triangle star of a node (:class:`Patch3Region`).  Each region class
+states its shape once, in the same four methods: ``anchors`` (its
+triangles), ``interior`` and ``boundary`` (its nodes, split) and ``nodes``
+(their order), plus its JSON ``kind``.  The module functions
+(:func:`region_index`, :func:`interior_nodes`, :func:`region_to_json`, ...)
+are generic over those methods.
+
 Field values are validated to be finite on construction; NaN/Inf never
 propagates silently.
 """
@@ -28,8 +36,9 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence, Union
+from dataclasses import dataclass, fields
+from itertools import product
+from typing import Callable, ClassVar, Iterator, Mapping, Sequence, Union, get_args
 
 import numpy as np
 
@@ -86,10 +95,8 @@ class QuadMesh:
         return i * self.dx
 
     def triangles(self) -> Iterator["TriangleIndex"]:
-        """All triangles, row-major."""
-        for n in range(self.nt):
-            for i in range(self.nx):
-                yield TriangleIndex(n, i)
+        """All triangles, row-major: those of the full :class:`RectRegion`."""
+        return iter(region_triangles(RectRegion(0, 0, self.nt, self.nx)))
 
 
 def build_mesh(dt: float, dx: float, nt: int, nx: int) -> QuadMesh:
@@ -98,7 +105,7 @@ def build_mesh(dt: float, dx: float, nt: int, nx: int) -> QuadMesh:
                     nx=_integer("nx", nx))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # slots: one is built per triangle of a region
 class TriangleIndex:
     """Triangle anchored at node (n, i); vertices (n,i), (n,i+1), (n+1,i)."""
 
@@ -219,6 +226,7 @@ class RectRegion:
     region, so its value never enters the region action.
     """
 
+    kind: ClassVar[str] = "rect"
     n0: int
     i0: int
     nt: int
@@ -241,11 +249,34 @@ class RectRegion:
     def fits(self, mesh: QuadMesh) -> bool:
         return self.n1 <= mesh.nt and self.i1 <= mesh.nx
 
+    def anchors(self) -> tuple:
+        """Rows and columns of the triangle anchors, broadcasting row-major."""
+        return np.arange(self.n0, self.n1)[:, None], np.arange(self.i0, self.i1)
+
+    def interior(self) -> tuple:
+        """Rows and columns whose every pair, row-major, is an interior node."""
+        return np.arange(self.n0 + 1, self.n1), np.arange(self.i0 + 1, self.i1)
+
+    def boundary(self) -> list:
+        """From (n0, i0) along the bottom row, up the right column, back
+        along the top row and down the left column."""
+        n0, n1, i0, i1 = self.n0, self.n1, self.i0, self.i1
+        out = [(n0, i) for i in range(i0, i1 + 1)]
+        out += [(n, i1) for n in range(n0 + 1, n1 + 1)]
+        out += [(n1, i) for i in range(i1 - 1, i0 - 1, -1)]
+        out += [(n, i0) for n in range(n1 - 1, n0, -1)]
+        return out
+
+    def nodes(self) -> list:
+        """Every node, row-major."""
+        return [(n, i) for n in range(self.n0, self.n1 + 1) for i in range(self.i0, self.i1 + 1)]
+
 
 @dataclass(frozen=True)
 class Patch3Region:
     """The three triangles sharing interior node (n, i) as a vertex."""
 
+    kind: ClassVar[str] = "patch3"
     n: int
     i: int
 
@@ -255,6 +286,23 @@ class Patch3Region:
 
     def fits(self, mesh: QuadMesh) -> bool:
         return self.n + 1 <= mesh.nt and self.i + 1 <= mesh.nx
+
+    def anchors(self) -> tuple:
+        """Rows and columns of the anchors: the centre, left of it, below it."""
+        return np.array([self.n, self.n, self.n - 1]), np.array([self.i, self.i - 1, self.i])
+
+    def interior(self) -> tuple:
+        """Row and column of the centre, the one interior node."""
+        return np.array([self.n]), np.array([self.i])
+
+    def boundary(self) -> list:
+        """From (n, i+1) around the hexagonal link of the centre."""
+        n, i = self.n, self.i
+        return [(n, i + 1), (n + 1, i), (n + 1, i - 1), (n, i - 1), (n - 1, i), (n - 1, i + 1)]
+
+    def nodes(self) -> list:
+        """The boundary walk, then the centre."""
+        return self.boundary() + [(self.n, self.i)]
 
 
 Region = Union[RectRegion, Patch3Region]
@@ -267,15 +315,12 @@ def check_region_fits(region: Region, mesh: QuadMesh) -> None:
 
 
 def region_triangles(region: Region) -> list:
-    """Triangles making up the region (row-major for rectangles)."""
-    if isinstance(region, RectRegion):
-        return [TriangleIndex(n, i)
-                for n in range(region.n0, region.n1)
-                for i in range(region.i0, region.i1)]
-    if isinstance(region, Patch3Region):
-        n, i = region.n, region.i
-        return [TriangleIndex(n, i), TriangleIndex(n, i - 1), TriangleIndex(n - 1, i)]
-    raise TypeError(f"unknown region type {type(region).__name__}")
+    """Triangles making up the region, in the order of its anchors (row-major
+    for rectangles)."""
+    rows, cols = region.anchors()
+    pairs = np.empty((2,) + np.broadcast(rows, cols).shape, dtype=np.intp)
+    pairs[0], pairs[1] = rows, cols  # cheaper than np.broadcast_arrays
+    return list(map(TriangleIndex, *pairs.reshape(2, -1).tolist()))
 
 
 def triangle_index(rows, cols, ncols: int, periodic: bool = False) -> np.ndarray:
@@ -295,13 +340,7 @@ def triangle_index(rows, cols, ncols: int, periodic: bool = False) -> np.ndarray
 def region_index(region: Region, ncols: int) -> np.ndarray:
     """:func:`triangle_index` of the region's triangles, in the order of
     :func:`region_triangles`."""
-    if isinstance(region, RectRegion):
-        return triangle_index(np.arange(region.n0, region.n1)[:, None],
-                              np.arange(region.i0, region.i1)[None, :], ncols)
-    if isinstance(region, Patch3Region):
-        n, i = region.n, region.i
-        return triangle_index(np.array([n, n, n - 1]), np.array([i, i - 1, i]), ncols)
-    raise TypeError(f"unknown region type {type(region).__name__}")
+    return triangle_index(*region.anchors(), ncols)
 
 
 def node_index(nodes, ncols: int) -> np.ndarray:
@@ -312,57 +351,25 @@ def node_index(nodes, ncols: int) -> np.ndarray:
 
 def interior_index(region: Region, ncols: int) -> np.ndarray:
     """``node_index(interior_nodes(region), ncols)``, without the tuples."""
-    if isinstance(region, RectRegion):
-        return (np.arange(region.n0 + 1, region.n1)[:, None] * ncols
-                + np.arange(region.i0 + 1, region.i1)).ravel()
-    if isinstance(region, Patch3Region):
-        return np.array([region.n * ncols + region.i])
-    raise TypeError(f"unknown region type {type(region).__name__}")
+    rows, cols = region.interior()
+    return (rows[:, None] * ncols + cols).ravel()
 
 
 def interior_nodes(region: Region) -> list:
     """Nodes where the discrete Euler-Lagrange equations are imposed."""
-    if isinstance(region, RectRegion):
-        return [(n, i)
-                for n in range(region.n0 + 1, region.n1)
-                for i in range(region.i0 + 1, region.i1)]
-    if isinstance(region, Patch3Region):
-        return [(region.n, region.i)]
-    raise TypeError(f"unknown region type {type(region).__name__}")
+    return list(product(*(a.tolist() for a in region.interior())))
 
 
 def boundary_nodes(region: Region) -> list:
-    """Boundary nodes, each exactly once, counterclockwise.
-
-    Orientation is counterclockwise in the plane with x horizontal and t
-    vertical.  Rectangles start at the minimal corner (n0, i0) and run along
-    the bottom row, up the right column, back along the top row and down the
-    left column.  The three-triangle patch starts at (n, i+1) and walks the
-    hexagonal link of the centre node.
-    """
-    if isinstance(region, RectRegion):
-        n0, n1, i0, i1 = region.n0, region.n1, region.i0, region.i1
-        out = [(n0, i) for i in range(i0, i1 + 1)]
-        out += [(n, i1) for n in range(n0 + 1, n1 + 1)]
-        out += [(n1, i) for i in range(i1 - 1, i0 - 1, -1)]
-        out += [(n, i0) for n in range(n1 - 1, n0, -1)]
-        return out
-    if isinstance(region, Patch3Region):
-        n, i = region.n, region.i
-        return [(n, i + 1), (n + 1, i), (n + 1, i - 1),
-                (n, i - 1), (n - 1, i), (n - 1, i + 1)]
-    raise TypeError(f"unknown region type {type(region).__name__}")
+    """Boundary nodes, each exactly once, counterclockwise in the plane with
+    x horizontal and t vertical (see each region's ``boundary``)."""
+    return region.boundary()
 
 
 def region_nodes(region: Region) -> list:
-    """All nodes of the region (boundary + interior), row-major."""
-    if isinstance(region, RectRegion):
-        return [(n, i)
-                for n in range(region.n0, region.n1 + 1)
-                for i in range(region.i0, region.i1 + 1)]
-    if isinstance(region, Patch3Region):
-        return boundary_nodes(region) + [(region.n, region.i)]
-    raise TypeError(f"unknown region type {type(region).__name__}")
+    """All nodes of the region, each once: row-major for a rectangle, the
+    boundary walk and then the centre for a patch."""
+    return region.nodes()
 
 
 # ---------------------------------------------------------------------------
@@ -455,13 +462,8 @@ def field_from_csv(mesh: QuadMesh, path) -> DiscreteField:
 
 
 def region_to_json(region: Region) -> dict:
-    """JSON-able description of a region."""
-    if isinstance(region, RectRegion):
-        return {"kind": "rect", "n0": region.n0, "i0": region.i0,
-                "nt": region.nt, "nx": region.nx}
-    if isinstance(region, Patch3Region):
-        return {"kind": "patch3", "n": region.n, "i": region.i}
-    raise TypeError(f"unknown region type {type(region).__name__}")
+    """JSON-able description of a region: its ``kind`` and its fields."""
+    return {"kind": region.kind, **{f.name: getattr(region, f.name) for f in fields(region)}}
 
 
 def parse_region(obj) -> Region:
@@ -471,15 +473,11 @@ def parse_region(obj) -> Region:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError(f"region description must be a dict with a 'kind', got {obj!r}")
     kind = obj["kind"]
-    fields = {k: v for k, v in obj.items() if k != "kind"}
-    if kind == "rect":
-        expected = {"n0", "i0", "nt", "nx"}
-        if set(fields) != expected:
-            raise ValueError(f"rect region needs keys {sorted(expected)}, got {sorted(fields)}")
-        return RectRegion(*(_integer(k, fields[k]) for k in ("n0", "i0", "nt", "nx")))
-    if kind == "patch3":
-        expected = {"n", "i"}
-        if set(fields) != expected:
-            raise ValueError(f"patch3 region needs keys {sorted(expected)}, got {sorted(fields)}")
-        return Patch3Region(_integer("n", fields["n"]), _integer("i", fields["i"]))
-    raise ValueError(f"unknown region kind {kind!r}")
+    cls = next((c for c in get_args(Region) if c.kind == kind), None)
+    if cls is None:
+        raise ValueError(f"unknown region kind {kind!r}")
+    names = [f.name for f in fields(cls)]
+    if set(obj) != {"kind", *names}:
+        raise ValueError(f"{kind} region needs keys {sorted(names)}, "
+                         f"got {sorted(set(obj) - {'kind'})}")
+    return cls(*(_integer(k, obj[k]) for k in names))

@@ -46,6 +46,14 @@ from .lagrangian import LagrangianDensity, QuadraticDensity, triangle_kernel
 from .oracles import _gauss
 
 
+def _check_meshes(mesh: QuadMesh, variations: dict) -> None:
+    """ValueError naming the first of ``variations`` (label: field) that is
+    not on ``mesh``; its values would be read at other nodes."""
+    for label, var in variations.items():
+        if var.mesh != mesh:
+            raise ValueError(f"{label} is on {var.mesh}, not on {mesh}")
+
+
 @dataclass(frozen=True)
 class FormResidualReport:
     """Outcome of a form identity evaluation.
@@ -69,6 +77,7 @@ def linearized_del_residual(density: LagrangianDensity, field: DiscreteField,
     """Residual of the linearised DEL equations at (n, i) for a variation."""
     mesh = field.mesh
     ncols = mesh.nx + 1
+    _check_meshes(mesh, {"variation": variation})
     check_region_fits(patch := Patch3Region(n, i), mesh)
     k = _hessian_operator(density, field.values, region_index(patch, ncols),
                           [n * ncols + i], mesh.dt, mesh.dx, "linearized_del_residual")
@@ -124,13 +133,15 @@ def msff_residual_region(density: LagrangianDensity, field: DiscreteField,
                          check_variations: bool = False) -> FormResidualReport:
     """Patch identity at every interior node of a region, and its sum.
 
-    Raises ValueError if the field does not solve the DEL equations or, when
-    checked, V or W the linearised ones, naming the first node (in order) of
-    the first of these that fails.  Each is the test of
+    Raises ValueError if V or W is on another mesh than the field, or if
+    the field does not solve the DEL equations or, when checked, V or W the
+    linearised ones, naming the first node (in order) of the first of these
+    that fails.  Each is the test of
     :mod:`~mslab.delsolve`: every residual within twice the level at which
     the Newton solves stop, max(``NEWTON_TOL``, the round-off floor of the
     Hessian K and the field or variation).
     """
+    _check_meshes(field.mesh, {"variation V": v_var, "variation W": w_var})
     ncols = field.mesh.nx + 1
     flat = interior_index(region, ncols)
     if not flat.size:
@@ -162,6 +173,7 @@ def _wedges(mesh: QuadMesh, v_var: DiscreteField, w_var: DiscreteField,
     """dv^du and dw^du of the (V, W) pair on the triangles anchored at every
     node of time levels lo..hi-1, shape (hi-lo, nx+1).  Column i+1 wraps
     mod nx+1, so column nx only means something for periodic fields."""
+    _check_meshes(mesh, {"variation V": v_var, "variation W": w_var})
     av, aw = v_var.values[lo:hi + 1], w_var.values[lo:hi + 1]
     v0, w0 = av[:-1], aw[:-1]
     dv_v, dv_w = np.diff(av, axis=0) / mesh.dt, np.diff(aw, axis=0) / mesh.dt

@@ -662,6 +662,17 @@ class TestNewtonCore:
             with pytest.raises(SolverError):
                 propagate(LinearWave, mesh, [1.0, 2.0, 3.0], [1.0, 2.0, 3.0], PeriodicClosure())
 
+    def test_overflowing_column_sums_are_a_solver_error(self):
+        # Every Jacobian entry is finite, but the column sums behind the
+        # dominance test and ||J||_1 overflow (once a numpy warning).
+        mesh = build_mesh(dt=1.0, dx=1e308, nt=5, nx=3)
+        data = BoundaryData(RectRegion(0, 0, 5, 3), [5e-324] * 16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError,
+                               match=r"^solve_bvp: a column sum of the Jacobian is not finite$"):
+                solve_bvp(LinearWave, mesh, data)
+
 
 def _stand_in_factor(inverses, factored):
     """``factor_fn`` of :func:`_newton` whose k-th factor solves with the

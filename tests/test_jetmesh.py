@@ -1,8 +1,11 @@
 import csv
 import io
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mslab import (
     BoundaryData,
@@ -20,10 +23,16 @@ from mslab import (
     jet_extension,
     node_index,
     parse_region,
+    region_index,
     region_nodes,
     region_to_json,
     region_triangles,
 )
+
+REGIONS = st.one_of(
+    st.builds(RectRegion, st.integers(0, 5), st.integers(0, 5), st.integers(1, 8),
+              st.integers(1, 8)),
+    st.builds(Patch3Region, st.integers(1, 8), st.integers(1, 8)))
 
 
 @pytest.fixture
@@ -240,6 +249,21 @@ class TestRegions:
         flat = interior_index(region, ncols)
         assert np.array_equal(flat, node_index(interior_nodes(region), ncols))
         assert flat.dtype == np.intp
+
+    @settings(max_examples=200, deadline=None)
+    @given(region=REGIONS, spare=st.integers(0, 3))
+    def test_enumerations_agree(self, region, spare):
+        nodes, bnodes, inner = region_nodes(region), boundary_nodes(region), interior_nodes(region)
+        ncols = max(i for _, i in nodes) + 1 + spare
+        index = region_index(region, ncols)
+        # The interior, found independently: the nodes filling all three vertex slots.
+        assert np.array_equal(interior_index(region, ncols),
+                              np.flatnonzero(np.bincount(index.ravel()) == 3))
+        assert np.array_equal(index, np.array(
+            [node_index(tri.vertices, ncols) for tri in region_triangles(region)]).T)
+        assert len(set(nodes)) == len(nodes) == len(bnodes) + len(inner)
+        assert set(nodes) == set(bnodes) | set(inner)
+        assert parse_region(json.dumps(region_to_json(region))) == region
 
     def test_patch3_needs_interior_anchor(self):
         with pytest.raises(ValueError):

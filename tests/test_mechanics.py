@@ -321,3 +321,21 @@ class TestGoldenBits:
             "0x1.2103017883800p-11", "0x1.23249c1f88c00p-14", "0x1.23a9e0bd72000p-17"]
         assert [e.hex() for e in rep.map_errors] == [
             "0x1.2c1c0dd04f580p-8", "0x1.2d623c6119c00p-10", "0x1.2db417544e000p-12"]
+
+
+class TestDenseNewton:
+    def test_one_solve_per_newton_step(self, monkeypatch):
+        # Newton's method (theta_max = 0) refactors at every iterate, so no
+        # step may first be solved on the previous iterate's Jacobian.
+        solves, steps = [], []
+        solve, newton = np.linalg.solve, mechanics._newton
+
+        def counted_newton(*args, **kwargs):
+            out = newton(*args, **kwargs)
+            steps.append(out[2])
+            return out
+
+        monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(1) or solve(*a))
+        monkeypatch.setattr(mechanics, "_newton", counted_newton)
+        exact_discrete_lagrangian(Pendulum(), 0.3, 0.7, 0.4)
+        assert steps == [2] and len(solves) == 2

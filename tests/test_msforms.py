@@ -230,6 +230,27 @@ class TestLinearizedResidual:
             linearized_del_residual(LinearWave, field, field, 2, mesh.nx)
 
 
+class TestVariationMesh:
+    # Each call pairs the 6x6 field or mesh with one variation on the 8x8
+    # mesh; its values would be read at other nodes, once without an error.
+    @pytest.mark.parametrize("call,label", [
+        (lambda u, v, w: msff_residual_region(LinearWave, u, v, w, RectRegion(0, 0, 6, 6)),
+         "variation W"),
+        (lambda u, v, w: msff_residual_patch(LinearWave, u, w, v, 2, 2), "variation V"),
+        (lambda u, v, w: bridges_residuals(u.mesh, v, w, periodic=True), "variation W"),
+        (lambda u, v, w: bridges_residual(u.mesh, w, v, 2, 2), "variation V"),
+        (lambda u, v, w: symplectic_flux(u.mesh, v, w, 1), "variation W"),
+        (lambda u, v, w: linearized_del_residual(LinearWave, u, w, 2, 2), "variation"),
+    ], ids=["msff_residual_region", "msff_residual_patch", "bridges_residuals",
+            "bridges_residual", "symplectic_flux", "linearized_del_residual"])
+    def test_variation_on_another_mesh_is_rejected(self, call, label):
+        mesh = build_mesh(dt=0.05, dx=0.1, nt=6, nx=6)
+        other = build_mesh(dt=0.05, dx=0.1, nt=8, nx=8)
+        u, v_var, w_var = wave_field(mesh, 0), wave_field(mesh, 1), wave_field(other, 2)
+        with pytest.raises(ValueError, match=rf"^{label} is on QuadMesh\(.*nt=8, nx=8\), not on"):
+            call(u, v_var, w_var)
+
+
 class TestHessianSymmetry:
     def test_analytic_linear_densities(self):
         mesh = build_mesh(dt=0.1, dx=0.2, nt=7, nx=7)

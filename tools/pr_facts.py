@@ -15,14 +15,18 @@
    runs apart from the timestamp.
 4. For every check of item 2, the solver work it did: its sparse LU
    factorisations (``splu`` calls), its Hessian operator builds
-   (``_hessian_operator`` calls) and its Newton steps summed over its solves
-   (``_newton`` returns).  Every binding of those names in the ``mslab``
-   modules is wrapped in-process while the checks run; the counts are
-   deterministic, so two checkouts can be compared line by line.  The same
-   counts, and the sha256 of the field, follow for fixed probes that no
-   workload covers: ``PROBE_N``-squared runs of ``propagate`` on the phi^4
-   wave L = (v^2 - w^2)/2 + u^4/4 (dt/dx = 1/2, rows of amplitude 1), with
-   each closure, so that changes to the nonlinear row stepper show.
+   (``_hessian_operator`` calls), its Newton steps summed over its solves
+   (``_newton`` returns) and its dense back-solves (``numpy.linalg.solve``
+   calls).  Every binding of those names in the ``mslab`` modules, and
+   ``numpy.linalg.solve``, is wrapped in-process while the checks run; the
+   counts are deterministic, so two checkouts can be compared line by line.
+   The same counts, and the sha256 of the result, follow for fixed probes
+   that no workload covers: ``PROBE_N``-squared runs of ``propagate`` on the
+   phi^4 wave L = (v^2 - w^2)/2 + u^4/4 (dt/dx = 1/2, rows of amplitude 1),
+   with each closure, so that changes to the nonlinear row stepper show, and
+   the exact discrete Lagrangian of the pendulum L = qdot^2/2 + cos q at
+   (q0, q1, h) = (0.3, 0.7, 0.4), so that changes to the dense collocation
+   Newton show.
 
 Usage::
 
@@ -130,12 +134,15 @@ def print_cli_hashes() -> None:
 
 @contextmanager
 def solver_counts():
-    """A dict of running counts, ``lu``, ``K`` and ``newton_steps``, kept
-    while every ``mslab`` binding of ``splu``, ``_hessian_operator`` and
-    ``_newton`` is wrapped; the bindings are restored on exit."""
+    """A dict of running counts, ``lu``, ``K``, ``newton_steps`` and
+    ``dense_solves``, kept while every ``mslab`` binding of ``splu``,
+    ``_hessian_operator`` and ``_newton``, and ``numpy.linalg.solve``, is
+    wrapped; the bindings are restored on exit."""
+    import numpy as np
+
     import mslab.delsolve as delsolve
 
-    counts = dict.fromkeys(("lu", "K", "newton_steps"), 0)
+    counts = dict.fromkeys(("lu", "K", "newton_steps", "dense_solves"), 0)
 
     def counted(fn, key, add):
         def wrapper(*args, **kwargs):
@@ -150,6 +157,8 @@ def solver_counts():
     modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "mslab"]
     saved = [(m, name, getattr(m, name)) for m in modules for name in wrappers
              if getattr(m, name, None) is getattr(delsolve, name)]
+    saved.append((np.linalg, "solve", np.linalg.solve))
+    wrappers["solve"] = counted(np.linalg.solve, "dense_solves", lambda out: 1)
     try:
         for m, name, _ in saved:
             setattr(m, name, wrappers[name])
@@ -178,11 +187,12 @@ def run_checks() -> list:
 
 
 def run_probes() -> list:
-    """(probe name, sha256 of the field values, solver counts) for each
-    phi^4-wave ``propagate`` probe."""
+    """(probe name, what is hashed, its sha256, solver counts) for each
+    phi^4-wave ``propagate`` probe and the pendulum collocation."""
     import numpy as np
 
-    from mslab import FixedClosure, PeriodicClosure, UserDensity, build_mesh, propagate
+    from mslab import (FixedClosure, PeriodicClosure, UserDensity, build_mesh, dual,
+                       exact_discrete_lagrangian, mechanics, propagate)
 
     mesh = build_mesh(dt=0.5 / PROBE_N, dx=1.0 / PROBE_N, nt=PROBE_N, nx=PROBE_N)
     density = UserDensity(lambda v, w, u: 0.5 * (v * v - w * w) + 0.25 * u ** 4)
@@ -195,8 +205,18 @@ def run_probes() -> list:
             row0[[0, -1]] = row1[[0, -1]] = 0.0
         with solver_counts() as counts:
             field = propagate(density, mesh, row0, row1, closure)
-        rows.append((f"phi4-propagate-{name}", hashlib.sha256(field.values.tobytes()).hexdigest(),
-                     counts))
+        rows.append((f"phi4-propagate-{name}", "field",
+                     hashlib.sha256(field.values.tobytes()).hexdigest(), counts))
+
+    class Pendulum(mechanics.MechLagrangian):
+        name = "pendulum"
+
+        def value(self, q, qdot):
+            return 0.5 * qdot * qdot + dual.cos(q)
+
+    with solver_counts() as counts:
+        ld = exact_discrete_lagrangian(Pendulum(), 0.3, 0.7, 0.4)
+    rows.append(("pendulum-collocation", "value", _sha(ld.hex()), counts))
     return rows
 
 
@@ -206,14 +226,17 @@ def print_results_hashes(rows) -> None:
         print(f"{workload} seed {seed} {name} {digest}")
 
 
+def _counts(counts) -> str:
+    return " ".join(f"{key} {value}" for key, value in counts.items())
+
+
 def print_solver_counts(rows, probes) -> None:
-    print("# solver work per check: splu factorisations, K builds, Newton steps")
+    print("# solver work per check: splu factorisations, K builds, Newton steps, "
+          "dense solves")
     for workload, seed, name, _, counts in rows:
-        print(f"{workload} seed {seed} {name} lu {counts['lu']} K {counts['K']} "
-              f"newton_steps {counts['newton_steps']}")
-    for name, digest, counts in probes:
-        print(f"probe {name} lu {counts['lu']} K {counts['K']} "
-              f"newton_steps {counts['newton_steps']} field {digest}")
+        print(f"{workload} seed {seed} {name} {_counts(counts)}")
+    for name, what, digest, counts in probes:
+        print(f"probe {name} {_counts(counts)} {what} {digest}")
 
 
 def main(argv=None) -> int:
