@@ -54,9 +54,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import delsolve, genfunc, jetmesh, mechanics, msforms, oracles
+from . import delsolve, jetmesh, mechanics, msforms, oracles
 from .delsolve import SolverError
-from .lagrangian import LinearWave, density_from_json
+from .lagrangian import LinearWave, _action_sum, density_from_json
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -270,7 +270,7 @@ def _cmd_msff_check(cfg: dict, args) -> tuple:
         "negative_control": control,
         "negative_control_floor": control_floor,
         "tolerance": args.tol,
-        "n_interior_nodes": (mesh.nt - 1) * (mesh.nx - 1),
+        "n_interior_nodes": jetmesh.interior_index(region, mesh.nx + 1).size,
     }
     return results, passed, {"base_field.csv": field, "variation_v.csv": v_var,
                              "variation_w.csv": w_var}
@@ -346,7 +346,8 @@ def _wave_square_mesh(nx: int, ratio: float) -> jetmesh.QuadMesh:
 
 def _extremal_action_on_square(solution: oracles.WaveSolution, nx: int,
                                ratio: float) -> float:
-    """Twice the discrete extremal action with exact-trace Dirichlet data.
+    """Twice the discrete extremal action with exact-trace Dirichlet data:
+    the Dirichlet solution's action, summed on arrays.
 
     The one-triangle-per-cell layout covers half the area measure, so the
     doubled sum is the quantity that converges to the continuum action.
@@ -355,9 +356,9 @@ def _extremal_action_on_square(solution: oracles.WaveSolution, nx: int,
     region = jetmesh.RectRegion(0, 0, mesh.nt, mesh.nx)
     values = [solution.value(n * mesh.dt, i * mesh.dx)
               for (n, i) in jetmesh.boundary_nodes(region)]
-    boundary = jetmesh.BoundaryData(region, values)
-    result = genfunc.boundary_lagrangian(LinearWave, mesh, boundary)
-    return 2.0 * result.value
+    field = delsolve.solve_bvp(LinearWave, mesh, jetmesh.BoundaryData(region, values)).field
+    return 2.0 * _action_sum(LinearWave, field.values, jetmesh.region_index(region, mesh.nx + 1),
+                             mesh.dt, mesh.dx)
 
 
 def _cmd_boundary_lagrangian(cfg: dict, args) -> tuple:

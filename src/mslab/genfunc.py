@@ -8,6 +8,14 @@ sum of vertex-slot derivatives of the triangle actions over the region
 triangles containing b.  Both routes are implemented independently so tests
 can cross-check them.
 
+An action is summed one of two ways.  :func:`region_action` adds one
+``eval_Ld`` per triangle; it is the reference, and :func:`boundary_lagrangian`
+still takes it, because the tests of the benchmark's tracer count those
+calls.  :func:`boundary_hamiltonian` (and the CLI's wave-square ladder) take
+``lagrangian._action_sum``, which calls the density once on the jet arrays
+and adds the terms in the same order, so a quadratic density's sum is the
+same to the bit.
+
 The *boundary Hamiltonian* is the Type-II transform for the supported mixed
 split of a rectangle boundary: values prescribed on the bottom row and both
 full side columns (side A, including all four corners), momenta prescribed
@@ -43,13 +51,18 @@ from .delsolve import BvpSolveReport, _del_newton, solve_bvp
 from .jetmesh import (BoundaryData, DiscreteField, JetTriple, QuadMesh, RectRegion,
                       Region, boundary_nodes, check_region_fits, interior_index,
                       node_index, parse_region, region_index, region_to_json)
-from .lagrangian import (LagrangianDensity, QuadraticDensity, eval_Ld,
+from .lagrangian import (LagrangianDensity, QuadraticDensity, _action_sum, eval_Ld,
                          triangle_kernel)
 
 
 def region_action(density: LagrangianDensity, field: DiscreteField,
                   region: Region) -> float:
-    """Sum of triangle actions of ``field`` over the region."""
+    """Sum of triangle actions of ``field`` over the region.
+
+    One ``eval_Ld`` per triangle, added from 0.0 in the order of
+    :func:`~mslab.jetmesh.region_triangles`: the per-triangle reference of
+    ``lagrangian._action_sum``, which the type-II value and the CLI's
+    wave-square ladder take instead."""
     mesh = field.mesh
     check_region_fits(region, mesh)
     flat = field.values.ravel()
@@ -70,7 +83,11 @@ class BoundaryLagrangianResult:
 def boundary_lagrangian(density: LagrangianDensity, mesh: QuadMesh,
                         boundary: BoundaryData, *,
                         initial: DiscreteField = None) -> BoundaryLagrangianResult:
-    """Extremal discrete action as a function of Dirichlet boundary data."""
+    """Extremal discrete action as a function of Dirichlet boundary data.
+
+    The action is summed by :func:`region_action`, one ``eval_Ld`` per
+    triangle, which the tests of the benchmark's tracer count; it moves to the
+    array sum together with those tests."""
     report = solve_bvp(density, mesh, boundary, initial=initial)
     value = region_action(density, report.field, boundary.region)
     return BoundaryLagrangianResult(value=value, report=report)
@@ -358,11 +375,11 @@ def boundary_hamiltonian(density: LagrangianDensity, mesh: QuadMesh,
     target[len(flat) - len(data.momenta):] = list(data.momenta.values())
     arr = np.zeros(mesh.shape)
     arr.flat[node_index(list(data.dirichlet), ncols)] = list(data.dirichlet.values())
-    solve = _del_newton(density, arr, region_index(region, ncols), flat, flat, mesh.dt,
-                        mesh.dx, target=target)
+    index = region_index(region, ncols)
+    solve = _del_newton(density, arr, index, flat, flat, mesh.dt, mesh.dx, target=target)
     _, _, rcond = solve(np.zeros(len(flat)), "boundary_hamiltonian")
     field = DiscreteField(mesh, arr)
-    action = region_action(density, field, region)
+    action = _action_sum(density, arr, index, mesh.dt, mesh.dx)
     pairing = sum(pi * field[nd] for nd, pi in data.momenta.items())
     return BoundaryHamiltonianResult(value=float(-action + pairing),
                                      field=field, rcond=rcond)

@@ -27,9 +27,12 @@ pull-back to vertex slots are silenced, since that check reports them.
 triangles at once, given as a (3, m) array of flat vertex indices: slot
 gradients, their one-``bincount`` scatter-add into DEL residuals, vertex-slot
 Hessians and their COO triplets (sorted when first read), calling the density
-once on whole jet arrays.  The per-triangle functions below are its
-one-triangle view and its reference: they share the formulas, and tests hold
-the two to round-off agreement.
+once on whole jet arrays.  ``_action_sum`` sums the triangle actions of such
+a set the same way; the two share one helper that gathers the vertex values,
+checks them and forms the jets.  The per-triangle functions below are their
+one-triangle view and their reference: they share the formulas, and tests
+hold the routes to round-off agreement (a quadratic density's action sum to
+the bit).
 """
 
 from __future__ import annotations
@@ -312,6 +315,34 @@ def _hessian_triplets(hess, idx) -> tuple:
             np.ascontiguousarray(np.reshape(hess, (-1, 9)).T).ravel()[order])
 
 
+def _triangle_jets(values, index, dt: float, dx: float) -> tuple:
+    """(flat values, int32 index, (v, w, ubar)) of the triangles ``index`` of
+    ``values``; ValueError names the slot of a non-finite vertex value."""
+    flat = np.asarray(values, dtype=float).ravel()
+    # 32-bit node indices keep the triplet arrays small.
+    index = np.asarray(index, dtype=np.int32)
+    u1, u2, u3 = u = flat[index]
+    if not np.isfinite(u).all():
+        raise ValueError(f"non-finite vertex value u{np.isfinite(u).all(axis=1).argmin() + 1}")
+    return flat, index, ((u3 - u1) / dt, (u2 - u1) / dx, (u1 + u2 + u3) / 3.0)
+
+
+def _action_sum(density: LagrangianDensity, values, index, dt: float, dx: float) -> float:
+    """Sum of the triangle actions of ``index`` (as in :func:`triangle_kernel`).
+
+    The density is called once on the jet arrays, each term is scaled as in
+    :func:`eval_Ld` and checked the same way, and the terms are added from
+    0.0 in triangle order (``np.cumsum``, not the pairwise ``np.sum``), so a
+    quadratic density gives the per-triangle loop's sum bit for bit.
+    """
+    with np.errstate(all="ignore"):  # the finiteness check below reports it
+        v, w, ubar = _triangle_jets(values, index, dt, dx)[2]
+        terms = 0.5 * dt * dx * np.broadcast_to(density.value(v, w, ubar), v.shape)
+    if not np.isfinite(terms).all():
+        raise ValueError(f"density {density.name} produced a non-finite value")
+    return float(np.cumsum(np.append(0.0, terms))[-1])
+
+
 def triangle_kernel(density: LagrangianDensity, values, index, dt: float,
                     dx: float, *, gradient: bool = True,
                     hessian: bool = False) -> TriangleTerms:
@@ -328,14 +359,7 @@ def triangle_kernel(density: LagrangianDensity, values, index, dt: float,
     ValueError, as in the per-triangle functions; numpy warnings in the
     density calls are silenced, since that check reports them.
     """
-    flat = np.asarray(values, dtype=float).ravel()
-    # 32-bit node indices keep the triplet arrays small.
-    index = np.asarray(index, dtype=np.int32)
-    u1, u2, u3 = u = flat[index]
-    if not np.isfinite(u).all():
-        raise ValueError(f"non-finite vertex value u{np.isfinite(u).all(axis=1).argmin() + 1}")
-    v, w, ubar = (u3 - u1) / dt, (u2 - u1) / dx, (u1 + u2 + u3) / 3.0
-
+    flat, index, (v, w, ubar) = _triangle_jets(values, index, dt, dx)
     grads = residual = hess = None
     if gradient:
         with np.errstate(all="ignore"):
@@ -347,9 +371,9 @@ def triangle_kernel(density: LagrangianDensity, values, index, dt: float,
     if hessian:
         if isinstance(density, QuadraticDensity):  # the same at every jet
             hess = np.broadcast_to(hess_Ld(density, JetTriple(0.0, 0.0, 0.0, dt, dx)),
-                                   (len(u1), 3, 3))
+                                   (len(v), 3, 3))
         else:
             with np.errstate(all="ignore"):
-                h = np.broadcast_to(density.second_partials(v, w, ubar), (len(u1), 3, 3))
+                h = np.broadcast_to(density.second_partials(v, w, ubar), (len(v), 3, 3))
             hess = _push_hessian(h, dt, dx, f"density {density.name}")
     return TriangleTerms(grads, residual, hess, index)

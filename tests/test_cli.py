@@ -103,6 +103,15 @@ class TestExitZero:
         res = report["results"]
         assert res["observed_order"] >= 0.8
         assert res["magnitude_gap"] <= 1e-8
+        # The ladder sums its actions on arrays: bit for bit the library's
+        # per-triangle boundary Lagrangian of the same Dirichlet data.
+        solution = mslab.wave_exact_solutions(SQUARE_CONFIG["solution"])
+        for nx, value in zip(res["nx_ladder"], res["doubled_extremal_actions"]):
+            mesh = mslab.cli._wave_square_mesh(nx, 0.5)
+            region = mslab.RectRegion(0, 0, mesh.nt, mesh.nx)
+            data = mslab.BoundaryData(region, [solution.value(n * mesh.dt, i * mesh.dx)
+                                               for n, i in mslab.boundary_nodes(region)])
+            assert value == 2.0 * mslab.boundary_lagrangian(mslab.LinearWave, mesh, data).value
 
     def test_mechanics_midpoint(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", MECH_CONFIG)

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mslab import (
     BoundaryData,
@@ -13,6 +15,7 @@ from mslab import (
     QuadraticDensity,
     RectRegion,
     SolverError,
+    UserDensity,
     boundary_hamiltonian,
     boundary_lagrangian,
     boundary_nodes,
@@ -28,7 +31,8 @@ from mslab import (
     type2_data_from_field,
     wave_exact_solutions,
 )
-from mslab.jetmesh import interior_nodes
+from mslab.jetmesh import JetTriple, interior_nodes, region_index
+from mslab.lagrangian import _action_sum, eval_Ld
 
 
 def seeded_boundary(region, seed, amplitude=0.3):
@@ -114,6 +118,85 @@ class TestRegionAction:
         left = region_action(LinearWave, f, RectRegion(0, 0, 4, 2))
         right = region_action(LinearWave, f, RectRegion(0, 2, 4, 2))
         assert whole == pytest.approx(left + right, rel=1e-12)
+
+
+# Every monomial of the non-quadratic densities keeps one sign, so no
+# triangle action is a cancellation of larger parts.  The constant one
+# returns a float, not an array, on the jet arrays.
+ACTION_DENSITIES = [
+    LinearWave, HarmonicDirichlet,
+    QuadraticDensity(vv=1.3, ww=-0.7, uu=0.4, vw=0.2, vu=-0.3, wu=0.5, name="six"),
+    quartic_test_density(),
+    UserDensity(lambda v, w, u: 0.5 * (v * v + w * w) + 0.5 * (v * u) ** 2 + u ** 6 / 30.0,
+                name="sextic"),
+    UserDensity(lambda v, w, u: 2.0, name="constant"),
+]
+
+
+@st.composite
+def action_cases(draw):
+    """(density, mesh, values, region): a full rectangle, an inset one or a
+    patch on a mesh of 1 to 40 cells a side, data scaled by 1e-3 to 1e3."""
+    kind = draw(st.sampled_from(["full", "inset", "patch3"]))
+    low = 2 if kind == "patch3" else 1
+    nt, nx = draw(st.integers(low, 40)), draw(st.integers(low, 40))
+    if kind == "full":
+        region = RectRegion(0, 0, nt, nx)
+    elif kind == "inset":
+        n0, i0 = draw(st.integers(0, nt - 1)), draw(st.integers(0, nx - 1))
+        region = RectRegion(n0, i0, draw(st.integers(1, nt - n0)),
+                            draw(st.integers(1, nx - i0)))
+    else:
+        region = Patch3Region(draw(st.integers(1, nt - 1)), draw(st.integers(1, nx - 1)))
+    mesh = build_mesh(dt=draw(st.floats(0.01, 1.0)), dx=draw(st.floats(0.01, 1.0)),
+                      nt=nt, nx=nx)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    return (draw(st.sampled_from(ACTION_DENSITIES)), mesh,
+            scale * rng.standard_normal(mesh.shape), region)
+
+
+class TestActionSum:
+    """The array sum against the per-triangle loop of ``region_action``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=action_cases())
+    def test_matches_the_per_triangle_loop(self, case):
+        density, mesh, values, region = case
+        index = region_index(region, mesh.nx + 1)
+        got = _action_sum(density, values, index, mesh.dt, mesh.dx)
+        ref = region_action(density, DiscreteField(mesh, values), region)
+        if density.is_quadratic:  # the same operations in the same order
+            assert got.hex() == ref.hex()
+            return
+        # numpy's array ``**`` may round differently from Python's float
+        # ``**``.  Each route adds its m terms from 0.0 within (m - 1) eps
+        # times the sum of |terms|, and each term, a few roundings of
+        # one-signed monomials, moves by at most 32 eps of itself.
+        terms = [abs(eval_Ld(density, JetTriple(*u, mesh.dt, mesh.dx)))
+                 for u in zip(*values.ravel()[index].tolist())]
+        bound = (2 * len(terms) + 32) * np.finfo(float).eps * sum(terms)
+        assert abs(got - ref) <= bound
+
+    def test_non_finite_vertex_value_names_its_slot(self):
+        mesh = build_mesh(dt=0.1, dx=0.2, nt=3, nx=3)
+        values = np.ones(mesh.shape)
+        values[2, 3] = np.nan  # in slot 2 of triangle (2, 2), and in no other slot
+        index = region_index(RectRegion(2, 0, 1, 3), mesh.nx + 1)
+        with pytest.raises(ValueError, match="non-finite vertex value u2"):
+            _action_sum(LinearWave, values, index, mesh.dt, mesh.dx)
+
+    def test_non_finite_density_value_fails_as_the_loop_does(self):
+        mesh = build_mesh(dt=0.1, dx=0.2, nt=3, nx=3)
+        values = np.zeros(mesh.shape)
+        values[1, 1] = 1e200  # v * v overflows
+        region = RectRegion(0, 0, 3, 3)
+        message = "^density linear_wave produced a non-finite value$"
+        with pytest.raises(ValueError, match=message):
+            region_action(LinearWave, DiscreteField(mesh, values), region)
+        with pytest.raises(ValueError, match=message):
+            _action_sum(LinearWave, values, region_index(region, mesh.nx + 1), mesh.dt,
+                        mesh.dx)
 
 
 class TestRegionFit:

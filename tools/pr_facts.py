@@ -16,10 +16,12 @@
 4. For every check of item 2, the solver work it did: its sparse LU
    factorisations (``splu`` calls), its Hessian operator builds
    (``_hessian_operator`` calls), its Newton steps summed over its solves
-   (``_newton`` returns) and its dense back-solves (``numpy.linalg.solve``
-   calls).  Every binding of those names in the ``mslab`` modules, and
-   ``numpy.linalg.solve``, is wrapped in-process while the checks run; the
-   counts are deterministic, so two checkouts can be compared line by line.
+   (``_newton`` returns), its dense back-solves (``numpy.linalg.solve``
+   calls) and its per-triangle actions (``eval_Ld`` calls, the scalar route
+   that the array sums replace).  Every binding of those names in the
+   ``mslab`` modules, and ``numpy.linalg.solve``, is wrapped in-process
+   while the checks run; the counts are deterministic, so two checkouts can
+   be compared line by line.
    The same counts, and the sha256 of the result, follow for fixed probes
    that no workload covers: ``PROBE_N``-squared runs of ``propagate`` on the
    phi^4 wave L = (v^2 - w^2)/2 + u^4/4 (dt/dx = 1/2, rows of amplitude 1),
@@ -134,15 +136,16 @@ def print_cli_hashes() -> None:
 
 @contextmanager
 def solver_counts():
-    """A dict of running counts, ``lu``, ``K``, ``newton_steps`` and
-    ``dense_solves``, kept while every ``mslab`` binding of ``splu``,
-    ``_hessian_operator`` and ``_newton``, and ``numpy.linalg.solve``, is
-    wrapped; the bindings are restored on exit."""
+    """A dict of running counts, ``lu``, ``K``, ``newton_steps``,
+    ``dense_solves`` and ``eval_Ld``, kept while every ``mslab`` binding of
+    ``splu``, ``_hessian_operator``, ``_newton`` and ``eval_Ld``, and
+    ``numpy.linalg.solve``, is wrapped; the bindings are restored on exit."""
     import numpy as np
 
     import mslab.delsolve as delsolve
+    import mslab.lagrangian as lagrangian
 
-    counts = dict.fromkeys(("lu", "K", "newton_steps", "dense_solves"), 0)
+    counts = dict.fromkeys(("lu", "K", "newton_steps", "dense_solves", "eval_Ld"), 0)
 
     def counted(fn, key, add):
         def wrapper(*args, **kwargs):
@@ -151,12 +154,15 @@ def solver_counts():
             return out
         return wrapper
 
-    wrappers = {name: counted(getattr(delsolve, name), key, add) for name, key, add in (
-        ("splu", "lu", lambda out: 1), ("_hessian_operator", "K", lambda out: 1),
-        ("_newton", "newton_steps", lambda out: out[2]))}
+    targets = ((delsolve, "splu", "lu", lambda out: 1),
+               (delsolve, "_hessian_operator", "K", lambda out: 1),
+               (delsolve, "_newton", "newton_steps", lambda out: out[2]),
+               (lagrangian, "eval_Ld", "eval_Ld", lambda out: 1))
+    originals = {name: getattr(home, name) for home, name, _, _ in targets}
+    wrappers = {name: counted(originals[name], key, add) for _, name, key, add in targets}
     modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "mslab"]
     saved = [(m, name, getattr(m, name)) for m in modules for name in wrappers
-             if getattr(m, name, None) is getattr(delsolve, name)]
+             if getattr(m, name, None) is originals[name]]
     saved.append((np.linalg, "solve", np.linalg.solve))
     wrappers["solve"] = counted(np.linalg.solve, "dense_solves", lambda out: 1)
     try:
@@ -232,7 +238,7 @@ def _counts(counts) -> str:
 
 def print_solver_counts(rows, probes) -> None:
     print("# solver work per check: splu factorisations, K builds, Newton steps, "
-          "dense solves")
+          "dense solves, per-triangle eval_Ld calls")
     for workload, seed, name, _, counts in rows:
         print(f"{workload} seed {seed} {name} {_counts(counts)}")
     for name, what, digest, counts in probes:
