@@ -51,8 +51,8 @@ from .delsolve import BvpSolveReport, _del_newton, solve_bvp
 from .jetmesh import (BoundaryData, DiscreteField, JetTriple, QuadMesh, RectRegion,
                       Region, boundary_nodes, check_region_fits, interior_index,
                       node_index, parse_region, region_index, region_to_json)
-from .lagrangian import (LagrangianDensity, QuadraticDensity, _action_sum, eval_Ld,
-                         triangle_kernel)
+from .lagrangian import (LagrangianDensity, _action_sum, _check_finite, _triangle_jets,
+                         eval_Ld, triangle_kernel)
 
 
 def region_action(density: LagrangianDensity, field: DiscreteField,
@@ -170,10 +170,19 @@ class LegendreData:
 
 def legendre(density: LagrangianDensity, v: float, w: float,
              ubar: float = 0.0) -> LegendreData:
-    """Pointwise momentum map of a density at jet values (v, w, ubar)."""
-    lv, lw, _ = (float(p) for p in density.partials(v, w, ubar))
-    lval = float(density.value(v, w, ubar))
-    return LegendreData(p_t=lv, p_x=lw, hamiltonian=lv * v + lw * w - lval)
+    """Pointwise momentum map of a density at jet values (v, w, ubar).
+
+    ValueError if a momentum or the Hamiltonian is NaN/Inf, as in
+    :func:`~mslab.lagrangian.eval_Ld`."""
+    try:
+        with np.errstate(all="ignore"):  # the finiteness check below reports it
+            lv, lw, _ = (float(p) for p in density.partials(v, w, ubar))
+            lval = float(density.value(v, w, ubar))
+    except OverflowError:  # a float ** past the float range; numpy gives inf
+        lv = lw = lval = math.inf
+    hamiltonian = lv * v + lw * w - lval
+    _check_finite(f"density {density.name}", lv, lw, hamiltonian)
+    return LegendreData(p_t=lv, p_x=lw, hamiltonian=hamiltonian)
 
 
 @dataclass(frozen=True)
@@ -191,7 +200,7 @@ class DdwResidualReport:
     n_sites: int
 
 
-def ddw_residual(density: QuadraticDensity, field: DiscreteField,
+def ddw_residual(density: LagrangianDensity, field: DiscreteField,
                  region: Region = None) -> DdwResidualReport:
     """Forward-difference residuals of the canonical (first-order) equations.
 
@@ -203,13 +212,15 @@ def ddw_residual(density: QuadraticDensity, field: DiscreteField,
             + dH/du(u(n, i), p(n, i))  ->  0,
 
     and the gradient equations compare (v, w) at each triangle with the
-    momentum-gradient of the energy at (u(n, i), p(n, i)).  Requires an
-    invertible velocity block (quadratic densities with vv*ww != vw^2).
+    momentum-gradient of the energy at (u(n, i), p(n, i)).  Requires a
+    density whose ``is_quadratic`` is set, with an invertible velocity block
+    (Lvv*Lww != Lvw^2); its constant ``second_partials`` is the coefficient
+    matrix that inverts the momentum map.
     """
-    if not isinstance(density, QuadraticDensity):
+    if not density.is_quadratic:
         raise ValueError("canonical-equation residuals support quadratic densities")
-    a11, a12, a22 = density.vv, density.vw, density.ww
-    det = a11 * a22 - a12 * a12
+    (lvv, lvw, lvu), (_, lww, lwu), (_, _, luu) = density.second_partials(0.0, 0.0, 0.0)
+    det = lvv * lww - lvw * lvw
     if det == 0.0:
         raise ValueError("velocity block of the density is singular; no "
                          "momentum form of the equations exists")
@@ -228,18 +239,16 @@ def ddw_residual(density: QuadraticDensity, field: DiscreteField,
     if here.size == 0:
         raise ValueError("region too small: no site has both forward neighbours")
     above, beside = pos[index[0][here] + ncols], pos[index[0][here] + 1]
-    flat = field.values.ravel()
-    u1, u2, u3 = flat[index]
-    v, w, ubar = (u3 - u1) / mesh.dt, (u2 - u1) / mesh.dx, (u1 + u2 + u3) / 3.0
+    flat, index, (v, w, ubar) = _triangle_jets(field.values, index, mesh.dt, mesh.dx)
     p_t, p_x, _ = density.partials(v, w, ubar)
 
-    u_here = u1[here]
+    u_here = flat[index[0][here]]
     # invert the momentum map at (u, p): velocities from the quadratic block
-    bt = p_t[here] - density.vu * u_here
-    bx = p_x[here] - density.wu * u_here
-    v_rec = (a22 * bt - a12 * bx) / det
-    w_rec = (a11 * bx - a12 * bt) / det
-    du_energy = -(density.uu * u_here + density.vu * v_rec + density.wu * w_rec)
+    bt = p_t[here] - lvu * u_here
+    bx = p_x[here] - lwu * u_here
+    v_rec = (lww * bt - lvw * bx) / det
+    w_rec = (lvv * bx - lvw * bt) / det
+    du_energy = -(luu * u_here + lvu * v_rec + lwu * w_rec)
     div = ((p_t[above] - p_t[here]) / mesh.dt
            + (p_x[beside] - p_x[here]) / mesh.dx
            - du_energy)

@@ -19,9 +19,13 @@ discrete counterpart of the exactness of the boundary forms.
 
 Built-in quadratic densities carry analytic derivatives; arbitrary callables
 are differentiated with forward-mode dual numbers (exact to round-off, no
-step-size tuning).  Every evaluation is checked for NaN/Inf, which raises
-ValueError; numpy warnings from non-quadratic densities and from the Hessian
-pull-back to vertex slots are silenced, since that check reports them.
+step-size tuning).  A density's ``is_quadratic`` flag is the one test for a
+constant Hessian, whatever its class, and its ``second_partials`` is the one
+statement of that Hessian: every vertex-slot Hessian is ``second_partials``
+pulled back to the slots.  Every evaluation is checked for NaN/Inf, which
+raises ValueError; numpy warnings in the density calls (bar the action of a
+quadratic density) and in the pull-back are silenced, since that check
+reports them.
 
 :func:`triangle_kernel` evaluates the same terms for a whole set of
 triangles at once, given as a (3, m) array of flat vertex indices: slot
@@ -39,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -53,7 +57,9 @@ class LagrangianDensity:
 
     name = "density"
     # True for a quadratic form in (v, w, ubar): the Hessian is constant and
-    # the DEL residuals are linear in the node values.
+    # the DEL residuals are linear in the node values.  The one test for that,
+    # read everywhere in place of the class: a QuadraticDensity subclass that
+    # adds a potential sets it False.
     is_quadratic = False
 
     def value(self, v, w, ubar):
@@ -109,11 +115,6 @@ class QuadraticDensity(LagrangianDensity):
     def coefficients(self) -> dict:
         return {"vv": self.vv, "ww": self.ww, "uu": self.uu,
                 "vw": self.vw, "vu": self.vu, "wu": self.wu}
-
-    @property
-    def couples_average(self) -> bool:
-        """Whether the cell average enters (relevant for field-theory limits)."""
-        return any(c != 0.0 for c in (self.uu, self.vu, self.wu))
 
 
 class UserDensity(LagrangianDensity):
@@ -186,11 +187,14 @@ def _slot_gradient(lv, lw, lu, dt: float, dx: float) -> tuple:
 
 def eval_Ld(density: LagrangianDensity, triple: JetTriple) -> float:
     """Triangle action (dt*dx/2) * L(v, w, ubar)."""
-    if density.is_quadratic:
-        val = density.value(triple.v, triple.w, triple.ubar)
-    else:  # silenced as in triangle_kernel: the finiteness check reports it
-        with np.errstate(all="ignore"):
+    try:
+        if density.is_quadratic:
             val = density.value(triple.v, triple.w, triple.ubar)
+        else:  # silenced as in triangle_kernel: the finiteness check reports it
+            with np.errstate(all="ignore"):
+                val = density.value(triple.v, triple.w, triple.ubar)
+    except OverflowError:  # a float ** past the float range; numpy gives inf
+        val = math.inf
     out = float(0.5 * triple.dt * triple.dx * val)
     _check_finite(f"density {density.name}", out)
     return out
@@ -205,24 +209,12 @@ def grad_Ld(density: LagrangianDensity, triple: JetTriple) -> tuple:
         d2 = A * ( Lw/dx          + Lu/3),
         d3 = A * ( Lv/dt          + Lu/3).
     """
-    if density.is_quadratic:
+    with np.errstate(all="ignore"):  # as in triangle_kernel: the check reports it
         parts = density.partials(triple.v, triple.w, triple.ubar)
-    else:  # silenced as in triangle_kernel: the finiteness check reports it
-        with np.errstate(all="ignore"):
-            parts = density.partials(triple.v, triple.w, triple.ubar)
     lv, lw, lu = (float(p) for p in parts)
     _check_finite(f"density {density.name} partials", lv, lw, lu)
     return _slot_gradient(lv, lw, lu, triple.dt, triple.dx)
 
-
-@lru_cache(maxsize=64)
-def _quadratic_hessian(coeffs: tuple, dt: float, dx: float):
-    h = np.array([[coeffs[0], coeffs[3], coeffs[4]],
-                  [coeffs[3], coeffs[1], coeffs[5]],
-                  [coeffs[4], coeffs[5], coeffs[2]]])
-    m = _push_hessian(h, dt, dx, "quadratic density")
-    m.setflags(write=False)
-    return m
 
 def _push_hessian(h, dt: float, dx: float, name: str):
     """Pull the (v, w, ubar) Hessian back to vertex slots and scale by area.
@@ -242,11 +234,9 @@ def _push_hessian(h, dt: float, dx: float, name: str):
 
 
 def hess_Ld(density: LagrangianDensity, triple: JetTriple):
-    """Symmetric 3x3 vertex-slot Hessian of the triangle action."""
-    if isinstance(density, QuadraticDensity):
-        coeffs = (density.vv, density.ww, density.uu,
-                  density.vw, density.vu, density.wu)
-        return _quadratic_hessian(coeffs, triple.dt, triple.dx)
+    """Symmetric 3x3 vertex-slot Hessian of the triangle action: the density's
+    ``second_partials`` at the jet, pulled back to vertex slots, for every
+    density (a quadratic one's is the same at every jet)."""
     with np.errstate(all="ignore"):  # _push_hessian's finiteness check reports it
         h = np.asarray(density.second_partials(triple.v, triple.w, triple.ubar),
                        dtype=float)
@@ -353,9 +343,9 @@ def triangle_kernel(density: LagrangianDensity, values, index, dt: float,
     ``gradient`` asks for the slot gradients and the DEL residual vector,
     ``hessian`` for the vertex-slot Hessians and their COO triplets.  Jets
     are formed once, and ``partials``/``second_partials`` are called once on
-    them (quadratic densities use their constant Hessian).  The residual is
-    one scatter-add of all slots in slot order; no slot maps two triangles to
-    one node, so each node adds d1 + d2 + d3 in that order.  NaN/Inf raises
+    them (a density whose ``is_quadratic`` is set uses its constant Hessian).
+    The residual is one scatter-add of all slots in slot order; no slot maps
+    two triangles to one node, so each node adds d1 + d2 + d3 in that order.  NaN/Inf raises
     ValueError, as in the per-triangle functions; numpy warnings in the
     density calls are silenced, since that check reports them.
     """
@@ -369,7 +359,7 @@ def triangle_kernel(density: LagrangianDensity, values, index, dt: float,
         grads = np.array(_slot_gradient(lv, lw, lu, dt, dx))
         residual = np.bincount(index.ravel(), weights=grads.ravel(), minlength=flat.size)
     if hessian:
-        if isinstance(density, QuadraticDensity):  # the same at every jet
+        if density.is_quadratic:  # the same at every jet
             hess = np.broadcast_to(hess_Ld(density, JetTriple(0.0, 0.0, 0.0, dt, dx)),
                                    (len(v), 3, 3))
         else:

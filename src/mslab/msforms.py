@@ -42,7 +42,7 @@ from .delsolve import (_check_solution, _del_newton, _factor_and_rcond,
 from .jetmesh import (BoundaryData, DiscreteField, Patch3Region, QuadMesh,
                       Region, boundary_nodes, check_region_fits, interior_index,
                       node_index, region_index)
-from .lagrangian import LagrangianDensity, QuadraticDensity, triangle_kernel
+from .lagrangian import LagrangianDensity, triangle_kernel
 from .oracles import _gauss
 
 
@@ -330,7 +330,7 @@ def hessian_symmetry(density: LagrangianDensity, mesh: QuadMesh,
 # Continuum boundary integral (independent of the mesh machinery)
 
 
-def continuous_msff_residual(density: QuadraticDensity, v_sol,
+def continuous_msff_residual(density: LagrangianDensity, v_sol,
                              w_sol) -> FormResidualReport:
     """Boundary circulation of the variation one-form for exact solutions.
 
@@ -348,15 +348,17 @@ def continuous_msff_residual(density: QuadraticDensity, v_sol,
     solutions.  For solutions of the continuum field equations the
     circulation vanishes.
 
-    Densities coupling the cell average have no continuum transcription here;
+    The density must have ``is_quadratic`` set; Lvv, Lvw and Lww are read
+    from its constant ``second_partials``.  Densities coupling the cell
+    average (a nonzero last row there) have no continuum transcription here;
     they are checked through the discrete route only.
     """
-    if not isinstance(density, QuadraticDensity):
+    if not density.is_quadratic:
         raise ValueError("continuum circulation supports quadratic densities only")
-    if density.couples_average:
+    (lvv, lvw, _), (_, lww, _), average_row = density.second_partials(0.0, 0.0, 0.0)
+    if np.any(average_row != 0.0):
         raise ValueError("densities coupling the cell average route through "
                          "the discrete identity only")
-    lvv, lvw, lww = density.vv, density.vw, density.ww
 
     def a_components(t, x):
         vt = v_sol.value(t, x) * w_sol.dt(t, x) - w_sol.value(t, x) * v_sol.dt(t, x)

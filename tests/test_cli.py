@@ -418,10 +418,10 @@ class TestOverflowingData:
          EXIT_SOLVER, "step_row (row 2): non-finite residual"),
         # 1/dt squared overflows the vertex-slot Hessian.
         ("msff-check", {"mesh": {"dt": 1e-300, "dx": 1, "nt": 6, "nx": 6}},
-         EXIT_SOLVER, "step_row (row 2): quadratic density produced a non-finite Hessian"),
+         EXIT_SOLVER, "step_row (row 2): density linear_wave produced a non-finite Hessian"),
         ("bridges-check", {"mode": "conservation",
                            "mesh": {"dt": 1e-300, "dx": 1, "nt": 6, "nx": 6}},
-         EXIT_SOLVER, "step_row (row 2): quadratic density produced a non-finite Hessian"),
+         EXIT_SOLVER, "step_row (row 2): density linear_wave produced a non-finite Hessian"),
         # One slice and no interior node: nothing to compare.
         ("bridges-check", {"mode": "conservation",
                            "mesh": {"dt": 1, "dx": 1, "nt": 1, "nx": 1}},

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -41,6 +42,13 @@ def seeded_boundary(region, seed, amplitude=0.3):
         len(boundary_nodes(region))))
 
 
+def spike_field(value):
+    """Zeros on a 3^2 mesh but ``value`` at node (1, 1)."""
+    values = np.zeros((4, 4))
+    values[1, 1] = value
+    return DiscreteField(build_mesh(0.1, 0.1, 3, 3), values)
+
+
 class TestLegendreMap:
     def test_frozen_wave_values(self):
         data = legendre(LinearWave, 2.0, 1.0)
@@ -54,6 +62,20 @@ class TestLegendreMap:
         data = legendre(dens, v, w, u)
         assert data.hamiltonian == pytest.approx(
             data.p_t * v + data.p_x * w - dens(v, w, u), rel=1e-12)
+
+    # A float ** past the float range raises OverflowError, and numpy warns;
+    # either must come out as the documented ValueError.
+    @pytest.mark.parametrize("call", [
+        lambda: region_action(quartic_test_density(), spike_field(1e200),
+                              RectRegion(0, 0, 3, 3)),
+        lambda: legendre(LinearWave, 1e200, 0.0),
+        lambda: legendre(quartic_test_density(), 0.0, 0.0, 1e200),
+    ], ids=["region_action", "legendre-wave", "legendre-quartic"])
+    def test_non_finite_value_is_a_value_error(self, call):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^density \S+ produced a non-finite value$"):
+                call()
 
 
 class TestBoundaryLagrangianEnvelope:

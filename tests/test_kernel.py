@@ -9,6 +9,10 @@ loops over ``omega_k`` and ``hess_Ld``.  The action
 enters through Euler's identity for quadratic densities: the action is then
 homogeneous of degree two in the node values, so u . grad S = 2 S with S the
 sum of ``eval_Ld`` over the triangles.
+
+A ``QuadraticDensity`` subclass that adds a potential and sets
+``is_quadratic`` False must be treated as the nonlinear density it is, by the
+kernel, ``hess_Ld``, the solvers and the quadratic-only checks alike.
 """
 
 import numpy as np
@@ -17,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mslab import (
+    BoundaryData,
     DiscreteField,
     JetTriple,
     LinearWave,
@@ -24,7 +29,10 @@ from mslab import (
     QuadraticDensity,
     RectRegion,
     UserDensity,
+    boundary_nodes,
     build_mesh,
+    continuous_msff_residual,
+    ddw_residual,
     del_residual,
     eval_Ld,
     grad_Ld,
@@ -32,8 +40,12 @@ from mslab import (
     hess_Ld,
     jet_extension,
     linearized_del_residual,
+    msff_residual_region,
     omega_k,
     quartic_test_density,
+    solve_bvp,
+    tangent_solve,
+    wave_exact_solutions,
 )
 from mslab import lagrangian
 from mslab.jetmesh import region_index, triangle_index
@@ -247,3 +259,67 @@ def test_lazy_triplets_equal_eager_triplets(kind, case):
     assert _bits(rows) == _bits(ref_rows) and _bits(cols) == _bits(ref_cols)
     assert _bits(vals) == _bits(ref_vals)
     assert triangle_kernel(density, field.values, index, mesh.dt, mesh.dx).triplets is None
+
+
+class Phi4Wave(QuadraticDensity):
+    """The phi^4 wave (v^2 - w^2)/2 + u^4/4 on top of the linear wave's
+    coefficients, with its own derivatives; not quadratic."""
+
+    is_quadratic = False
+
+    def __init__(self):
+        super().__init__(vv=1.0, ww=-1.0, name="phi4_wave")
+
+    def value(self, v, w, ubar):
+        return super().value(v, w, ubar) + 0.25 * ubar ** 4
+
+    def partials(self, v, w, ubar):
+        lv, lw, lu = super().partials(v, w, ubar)
+        return lv, lw, lu + ubar ** 3
+
+    def second_partials(self, v, w, ubar):
+        h = np.zeros(np.shape(ubar) + (3, 3)) + super().second_partials(v, w, ubar)
+        h[..., 2, 2] += 3.0 * np.asarray(ubar) ** 2
+        return h
+
+
+class TestQuadraticSubclassWithPotential:
+    density = Phi4Wave()
+    mesh = build_mesh(0.05, 0.1, 8, 8)
+    region = RectRegion(0, 0, 8, 8)
+
+    def boundary(self, rng):
+        return BoundaryData(self.region,
+                            rng.standard_normal(len(boundary_nodes(self.region))))
+
+    def test_hessians_are_its_second_partials(self):
+        mesh = self.mesh
+        field = DiscreteField(mesh, np.random.default_rng(2).standard_normal(mesh.shape))
+        index = region_index(self.region, mesh.nx + 1)
+        flat = field.values.ravel()
+        triples = [JetTriple(*(float(flat[k]) for k in verts), mesh.dt, mesh.dx)
+                   for verts in zip(*index)]
+        reference = np.array([lagrangian._push_hessian(
+            self.density.second_partials(t.v, t.w, t.ubar), mesh.dt, mesh.dx, "reference")
+            for t in triples])
+        kernel = triangle_kernel(self.density, field.values, index, mesh.dt, mesh.dx,
+                                 gradient=False, hessian=True).hess
+        assert close(kernel, reference)
+        assert close([hess_Ld(self.density, t) for t in triples], reference)
+
+    def test_bvp_and_form_identity(self):
+        field = solve_bvp(self.density, self.mesh,
+                          self.boundary(np.random.default_rng(2))).field
+        rng = np.random.default_rng(3)
+        v_var, w_var = tangent_solve(self.density, field, self.region,
+                                     [self.boundary(rng), self.boundary(rng)])
+        rep = msff_residual_region(self.density, field, v_var, w_var, self.region,
+                                   check_variations=True)
+        assert abs(rep.residual) <= 1e-12 * rep.max_term
+
+    def test_quadratic_only_checks_reject_it(self):
+        with pytest.raises(ValueError, match="quadratic densities"):
+            ddw_residual(self.density, DiscreteField.zeros(self.mesh))
+        standing = wave_exact_solutions("standing:1")
+        with pytest.raises(ValueError, match="quadratic densities"):
+            continuous_msff_residual(self.density, standing, standing)

@@ -25,10 +25,13 @@
    The same counts, and the sha256 of the result, follow for fixed probes
    that no workload covers: ``PROBE_N``-squared runs of ``propagate`` on the
    phi^4 wave L = (v^2 - w^2)/2 + u^4/4 (dt/dx = 1/2, rows of amplitude 1),
-   with each closure, so that changes to the nonlinear row stepper show, and
-   the exact discrete Lagrangian of the pendulum L = qdot^2/2 + cos q at
-   (q0, q1, h) = (0.3, 0.7, 0.4), so that changes to the dense collocation
-   Newton show.
+   with each closure, so that changes to the nonlinear row stepper show; a
+   20-squared ``solve_bvp`` of ``quartic_test_density(1.0)`` (dt 0.025,
+   dx 0.05) on ``10 * default_rng(0).standard_normal(80)`` boundary data,
+   so that the contraction monitor of the kept-LU Newton shows in its LU
+   and step counts; and the exact discrete Lagrangian of the pendulum
+   L = qdot^2/2 + cos q at (q0, q1, h) = (0.3, 0.7, 0.4), so that changes
+   to the dense collocation Newton show.
 
 Usage::
 
@@ -194,11 +197,17 @@ def run_checks() -> list:
 
 def run_probes() -> list:
     """(probe name, what is hashed, its sha256, solver counts) for each
-    phi^4-wave ``propagate`` probe and the pendulum collocation."""
+    phi^4-wave ``propagate`` probe, the quartic Dirichlet solve and the
+    pendulum collocation.
+
+    ``delsolve._newton`` binds ``THETA_MAX`` as its default when the module
+    is imported, so setting ``delsolve.THETA_MAX`` afterwards changes
+    nothing: a mutant of the contraction bound must edit the source."""
     import numpy as np
 
-    from mslab import (FixedClosure, PeriodicClosure, UserDensity, build_mesh, dual,
-                       exact_discrete_lagrangian, mechanics, propagate)
+    from mslab import (BoundaryData, FixedClosure, PeriodicClosure, RectRegion, UserDensity,
+                       build_mesh, dual, exact_discrete_lagrangian, mechanics, propagate,
+                       quartic_test_density, solve_bvp)
 
     mesh = build_mesh(dt=0.5 / PROBE_N, dx=1.0 / PROBE_N, nt=PROBE_N, nx=PROBE_N)
     density = UserDensity(lambda v, w, u: 0.5 * (v * v - w * w) + 0.25 * u ** 4)
@@ -213,6 +222,14 @@ def run_probes() -> list:
             field = propagate(density, mesh, row0, row1, closure)
         rows.append((f"phi4-propagate-{name}", "field",
                      hashlib.sha256(field.values.tobytes()).hexdigest(), counts))
+
+    mesh = build_mesh(dt=0.025, dx=0.05, nt=20, nx=20)
+    data = 10.0 * np.random.default_rng(0).standard_normal(80)
+    with solver_counts() as counts:
+        field = solve_bvp(quartic_test_density(1.0), mesh,
+                          BoundaryData(RectRegion(0, 0, 20, 20), data)).field
+    rows.append(("quartic-bvp", "field", hashlib.sha256(field.values.tobytes()).hexdigest(),
+                 counts))
 
     class Pendulum(mechanics.MechLagrangian):
         name = "pendulum"
