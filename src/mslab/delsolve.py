@@ -77,12 +77,16 @@ the same solver.
 Whether a given field solves its DEL equations is decided by the same
 level, in one place (``_check_solution``): every residual must be at or
 below ``SOLVED_MARGIN`` = 2 times max(``NEWTON_TOL``, the round-off floor of
-K and the field).  The margin covers kernel residuals that round differently
-from ``R @ x``; a row's floor is at most that of any region holding it.  The
-base-field checks of :func:`tangent_solve` and
-:func:`~mslab.msforms.msff_residual_region`, and the latter's checks of the
-variations against the linearised equations (floor of K and the variation),
-all apply it, so every field a solver returns passes, at any data scale.
+K and the field).  K is the field's, with a row at every interior node of
+its whole mesh (``_field_hessian``), whatever region is tested: a row's
+floor is at most that of any region holding it, so a solve on a larger
+region than the one tested (a patch, say) may stop above the tested rows'
+own floor, but not above the field's.  The margin covers kernel residuals
+that round differently from ``R @ x``.  The base-field checks of
+:func:`tangent_solve` and :func:`~mslab.msforms.msff_residual_region`, and
+the latter's checks of the variations against the linearised equations
+(floor of K and the variation), all apply it, so every field a Dirichlet
+solve or a fixed-closure :func:`propagate` returns passes, at any data scale.
 A quadratic density's Jacobian is the same at every iterate and row, so one
 sparse LU serves a whole :func:`propagate` run, :func:`solve_bvp` or
 type-II solve, whatever its iteration count.  Its DEL residuals are linear in
@@ -142,7 +146,7 @@ from scipy.linalg.blas import idamax
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
-from .jetmesh import (BoundaryData, DiscreteField, QuadMesh, Region,
+from .jetmesh import (BoundaryData, DiscreteField, QuadMesh, RectRegion, Region,
                       TriangleIndex, check_region_fits, interior_index,
                       jet_extension, node_index, region_index, triangle_index)
 from .lagrangian import LagrangianDensity, grad_Ld, triangle_kernel
@@ -356,13 +360,25 @@ def _roundoff_floor(jac, x=1.0) -> float:
     return 64.0 * float(np.finfo(float).eps) * float(np.max(rows)) * float(np.max(np.abs(x)))
 
 
+def _field_hessian(density: LagrangianDensity, field: DiscreteField, context: str):
+    """K of the field at every interior node of its whole mesh.  A Dirichlet
+    solve or a fixed-closure row on the mesh solves a block of its rows, so
+    its round-off floor is at or above the level at which any of them stops,
+    whatever region a solution test covers.  A non-finite Hessian raises
+    :class:`SolverError` naming ``context``."""
+    mesh, whole = field.mesh, RectRegion(0, 0, field.mesh.nt, field.mesh.nx)
+    return _hessian_operator(density, field.values, region_index(whole, mesh.nx + 1),
+                             interior_index(whole, mesh.nx + 1), mesh.dt, mesh.dx, context)
+
+
 def _check_solution(residual, nodes, ncols: int, what: str, hessian, values) -> None:
     """ValueError naming ``what`` at the first of the flat ``nodes``, in
     their order, whose residual is not within ``SOLVED_MARGIN`` times the
     level at which :func:`_newton` stops: max(``NEWTON_TOL``, the round-off
-    floor of K = ``hessian()`` and ``values``).  K is built, and the floor
-    taken, only when some |residual| exceeds ``SOLVED_MARGIN * NEWTON_TOL``.
-    A non-finite residual always fails."""
+    floor of K = ``hessian()``, the field's (:func:`_field_hessian`), and
+    ``values``).  K is built, and the floor taken, only when some |residual|
+    exceeds ``SOLVED_MARGIN * NEWTON_TOL``.  A non-finite residual always
+    fails."""
     bound = SOLVED_MARGIN * NEWTON_TOL
     if np.abs(residual).max(initial=0.0) <= bound:
         return
@@ -682,7 +698,7 @@ def tangent_solve(density: LagrangianDensity, field: DiscreteField, region: Regi
     k = _hessian_operator(density, field.values, index, inner, mesh.dt, mesh.dx,
                           "tangent_solve")
     _check_solution(res, inner, ncols, "base field does not satisfy the DEL equations",
-                    lambda: k, field.values)
+                    lambda: _field_hessian(density, field, "tangent_solve"), field.values)
 
     taus = np.zeros((len(boundaries), mesh.shape[0] * ncols))
     for tau, tb in zip(taus, boundaries):

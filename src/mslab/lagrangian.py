@@ -345,9 +345,10 @@ def triangle_kernel(density: LagrangianDensity, values, index, dt: float,
     are formed once, and ``partials``/``second_partials`` are called once on
     them (a density whose ``is_quadratic`` is set uses its constant Hessian).
     The residual is one scatter-add of all slots in slot order; no slot maps
-    two triangles to one node, so each node adds d1 + d2 + d3 in that order.  NaN/Inf raises
-    ValueError, as in the per-triangle functions; numpy warnings in the
-    density calls are silenced, since that check reports them.
+    two triangles to one node, so each node adds d1 + d2 + d3 in that order.
+    NaN/Inf raises ValueError, as in the per-triangle functions; numpy
+    warnings in the density calls are silenced, since that check reports
+    them.
     """
     flat, index, (v, w, ubar) = _triangle_jets(values, index, dt, dx)
     grads = residual = hess = None

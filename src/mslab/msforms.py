@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .delsolve import (_check_solution, _del_newton, _factor_and_rcond,
+from .delsolve import (_check_solution, _del_newton, _factor_and_rcond, _field_hessian,
                        _hessian_operator, _sparse_block, solve_bvp)
 from .jetmesh import (BoundaryData, DiscreteField, Patch3Region, QuadMesh,
                       Region, boundary_nodes, check_region_fits, interior_index,
@@ -139,7 +139,7 @@ def msff_residual_region(density: LagrangianDensity, field: DiscreteField,
     that fails.  Each is the test of
     :mod:`~mslab.delsolve`: every residual within twice the level at which
     the Newton solves stop, max(``NEWTON_TOL``, the round-off floor of the
-    Hessian K and the field or variation).
+    field's Hessian K, over its whole mesh, and the field or variation).
     """
     _check_meshes(field.mesh, {"variation V": v_var, "variation W": w_var})
     ncols = field.mesh.nx + 1
@@ -148,14 +148,15 @@ def msff_residual_region(density: LagrangianDensity, field: DiscreteField,
         raise ValueError(f"region {region} has no interior nodes")
     terms, contributions = _region_patch_terms(density, field, v_var, w_var,
                                                region, flat)
-    hessian = functools.cache(lambda: _sparse_block(terms.triplets, field.values.size, flat))
+    k = functools.cache(lambda: _field_hessian(density, field, "msff_residual_region"))
     _check_solution(terms.residual[flat], flat, ncols,
-                    "field does not satisfy the DEL equations", hessian, field.values)
+                    "field does not satisfy the DEL equations", k, field.values)
     if check_variations:
+        block = _sparse_block(terms.triplets, field.values.size, flat)
         for label, var in (("V", v_var), ("W", w_var)):
-            _check_solution(hessian() @ var.values.ravel(), flat, ncols,
+            _check_solution(block @ var.values.ravel(), flat, ncols,
                             f"variation {label} does not satisfy the linearised DEL equations",
-                            hessian, var.values)
+                            k, var.values)
     sums = np.zeros(flat.size)
     for column in contributions.T:  # a running total, term by term
         sums += column

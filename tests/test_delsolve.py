@@ -1374,7 +1374,8 @@ class TestSolutionTest:
     @given(case=SOLVED_CASES, nt=st.integers(2, 12), nx=st.integers(2, 12),
            periodic=st.booleans(), j=st.integers(-100, 100),
            seed=st.integers(0, 2 ** 32 - 1))
-    # A solved residual of -3.1 of the node's levels, with K_ff > 0.
+    # A solved residual of -3.1 times the floor of the node's one Hessian row,
+    # a tenth of the field's, with K_ff > 0.
     @example(case=(QUARTIC, "solve_bvp", 3), nt=8, nx=2, periodic=False, j=0, seed=200)
     def test_solved_fields_pass_and_a_moved_node_fails(self, case, nt, nx, periodic, j,
                                                         seed):
@@ -1397,31 +1398,31 @@ class TestSolutionTest:
                                       for _ in range(2)])
         msff_residual_region(density, field, v_var, w_var, reg, check_variations=True)
 
-        # Moving one interior node so that its residual grows by 5 or by 1e3
-        # times the level at which Newton stops fails the test there.  The
-        # node's own level (the floor of its one row) may be below the
-        # region's, so its solved residual may exceed 2 of its levels; the
-        # move goes the way that adds to that residual, so 5 levels stay
-        # outside the 2 a patch check allows, and a margin of a few levels
-        # more would let the move through.
+        # A patch of the solved field passes too, though its own rows may have
+        # a lower floor than the region the field was solved on.
         n, i = int(rng.integers(1, nt)), int(rng.integers(1, nx))
         patch, flat = Patch3Region(n, i), n * (nx + 1) + i
-        patch_index = region_index(patch, nx + 1)
-        k_row = delsolve_module._hessian_operator(
-            density, field.values, patch_index, [flat], mesh.dt, mesh.dx, "probe")
+        patch_zeros = BoundaryData(patch, np.zeros(len(boundary_nodes(patch))))
+        msff_residual_patch(density, field, v_var, w_var, n, i)
+        tangent_solve(density, field, patch, patch_zeros)
+
+        # Moving one interior node so that its residual grows by 5 or by 1e3
+        # times the level at which Newton stops fails the test there.  A
+        # solved residual is within 2 levels, so 5 levels stay outside it;
+        # a margin of a few levels more would let that move through.
+        k_field = delsolve_module._field_hessian(density, field, "probe")
         level = max(delsolve_module.NEWTON_TOL,
-                    delsolve_module._roundoff_floor(k_row, field.values))
-        r0 = triangle_kernel(density, field.values, patch_index, mesh.dt,
-                             mesh.dx).residual[flat]
-        grow = math.copysign(1.0, r0) / k_row[0, flat]
+                    delsolve_module._roundoff_floor(k_field, field.values))
+        k_ff = delsolve_module._hessian_operator(
+            density, field.values, region_index(patch, nx + 1), [flat], mesh.dt, mesh.dx,
+            "probe")[0, flat]
         named = rf"satisfy the DEL equations at \({n}, {i}\)"
         for levels in (5.0, 1e3):
-            moved = field.with_value(n, i, field[n, i] + levels * level * grow)
+            moved = field.with_value(n, i, field[n, i] + levels * level / abs(k_ff))
             with pytest.raises(ValueError, match=named):
                 msff_residual_patch(density, moved, v_var, w_var, n, i)
             with pytest.raises(ValueError, match=named):
-                tangent_solve(density, moved, patch,
-                              BoundaryData(patch, np.zeros(len(boundary_nodes(patch)))))
+                tangent_solve(density, moved, patch, patch_zeros)
 
     # An overflowing K @ x can leave a non-finite residual, and an infinite
     # floor with it.
