@@ -260,7 +260,7 @@ def _sparse_block(triplets, size: int, eqs, cols=None):
 
 
 def _newton(residual_fn, factor_fn, x0, context: str, factor=None,
-            theta_max: float = THETA_MAX):
+            theta_max: float = THETA_MAX, f0=None):
     """Damped Newton iteration on F(x) = 0 with Armijo backtracking, on a
     kept factorisation under a contraction monitor, for at most
     ``NEWTON_MAX_ITER`` steps.
@@ -270,7 +270,9 @@ def _newton(residual_fn, factor_fn, x0, context: str, factor=None,
     floor), where ``floor(x)`` is the round-off floor of F at an iterate x
     taken with that Jacobian (:func:`_roundoff_floor`).  ``factor`` is such a
     triple to go on from, as a solver's last solve left it; without one the
-    start is factored.
+    start is factored.  ``f0`` is F(x0) when the caller already has it (the
+    dense lane reads it off the start Jacobian's dual evaluation); without
+    it the start is evaluated like every trial iterate.
 
     A factor is kept across steps (simplified Newton; Deuflhard 2004,
     Kelley 2003) while the contraction theta = ||dx_k+1||_inf / ||dx_k||_inf
@@ -297,16 +299,16 @@ def _newton(residual_fn, factor_fn, x0, context: str, factor=None,
     ``residual_fn`` call.
     """
 
-    def evaluate(x):  # F(x) and the merit |F|^2 / 2
+    def evaluate(x, f=None):  # F(x), unless given, and the merit |F|^2 / 2
         try:
             with np.errstate(all="ignore"):
-                f = np.asarray(residual_fn(x), dtype=float)
+                f = np.asarray(residual_fn(x) if f is None else f, dtype=float)
                 return f, 0.5 * float(f @ f)
         except ValueError:  # the kernel's report of a non-finite value
             return None, math.inf
 
     x = np.array(x0, dtype=float)
-    f, merit = evaluate(x)
+    f, merit = evaluate(x, f0)
     if not math.isfinite(merit):
         raise SolverError(f"{context}: non-finite residual at the start")
     steps, fresh, last = 0, False, None  # last: the last full step on this factor

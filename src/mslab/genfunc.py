@@ -133,19 +133,29 @@ def _trapezoid_weights(region: Region, mesh: QuadMesh) -> np.ndarray:
     return 0.5 * (seg + np.roll(seg, 1))
 
 
-def normal_momenta(density: LagrangianDensity, field: DiscreteField,
-                   region: Region) -> NormalMomentumField:
-    """Slot-sum boundary momenta of ``field`` on ``region``."""
-    mesh = field.mesh
+def _momentum_stencil(region: Region, mesh: QuadMesh):
+    """(boundary nodes, their flat indices, the (3, m) index of the region
+    triangles with a boundary vertex).  The kernel's slot sums on that index,
+    read at those flat indices, are the momenta: no other region triangle
+    touches a boundary node."""
     check_region_fits(region, mesh)
     nodes = boundary_nodes(region)
     flat = node_index(nodes, mesh.nx + 1)
-    on_boundary = np.zeros(field.values.size, dtype=bool)
+    on_boundary = np.zeros((mesh.nt + 1) * (mesh.nx + 1), dtype=bool)
     on_boundary[flat] = True
-    # Only triangles with a boundary vertex contribute.
     index = region_index(region, mesh.nx + 1)
-    touch = on_boundary[index].any(axis=0)
-    terms = triangle_kernel(density, field.values, index[:, touch], mesh.dt, mesh.dx)
+    return nodes, flat, index[:, on_boundary[index].any(axis=0)]
+
+
+def normal_momenta(density: LagrangianDensity, field: DiscreteField,
+                   region: Region) -> NormalMomentumField:
+    """Slot-sum boundary momenta of ``field`` on ``region``: the kernel's slot
+    sums at the boundary nodes over the triangles of
+    ``_momentum_stencil``, which ``hessian_symmetry(method="fd")`` reads the
+    same way on its work array."""
+    mesh = field.mesh
+    nodes, flat, index = _momentum_stencil(region, mesh)
+    terms = triangle_kernel(density, field.values, index, mesh.dt, mesh.dx)
     return NormalMomentumField(region, nodes, terms.residual[flat],
                                _trapezoid_weights(region, mesh))
 

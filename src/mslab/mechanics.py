@@ -13,10 +13,11 @@ related by Hd(q0, p1) = p1 q1 - Ld(q0, q1) on matched data.  Extremals are
 computed by Gauss-Lobatto collocation (8 nodes by default, quadrature on the
 same nodes, the Newton core of :mod:`mslab.delsolve` to its round-off
 floor, or to 1e-12 after a step, with a dense Jacobian from one dual
-evaluation of the vector residual), which is
-spectrally exact for the polynomial and trigonometric model problems used in
-tests.  The residuals call a Lagrangian's ``value``, ``d_q`` and ``d_qdot``
-(or a Hamiltonian) once on arrays of node values.
+evaluation of the vector residual, whose value part at the start is the
+start residual: a one-step solve makes one dual and one float evaluation),
+which is spectrally exact for the polynomial and trigonometric model
+problems used in tests.  The residuals call a Lagrangian's ``value``,
+``d_q`` and ``d_qdot`` (or a Hamiltonian) once on arrays of node values.
 
 The endpoint derivatives of Ld are the one-dimensional normal momenta
 (d1 Ld = -p(0), d2 Ld = +p(h): outward time orientation at t = 0), mirroring
@@ -179,25 +180,42 @@ def _diff_matrix_unit(n_nodes: int):
     return d
 
 
-def _jacobian(residual_fn, x: np.ndarray) -> np.ndarray:
-    """Dense Jacobian from one residual evaluation on every unit tangent
-    stacked, ``Dual(x, eye(n))``: row i of ``du.T`` is the gradient of F_i.
-    One unknown is seeded with the scalar tangent 1.0 and no direction axis,
-    so its (nested) duals carry floats rather than length-1 arrays."""
+def _jacobian(residual_fn, x: np.ndarray):
+    """(F(x), dense Jacobian) from one residual evaluation on every unit
+    tangent stacked, ``Dual(x, eye(n))``: row i of ``du.T`` is the gradient
+    of F_i, and the value part is F(x) as a float evaluation gives it, bit
+    for bit.  One unknown is seeded with the scalar tangent 1.0 and no
+    direction axis, so its (nested) duals carry floats rather than length-1
+    arrays."""
     n = len(x)
     res = residual_fn(dual.Dual(x, np.eye(n) if n > 1 else 1.0))
     jac = np.empty((n, n))
     jac.T[...] = getattr(res, "du", 0.0)  # broadcasts a scalar tangent
-    return jac
+    return np.atleast_1d(dual.value(res)), jac
 
 
 def _newton_dense(residual_fn, x0, context: str) -> np.ndarray:
     """:func:`~mslab.delsolve._newton`, with its stopping rule, on a vector
     residual (a scalar for one unknown), with the dual-number Jacobian taken
-    and solved densely at every iterate (Newton's method)."""
+    and solved densely at every iterate (Newton's method).
+
+    The start's Jacobian is taken first, under the caller's floating-point
+    state, and its value part is the start residual, so the start costs one
+    dual evaluation and no float one.  If that evaluation raises (a numpy
+    warning counts when warnings are errors), the start is evaluated as a
+    trial iterate is, silenced, to decide the error: a non-finite start
+    residual is a :class:`SolverError`; a finite one leaves the Jacobian,
+    taken again, to raise its own error."""
+    x0, start = np.array(x0, dtype=float), []
+    try:
+        f0, jac = _jacobian(residual_fn, x0)
+    except (ArithmeticError, ValueError, RuntimeWarning):
+        f0 = None
+    else:
+        start.append(jac)
 
     def factor(x, context):
-        jac = _jacobian(residual_fn, x)
+        jac = start.pop() if start else _jacobian(residual_fn, x)[1]
 
         def solve(b):
             try:
@@ -210,7 +228,7 @@ def _newton_dense(residual_fn, x0, context: str) -> np.ndarray:
         return SimpleNamespace(solve=solve), None, lambda x: _roundoff_floor(jac, x)
 
     return _newton(lambda x: np.atleast_1d(residual_fn(x)), factor, x0, context,
-                   theta_max=0.0)[0]
+                   theta_max=0.0, f0=f0)[0]
 
 
 def _check_step(lagr: MechLagrangian, h: float) -> None:

@@ -39,6 +39,7 @@ import numpy as np
 
 from .delsolve import (_check_solution, _del_newton, _factor_and_rcond, _field_hessian,
                        _hessian_operator, _sparse_block, solve_bvp)
+from .genfunc import _momentum_stencil
 from .jetmesh import (BoundaryData, DiscreteField, Patch3Region, QuadMesh,
                       Region, boundary_nodes, check_region_fits, interior_index,
                       node_index, region_index)
@@ -273,13 +274,16 @@ def hessian_symmetry(density: LagrangianDensity, mesh: QuadMesh,
     one solver, which factors K at the start of the first and keeps that LU
     for the others while their steps contract (the monitor of
     :mod:`~mslab.delsolve`), so the sweep factors once, not once per solve.
+    Each perturbed solution's momenta are read as
+    :func:`~mslab.genfunc.normal_momenta` reads them, as the kernel's slot
+    sums at the boundary nodes, but on the solver's work array and over a
+    stencil of boundary-touching triangles built once per sweep: no field
+    copy and no trapezoid weights per solve.
     The step 1e-4 keeps both the O(step^2) truncation error and the Newton
     tolerance 1e-12 divided by the step near 1e-8.  Either way the matrix
     is the mixed-partials matrix of a single scalar function, so its
     asymmetry measures only numerical error.
     """
-    from .genfunc import normal_momenta
-
     if method not in ("analytic", "fd"):
         raise ValueError(f"unknown method {method!r}; use 'analytic' or 'fd'")
     region = boundary.region
@@ -307,7 +311,8 @@ def hessian_symmetry(density: LagrangianDensity, mesh: QuadMesh,
     else:
         fd_step = 1e-4
         ncols = mesh.nx + 1
-        inner, flat = interior_index(region, ncols), node_index(bnodes, ncols)
+        _, flat, touch = _momentum_stencil(region, mesh)
+        inner = interior_index(region, ncols)
         work, start = base.values.copy(), base.values.ravel()[inner]
         solve = _del_newton(density, work, region_index(region, ncols), inner, inner,
                             mesh.dt, mesh.dx)
@@ -315,7 +320,7 @@ def hessian_symmetry(density: LagrangianDensity, mesh: QuadMesh,
         def momenta(a, step):  # of the solution for the data moved by step at node a
             work.flat[flat[a]] = boundary.values[a] + step
             solve(start, "hessian_symmetry")
-            return normal_momenta(density, DiscreteField(mesh, work), region).values
+            return triangle_kernel(density, work, touch, mesh.dt, mesh.dx).residual[flat]
 
         h = np.zeros((nb, nb))
         for a in range(nb):

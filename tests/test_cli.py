@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import io
 import json
 import math
@@ -188,6 +189,64 @@ class TestExitTolerance:
         assert err == "" and report["passed"] is False
         numbers = [v for v in report["results"].values() if isinstance(v, float)]
         assert numbers and all(np.isfinite(numbers))
+
+
+class TestGateEdges:
+    """Each pass condition of msff-check and bridges-check, tested with the
+    quantity it bounds just past its gate, so a looser gate passes the run."""
+
+    def test_negative_control_under_its_floor_fails(self, tmp_path, capsys):
+        # The control is a unit bump in W, so it scales with the amplitude:
+        # at 1e-7 it is about 2e-8, under the 1e-6 floor, with every other
+        # gate passing.
+        cfg = write_config(tmp_path, "c.json", dict(MSFF_CONFIG, amplitude=1e-7))
+        code, report = run(capsys, ["msff-check", "--config", cfg, "--seed", "3"])
+        results = report["results"]
+        assert 1e-8 < results["negative_control"] < results["negative_control_floor"]
+        assert results["max_patch_residual"] <= results["tolerance"]
+        assert abs(results["region_residual"]) <= 10.0 * results["tolerance"]
+        assert code == EXIT_TOLERANCE and report["passed"] is False
+
+    def test_region_residual_past_ten_tolerances_fails(self, tmp_path, capsys, monkeypatch):
+        # No natural run puts the region sum far above its largest patch
+        # residual, so the whole-rectangle report is substituted with its
+        # residual at 100 tolerances; the patch reports are left alone.
+        real, tol = mslab.msforms.msff_residual_region, 1e-9
+
+        def region_at_100_tol(density, field, v_var, w_var, region, **kw):
+            rep = real(density, field, v_var, w_var, region, **kw)
+            if isinstance(region, mslab.RectRegion):
+                rep = dataclasses.replace(rep, residual=100.0 * tol)
+            return rep
+
+        cfg = write_config(tmp_path, "c.json", MSFF_CONFIG)
+        assert run(capsys, ["msff-check", "--config", cfg])[0] == EXIT_OK
+        monkeypatch.setattr(mslab.msforms, "msff_residual_region", region_at_100_tol)
+        code, report = run(capsys, ["msff-check", "--config", cfg, "--tol", repr(tol)])
+        results = report["results"]
+        assert results["region_residual"] == 100.0 * tol
+        assert results["max_patch_residual"] <= tol
+        assert results["negative_control"] > results["negative_control_floor"]
+        assert code == EXIT_TOLERANCE and report["passed"] is False
+
+    def test_flux_spread_past_the_tolerance_fails(self, tmp_path, capsys, monkeypatch):
+        # No natural run spreads the fluxes near the largest node residual,
+        # so the last slice's flux is moved by 100 tolerances.
+        real, tol = mslab.msforms._fluxes, 1e-10
+
+        def fluxes_spread_by_100_tol(*args):
+            fluxes = real(*args)
+            fluxes[-1] += 100.0 * tol
+            return fluxes
+
+        cfg = write_config(tmp_path, "c.json", BRIDGES_CONFIG)
+        assert run(capsys, ["bridges-check", "--config", cfg])[0] == EXIT_OK
+        monkeypatch.setattr(mslab.msforms, "_fluxes", fluxes_spread_by_100_tol)
+        code, report = run(capsys, ["bridges-check", "--config", cfg, "--tol", repr(tol)])
+        results = report["results"]
+        assert 99.0 * tol <= results["flux_spread"] <= 101.0 * tol
+        assert results["max_node_residual"] <= tol
+        assert code == EXIT_TOLERANCE and report["passed"] is False
 
 
 class TestExitConfig:

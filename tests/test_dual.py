@@ -559,7 +559,7 @@ collocation_cases = st.fixed_dictionaries({
 def assert_one_pass_jacobian(residual, x0, seed):
     # Off the start point, so no row is at a special value.
     x = x0 + 0.1 * np.random.default_rng(seed).standard_normal(len(x0))
-    assert same_bits(mechanics._jacobian(residual, x), per_column_jacobian(residual, x))
+    assert same_bits(mechanics._jacobian(residual, x)[1], per_column_jacobian(residual, x))
 
 
 @settings(max_examples=30, deadline=None)
@@ -588,6 +588,41 @@ def test_one_pass_jacobian_of_the_type1_map(case):
         residual, x0 = newton_problem(lambda: mechanics.type1_map(
             ld, mechanics.PhasePoint(case["q0"], case["end"]), case["h"]))
         assert_one_pass_jacobian(residual, x0, case["seed"])
+
+
+def dense_problems(case):
+    """Calls that hand Newton the Lagrangian collocation, canonical
+    collocation and type1_map residuals of the harmonic oscillator, the free
+    particle and the pendulum."""
+    lagrangians = (mechanics.HarmonicOscillator(case["omega"]), mechanics.FreeParticle(),
+                   Pendulum())
+    hamiltonians = (mechanics.harmonic_hamiltonian(case["omega"]),
+                    mechanics.free_particle_hamiltonian(), pendulum_hamiltonian)
+    args = (case["q0"], case["end"], case["h"])
+    for lagr in lagrangians:
+        yield lambda: mechanics.exact_discrete_lagrangian(lagr, *args,
+                                                          n_nodes=case["n_nodes"])
+        yield lambda: mechanics.type1_map(mechanics.midpoint_rule(lagr)(case["h"]),
+                                          mechanics.PhasePoint(case["q0"], case["end"]),
+                                          case["h"])
+    for h_fn in hamiltonians:
+        yield lambda: mechanics.exact_discrete_hamiltonian(h_fn, *args,
+                                                           n_nodes=case["n_nodes"])
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=collocation_cases)
+def test_dual_value_is_the_float_residual(case):
+    # The dense lane takes its start residual from the start Jacobian's
+    # dual evaluation, so its value part must be the float residual.
+    for call in dense_problems(case):
+        residual, x0 = newton_problem(call)
+        moved = x0 + 0.1 * np.random.default_rng(case["seed"]).standard_normal(len(x0))
+        for x in (x0, moved):
+            expected = np.atleast_1d(residual(x))
+            assert same_bits(np.atleast_1d(dual.value(residual(Dual(x, np.eye(len(x)))))),
+                             expected)
+            assert same_bits(mechanics._jacobian(residual, x)[0], expected)
 
 
 def test_one_residual_evaluation_per_jacobian():

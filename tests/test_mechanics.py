@@ -184,6 +184,36 @@ class TestType1Map:
         exact_discrete_lagrangian(HarmonicOscillator(1.0), 0.2, 0.7, 0.5)
         assert calls  # Newton forms its Jacobians through the patched name
 
+    # Warnings are errors in this suite, so under "warn" numpy's overflow
+    # warning is raised too.
+    @pytest.mark.parametrize("state", ["raise", "warn"])
+    def test_overflowing_start_is_a_non_finite_start(self, state):
+        # The start Jacobian's dual evaluation raises first; the silenced
+        # float start then decides the error, as it did when it came first.
+        with np.errstate(all=state), pytest.raises(
+                SolverError, match=r"^probe: non-finite residual at the start$"):
+            mechanics._newton_dense(lambda x: x * x - 1.0, [1e200], "probe")
+
+    def test_overflowing_jacobian_at_a_finite_start_raises_its_own_error(self):
+        # x ** 0.5 is 0 at the start; its derivative divides by zero.
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError,
+                                                     match="divide by zero"):
+            mechanics._newton_dense(lambda x: x ** 0.5 - 1.0, [0.0], "probe")
+
+    @pytest.mark.parametrize("x0, kinds", [
+        ([0.5], ["dual"]),            # converged start: its Jacobian only
+        ([0.0], ["dual", "float"]),   # one step: and one trial iterate
+    ], ids=["converged-start", "one-step"])
+    def test_one_dual_evaluation_serves_the_start(self, x0, kinds):
+        calls = []
+
+        def residual(x):
+            calls.append("dual" if isinstance(x, dual.Dual) else "float")
+            return 2.0 * x - 1.0
+
+        assert np.array_equal(mechanics._newton_dense(residual, x0, "probe"), [0.5])
+        assert calls == kinds
+
     def test_degenerate_generating_function_raises(self):
         with pytest.raises(SolverError):
             type1_map(lambda a, b: 0.0 * a * b, PhasePoint(0.0, 1.0), 0.1)

@@ -1,7 +1,10 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mslab import (
     BoundaryData,
@@ -14,6 +17,8 @@ from mslab import (
     QuadraticDensity,
     RectRegion,
     SingularSystem,
+    SolverError,
+    UserDensity,
     WaveSolution,
     boundary_nodes,
     bridges_residual,
@@ -27,6 +32,7 @@ from mslab import (
     linearized_del_residual,
     msff_residual_patch,
     msff_residual_region,
+    normal_momenta,
     propagate,
     quartic_test_density,
     region_triangles,
@@ -34,8 +40,9 @@ from mslab import (
     symplectic_flux,
     tangent_solve,
 )
-from mslab.delsolve import _factor_and_rcond, _hessian_operator
+from mslab.delsolve import _del_newton, _factor_and_rcond, _hessian_operator
 from mslab.jetmesh import interior_index, node_index, region_index
+from mslab.lagrangian import triangle_kernel
 
 
 def wave_field(mesh, seed, closure=None, amplitude=0.1):
@@ -320,6 +327,91 @@ class TestHessianSymmetry:
         assert hessian_symmetry(LinearWave, mesh, data).method == "analytic"
         assert hessian_symmetry(quartic_test_density(0.1), mesh,
                                 data).method == "analytic"
+
+
+def fd_hessian_by_momentum_fields(density, mesh, boundary):
+    """The fd boundary Hessian as a sweep that reads each perturbed
+    solution's momenta through ``normal_momenta`` on a field copy, on the
+    same solver, solve order and starts as ``hessian_symmetry``."""
+    region, ncols, fd_step = boundary.region, mesh.nx + 1, 1e-4
+    flat = node_index(boundary_nodes(region), ncols)
+    inner = interior_index(region, ncols)
+    base = solve_bvp(density, mesh, boundary).field
+    work, start = base.values.copy(), base.values.ravel()[inner]
+    solve = _del_newton(density, work, region_index(region, ncols), inner, inner,
+                        mesh.dt, mesh.dx)
+
+    def momenta(a, step):
+        work.flat[flat[a]] = boundary.values[a] + step
+        solve(start, "hessian_symmetry")
+        return normal_momenta(density, DiscreteField(mesh, work), region).values
+
+    h = np.zeros((flat.size, flat.size))
+    for a in range(flat.size):
+        h[a, :] = (momenta(a, fd_step) - momenta(a, -fd_step)) / (2.0 * fd_step)
+        work.flat[flat[a]] = boundary.values[a]
+    return h
+
+
+FD_DENSITIES = [
+    LinearWave, HarmonicDirichlet, quartic_test_density(),
+    UserDensity(lambda v, w, u: 0.5 * v * v - 0.5 * w * w + 0.1 * v * w * u
+                + 0.05 * u ** 4, name="user_quartic"),
+]
+
+
+@st.composite
+def fd_cases(draw):
+    """(density, mesh, boundary data) on a full or an inset rectangle of a
+    mesh of 2 to 6 cells a side, data scaled by 1e-2 to 3."""
+    nt, nx = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    if draw(st.booleans()):
+        region = RectRegion(0, 0, nt, nx)
+    else:
+        n0, i0 = draw(st.integers(0, nt - 2)), draw(st.integers(0, nx - 2))
+        region = RectRegion(n0, i0, draw(st.integers(2, nt - n0)),
+                            draw(st.integers(2, nx - i0)))
+    mesh = build_mesh(dt=draw(st.floats(0.05, 0.5)), dx=draw(st.floats(0.05, 0.5)),
+                      nt=nt, nx=nx)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = 10.0 ** draw(st.floats(-2.0, 0.5))
+    values = scale * rng.standard_normal(len(boundary_nodes(region)))
+    return draw(st.sampled_from(FD_DENSITIES)), mesh, BoundaryData(region, values)
+
+
+class TestFdMomenta:
+    """The fd sweep reads its momenta on the solver's work array over one
+    stencil; the route through ``normal_momenta`` on field copies is the
+    reference."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=fd_cases())
+    def test_sweep_equals_the_momentum_field_route(self, case):
+        density, mesh, boundary = case
+        try:
+            expected = fd_hessian_by_momentum_fields(density, mesh, boundary)
+        except SolverError as err:  # e.g. a singular wave rectangle: the same error
+            with pytest.raises(type(err), match=f"^{re.escape(str(err))}$"):
+                hessian_symmetry(density, mesh, boundary, method="fd")
+            return
+        rep = hessian_symmetry(density, mesh, boundary, method="fd")
+        assert rep.hessian.tobytes() == expected.tobytes()
+        assert rep.nodes == tuple(boundary_nodes(boundary.region))
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=fd_cases())
+    def test_momenta_are_the_whole_region_slot_sums(self, case):
+        # No triangle without a boundary vertex adds to a boundary node's sum.
+        density, mesh, boundary = case
+        region, ncols = boundary.region, mesh.nx + 1
+        values = np.random.default_rng(7).standard_normal(mesh.shape)
+        values.ravel()[node_index(boundary_nodes(region), ncols)] = boundary.values
+        momenta = normal_momenta(density, DiscreteField(mesh, values), region)
+        whole = triangle_kernel(density, values, region_index(region, ncols),
+                                mesh.dt, mesh.dx).residual
+        flat = node_index(boundary_nodes(region), ncols)
+        assert momenta.values.tobytes() == whole[flat].tobytes()
+        assert momenta.nodes == tuple(boundary_nodes(region))
 
 
 def dense_schur_hessian(density, mesh, region):

@@ -41,6 +41,13 @@ Usage::
 Diff the output of two checkouts to see what moved.  The workload code is
 imported from ``perfbench/workloads.py`` of the given checkout and used as
 it is.
+
+Sections 2-4 are checked in as ``tools/facts.txt``, and
+``tests/test_facts.py`` recomputes them in-process and fails on any line
+that moved.  A change that moves a line rewrites the file in the same
+commit, and says old -> new and why in CHANGES.md::
+
+    python tools/pr_facts.py --facts > tools/facts.txt
 """
 
 from __future__ import annotations
@@ -262,18 +269,26 @@ def print_solver_counts(rows, probes) -> None:
         print(f"probe {name} {_counts(counts)} {what} {digest}")
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
-                        help="checkout to describe (default: this one)")
-    args = parser.parse_args(argv)
-    root = args.root.resolve()
-    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
-    print_line_counts(root)
+def print_facts() -> None:
+    """Sections 2-4, the lines checked in as ``tools/facts.txt``."""
     rows = run_checks()
     print_results_hashes(rows)
     print_cli_hashes()
     print_solver_counts(rows, run_probes())
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
+                        help="checkout to describe (default: this one)")
+    parser.add_argument("--facts", action="store_true",
+                        help="print sections 2-4 only, the contents of tools/facts.txt")
+    args = parser.parse_args(argv)
+    root = args.root.resolve()
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    if not args.facts:
+        print_line_counts(root)
+    print_facts()
     return 0
 
 
