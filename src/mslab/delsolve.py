@@ -119,7 +119,14 @@ Jacobian dx/dt - dt/dx vanishes with bounded data), and a scale-invariant
 measure would hide that.  Indicators below 1e-12, and exactly singular
 factorisations, raise :class:`SingularSystem`.
 
-SuperLU's column order is read off the matrix.  If every column is
+K stores only the couplings the density has: a triplet whose per-triangle
+value is zero is dropped before assembly.  A density with no ``vw`` or
+cell-average term (both built-ins, and the quartic at a zero field) has no
+coupling between (n, i+1) and (n+1, i), so its Jacobians are the 5-point
+stencil of (n, i) and (n +- 1, i), (n, i +- 1), not the 7 points of the
+triangle graph, and every order below, fill, back-solve and condition
+estimate works on that pattern.  SuperLU's column order is read off the
+matrix.  If every column is
 diagonally dominant (2|J_jj| >= sum_i |J_ij|, ties within 8 ulps included),
 partial pivoting swaps no rows, so a symmetric order is kept as chosen: the
 minimum-degree order of J + J^T, in SuperLU's symmetric mode, which takes
@@ -245,13 +252,20 @@ def del_residual(density: LagrangianDensity, field: DiscreteField, n: int, i: in
 
 def _sparse_block(triplets, size: int, eqs, cols=None):
     """Sparse matrix of Hessian triplets, rows at the flat nodes ``eqs`` and
-    columns at the flat nodes ``cols`` (default: all ``size`` nodes)."""
+    columns at the flat nodes ``cols`` (default: all ``size`` nodes).
+
+    Only the triplets with a nonzero per-triangle value are stored, so the
+    matrix holds exactly the couplings the density has: a density with no
+    ``vw`` or cell-average term gives a 5-point stencil, not the 7 points of
+    the triangle graph.  Every stored sum is the same to the bit, since
+    adding a signed zero to a nonzero partial sum is exact and the triplet
+    order is kept; an entry whose nonzero terms cancel is still stored."""
     rows, nodes, vals = triplets
     cols = np.arange(size) if cols is None else cols
     number = np.full((2, size), -1, dtype=np.int32)
     number[0, eqs], number[1, cols] = np.arange(len(eqs)), np.arange(len(cols))
     r, c = number[0, rows], number[1, nodes]
-    keep = (r >= 0) & (c >= 0)
+    keep = (r >= 0) & (c >= 0) & (vals != 0.0)
     return csc_matrix((vals[keep], (r[keep], c[keep])), shape=(len(eqs), len(cols)))
 
 
@@ -476,8 +490,11 @@ def _hessian_operator(density: LagrangianDensity, values: np.ndarray, index, eqs
 
     K is taken at ``values``, or at zeros for a quadratic density, whose
     Hessian is the same everywhere; for such a density the DEL residuals at
-    ``eqs`` are ``K @ values.ravel()``.  A non-finite Hessian (the kernel's
-    ValueError) raises :class:`SolverError` naming ``context``.
+    ``eqs`` are ``K @ values.ravel()``.  K stores only the nonzero
+    per-triangle couplings (:func:`_sparse_block`), so a density with no
+    ``vw`` or cell-average term, like both built-ins, gives a 5-point
+    stencil.  A non-finite Hessian (the kernel's ValueError) raises
+    :class:`SolverError` naming ``context``.
     """
     try:
         triplets = triangle_kernel(density,

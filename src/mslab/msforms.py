@@ -264,7 +264,9 @@ def hessian_symmetry(density: LagrangianDensity, mesh: QuadMesh,
     ``analytic`` eliminates the interior block, factored once under the
     solvers' singular-system guard, from the sparse region-wide vertex-slot
     Hessian K (Schur complement), solving for 32 boundary columns at a time
-    so that no dense array spans them all.  K is taken at the
+    so that no dense array spans them all: H = K_bb - K_bi K_ii^-1 K_ib, with
+    each block read from K, so the asymmetry of H also checks that of K's
+    off-diagonal blocks rather than assuming it.  K is taken at the
     :func:`~mslab.delsolve.solve_bvp` field, where by the implicit-function
     theorem its Schur complement is the exact Hessian; a quadratic density's
     K is the same everywhere and needs no solve.  ``fd`` recovers the
@@ -304,10 +306,10 @@ def hessian_symmetry(density: LagrangianDensity, mesh: QuadMesh,
         if len(nodes) > nb:
             # K_bb - K_bi K_ii^-1 K_ib, with K_ii factored once.
             lu, _ = _factor_and_rcond(k[nb:, nb:], "hessian_symmetry")
-            k_bi, block = k[:nb, nb:], 32  # boundary columns per interior solve
+            k_bi, k_ib, block = k[:nb, nb:], k[nb:, :nb], 32  # boundary columns per solve
             for lo in range(0, nb, block):
                 cols = slice(lo, lo + block)
-                h[:, cols] -= k_bi @ lu.solve(k_bi[cols].T.toarray())
+                h[:, cols] -= k_bi @ lu.solve(k_ib[:, cols].toarray())
     else:
         fd_step = 1e-4
         ncols = mesh.nx + 1

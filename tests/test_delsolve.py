@@ -463,6 +463,89 @@ class TestOneOperator:
                 assert np.array_equal(getattr(jac, part), getattr(block, part))
 
 
+CROSS_TERM = QuadraticDensity(vv=1.0, ww=-0.7, uu=-0.3, vw=0.2)
+# (density, the fields at which its vw and cell-average Hessian entries vanish).
+ASSEMBLY_DENSITIES = [
+    (LinearWave, "all"), (HarmonicDirichlet, "all"), (CROSS_TERM, "none"),
+    (quartic_test_density(1.0), "zero"),
+    (UserDensity(lambda v, w, u: 0.5 * (v * v - w * w) + 0.1 * v * w * u + 0.25 * u ** 4),
+     "zero")]
+
+
+@st.composite
+def assembly_cases(draw):
+    """(density, whether its K is a 5-point stencil, mesh, region, node values,
+    equation nodes, column nodes or None) for a K build."""
+    density, separable_at = draw(st.sampled_from(ASSEMBLY_DENSITIES))
+    nt, nx = draw(st.integers(2, 7)), draw(st.integers(2, 7))
+    mesh = build_mesh(dt=draw(st.floats(0.05, 2.0)), dx=draw(st.floats(0.05, 2.0)),
+                      nt=nt, nx=nx)
+    kind = draw(st.sampled_from(["full", "inset", "patch"]))
+    if kind == "full":
+        region = RectRegion(0, 0, nt, nx)
+    elif kind == "inset":
+        n0, i0 = draw(st.integers(0, nt - 1)), draw(st.integers(0, nx - 1))
+        region = RectRegion(n0, i0, draw(st.integers(1, nt - n0)),
+                            draw(st.integers(1, nx - i0)))
+    else:
+        region = Patch3Region(draw(st.integers(1, nt - 1)), draw(st.integers(1, nx - 1)))
+    amplitude = draw(st.sampled_from([0.0, 0.3, 2.0]))
+    values = amplitude * np.random.default_rng(draw(st.integers(0, 2**16))).standard_normal(
+        mesh.shape)
+    ncols = nx + 1
+    nodes = np.concatenate([node_index(boundary_nodes(region), ncols),
+                            interior_index(region, ncols)])
+    eqs, cols = ((interior_index(region, ncols), None) if draw(st.booleans())
+                 else (nodes, nodes))
+    separable = separable_at == "all" or (separable_at == "zero" and amplitude == 0.0)
+    return density, separable, mesh, region, values, eqs, cols
+
+
+class TestSparseAssembly:
+    @settings(max_examples=120, deadline=None)
+    @given(case=assembly_cases())
+    def test_k_stores_only_the_couplings_the_density_has(self, case):
+        density, separable, mesh, region, values, eqs, cols = case
+        ncols, index = mesh.nx + 1, region_index(region, mesh.nx + 1)
+        k = delsolve_module._hessian_operator(density, values, index, eqs, mesh.dt,
+                                              mesh.dx, "probe", cols)
+        # Every triplet of the kernel, all-zero ones included, assembled inline.
+        rows, nodes, vals = triangle_kernel(
+            density, np.zeros_like(values) if density.is_quadratic else values, index,
+            mesh.dt, mesh.dx, gradient=False, hessian=True).triplets
+        cols = np.arange(values.size) if cols is None else cols
+        number = np.full((2, values.size), -1)
+        number[0, eqs], number[1, cols] = np.arange(len(eqs)), np.arange(len(cols))
+        r, c = number[0, rows], number[1, nodes]
+        inside = (r >= 0) & (c >= 0)
+        shape = (len(eqs), len(cols))
+        reference = csc_matrix((vals[inside], (r[inside], c[inside])), shape=shape)
+        # + 0.0 makes every zero +0.0; all other bits must agree.
+        assert (k.toarray() + 0.0).tobytes() == (reference.toarray() + 0.0).tobytes()
+
+        # Stored: exactly the entries with at least one nonzero triplet.
+        live = inside & (vals != 0.0)
+        pattern = csc_matrix((np.ones(live.sum()), (r[live], c[live])), shape=shape)
+        assert np.array_equal(k.indptr, pattern.indptr)
+        assert np.array_equal(k.indices, pattern.indices)
+
+        if region != RectRegion(0, 0, mesh.nt, mesh.nx):
+            return
+        # A full rectangle's interior rows: the 5-point stencil of (n, i) and
+        # (n +- 1, i), (n, i +- 1); the cross term adds (n + 1, i - 1), (n - 1, i + 1).
+        inner = interior_index(region, ncols)
+        k = delsolve_module._hessian_operator(density, values, index, inner, mesh.dt,
+                                              mesh.dx, "probe").tocsr()
+        per_row = np.diff(k.indptr)
+        if separable:
+            assert np.all(per_row == 5)
+        if density is CROSS_TERM:
+            assert np.all(per_row == 7)
+            for row, p in enumerate(inner):
+                stored = k.indices[k.indptr[row]:k.indptr[row + 1]]
+                assert p + ncols - 1 in stored and p - ncols + 1 in stored
+
+
 class TestWorkArrayAliasing:
     @pytest.mark.parametrize("closure", CLOSURES)
     @pytest.mark.parametrize("density", STEP_DENSITIES)

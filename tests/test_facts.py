@@ -2,8 +2,8 @@
 
 ``tools/facts.txt`` holds sections 2-4 of ``tools/pr_facts.py``: the sha256
 of every workload check's ``results``, the exit code and output hashes of
-fixed CLI runs, and the LUs, K builds, Newton steps, dense solves and
-``eval_Ld`` calls of every check and probe.  A change that moves any of them
+fixed CLI runs, and the LUs, K builds, Newton steps, dense solves,
+``eval_Ld`` calls, LU fill and stored K entries of every check and probe.  A change that moves any of them
 fails here until the file is rewritten
 (``python tools/pr_facts.py --facts > tools/facts.txt``) and the move is
 explained.

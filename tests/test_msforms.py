@@ -444,6 +444,51 @@ class TestAnalyticHessian:
         ref = dense_schur_hessian(density, mesh, region)
         assert np.max(np.abs(h - ref)) <= 1e-12 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("density", [LinearWave, HarmonicDirichlet,
+                                         quartic_test_density(1.0)],
+                             ids=["wave", "harmonic", "quartic"])
+    @pytest.mark.parametrize("region", [RectRegion(0, 0, 5, 6), RectRegion(1, 2, 3, 3),
+                                        Patch3Region(2, 3)], ids=["full", "inset", "patch"])
+    def test_k_is_exactly_symmetric(self, density, region):
+        # The analytic route reads K_bi and K_ib both from K; for these
+        # densities they are transposes bit for bit, so the asymmetry it
+        # reports is that of the Schur solves alone.
+        mesh = build_mesh(dt=0.1, dx=0.2, nt=5, nx=6)
+        values = np.random.default_rng(7).standard_normal(mesh.shape)
+        ncols = mesh.nx + 1
+        nodes = np.concatenate([node_index(boundary_nodes(region), ncols),
+                                interior_index(region, ncols)])
+        k = _hessian_operator(density, values, region_index(region, ncols), nodes,
+                              mesh.dt, mesh.dx, "probe", nodes)
+        assert (k.toarray() + 0.0).tobytes() == (k.T.toarray() + 0.0).tobytes()
+
+    @pytest.mark.parametrize("density", [LinearWave, HarmonicDirichlet],
+                             ids=["wave", "harmonic"])
+    def test_asymmetry_grows_with_a_moved_k_ib_entry(self, monkeypatch, density):
+        # H = K_bb - K_bi K_ii^-1 K_ib with K_ib read from K, not taken as
+        # K_bi^T: one K_ib entry moved by delta moves a column of H only.
+        import mslab.msforms as msforms_module
+
+        mesh = build_mesh(dt=0.1, dx=0.2, nt=6, nx=6)
+        region = RectRegion(0, 0, 6, 6)
+        nb = len(boundary_nodes(region))
+        data = BoundaryData(region, np.zeros(nb))
+        build = msforms_module._hessian_operator
+
+        def asymmetry(delta):
+            def moved(*args, **kwargs):
+                k = build(*args, **kwargs).tolil()
+                i, j = (where[0] for where in k[nb:, :nb].nonzero())
+                k[nb + i, j] += delta
+                return k.tocsc()
+
+            monkeypatch.setattr(msforms_module, "_hessian_operator", moved)
+            return hessian_symmetry(density, mesh, data, method="analytic").max_asymmetry
+
+        asym = [asymmetry(delta) for delta in (0.0, 1e-9, 1e-6, 1e-3)]
+        assert asym[0] <= 1e-12
+        assert all(a < b for a, b in zip(asym, asym[1:]))
+
     def test_singular_interior_block_raises(self):
         mesh = build_mesh(dt=0.1, dx=0.1, nt=6, nx=6)
         region = RectRegion(0, 0, 6, 6)

@@ -17,9 +17,11 @@
    factorisations (``splu`` calls), its Hessian operator builds
    (``_hessian_operator`` calls), its Newton steps summed over its solves
    (``_newton`` returns), its dense back-solves (``numpy.linalg.solve``
-   calls) and its per-triangle actions (``eval_Ld`` calls, the scalar route
-   that the array sums replace).  Every binding of those names in the
-   ``mslab`` modules, and ``numpy.linalg.solve``, is wrapped in-process
+   calls), its per-triangle actions (``eval_Ld`` calls, the scalar route
+   that the array sums replace), the fill of its LUs (``L.nnz + U.nnz``
+   summed over the ``splu`` results) and the entries its K builds store
+   (``.nnz`` summed over the ``_hessian_operator`` results).  Every
+   binding of those names in the ``mslab`` modules, and ``numpy.linalg.solve``, is wrapped in-process
    while the checks run; the counts are deterministic, so two checkouts can
    be compared line by line.
    The same counts, and the sha256 of the result, follow for fixed probes
@@ -147,34 +149,39 @@ def print_cli_hashes() -> None:
 @contextmanager
 def solver_counts():
     """A dict of running counts, ``lu``, ``K``, ``newton_steps``,
-    ``dense_solves`` and ``eval_Ld``, kept while every ``mslab`` binding of
-    ``splu``, ``_hessian_operator``, ``_newton`` and ``eval_Ld``, and
+    ``dense_solves``, ``eval_Ld``, ``fill`` (L + U entries of each LU) and
+    ``K_nnz`` (stored entries of each K), kept while every ``mslab``
+    binding of ``splu``, ``_hessian_operator``, ``_newton`` and ``eval_Ld``, and
     ``numpy.linalg.solve``, is wrapped; the bindings are restored on exit."""
     import numpy as np
 
     import mslab.delsolve as delsolve
     import mslab.lagrangian as lagrangian
 
-    counts = dict.fromkeys(("lu", "K", "newton_steps", "dense_solves", "eval_Ld"), 0)
+    counts = dict.fromkeys(("lu", "K", "newton_steps", "dense_solves", "eval_Ld", "fill",
+                            "K_nnz"), 0)
 
-    def counted(fn, key, add):
+    def counted(fn, adds):
         def wrapper(*args, **kwargs):
             out = fn(*args, **kwargs)
-            counts[key] += add(out)
+            for key, add in adds.items():
+                counts[key] += add(out)
             return out
         return wrapper
 
-    targets = ((delsolve, "splu", "lu", lambda out: 1),
-               (delsolve, "_hessian_operator", "K", lambda out: 1),
-               (delsolve, "_newton", "newton_steps", lambda out: out[2]),
-               (lagrangian, "eval_Ld", "eval_Ld", lambda out: 1))
-    originals = {name: getattr(home, name) for home, name, _, _ in targets}
-    wrappers = {name: counted(originals[name], key, add) for _, name, key, add in targets}
+    targets = ((delsolve, "splu", {"lu": lambda out: 1,
+                                   "fill": lambda out: out.L.nnz + out.U.nnz}),
+               (delsolve, "_hessian_operator", {"K": lambda out: 1,
+                                                "K_nnz": lambda out: out.nnz}),
+               (delsolve, "_newton", {"newton_steps": lambda out: out[2]}),
+               (lagrangian, "eval_Ld", {"eval_Ld": lambda out: 1}))
+    originals = {name: getattr(home, name) for home, name, _ in targets}
+    wrappers = {name: counted(originals[name], adds) for _, name, adds in targets}
     modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "mslab"]
     saved = [(m, name, getattr(m, name)) for m in modules for name in wrappers
              if getattr(m, name, None) is originals[name]]
     saved.append((np.linalg, "solve", np.linalg.solve))
-    wrappers["solve"] = counted(np.linalg.solve, "dense_solves", lambda out: 1)
+    wrappers["solve"] = counted(np.linalg.solve, {"dense_solves": lambda out: 1})
     try:
         for m, name, _ in saved:
             setattr(m, name, wrappers[name])
@@ -262,7 +269,7 @@ def _counts(counts) -> str:
 
 def print_solver_counts(rows, probes) -> None:
     print("# solver work per check: splu factorisations, K builds, Newton steps, "
-          "dense solves, per-triangle eval_Ld calls")
+          "dense solves, per-triangle eval_Ld calls, LU fill, stored K entries")
     for workload, seed, name, _, counts in rows:
         print(f"{workload} seed {seed} {name} {_counts(counts)}")
     for name, what, digest, counts in probes:
