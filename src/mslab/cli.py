@@ -186,10 +186,6 @@ def _jsonable(obj):
     if isinstance(obj, (float, np.floating)):
         val = float(obj)
         return val if math.isfinite(val) else repr(val)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
     raise TypeError(f"cannot serialise {type(obj).__name__} into a report")
 
 

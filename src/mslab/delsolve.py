@@ -442,11 +442,10 @@ def _factor_and_rcond(jac: csc_matrix, context: str):
     For a Z-matrix (no positive off-diagonal entry) one transposed solve
     gives y = J^-T 1; if y > 0, J is a nonsingular M-matrix, J^-1 >= 0 and
     ||J^-1||_1 = max(y) exactly.  Any other J takes the dense inverse
-    (n <= 200) or ``onenormest``.
+    (n <= 200) or ``onenormest``.  J has a row: every caller refuses a
+    system without unknowns before it gets here.
     """
     n = jac.shape[0]
-    if n == 0:
-        raise SolverError(f"{context}: empty system")
     jac = jac.tocsc()
     counts = np.diff(jac.indptr)
     offset = jac.indices - np.repeat(np.arange(n), counts)  # i - j per entry

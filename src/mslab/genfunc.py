@@ -40,7 +40,6 @@ comparing against continuum quantities; the functionals never use them.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -323,8 +322,6 @@ class MixedBoundaryData:
 
     @classmethod
     def from_json(cls, obj) -> "MixedBoundaryData":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
         if set(obj) != {"region", "A", "B"}:
             raise ValueError("mixed data needs exactly the keys region/A/B")
         region = parse_region(obj["region"])

@@ -216,18 +216,25 @@ def grad_Ld(density: LagrangianDensity, triple: JetTriple) -> tuple:
     return _slot_gradient(lv, lw, lu, triple.dt, triple.dx)
 
 
+_ROW, _COL = np.tril_indices(3, -1)  # the slot pairs below the diagonal
+
+
 def _push_hessian(h, dt: float, dx: float, name: str):
     """Pull the (v, w, ubar) Hessian back to vertex slots and scale by area.
 
     ValueError names ``name`` if an entry is NaN/Inf.  Every row of the jet
     map has a nonzero entry, so a NaN/Inf in ``h`` reaches the result; a
-    tiny step can also overflow the product of finite factors.
+    tiny step can also overflow the product of finite factors.  The lower
+    triangle is the upper one mirrored, so each Hessian, and K, is exactly
+    symmetric: jac.T @ h @ jac rounds (a, b) and (b, a) apart when ``h``
+    has an off-diagonal entry.
     """
     jac = np.array([[-1.0 / dt, 0.0, 1.0 / dt],
                     [-1.0 / dx, 1.0 / dx, 0.0],
                     [1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0]])
     with np.errstate(all="ignore"):  # the finiteness check below reports it
         m = 0.5 * dt * dx * (jac.T @ h @ jac)
+    m[..., _ROW, _COL] = m[..., _COL, _ROW]
     if not np.isfinite(m).all():
         raise ValueError(f"{name} produced a non-finite Hessian")
     return m

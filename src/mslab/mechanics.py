@@ -429,22 +429,19 @@ def variational_order_check(family: Callable, lagr: MechLagrangian,
     round(1 / h) steps, up to the unit time horizon, and compares against
     the exact flow over the same elapsed time, so its fitted rate is the
     usual global order of the method.  Requires a Lagrangian from the
-    built-in catalogue (exact flow available) and at least three distinct
-    ladder steps.  An error that is not finite (data that overflow) raises
-    :class:`SolverError` before the fit.
+    built-in catalogue (``exact_flow`` and ``exact_ld`` available) and at
+    least three distinct ladder steps.  An error that is not finite (data
+    that overflow) raises :class:`SolverError` before the fit.
     """
     if len(set(h_values)) < 3:
         raise ValueError("order fit needs at least three distinct step sizes")
-    if not hasattr(lagr, "exact_flow"):
-        raise ValueError(f"{lagr.name} has no exact flow; cannot fit orders")
+    if not (hasattr(lagr, "exact_flow") and hasattr(lagr, "exact_ld")):
+        raise ValueError(f"{lagr.name} lacks exact_flow or exact_ld; cannot fit orders")
     e_func, e_map = [], []
     for h in h_values:
         _check_step(lagr, h)
         z1 = lagr.exact_flow(z0, h)
-        if hasattr(lagr, "exact_ld"):
-            ld_exact = lagr.exact_ld(z0.q, z1.q, h)
-        else:
-            ld_exact = exact_discrete_lagrangian(lagr, z0.q, z1.q, h)
+        ld_exact = lagr.exact_ld(z0.q, z1.q, h)
         ld_h = family(h)
         e_func.append(abs(ld_h(z0.q, z1.q) - ld_exact))
         n_steps = max(1, round(1.0 / h))

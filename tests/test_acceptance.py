@@ -2,7 +2,9 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-gate
 PASS/FAIL lines with headline numbers and timings.  Every gate exercises the
-public API only and states its tolerance inline.
+public API only and states its tolerance inline.  The symmetry laws of the
+Type-I functional (gates 13-16) draw their cases with Hypothesis and assert
+each draw, without a printed line.
 """
 
 import math
@@ -10,6 +12,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mslab import (
     BoundaryData,
@@ -22,8 +26,10 @@ from mslab import (
     LinearWave,
     Patch3Region,
     PhasePoint,
+    QuadraticDensity,
     RectRegion,
     SingularSystem,
+    UserDensity,
     boundary_hamiltonian,
     boundary_lagrangian,
     boundary_nodes,
@@ -57,7 +63,7 @@ from mslab import (
     wave_exact_solutions,
     wave_square_boundary_lagrangian,
 )
-from mslab import dual
+from mslab import dual, interior_index, region_index, triangle_kernel
 from mslab.delsolve import PeriodicClosure
 
 
@@ -432,3 +438,116 @@ def test_12_canonical_field_equations_first_order():
              f"divergence sups {[f'{d:.2e}' for d in divergences]}, observed "
              f"order {order:.3f} (floor 0.9), transport sup "
              f"{worst_transport:.2e} (tol 1e-12)")
+
+
+# ---------------------------------------------------------------------------
+# Symmetries of the Type-I functional S(phi), the extremal action as a
+# function of the Dirichlet data.  Its gradient is the boundary momentum
+# pi_b = dS/dphi_b (``normal_momenta`` on the solved field).  Each law holds
+# on the solved field up to the DEL residual r_i the solve leaves at its
+# interior nodes, which enters through the slot sums and is allowed for;
+# beyond that the bound is a few ulps of the uncancelled sum.
+
+EPS = np.finfo(float).eps
+CROSS = QuadraticDensity(vv=1.0, ww=-0.7, vw=0.2, name="cross")
+GRADIENT_QUARTIC = UserDensity(lambda v, w, u: 0.5 * (v * v + w * w) + 0.25 * (v ** 4 + w ** 4),
+                               name="gradient_quartic")
+
+
+@st.composite
+def dirichlet_cases(draw, densities):
+    """(density, mesh, region, data): a full or inset rectangle of 2-16 cells
+    a side at a drawn dt/dx, with unit normal data from a drawn seed."""
+    density = draw(st.sampled_from(densities))
+    nt, nx = draw(st.integers(2, 16)), draw(st.integers(2, 16))
+    ratio = draw(st.sampled_from([0.3, 0.5, 0.7]) | st.floats(0.2, 1.5))
+    n0, i0, pad_t, pad_x = draw(st.just((0, 0, 0, 0))
+                                | st.tuples(*[st.integers(0, 3)] * 4))
+    mesh = build_mesh(dt=ratio / nx, dx=1.0 / nx, nt=n0 + nt + pad_t, nx=i0 + nx + pad_x)
+    region = RectRegion(n0, i0, nt, nx)
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    data = np.random.default_rng(seed).standard_normal(len(boundary_nodes(region)))
+    return density, mesh, region, data
+
+
+def solved(density, mesh, region, data):
+    """The solved field, its boundary momenta and the DEL residuals left at
+    the interior nodes; a singular draw (a resonant wave rectangle) is
+    rejected."""
+    try:
+        report = solve_bvp(density, mesh, BoundaryData(region, data))
+    except SingularSystem:
+        assume(False)
+    ncols = mesh.nx + 1
+    residual = triangle_kernel(density, report.field.values, region_index(region, ncols),
+                               mesh.dt, mesh.dx).residual[interior_index(region, ncols)]
+    return report, normal_momenta(density, report.field, region).values, residual
+
+
+def shift_law(density, mesh, region, data):
+    """(|sum_b pi_b|, its bound 4 eps sum_b |pi_b| + sum_i |r_i|)."""
+    _, pi, residual = solved(density, mesh, region, data)
+    return abs(pi.sum()), 4.0 * EPS * np.abs(pi).sum() + np.abs(residual).sum()
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=dirichlet_cases([LinearWave, HarmonicDirichlet, CROSS, GRADIENT_QUARTIC]))
+def test_13_noether_shift_law(case):
+    """A density that does not read ubar is invariant under u -> u + c, so
+    S(phi + c) = S(phi) and sum_b pi_b = 0 on every region: the discrete
+    Noether theorem (Marsden, Patrick & Shkoller 1998) for that symmetry."""
+    gap, bound = shift_law(*case)
+    assert gap <= bound, f"|sum pi| {gap:.3e} exceeds {bound:.3e}"
+
+
+def test_14_quartic_breaks_the_shift_law():
+    # The negative control: the quartic test density reads ubar, so the
+    # shift is no symmetry and sum_b pi_b is far outside the gate.
+    mesh = build_mesh(dt=0.05, dx=0.1, nt=10, nx=12)
+    region = RectRegion(0, 0, 10, 12)
+    data = np.random.default_rng(14).standard_normal(len(boundary_nodes(region)))
+    gap, bound = shift_law(quartic_test_density(1.0), mesh, region, data)
+    assert gap > 1e6 * bound, f"|sum pi| {gap:.3e} against a bound of {bound:.3e}"
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=dirichlet_cases([LinearWave, HarmonicDirichlet]))
+def test_15_time_affine_law(case):
+    """For the wave and the Dirichlet energy, u -> u + c t adds c v + c^2/2
+    to L, and the sum of dt dx v / 2 over the triangles telescopes in n: so
+    sum_b pi_b t_b = (dx/2) sum_i (u_top,i - u_bottom,i) over the anchor
+    columns i of the region."""
+    density, mesh, region, data = case
+    report, pi, residual = solved(*case)
+    ncols = mesh.nx + 1
+    t_bd = np.array([n * mesh.dt for n, _ in boundary_nodes(region)])
+    t_in = interior_index(region, ncols) // ncols * mesh.dt
+    columns = slice(region.i0, region.i0 + region.nx)
+    u = report.field.values
+    change = u[region.n0 + region.nt, columns] - u[region.n0, columns]
+    gap = abs(float(pi @ t_bd) - 0.5 * mesh.dx * change.sum())
+    bound = (4.0 * EPS * (np.abs(pi * t_bd).sum() + 0.5 * mesh.dx * np.abs(change).sum())
+             + np.abs(residual * t_in).sum())
+    assert gap <= bound, f"time-affine gap {gap:.3e} exceeds {bound:.3e}"
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=dirichlet_cases([LinearWave, HarmonicDirichlet, CROSS]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_16_lorentz_reciprocity(case, seed):
+    """For a quadratic density pi = Lambda phi with Lambda the Hessian of S,
+    which is symmetric, so sum_b pi_b(u1) u2_b = sum_b pi_b(u2) u1_b.  This
+    is the paper's example of Lorentz's reciprocity principle as an instance
+    of the multisymplectic form formula (Vankerschaver, Liao & Leok,
+    "Generating Functionals and Lagrangian PDEs", arXiv:1111.0280, the
+    Lagrangian-side derivation of the formula from the Type-I functional).
+    Each momentum carries the solve's error, up to eps times the condition
+    number 1 / rcond of the interior block, so the bound is 4 eps / rcond
+    times the uncancelled sum."""
+    density, mesh, region, data = case
+    other = np.random.default_rng(seed).standard_normal(len(data))
+    first, pi_1, _ = solved(*case)
+    _, pi_2, _ = solved(density, mesh, region, other)
+    gap = abs(float(pi_1 @ other) - float(pi_2 @ data))
+    bound = 4.0 * EPS / first.rcond * np.abs(pi_1 * other).sum()
+    assert gap <= bound, f"reciprocity gap {gap:.3e} exceeds {bound:.3e}"

@@ -690,6 +690,45 @@ class TestExitContract:
             assert err.startswith(f"mslab: {kind} error: ") and err.count("\n") == 1
             assert "Traceback" not in err
 
+    _SQUARE = {"problem": "wave_square", "nx_ladder": [8, 16]}
+    _MESH_1 = {"dt": 0.05, "dx": 0.1, "nt": 1, "nx": 4}
+
+    @pytest.mark.parametrize("command, config, message", [
+        ("msff-check", [1, 2], "config root must be a JSON object, got list"),
+        ("msff-check", {"mesh": [1]}, "'mesh' must be an object, got [1]"),
+        ("msff-check", {**MSFF_CONFIG, "amplitude": math.inf},
+         "'amplitude' must be finite, got inf"),
+        ("msff-check", {"mesh": _MESH_1},
+         "msff-check needs nt >= 2 and nx >= 2 for interior patches"),
+        ("bridges-check", {**BRIDGES_CONFIG, "mode": "other"},
+         "unknown bridges-check mode 'other'"),
+        ("boundary-lagrangian", {**_SQUARE, "time_step_ratio": 0.3},
+         "time step ratio 0.3 does not tile the unit square at nx=8"),
+        ("boundary-lagrangian", {**_SQUARE, "time_step_ratio": 1.5},
+         "time step ratio must lie in (0, 1), got 1.5"),
+        ("boundary-lagrangian", {**_SQUARE, "solution": "mystery"},
+         "unknown exact solution 'mystery'"),
+        ("mechanics", {"rule": "midpoint", "problem": {"kind": "harmonic", "omega": -1}},
+         "harmonic frequency must be positive, got -1.0"),
+        ("mechanics", {"rule": "midpoint", "problem": {"kind": "pendulum"}},
+         "unknown mechanics problem kind 'pendulum'"),
+        ("mechanics", {"rule": "midpoint", "problem": 3},
+         "bad mechanics problem description 3"),
+        ("mechanics", {"rule": "midpoint", "z0": [1]},
+         "'z0' must be a [position, momentum] pair"),
+        ("mechanics", {"rule": "midpoint", "h_ladder": [0.4, 0.2, 5.0]},
+         "step 5.0 outside the valid range (0, 3.141592653589793)"),
+    ], ids=["root", "mesh", "finite", "msff-size", "mode", "tiling", "ratio", "solution",
+            "omega", "kind", "problem", "z0", "step"])
+    def test_config_error_is_one_line(self, tmp_path, command, config, message):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([command, "--config", str(path)])
+        assert code == EXIT_CONFIG and out.getvalue() == ""
+        assert err.getvalue() == f"mslab: config error: {message}\n"
+
 
 class TestReports:
     def strip_metadata(self, report):
@@ -709,6 +748,13 @@ class TestReports:
         _, second = run(capsys, ["msff-check", "--config", cfg, "--seed", "8"])
         assert (first["results"]["max_patch_residual"]
                 != second["results"]["max_patch_residual"])
+
+    def test_a_value_no_report_holds_is_a_type_error(self):
+        for value in (object(), np.int64(1), np.zeros(2)):
+            with pytest.raises(TypeError) as info:
+                mslab.cli._jsonable({"results": [value]})
+            assert str(info.value) == (f"cannot serialise {type(value).__name__} "
+                                       "into a report")
 
     def test_report_schema(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", MSFF_CONFIG)

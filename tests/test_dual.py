@@ -49,6 +49,50 @@ class TestArithmetic:
         assert dual.value(Dual(Dual(1.5, 1.0), 1.0)) == 1.5
 
 
+class TestProtocol:
+    """The edges of the operator protocol: operands that are not reals,
+    zero and negative integer powers, every comparison, a constant function
+    and the repr."""
+
+    @pytest.mark.parametrize("op, symbol", [
+        (operator.add, "+"), (operator.sub, "-"), (operator.mul, "*"),
+        (operator.truediv, "/"), (operator.pow, "** or pow()")],
+        ids=["add", "sub", "mul", "truediv", "pow"])
+    def test_an_operand_that_is_not_real_is_a_type_error(self, op, symbol):
+        foreign = object()
+        for left, right, names in ((Dual(1.0, 1.0), foreign, "'Dual' and 'object'"),
+                                   (foreign, Dual(1.0, 1.0), "'object' and 'Dual'")):
+            with pytest.raises(TypeError) as info:
+                op(left, right)
+            assert str(info.value) == f"unsupported operand type(s) for {symbol}: {names}"
+
+    @pytest.mark.parametrize("point", [1.5, np.array([0.5, -2.0, 3.0])],
+                             ids=["scalar", "array"])
+    def test_zero_and_negative_integer_powers(self, point):
+        x = np.asarray(point)
+        zero = Dual(point, 1.0) ** 0
+        assert (zero.re, zero.du) == (1.0, 0.0)
+        inverse = Dual(point, 1.0) ** -2
+        np.testing.assert_allclose(inverse.re, x ** -2.0, rtol=1e-15)
+        np.testing.assert_allclose(inverse.du, -2.0 * x ** -3.0, rtol=1e-14)
+        # Nested duals: the second derivatives 0 and 6 x^-4.
+        assert np.all(dual.hessian(lambda t: t ** 0, (point,))[0][0] == 0.0)
+        np.testing.assert_allclose(dual.hessian(lambda t: t ** -2, (point,))[0][0],
+                                   6.0 * x ** -4.0, rtol=1e-14)
+
+    def test_comparisons_use_value(self):
+        assert Dual(1.0, 5.0) <= 1.0 and not Dual(1.0, 5.0) <= 0.5
+        assert Dual(2.0, -1.0) > Dual(1.0, 9.0) and not Dual(1.0, 9.0) > 1.0
+
+    def test_partial_of_a_constant_function(self):
+        assert dual.partial(lambda x, y: 3.0, 0, (1.0, 2.0)) == 0.0
+        assert dual.partial(lambda x, y: 3.0, 1, (Dual(1.0, 1.0), 2.0)) == 0.0
+
+    def test_repr(self):
+        assert repr(Dual(1.5, -2.0)) == "Dual(1.5, -2.0)"
+        assert repr(Dual(Dual(1.0, 2.0), 0.0)) == "Dual(Dual(1.0, 2.0), 0.0)"
+
+
 class TestNumpyScalars:
     """numpy integer and float32 scalars combine with duals like Python numbers."""
 

@@ -281,6 +281,15 @@ class TestVariationalOrders:
             variational_order_check(midpoint_rule(ho), ho,
                                     PhasePoint(0.7, 0.4), [0.2, 0.1, 0.2, 0.1])
 
+    def test_one_positive_error_gives_an_infinite_order(self):
+        # Errors above round-off, but only one of them positive: no line to fit.
+        assert mechanics._fit_order([0.4, 0.2, 0.1], [1e-3, 0.0, 0.0]) == math.inf
+
+    def test_repr_names_the_lagrangian(self):
+        assert repr(HarmonicOscillator(2.0)) == "<HarmonicOscillator harmonic[2.0]>"
+        assert repr(FreeParticle()) == "<FreeParticle free_particle>"
+
+
 class TestExactFlows:
     def test_free_flow(self):
         z1 = FreeParticle().exact_flow(PhasePoint(1.0, 2.0), 0.25)

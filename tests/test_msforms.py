@@ -444,9 +444,11 @@ class TestAnalyticHessian:
         ref = dense_schur_hessian(density, mesh, region)
         assert np.max(np.abs(h - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("density", [LinearWave, HarmonicDirichlet,
-                                         quartic_test_density(1.0)],
-                             ids=["wave", "harmonic", "quartic"])
+    @pytest.mark.parametrize("density", [
+        LinearWave, HarmonicDirichlet, quartic_test_density(1.0),
+        QuadraticDensity(vv=1.0, ww=-0.7, vw=0.2, uu=-0.3, name="cross"),
+        UserDensity(lambda v, w, u: v * w * u, name="vwu")],
+        ids=["wave", "harmonic", "quartic", "cross", "vwu"])
     @pytest.mark.parametrize("region", [RectRegion(0, 0, 5, 6), RectRegion(1, 2, 3, 3),
                                         Patch3Region(2, 3)], ids=["full", "inset", "patch"])
     def test_k_is_exactly_symmetric(self, density, region):
@@ -461,6 +463,24 @@ class TestAnalyticHessian:
         k = _hessian_operator(density, values, region_index(region, ncols), nodes,
                               mesh.dt, mesh.dx, "probe", nodes)
         assert (k.toarray() + 0.0).tobytes() == (k.T.toarray() + 0.0).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(coeffs=st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6),
+           seed=st.integers(0, 2 ** 16))
+    def test_k_is_exactly_symmetric_for_drawn_densities(self, coeffs, seed):
+        # Any quadratic, and a nonlinear density coupling v, w and ubar:
+        # each triangle's pushed Hessian is mirrored, so K is too.
+        mesh = build_mesh(dt=0.1, dx=0.2, nt=4, nx=5)
+        values = np.random.default_rng(seed).standard_normal(mesh.shape)
+        region, ncols = RectRegion(0, 0, 4, 5), mesh.nx + 1
+        nodes = np.concatenate([node_index(boundary_nodes(region), ncols),
+                                interior_index(region, ncols)])
+        vv, ww, uu, vw, vu, wu = coeffs
+        for density in (QuadraticDensity(vv, ww, uu, vw, vu, wu),
+                        UserDensity(lambda v, w, u: vw * v * w * u + uu * u ** 4 + vv * v * v)):
+            k = _hessian_operator(density, values, region_index(region, ncols), nodes,
+                                  mesh.dt, mesh.dx, "probe", nodes).toarray() + 0.0
+            assert k.tobytes() == (k.T + 0.0).tobytes()
 
     @pytest.mark.parametrize("density", [LinearWave, HarmonicDirichlet],
                              ids=["wave", "harmonic"])
