@@ -33,10 +33,14 @@ gradients, their one-``bincount`` scatter-add into DEL residuals, vertex-slot
 Hessians and their COO triplets (sorted when first read), calling the density
 once on whole jet arrays.  ``_action_sum`` sums the triangle actions of such
 a set the same way; the two share one helper that gathers the vertex values,
-checks them and forms the jets.  The per-triangle functions below are their
-one-triangle view and their reference: they share the formulas, and tests
-hold the routes to round-off agreement (a quadratic density's action sum to
-the bit).
+checks them and forms the jets.  Each per-triangle formula is stated once:
+``grad_Ld`` (and ``theta_k`` through it) is the kernel on one triangle,
+``omega_k`` is the one-triangle case of the slot two-forms that ``msforms``
+forms over a region, and the kernel takes a quadratic density's constant
+Hessian from ``hess_Ld``.  ``eval_Ld`` stays a scalar evaluation, which the
+array action sum matches bit for bit for a quadratic density.  The
+independent route is the exact rational reference of the tests, which holds
+these formulas to stated rounding bounds.
 """
 
 from __future__ import annotations
@@ -177,14 +181,6 @@ def _check_finite(name, *vals):
             raise ValueError(f"{name} produced a non-finite value")
 
 
-def _slot_gradient(lv, lw, lu, dt: float, dx: float) -> tuple:
-    """Chain rule through the affine jet map, on scalars or arrays."""
-    a = 0.5 * dt * dx
-    return (a * (-lv / dt - lw / dx + lu / 3.0),
-            a * (lw / dx + lu / 3.0),
-            a * (lv / dt + lu / 3.0))
-
-
 def eval_Ld(density: LagrangianDensity, triple: JetTriple) -> float:
     """Triangle action (dt*dx/2) * L(v, w, ubar)."""
     try:
@@ -200,8 +196,13 @@ def eval_Ld(density: LagrangianDensity, triple: JetTriple) -> float:
     return out
 
 
+# The slot index of one triangle whose values are (u1, u2, u3).
+_ONE_TRIANGLE = np.arange(3, dtype=np.int32).reshape(3, 1)
+
+
 def grad_Ld(density: LagrangianDensity, triple: JetTriple) -> tuple:
-    """Vertex-slot gradient (d1, d2, d3) of the triangle action.
+    """Vertex-slot gradient (d1, d2, d3) of the triangle action: the slot
+    gradients of :func:`triangle_kernel` on the one triangle.
 
     Chain rule through the affine jet map: with A = dt*dx/2,
 
@@ -209,11 +210,9 @@ def grad_Ld(density: LagrangianDensity, triple: JetTriple) -> tuple:
         d2 = A * ( Lw/dx          + Lu/3),
         d3 = A * ( Lv/dt          + Lu/3).
     """
-    with np.errstate(all="ignore"):  # as in triangle_kernel: the check reports it
-        parts = density.partials(triple.v, triple.w, triple.ubar)
-    lv, lw, lu = (float(p) for p in parts)
-    _check_finite(f"density {density.name} partials", lv, lw, lu)
-    return _slot_gradient(lv, lw, lu, triple.dt, triple.dx)
+    terms = triangle_kernel(density, (triple.u1, triple.u2, triple.u3), _ONE_TRIANGLE,
+                            triple.dt, triple.dx)
+    return tuple(terms.grads[:, 0].tolist())
 
 
 _ROW, _COL = np.tril_indices(3, -1)  # the slot pairs below the diagonal
@@ -270,13 +269,19 @@ def omega_k(density: LagrangianDensity, triple: JetTriple, k: int, xi, eta) -> f
     """
     if k not in (1, 2, 3):
         raise ValueError(f"vertex slot must be 1, 2 or 3, got {k}")
-    m = hess_Ld(density, triple)
-    kk = k - 1
-    xk, ek = float(xi[kk]), float(eta[kk])
-    out = 0.0
+    # Floats one by one: an integer array would wrap large Python ints.
+    xi, eta = (np.array([[float(t[j])] for j in range(3)]) for t in (xi, eta))
+    return float(_slot_two_forms(hess_Ld(density, triple)[None], xi, eta)[k - 1, 0])
+
+
+def _slot_two_forms(hess, xi, eta):
+    """(3, m) slot two-forms omega_k(xi, eta) of m triangles, from their
+    (m, 3, 3) vertex-slot Hessians and (3, m) tangent values; each is summed
+    over j in order from 0.0."""
+    out = np.zeros(xi.shape)
     for j in range(3):
-        out -= m[j, kk] * (float(xi[j]) * ek - float(eta[j]) * xk)
-    return float(out)
+        out -= hess[:, j, :].T * (xi[j] * eta - eta[j] * xi)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +358,8 @@ def triangle_kernel(density: LagrangianDensity, values, index, dt: float,
     them (a density whose ``is_quadratic`` is set uses its constant Hessian).
     The residual is one scatter-add of all slots in slot order; no slot maps
     two triangles to one node, so each node adds d1 + d2 + d3 in that order.
-    NaN/Inf raises ValueError, as in the per-triangle functions; numpy
-    warnings in the density calls are silenced, since that check reports
+    NaN/Inf raises ValueError, as in :func:`eval_Ld` and :func:`hess_Ld`;
+    numpy warnings in the density calls are silenced, since that check reports
     them.
     """
     flat, index, (v, w, ubar) = _triangle_jets(values, index, dt, dx)
@@ -364,7 +369,9 @@ def triangle_kernel(density: LagrangianDensity, values, index, dt: float,
             lv, lw, lu = density.partials(v, w, ubar)
         if not all(np.isfinite(p).all() for p in (lv, lw, lu)):
             raise ValueError(f"density {density.name} partials produced a non-finite value")
-        grads = np.array(_slot_gradient(lv, lw, lu, dt, dx))
+        a = 0.5 * dt * dx
+        grads = np.array((a * (-lv / dt - lw / dx + lu / 3.0), a * (lw / dx + lu / 3.0),
+                          a * (lv / dt + lu / 3.0)))
         residual = np.bincount(index.ravel(), weights=grads.ravel(), minlength=flat.size)
     if hessian:
         if density.is_quadratic:  # the same at every jet

@@ -43,7 +43,7 @@ from .genfunc import _momentum_stencil
 from .jetmesh import (BoundaryData, DiscreteField, Patch3Region, QuadMesh,
                       Region, boundary_nodes, check_region_fits, interior_index,
                       node_index, region_index)
-from .lagrangian import LagrangianDensity, triangle_kernel
+from .lagrangian import LagrangianDensity, _slot_two_forms, triangle_kernel
 from .oracles import _gauss
 
 
@@ -98,13 +98,8 @@ def _region_patch_terms(density, field, v_var, w_var, region, flat):
     index = region_index(region, ncols)
     terms = triangle_kernel(density, field.values, index, mesh.dt, mesh.dx,
                             hessian=True)
-    xi, eta = v_var.values.ravel()[index], w_var.values.ravel()[index]
-    omega = []
-    for k in range(3):
-        out = np.zeros(index.shape[1])
-        for j in range(3):
-            out -= terms.hess[:, j, k] * (xi[j] * eta[k] - eta[j] * xi[k])
-        omega.append(out)
+    omega = _slot_two_forms(terms.hess, v_var.values.ravel()[index],
+                            w_var.values.ravel()[index])
     pos = np.full(field.values.size, -1, dtype=np.intp)
     pos[index[0]] = np.arange(index.shape[1])
     here, left, below = pos[flat], pos[flat - 1], pos[flat - ncols]

@@ -3,7 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-gate
 PASS/FAIL lines with headline numbers and timings.  Every gate exercises the
 public API only and states its tolerance inline.  The symmetry laws of the
-Type-I functional (gates 13-16) draw their cases with Hypothesis and assert
+Type-I functional (gates 13-17) draw their cases with Hypothesis and assert
 each draw, without a printed line.
 """
 
@@ -551,3 +551,24 @@ def test_16_lorentz_reciprocity(case, seed):
     gap = abs(float(pi_1 @ other) - float(pi_2 @ data))
     bound = 4.0 * EPS / first.rcond * np.abs(pi_1 * other).sum()
     assert gap <= bound, f"reciprocity gap {gap:.3e} exceeds {bound:.3e}"
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=dirichlet_cases([LinearWave, HarmonicDirichlet]))
+def test_17_space_affine_law(case):
+    """The space counterpart of gate 15: u -> u + c x adds ww (c w + c^2/2)
+    to L, and the sum of ww dt dx w / 2 over the triangles telescopes in i:
+    so sum_b pi_b x_b = ww (dt/2) sum_n (u_n,i1 - u_n,i0) over the anchor
+    rows n of the region, with i0 and i1 its first and last columns."""
+    density, mesh, region, data = case
+    report, pi, residual = solved(*case)
+    ncols = mesh.nx + 1
+    x_bd = np.array([i * mesh.dx for _, i in boundary_nodes(region)])
+    x_in = interior_index(region, ncols) % ncols * mesh.dx
+    rows = slice(region.n0, region.n0 + region.nt)
+    u = report.field.values
+    change = u[rows, region.i0 + region.nx] - u[rows, region.i0]
+    gap = abs(float(pi @ x_bd) - density.ww * 0.5 * mesh.dt * change.sum())
+    bound = (4.0 * EPS * (np.abs(pi * x_bd).sum() + 0.5 * mesh.dt * np.abs(change).sum())
+             + np.abs(residual * x_in).sum())
+    assert gap <= bound, f"space-affine gap {gap:.3e} exceeds {bound:.3e}"

@@ -501,7 +501,7 @@ class TestOverflowingData:
         ("msff-check", {"mesh": {"dt": 1e-154, "dx": 0.2, "nt": 2, "nx": 2},
                         "amplitude": 1e154},
          EXIT_SOLVER,
-         "floating-point error in msforms._region_patch_terms: overflow encountered in multiply"),
+         "floating-point error in lagrangian._slot_two_forms: overflow encountered in multiply"),
         # The row Jacobian's entries are finite but near 1e308; K @ x is not.
         ("bridges-check", {"mode": "conservation",
                            "mesh": {"dt": 0.3, "dx": 1e308, "nt": 2, "nx": 2}},

@@ -1,11 +1,15 @@
-"""The array triangle kernel against the per-triangle scalar functions.
+"""The array triangle kernel against the per-triangle functions.
 
 On random fields and random cell sizes, for quadratic, quartic and
-user-defined densities, every kernel output must agree with the scalar
-reference to round-off: slot gradients with ``grad_Ld``, Hessians and their
-triplets with ``hess_Ld``, DEL residuals with ``del_residual``, and the
-patch two-form terms and linearised residuals of ``msforms`` with per-node
-loops over ``omega_k`` and ``hess_Ld``.  The action
+user-defined densities, every kernel output must agree with the
+per-triangle functions to round-off: slot gradients with ``grad_Ld``,
+Hessians and their triplets with ``hess_Ld``, DEL residuals with
+``del_residual``, and the patch two-form terms and linearised residuals of
+``msforms`` with per-node loops over ``omega_k`` and ``hess_Ld``.
+``grad_Ld`` and ``omega_k`` are one-triangle views of the kernel and of
+``_slot_two_forms``, so those comparisons check the gather, the scatter and
+the patch assembly, not the formulas; the independent route for the formulas
+is the exact rational reference of ``test_exact_kernel.py``.  The action
 enters through Euler's identity for quadratic densities: the action is then
 homogeneous of degree two in the node values, so u . grad S = 2 S with S the
 sum of ``eval_Ld`` over the triangles.
