@@ -59,8 +59,11 @@ monitor.  The collocations factor at every iterate (Newton's method).
 One stopping rule serves them all.  Any iterate, the start included, is
 accepted when the sup-norm of its residual is at or below its round-off
 floor (``_roundoff_floor``): 64 ulps of ||J||_inf, the largest row sum of |J|
-over every value the residual reads, times ||x||_inf of those values.  No
-Newton step on a fixed factorisation can reduce a residual below that level
+over every value the residual reads, times ||x||_inf of those values.  Its
+first factors, the floor per unit of ||x||_inf, are taken once per
+factorisation; the sup-norms of residuals, and of a sparse solve's values,
+are taken by BLAS idamax (``_sup_norm``).  No Newton step on a fixed
+factorisation can reduce a residual below that level
 (Higham 2002, ch. 12), and the floor scales with the data, so a start at the
 solution is returned as it is and large data stop at round-off instead of
 stalling.  J is the K of the LU in use, which may have been taken at an
@@ -304,9 +307,10 @@ def _newton(residual_fn, factor_fn, x0, context: str, factor=None,
     its type-I map momentum by about 1.2e-13), though the harmonic ones
     stayed bit-identical.
 
-    Every iterate, the start included, is accepted when the sup-norm of F is
-    at or below its floor; an iterate after at least one step also when it
-    is at or below ``NEWTON_TOL``.  A non-finite floor, or a non-finite
+    Every iterate, the start included, is accepted when the sup-norm of F
+    (:func:`_sup_norm`, taken once per accepted F) is at or below its
+    floor; an iterate after at least one step also when it is at or below
+    ``NEWTON_TOL``.  A non-finite floor, or a non-finite
     residual at the start, raises :class:`SolverError`; a non-finite
     residual at a trial iterate fails the Armijo test.  Returns (x, sup-norm
     of residual, steps, the factor in use), x being the point of the last
@@ -325,9 +329,9 @@ def _newton(residual_fn, factor_fn, x0, context: str, factor=None,
     f, merit = evaluate(x, f0)
     if not math.isfinite(merit):
         raise SolverError(f"{context}: non-finite residual at the start")
+    norm = _sup_norm(f)  # of every accepted F: its merit is finite, so is F
     steps, fresh, last = 0, False, None  # last: the last full step on this factor
     while True:
-        norm = float(np.abs(f).max(initial=0.0))
         if steps and norm <= NEWTON_TOL:
             return x, norm, steps, factor
         if factor is None:
@@ -361,19 +365,29 @@ def _newton(residual_fn, factor_fn, x0, context: str, factor=None,
             raise SolverError(f"{context}: Armijo line search failed"
                               + ("" if np.isfinite(step).all() else " (non-finite step)"))
         x, f, merit = x_try, f_try, merit_try
-        steps, fresh, last = steps + 1, False, step
+        norm, steps, fresh, last = _sup_norm(f), steps + 1, False, step
 
 
-def _roundoff_floor(jac, x=1.0) -> float:
+def _sup_norm(f) -> float:
+    """||f||_inf of a finite vector, 0.0 if it is empty: BLAS idamax finds the
+    largest |entry| without a temporary array (it may skip a NaN)."""
+    return abs(float(f[idamax(f)])) if len(f) else 0.0
+
+
+_ULPS64 = 64.0 * float(np.finfo(float).eps)  # a power of two: the product is exact
+
+
+def _roundoff_floor(jac, x=None) -> float:
     """Round-off level of a residual J x - b, at or below which no Newton
     step can reduce it: 64 ulps of ||J||_inf, the largest row sum of |J|
-    (dense or sparse), times ||x||_inf.  The default x gives the floor per
-    unit of ||x||_inf."""
+    (dense or sparse), times ||x||_inf.  Without x it is the floor per unit
+    of ||x||_inf, which times ||x||_inf is the floor at x bit for bit."""
     # A CSC matrix's abs(J).sum(axis=1) summed as scipy sums it, without the sparse copy.
     rows = (np.bincount(jac.indices, np.abs(jac.data), jac.shape[0])
             if isinstance(jac, csc_matrix) else abs(jac).sum(axis=1))
     # Python floats: a product that overflows is inf, without a numpy warning.
-    return 64.0 * float(np.finfo(float).eps) * float(np.max(rows)) * float(np.max(np.abs(x)))
+    unit = _ULPS64 * float(rows.max())
+    return unit if x is None else unit * float(np.abs(x).max())
 
 
 def _field_hessian(density: LagrangianDensity, field: DiscreteField, context: str):
@@ -539,9 +553,8 @@ def _del_newton(density: LagrangianDensity, values: np.ndarray, index, eqs, unkn
         if linear:
             operator = k
         unit_floor = _roundoff_floor(k)
-        # BLAS idamax finds the largest |value| without a temporary array.
         return (*_factor_and_rcond(k[:, unknowns], context),
-                lambda x: unit_floor * abs(float(work[idamax(work)])))
+                lambda x: unit_floor * _sup_norm(work))
 
     def solve(x0, context):
         nonlocal kept

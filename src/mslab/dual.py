@@ -30,6 +30,7 @@ operations of ``Dual(other, 0.0)`` (``re * 0.0 + du * other``, ``du + 0.0``,
 from __future__ import annotations
 
 import numbers
+from functools import lru_cache
 
 import numpy as np
 
@@ -194,22 +195,32 @@ def value(x):
 
 
 def _points(args) -> tuple:
-    """(floats, None), or (arrays, shape) broadcast if any is an array."""
+    """(floats, None), or (arrays, shape) broadcast if any is an array (and
+    their shapes differ)."""
     if not any(isinstance(a, np.ndarray) for a in args):
         return [float(a) for a in args], None
-    points = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
+    points = [np.asarray(a, dtype=float) for a in args]
+    if any(p.shape != points[0].shape for p in points):
+        points = np.broadcast_arrays(*points)
     return points, points[0].shape
 
 
 def _tangent(y, lead=(), shape=None):
-    """y's tangent on ``lead + shape``: (lists of) floats at scalar points."""
-    t = np.broadcast_to(value(y.du) if isinstance(y, Dual) else 0.0, lead + (shape or ()))
+    """y's tangent on ``lead + shape``: (lists of) floats at scalar points;
+    broadcast only if it does not have that shape already."""
+    t = value(y.du) if isinstance(y, Dual) else 0.0
+    full = lead + (shape or ())
+    t = np.asarray(t) if np.shape(t) == full else np.broadcast_to(t, full)
     return t.tolist() if shape is None else t.copy()
 
 
-def _unit_tangents(m: int, shape) -> np.ndarray:
-    """m unit directions on a leading axis, broadcasting against ``shape``."""
-    return np.eye(m).reshape((m, m) + (1,) * len(shape or ()))
+@lru_cache(maxsize=32)
+def _unit_tangents(m: int, ndim: int) -> np.ndarray:
+    """m unit directions on a leading axis, broadcasting against ``ndim``
+    point axes (read-only: every evaluation shares it)."""
+    units = np.eye(m).reshape((m, m) + (1,) * ndim)
+    units.setflags(write=False)
+    return units
 
 
 def derivative(fn, x):
@@ -222,7 +233,7 @@ def gradient(fn, args):
     stacked on a leading axis: floats, or arrays of the arguments' broadcast
     shape if any argument is an array."""
     args, shape = _points(args)
-    y = fn(*map(Dual, args, _unit_tangents(len(args), shape)))
+    y = fn(*map(Dual, args, _unit_tangents(len(args), len(shape or ()))))
     return list(_tangent(y, (len(args),), shape))
 
 
@@ -236,7 +247,7 @@ def matvec(matrix, x):
     columns = _leafwise(lambda a: a[..., None, :] if np.ndim(a) else a, x)
     terms = columns * matrix if isinstance(x, Dual) else matrix * columns
     # 0.0 + s turns a -0.0 sum into +0.0, as starting the sum from 0.0 does.
-    return _leafwise(lambda t: 0.0 + np.cumsum(t, axis=-1)[..., -1], terms)
+    return _leafwise(lambda t: 0.0 + t.cumsum(axis=-1)[..., -1], terms)
 
 
 def _leafwise(fn, x):
@@ -283,7 +294,7 @@ def hessian(fn, args):
     in :func:`gradient`)."""
     args, shape = _points(args)
     m = len(args)
-    units = _unit_tangents(m, shape)
+    units = _unit_tangents(m, len(shape or ()))
     # Inner directions on tangent axis 1, outer ones on axis 0.
     y = fn(*(Dual(Dual(a, u), Dual(u[:, None], 0.0)) for a, u in zip(args, units)))
     t = _tangent(y.du if isinstance(y, Dual) else 0.0, (m, m), shape)

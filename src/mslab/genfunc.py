@@ -64,10 +64,10 @@ def region_action(density: LagrangianDensity, field: DiscreteField,
     wave-square ladder take instead."""
     mesh = field.mesh
     check_region_fits(region, mesh)
-    flat = field.values.ravel()
+    flat, dt, dx = field.values.ravel(), mesh.dt, mesh.dx
     total = 0.0
     for u1, u2, u3 in zip(*flat[region_index(region, mesh.nx + 1)].tolist()):
-        total += eval_Ld(density, JetTriple(u1, u2, u3, mesh.dt, mesh.dx))
+        total += eval_Ld(density, JetTriple(u1, u2, u3, dt, dx))
     return float(total)
 
 

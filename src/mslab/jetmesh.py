@@ -120,9 +120,15 @@ class TriangleIndex:
         return 0 <= self.n < mesh.nt and 0 <= self.i < mesh.nx
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # slots: one is built per triangle of a region
 class JetTriple:
-    """Vertex values of one triangle plus the cell sizes they were read on."""
+    """Vertex values of one triangle plus the cell sizes they were read on.
+
+    Refuses a non-finite vertex value (u1, u2, then u3), then a step dt or
+    dx that is not positive and finite, in that order.  A valid triple
+    passes one combined test of the checks in that order; any other takes
+    them one by one, to raise the refusal's own message.  A value that is
+    not a real number raises its own error in either, at the same check."""
 
     u1: float
     u2: float
@@ -131,8 +137,11 @@ class JetTriple:
     dx: float
 
     def __post_init__(self) -> None:
-        for name in ("u1", "u2", "u3"):
-            val = getattr(self, name)
+        isfinite = math.isfinite
+        if (isfinite(self.u1) and isfinite(self.u2) and isfinite(self.u3)
+                and isfinite(self.dt) and self.dt > 0.0 and isfinite(self.dx) and self.dx > 0.0):
+            return
+        for name, val in (("u1", self.u1), ("u2", self.u2), ("u3", self.u3)):
             if not math.isfinite(val):
                 raise ValueError(f"non-finite vertex value {name}={val!r}")
         _check_positive("dt", self.dt)

@@ -34,11 +34,13 @@ Hessians and their COO triplets (sorted when first read), calling the density
 once on whole jet arrays.  ``_action_sum`` sums the triangle actions of such
 a set the same way; the two share one helper that gathers the vertex values,
 checks them and forms the jets.  Each per-triangle formula is stated once:
-``grad_Ld`` (and ``theta_k`` through it) is the kernel on one triangle,
-``omega_k`` is the one-triangle case of the slot two-forms that ``msforms``
-forms over a region, and the kernel takes a quadratic density's constant
-Hessian from ``hess_Ld``.  ``eval_Ld`` stays a scalar evaluation, which the
-array action sum matches bit for bit for a quadratic density.  The
+the slot chain rule (``_slot_gradients``) serves the kernel's jet arrays and
+``grad_Ld``'s floats alike (and ``theta_k`` through it), so the two agree
+bit for bit; the slot two-forms (``_slot_two_forms``) serve the arrays of a
+region in ``msforms`` and ``omega_k``'s floats alike, so those agree bit for
+bit too; and the kernel takes a quadratic density's constant Hessian from
+``hess_Ld``.  ``eval_Ld`` stays a scalar evaluation,
+which the array action sum matches bit for bit for a quadratic density.  The
 independent route is the exact rational reference of the tests, which holds
 these formulas to stated rounding bounds.
 """
@@ -192,27 +194,41 @@ def eval_Ld(density: LagrangianDensity, triple: JetTriple) -> float:
     except OverflowError:  # a float ** past the float range; numpy gives inf
         val = math.inf
     out = float(0.5 * triple.dt * triple.dx * val)
-    _check_finite(f"density {density.name}", out)
+    if not math.isfinite(out):
+        raise ValueError(f"density {density.name} produced a non-finite value")
     return out
 
 
-# The slot index of one triangle whose values are (u1, u2, u3).
-_ONE_TRIANGLE = np.arange(3, dtype=np.int32).reshape(3, 1)
-
-
-def grad_Ld(density: LagrangianDensity, triple: JetTriple) -> tuple:
-    """Vertex-slot gradient (d1, d2, d3) of the triangle action: the slot
-    gradients of :func:`triangle_kernel` on the one triangle.
-
-    Chain rule through the affine jet map: with A = dt*dx/2,
+def _slot_gradients(lv, lw, lu, dt: float, dx: float) -> tuple:
+    """Vertex-slot gradient (d1, d2, d3) of the triangle action from the
+    density's partials (Lv, Lw, Lu) at the jet, floats or arrays alike: the
+    chain rule through the affine jet map, with A = dt*dx/2,
 
         d1 = A * (-Lv/dt - Lw/dx + Lu/3),
         d2 = A * ( Lw/dx          + Lu/3),
         d3 = A * ( Lv/dt          + Lu/3).
     """
-    terms = triangle_kernel(density, (triple.u1, triple.u2, triple.u3), _ONE_TRIANGLE,
-                            triple.dt, triple.dx)
-    return tuple(terms.grads[:, 0].tolist())
+    a = 0.5 * dt * dx
+    return (a * (-lv / dt - lw / dx + lu / 3.0), a * (lw / dx + lu / 3.0),
+            a * (lv / dt + lu / 3.0))
+
+
+def grad_Ld(density: LagrangianDensity, triple: JetTriple) -> tuple:
+    """Vertex-slot gradient (d1, d2, d3) of the triangle action: the density's
+    partials at the jet through :func:`_slot_gradients`, on floats.
+
+    The same floating-point operations as :func:`triangle_kernel` on the one
+    triangle, so the two agree bit for bit, and its refusal: NaN/Inf in a
+    partial raises ValueError, and numpy warnings in the partials are
+    silenced, since that check reports them.  An overflow in the jet or the
+    chain rule gives the kernel's inf or NaN, without the warning the
+    kernel's arrays give where the triple holds Python floats.
+    """
+    with np.errstate(all="ignore"):
+        lv, lw, lu = density.partials(triple.v, triple.w, triple.ubar)
+    if not (math.isfinite(lv) and math.isfinite(lw) and math.isfinite(lu)):
+        raise ValueError(f"density {density.name} partials produced a non-finite value")
+    return tuple(map(float, _slot_gradients(lv, lw, lu, triple.dt, triple.dx)))
 
 
 _ROW, _COL = np.tril_indices(3, -1)  # the slot pairs below the diagonal
@@ -221,8 +237,8 @@ _ROW, _COL = np.tril_indices(3, -1)  # the slot pairs below the diagonal
 def _push_hessian(h, dt: float, dx: float, name: str):
     """Pull the (v, w, ubar) Hessian back to vertex slots and scale by area.
 
-    ValueError names ``name`` if an entry is NaN/Inf.  Every row of the jet
-    map has a nonzero entry, so a NaN/Inf in ``h`` reaches the result; a
+    ValueError names the density ``name`` if an entry is NaN/Inf.  Every row
+    of the jet map has a nonzero entry, so a NaN/Inf in ``h`` reaches the result; a
     tiny step can also overflow the product of finite factors.  The lower
     triangle is the upper one mirrored, so each Hessian, and K, is exactly
     symmetric: jac.T @ h @ jac rounds (a, b) and (b, a) apart when ``h``
@@ -235,7 +251,7 @@ def _push_hessian(h, dt: float, dx: float, name: str):
         m = 0.5 * dt * dx * (jac.T @ h @ jac)
     m[..., _ROW, _COL] = m[..., _COL, _ROW]
     if not np.isfinite(m).all():
-        raise ValueError(f"{name} produced a non-finite Hessian")
+        raise ValueError(f"density {name} produced a non-finite Hessian")
     return m
 
 
@@ -246,7 +262,7 @@ def hess_Ld(density: LagrangianDensity, triple: JetTriple):
     with np.errstate(all="ignore"):  # _push_hessian's finiteness check reports it
         h = np.asarray(density.second_partials(triple.v, triple.w, triple.ubar),
                        dtype=float)
-    return _push_hessian(h, triple.dt, triple.dx, f"density {density.name}")
+    return _push_hessian(h, triple.dt, triple.dx, density.name)
 
 
 def theta_k(density: LagrangianDensity, triple: JetTriple, k: int, tangent) -> float:
@@ -265,23 +281,32 @@ def omega_k(density: LagrangianDensity, triple: JetTriple, k: int, xi, eta) -> f
 
     omega_k(xi, eta) = -sum_j M[j, k] * (xi_j * eta_k - eta_j * xi_k) with M
     the vertex-slot Hessian of the triangle action.  Bilinear and
-    antisymmetric in (xi, eta); the sum over k vanishes identically.
+    antisymmetric in (xi, eta); the sum over k vanishes identically.  It is
+    :func:`_slot_two_forms` on the one triangle's floats, the operations it
+    performs on m triangles' arrays, so the two agree bit for bit; an
+    overflow in it gives inf or NaN, without the warning of the arrays.
     """
     if k not in (1, 2, 3):
         raise ValueError(f"vertex slot must be 1, 2 or 3, got {k}")
     # Floats one by one: an integer array would wrap large Python ints.
-    xi, eta = (np.array([[float(t[j])] for j in range(3)]) for t in (xi, eta))
-    return float(_slot_two_forms(hess_Ld(density, triple)[None], xi, eta)[k - 1, 0])
+    xi, eta = ([float(t[j]) for j in range(3)] for t in (xi, eta))
+    return float(_slot_two_forms(hess_Ld(density, triple).tolist(), xi, eta)[k - 1])
 
 
 def _slot_two_forms(hess, xi, eta):
-    """(3, m) slot two-forms omega_k(xi, eta) of m triangles, from their
-    (m, 3, 3) vertex-slot Hessians and (3, m) tangent values; each is summed
-    over j in order from 0.0."""
-    out = np.zeros(xi.shape)
-    for j in range(3):
-        out -= hess[:, j, :].T * (xi[j] * eta - eta[j] * xi)
-    return out
+    """Slot two-forms omega_k(xi, eta), k = 1, 2, 3: (3, m) for m triangles,
+    from their (m, 3, 3) vertex-slot Hessians and (3, m) tangent values, or
+    (3,) for one triangle, from its 3x3 Hessian as nested lists and three
+    floats each.  Each is summed over j in order from 0.0."""
+    if isinstance(hess, np.ndarray):
+        hess = hess.transpose(1, 2, 0)  # hess[j][k]: entry (j, k) of each triangle
+    out = []
+    for k in range(3):
+        form = 0.0
+        for j in range(3):
+            form = form - hess[j][k] * (xi[j] * eta[k] - eta[j] * xi[k])
+        out.append(form)
+    return np.array(out)
 
 
 # ---------------------------------------------------------------------------
@@ -369,9 +394,7 @@ def triangle_kernel(density: LagrangianDensity, values, index, dt: float,
             lv, lw, lu = density.partials(v, w, ubar)
         if not all(np.isfinite(p).all() for p in (lv, lw, lu)):
             raise ValueError(f"density {density.name} partials produced a non-finite value")
-        a = 0.5 * dt * dx
-        grads = np.array((a * (-lv / dt - lw / dx + lu / 3.0), a * (lw / dx + lu / 3.0),
-                          a * (lv / dt + lu / 3.0)))
+        grads = np.array(_slot_gradients(lv, lw, lu, dt, dx))
         residual = np.bincount(index.ravel(), weights=grads.ravel(), minlength=flat.size)
     if hessian:
         if density.is_quadratic:  # the same at every jet
@@ -380,5 +403,5 @@ def triangle_kernel(density: LagrangianDensity, values, index, dt: float,
         else:
             with np.errstate(all="ignore"):
                 h = np.broadcast_to(density.second_partials(v, w, ubar), (len(v), 3, 3))
-            hess = _push_hessian(h, dt, dx, f"density {density.name}")
+            hess = _push_hessian(h, dt, dx, density.name)
     return TriangleTerms(grads, residual, hess, index)

@@ -185,13 +185,27 @@ def _jacobian(residual_fn, x: np.ndarray):
     tangent stacked, ``Dual(x, eye(n))``: row i of ``du.T`` is the gradient
     of F_i, and the value part is F(x) as a float evaluation gives it, bit
     for bit.  One unknown is seeded with the scalar tangent 1.0 and no
-    direction axis, so its (nested) duals carry floats rather than length-1
-    arrays."""
+    direction axis, so its (nested) duals carry float tangents rather than
+    length-1 arrays.  Its value ``x[0]`` is a 0-d array, so the operations
+    that read it run as numpy array operations: slower than numpy scalars,
+    but a floating-point error in them reads as the array operation's (for
+    example ``overflow encountered in add``, as the CLI's error line shows
+    it), where a scalar's would read ``scalar add``."""
     n = len(x)
-    res = residual_fn(dual.Dual(x, np.eye(n) if n > 1 else 1.0))
+    # eye(n), shared read-only by every Jacobian of n unknowns.
+    res = residual_fn(dual.Dual(x, dual._unit_tangents(n, 0) if n > 1 else 1.0))
     jac = np.empty((n, n))
     jac.T[...] = getattr(res, "du", 0.0)  # broadcasts a scalar tangent
     return np.atleast_1d(dual.value(res)), jac
+
+
+def _dense_floor(jac):
+    """``floor(x)``: :func:`~mslab.delsolve._roundoff_floor` of ``jac`` at an
+    iterate x, bit for bit, with the unit per ||x||_inf (64 ulps of
+    ||jac||_inf, the first factors of the product) taken once, here, when
+    the factor is made."""
+    unit = _roundoff_floor(jac)
+    return lambda x: unit * float(np.abs(x).max())
 
 
 def _newton_dense(residual_fn, x0, context: str) -> np.ndarray:
@@ -201,11 +215,14 @@ def _newton_dense(residual_fn, x0, context: str) -> np.ndarray:
 
     The start's Jacobian is taken first, under the caller's floating-point
     state, and its value part is the start residual, so the start costs one
-    dual evaluation and no float one.  If that evaluation raises (a numpy
-    warning counts when warnings are errors), the start is evaluated as a
-    trial iterate is, silenced, to decide the error: a non-finite start
-    residual is a :class:`SolverError`; a finite one leaves the Jacobian,
-    taken again, to raise its own error."""
+    dual evaluation and no float one.  Each Jacobian's round-off floor per
+    unit of ||x||_inf is taken once, when it is factored
+    (:func:`_dense_floor`), and scaled at each iterate tested on it.  If
+    the start's evaluation raises (a numpy warning counts when warnings are
+    errors), the start is evaluated as a trial iterate is, silenced, to
+    decide the error: a non-finite start residual is a
+    :class:`SolverError`; a finite one leaves the Jacobian, taken again, to
+    raise its own error."""
     x0, start = np.array(x0, dtype=float), []
     try:
         f0, jac = _jacobian(residual_fn, x0)
@@ -225,7 +242,7 @@ def _newton_dense(residual_fn, x0, context: str) -> np.ndarray:
 
         # Accept an iterate at the round-off floor even when the absolute
         # tolerance is tighter than the floor.
-        return SimpleNamespace(solve=solve), None, lambda x: _roundoff_floor(jac, x)
+        return SimpleNamespace(solve=solve), None, _dense_floor(jac)
 
     return _newton(lambda x: np.atleast_1d(residual_fn(x)), factor, x0, context,
                    theta_max=0.0, f0=f0)[0]

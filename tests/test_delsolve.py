@@ -588,6 +588,34 @@ class TestWorkArrayAliasing:
         assert not np.shares_memory(first.field.values, second.field.values)
 
 
+# Finite floats over the whole range, with the values where a sup-norm can
+# go wrong drawn often: signed zeros, subnormals, ties of |f| in sign.
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                -1e-310, 1.0, -1.0, 1.7976931348623157e308,
+                                -1.7976931348623157e308])
+_FINITE_FLOATS = st.one_of(_EDGE_FLOATS,
+                           st.floats(allow_nan=False, allow_infinity=False, width=64))
+
+
+class TestSupNorm:
+    """``_sup_norm`` (BLAS idamax) against the numpy sup-norm it replaced in
+    ``_newton``, bit for bit, on the finite vectors it is given."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(_FINITE_FLOATS, max_size=12), stride=st.sampled_from([1, 2]))
+    def test_equals_the_numpy_sup_norm(self, values, stride):
+        f = np.array(values + values, dtype=float)[::stride]  # ties, and strided views
+        expected = float(np.abs(f).max(initial=0.0))
+        assert delsolve_module._sup_norm(f).hex() == expected.hex()
+
+    @pytest.mark.parametrize("values", [[], [-0.0], [0.0, -0.0], [-5e-324, 5e-324],
+                                        [-3.0, 3.0, -3.0], [1e-310, -2e-310, 0.0]])
+    def test_edges(self, values):
+        f = np.array(values, dtype=float)
+        assert (delsolve_module._sup_norm(f).hex()
+                == float(np.abs(f).max(initial=0.0)).hex())
+
+
 class TestNewtonCore:
     def test_quadratic_solve_bvp_factors_once(self, monkeypatch):
         # Data of size 100 leave the exact step above tol; both routes then

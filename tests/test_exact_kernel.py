@@ -1,9 +1,10 @@
 """The triangle kernel and its one-triangle views against the exact reference.
 
-``grad_Ld`` and ``omega_k`` are the kernel and ``_slot_two_forms`` on one
-triangle, so the independent check of those formulas is the exact rational
-reference (``exact_reference``), here for the four densities of
-``test_kernel.py``, each written out as monomials.
+``grad_Ld`` equals the kernel bit for bit (``test_kernel.py``) and
+``omega_k`` is ``_slot_two_forms`` on one triangle, so the independent check
+of those formulas is the exact rational reference (``exact_reference``),
+here for the four densities of ``test_kernel.py``, each written out as
+monomials.
 
 A formula evaluated in floats with +, -, * and / is the exact formula with
 each of its terms perturbed by at most n factors (1 + delta), |delta| <= u,

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -103,6 +104,57 @@ class TestJetTriple:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             JetTriple(float("nan"), 0.0, 0.0, dt=1.0, dx=1.0)
+
+    # A valid triple passes one combined test; every refusal is decided by
+    # the checks one by one, u1, u2, u3, dt, dx, each with its own message.
+    NONFINITE = (float("nan"), float("inf"), float("-inf"), np.float64("nan"))
+    NOT_A_STEP = (0.0, -0.0, -1.0, -5e-324, float("nan"), float("inf"), float("-inf"))
+
+    @pytest.mark.parametrize("slot", range(3))
+    @pytest.mark.parametrize("bad", NONFINITE)
+    def test_nonfinite_vertex_value_is_named(self, slot, bad):
+        values = [0.5, -0.25, 1.0]
+        values[slot] = bad
+        message = f"non-finite vertex value u{slot + 1}={bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            JetTriple(*values, dt=0.5, dx=0.25)
+
+    @pytest.mark.parametrize("name", ("dt", "dx"))
+    @pytest.mark.parametrize("bad", NOT_A_STEP)
+    def test_bad_step_is_named(self, name, bad):
+        steps = {"dt": 0.5, "dx": 0.25, name: bad}
+        message = f"{name} must be a positive finite number, got {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            JetTriple(0.5, -0.25, 1.0, **steps)
+
+    @pytest.mark.parametrize("args,message", [
+        ((float("inf"), float("nan"), float("-inf"), 0.0, float("nan")),
+         "non-finite vertex value u1=inf"),
+        ((0.0, float("-inf"), float("nan"), -1.0, 0.0), "non-finite vertex value u2=-inf"),
+        ((0.0, 1.0, float("nan"), float("inf"), 0.0), "non-finite vertex value u3=nan"),
+        ((0.0, 1.0, 2.0, float("nan"), -1.0), "dt must be a positive finite number, got nan"),
+        ((0.0, 1.0, 2.0, 1.0, -0.0), "dx must be a positive finite number, got -0.0"),
+    ])
+    def test_first_refusal_wins(self, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            JetTriple(*args)
+
+    def test_extreme_values_are_valid_without_a_numpy_error(self):
+        # No arithmetic on the values: numpy scalars near the top of the
+        # range pass even when numpy raises on overflow.
+        with np.errstate(all="raise"):
+            jet = JetTriple(*np.array([1e308, 1e308, -1e308, 1e308, 5e-324]))
+        assert (jet.u1, jet.dt, jet.dx) == (1e308, 1e308, 5e-324)
+
+    def test_value_that_is_not_a_real_number_raises_its_own_error(self):
+        with pytest.raises(TypeError, match="must be real number, not str"):
+            JetTriple(0.0, "1", 0.0, dt=1.0, dx=1.0)
+        with pytest.raises(TypeError, match="must be real number, not NoneType"):
+            JetTriple(0.0, 0.0, 0.0, dt=None, dx=1.0)
+        with pytest.raises(OverflowError, match="int too large to convert to float"):
+            JetTriple(10 ** 400, 0.0, 0.0, dt=1.0, dx=1.0)
+        with pytest.raises(OverflowError, match="int too large to convert to float"):
+            JetTriple(0.0, 0.0, 0.0, dt=1.0, dx=10 ** 400)
 
 
 class TestDiscreteField:

@@ -6,10 +6,11 @@ per-triangle functions to round-off: slot gradients with ``grad_Ld``,
 Hessians and their triplets with ``hess_Ld``, DEL residuals with
 ``del_residual``, and the patch two-form terms and linearised residuals of
 ``msforms`` with per-node loops over ``omega_k`` and ``hess_Ld``.
-``grad_Ld`` and ``omega_k`` are one-triangle views of the kernel and of
-``_slot_two_forms``, so those comparisons check the gather, the scatter and
-the patch assembly, not the formulas; the independent route for the formulas
-is the exact rational reference of ``test_exact_kernel.py``.  The action
+``grad_Ld`` shares the kernel's slot chain rule and equals it bit for bit,
+and ``omega_k`` is a one-triangle view of ``_slot_two_forms``, so those
+comparisons check the gather, the scatter and the patch assembly, not the
+formulas; the independent route for the formulas is the exact rational
+reference of ``test_exact_kernel.py``.  The action
 enters through Euler's identity for quadratic densities: the action is then
 homogeneous of degree two in the node values, so u . grad S = 2 S with S the
 sum of ``eval_Ld`` over the triangles.
@@ -113,6 +114,45 @@ def triangle_set(field, kind, rng):
     triples = [JetTriple(*(float(flat[k]) for k in verts), mesh.dt, mesh.dx)
                for verts in zip(*index)]
     return index, triples, nodes, kind == "ring"
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=cases, scale=st.sampled_from([1e-3, 1.0, 30.0]))
+def test_grad_Ld_is_the_kernel_bit_for_bit(case, scale):
+    # grad_Ld takes the density's partials on one triangle's floats and the
+    # kernel on jet arrays; both go through _slot_gradients, and the partials
+    # see the same operations either way, so every slot gradient is equal.
+    field = random_field(case)
+    mesh = field.mesh
+    values = scale * field.values
+    index = region_index(RectRegion(0, 0, mesh.nt, mesh.nx), mesh.nx + 1)
+    grads = triangle_kernel(case["density"], values, index, mesh.dt, mesh.dx).grads
+    flat = values.ravel()
+    scalar = [grad_Ld(case["density"], JetTriple(*flat[list(verts)].tolist(), mesh.dt, mesh.dx))
+              for verts in zip(*index)]
+    assert [tuple(g) for g in grads.T.tolist()] == scalar
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=cases, scale=st.sampled_from([1e-3, 1.0, 30.0]))
+def test_omega_k_is_the_region_two_forms_bit_for_bit(case, scale):
+    # omega_k runs _slot_two_forms on one triangle's floats, msforms on the
+    # kernel's Hessian and tangent arrays of a region; every slot two-form
+    # sees the same operations either way.
+    field = random_field(case)
+    mesh = field.mesh
+    rng = np.random.default_rng(case["seed"])
+    values = scale * field.values
+    xi, eta = (rng.standard_normal(mesh.shape).ravel() for _ in range(2))
+    index = region_index(RectRegion(0, 0, mesh.nt, mesh.nx), mesh.nx + 1)
+    hess = triangle_kernel(case["density"], values, index, mesh.dt, mesh.dx,
+                           gradient=False, hessian=True).hess
+    forms = lagrangian._slot_two_forms(hess, xi[index], eta[index])
+    flat = values.ravel()
+    scalar = [[omega_k(case["density"], JetTriple(*flat[list(verts)].tolist(), mesh.dt, mesh.dx),
+                       k, xi[list(verts)], eta[list(verts)]) for k in (1, 2, 3)]
+              for verts in zip(*index)]
+    assert forms.T.tolist() == scalar
 
 
 @pytest.mark.parametrize("kind", ["rect", "patch3", "ring"])

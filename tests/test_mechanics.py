@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mslab import (
     FreeParticle,
@@ -20,7 +23,7 @@ from mslab import (
     type1_map,
     variational_order_check,
 )
-from mslab import dual, mechanics
+from mslab import delsolve, dual, mechanics
 from mslab.mechanics import _diff_matrix_unit
 
 
@@ -378,3 +381,33 @@ class TestDenseNewton:
         monkeypatch.setattr(mechanics, "_newton", counted_newton)
         exact_discrete_lagrangian(Pendulum(), 0.3, 0.7, 0.4)
         assert steps == [2] and len(solves) == 2
+
+
+# Finite floats over the whole range, signed zeros and subnormals included.
+_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0,
+                                      1.7976931348623157e308]),
+                     st.floats(allow_nan=False, allow_infinity=False, width=64))
+
+
+def _same(a: float, b: float) -> bool:
+    return a.hex() == b.hex() or (math.isnan(a) and math.isnan(b))
+
+
+class TestDenseFloor:
+    """The dense lane's floor, its unit taken once per factor, against the
+    floor taken whole at every iterate, bit for bit; products that overflow
+    (inf, or inf * 0 = nan) included."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 8), data=st.data())
+    def test_equals_the_floor_at_each_iterate(self, n, data):
+        jac = data.draw(hnp.arrays(float, (n, n), elements=_ENTRIES))
+        with np.errstate(over="ignore"):  # a row sum may overflow to inf
+            floor = mechanics._dense_floor(jac)
+            for _ in range(3):  # several iterates on one factor
+                x = data.draw(hnp.arrays(float, n, elements=_ENTRIES))
+                whole = delsolve._roundoff_floor(jac, x)
+                # The floor written out: 64 ulps of ||J||_inf times ||x||_inf.
+                written = (64.0 * float(np.finfo(float).eps)
+                           * float(np.max(np.abs(jac).sum(axis=1))) * float(np.max(np.abs(x))))
+                assert _same(floor(x), whole) and _same(whole, written)
