@@ -110,7 +110,7 @@ Every factorisation is accompanied by a reciprocal condition indicator
     rcond = 1 / (max(1, ||J||_1) * ||J^-1||_1).
 
 For a Z-matrix J (no positive off-diagonal entry, as the Dirichlet-energy
-systems are) one transposed solve gives y = J^-T 1.  If y > 0, then J^T y > 0
+systems are) one solve with J^T gives y = J^-T 1.  If y > 0, then J^T y > 0
 certifies J as a nonsingular M-matrix, so J^-1 >= 0 and ||J^-1||_1 is
 max(y) exactly.  Any other J takes the exact value from the inverse for
 n <= 200, and otherwise the ``onenormest`` estimate (Higham-Tisseur, two
@@ -121,6 +121,21 @@ purpose: the three-triangle point stencil degenerates when dt = dx (its 1x1
 Jacobian dx/dt - dt/dx vanishes with bounded data), and a scale-invariant
 measure would hide that.  Indicators below 1e-12, and exactly singular
 factorisations, raise :class:`SingularSystem`.
+
+When J = J^T bit for bit (``_is_symmetric``: J's CSC arrays equal its CSR
+arrays, under 1 ms at 18,145 unknowns), the certificate's solve and every
+adjoint product of the estimate are forward solves with J: SuperLU's
+transposed sweeps take 1.8-2 times as long on the wave's L-heavy factor
+(two columns at the 96 rung of ``square-ladder``: 8.6-9.5 ms against
+4.4-5.3 ms, ``tools/lubench.py``).  The Jacobian of a Dirichlet, type-II or
+tangent solve is a principal block of K, which is exactly symmetric, so
+this is the usual case; a non-symmetric J, such as the row stepper's
+bidiagonal one, keeps the transposed solves.  A forward sweep rounds
+otherwise than a transposed one, so a certificate's max(y) can move in its
+last bits.  The estimate's value is a column sum of forward solves, and the
+adjoint products only choose its columns, so it mostly keeps its bits and
+otherwise moves within round-off (at most 0.021 eps / rcond over the wave
+and cross-term systems of 16 to 36 cells a side).
 
 K stores only the couplings the density has: a triplet whose per-triangle
 value is zero is dropped before assembly.  A density with no ``vw`` or
@@ -140,8 +155,12 @@ pivoting L stays within w and U within 2w of the diagonal, while COLAMD
 picks its order before pivoting and the row swaps undo its fill prediction.
 The wave Jacobian of an nt x nx rectangle is such a matrix when nt >= nx (w
 is then the interior width).  Any other matrix is ordered by COLAMD; a wide
-band fills less under it.  A column sum of |J| that overflows raises
-:class:`SolverError` naming the solve.
+band fills less under it.  Every order is factored with a SuperLU panel
+of ``_PANEL_SIZE`` = 2 columns, the unit of its supernodal update (Demmel
+et al. 1999): against the default of 20, the workload matrices factored
+12-19% faster in paired timings, at a fill within 15 entries.  A
+column sum of |J| that overflows raises :class:`SolverError` naming the
+solve.
 """
 
 from __future__ import annotations
@@ -171,6 +190,12 @@ SOLVED_MARGIN = 2.0
 # Held while onenormest draws from numpy's global RNG, until it is restored.
 _GLOBAL_RNG_LOCK = threading.Lock()
 _RCOND_SEED = 0  # seeds the global RNG for each estimate, in every process
+# SuperLU's panel, the columns of one supernodal update (Demmel et al. 1999).
+# At 2 the workload Jacobians factored in 0.81-0.88 of the time of the default
+# of 20 (tools/lubench.py, 31 pairs): the 80^2 wave band, the 96 rung of
+# square-ladder, the 48^2 Dirichlet block and the 20^2 quartic.  Their fill
+# moved by at most 15 entries.
+_PANEL_SIZE = 2
 
 
 class SolverError(RuntimeError):
@@ -419,11 +444,13 @@ def _check_solution(residual, nodes, ncols: int, what: str, hessian, values) -> 
         raise ValueError(f"{what} at ({n}, {i}): residual {worst:.3e} exceeds {bound:.1e}")
 
 
-def _inverse_norm(lu, n: int, z_matrix: bool) -> float:
-    """||J^-1||_1 of the factored J: exact from one transposed solve for an
-    M-matrix, exact from the inverse for n <= 200, else ``onenormest``'s."""
+def _inverse_norm(lu, n: int, z_matrix: bool, adjoint: str = "T") -> float:
+    """||J^-1||_1 of the factored J: exact from one solve with J^T for an
+    M-matrix, exact from the inverse for n <= 200, else ``onenormest``'s.
+    ``adjoint`` is the SuperLU ``trans`` of every solve with J^T: "T", or
+    "N" when J = J^T, since a forward sweep is the cheaper one."""
     if z_matrix:
-        y = lu.solve(np.ones(n), trans="T")
+        y = lu.solve(np.ones(n), trans=adjoint)
         if np.all(y > 0.0):  # with J^T y = 1 > 0: a nonsingular M-matrix
             return float(y.max())
     if n <= 200:
@@ -431,7 +458,8 @@ def _inverse_norm(lu, n: int, z_matrix: bool) -> float:
         return float(np.max(np.abs(inv).sum(axis=0)))
     # One SuperLU solve per block product; C order keeps onenormest's
     # column sums those of one solve per column.
-    fwd, adj = (lambda b, t=t: np.ascontiguousarray(lu.solve(b, trans=t)) for t in "NT")
+    fwd, adj = (lambda b, t=t: np.ascontiguousarray(lu.solve(b, trans=t))
+                for t in ("N", adjoint))
     op = LinearOperator((n, n), matvec=fwd, rmatvec=adj, matmat=fwd, rmatmat=adj,
                         dtype=float)
     with _GLOBAL_RNG_LOCK:  # the caller's state is restored afterwards
@@ -441,6 +469,14 @@ def _inverse_norm(lu, n: int, z_matrix: bool) -> float:
             return float(onenormest(op))
         finally:
             np.random.set_state(state)
+
+
+def _is_symmetric(jac: csc_matrix) -> bool:
+    """J = J^T bit for bit: J's CSC arrays are those of J^T, J's CSR arrays.
+    Unsorted indices, or a zero stored on one side only, read as False."""
+    csr = jac.tocsr()
+    return all(map(np.array_equal, (jac.indptr, jac.indices, jac.data),
+                   (csr.indptr, csr.indices, csr.data)))
 
 
 def _factor_and_rcond(jac: csc_matrix, context: str):
@@ -453,11 +489,14 @@ def _factor_and_rcond(jac: csc_matrix, context: str):
     w^2 <= n: pivoting keeps the factors in a band, and the swaps undo
     COLAMD's fill prediction.  Otherwise COLAMD orders the columns.
 
-    For a Z-matrix (no positive off-diagonal entry) one transposed solve
+    Every order is factored with a ``_PANEL_SIZE``-column SuperLU panel.
+    For a Z-matrix (no positive off-diagonal entry) one solve with J^T
     gives y = J^-T 1; if y > 0, J is a nonsingular M-matrix, J^-1 >= 0 and
     ||J^-1||_1 = max(y) exactly.  Any other J takes the dense inverse
-    (n <= 200) or ``onenormest``.  J has a row: every caller refuses a
-    system without unknowns before it gets here.
+    (n <= 200) or ``onenormest``.  Solves with J^T are forward solves when
+    J = J^T bit for bit (:func:`_is_symmetric`), else transposed ones.  J
+    has a row: every caller refuses a system without unknowns before it gets
+    here.
     """
     n = jac.shape[0]
     jac = jac.tocsc()
@@ -479,15 +518,16 @@ def _factor_and_rcond(jac: csc_matrix, context: str):
     else:
         width = int(np.abs(offset).max())
         order = {"permc_spec": "NATURAL" if width * width <= n else "COLAMD"}
+    adjoint = "N" if _is_symmetric(jac) else "T"
     del offset  # freed before factoring
     try:
-        lu = splu(jac, **order)
+        lu = splu(jac, panel_size=_PANEL_SIZE, **order)
     except RuntimeError as err:
         if "exactly singular" not in str(err):
             raise
         raise SingularSystem(f"{context}: singular linearised system ({err})") from None
     # A zero J is exactly singular above, so ||J||_1 > 0 here.
-    rcond = 1.0 / (max(1.0, float(col_sums.max())) * _inverse_norm(lu, n, z_matrix))
+    rcond = 1.0 / (max(1.0, float(col_sums.max())) * _inverse_norm(lu, n, z_matrix, adjoint))
     if not np.isfinite(rcond) or rcond < RCOND_FLOOR:
         raise SingularSystem(
             f"{context}: linearised system numerically singular (rcond {rcond:.3e})",

@@ -199,10 +199,11 @@ class DalembertSolution:
 
     F lives on [-1, 1] and G on [0, 2] (shifted Legendre + sine coefficients).
     ``fit_residual`` is the sup-norm of the edge-relation residual at the
-    collocation points of the solve that produced this object.
+    collocation points of the solve that produced this object.  The
+    Legendre coefficients of F' and G' are taken once, at construction.
     """
 
-    __slots__ = ("f_poly", "f_sin", "g_poly", "g_sin", "fit_residual")
+    __slots__ = ("f_poly", "f_sin", "g_poly", "g_sin", "fit_residual", "_f_der", "_g_der")
 
     def __init__(self, f_poly, f_sin, g_poly, g_sin, fit_residual=0.0):
         self.f_poly = np.asarray(f_poly, dtype=float)
@@ -210,19 +211,21 @@ class DalembertSolution:
         self.g_poly = np.asarray(g_poly, dtype=float)
         self.g_sin = np.asarray(g_sin, dtype=float)
         self.fit_residual = float(fit_residual)
+        self._f_der = npleg.legder(self.f_poly)
+        self._g_der = npleg.legder(self.g_poly)
 
     def f(self, s: float) -> float:
         return float(npleg.legval(s, self.f_poly) + _sin_val(s, self.f_sin))
 
     def f_prime(self, s: float) -> float:
-        return float(npleg.legval(s, npleg.legder(self.f_poly))
+        return float(npleg.legval(s, self._f_der)
                      + _sin_deriv(s, self.f_sin))
 
     def g(self, s: float) -> float:
         return float(npleg.legval(s - 1.0, self.g_poly) + _sin_val(s, self.g_sin))
 
     def g_prime(self, s: float) -> float:
-        return float(npleg.legval(s - 1.0, npleg.legder(self.g_poly))
+        return float(npleg.legval(s - 1.0, self._g_der)
                      + _sin_deriv(s, self.g_sin))
 
     def value(self, t: float, x: float) -> float:

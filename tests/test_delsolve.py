@@ -936,10 +936,13 @@ class TestConditionEstimate:
                                 gradient=False, hessian=True)
         jac = delsolve_module._sparse_block(terms.triplets, mesh.shape[0] * ncols,
                                             inner, inner)
-        lu = splu(jac.tocsc(), permc_spec="NATURAL")  # the band route's order
-        # One solve per column, as onenormest makes them from matvec alone.
+        lu = splu(jac.tocsc(), permc_spec="NATURAL",  # the band route's order
+                  panel_size=delsolve_module._PANEL_SIZE)
+        # One solve per column, as onenormest makes them from matvec alone;
+        # J = J^T, so a product with J^-T is a forward solve.
+        assert (jac != jac.T).nnz == 0
         per_column = LinearOperator(jac.shape, matvec=lambda b: lu.solve(b),
-                                    rmatvec=lambda b: lu.solve(b, trans="T"))
+                                    rmatvec=lambda b: lu.solve(b))
         np.random.seed(delsolve_module._RCOND_SEED)
         norm_inv = onenormest(per_column)
         norm_j = float(np.max(np.abs(jac).sum(axis=0)))
@@ -1103,9 +1106,12 @@ def _dense_rcond(jac):
 
 def _general_route_rcond(jac):
     """rcond without the M-matrix certificate or the symmetric order: a
-    dominant J under COLAMD, a pivoting J under the band rule, and
-    ||J^-1||_1 from the dense inverse (n <= 200) or from ``onenormest`` with
-    one solve per column, seeded as ``_factor_and_rcond`` seeds it."""
+    dominant J under COLAMD, a pivoting J under the band rule, both with the
+    module's SuperLU panel, and ||J^-1||_1 from the dense inverse (n <= 200)
+    or from ``onenormest`` with one solve per column, seeded as
+    ``_factor_and_rcond`` seeds it.  Its products with J^-T are forward
+    solves when J = J^T, found here from the entries, and transposed solves
+    otherwise."""
     from scipy.sparse.linalg import LinearOperator, onenormest
 
     jac = jac.tocsc()
@@ -1116,12 +1122,13 @@ def _general_route_rcond(jac):
         coo = jac.tocoo()
         width = int(np.abs(coo.row - coo.col).max())
         order = "NATURAL" if width * width <= n else order
-    lu = splu(jac, permc_spec=order)
+    lu = splu(jac, permc_spec=order, panel_size=delsolve_module._PANEL_SIZE)
+    adjoint = "N" if (jac != jac.T).nnz == 0 else "T"
     if n <= 200:
         norm_inv = np.abs(lu.solve(np.eye(n))).sum(axis=0).max()
     else:
         op = LinearOperator(jac.shape, matvec=lambda b: lu.solve(b),
-                            rmatvec=lambda b: lu.solve(b, trans="T"))
+                            rmatvec=lambda b: lu.solve(b, trans=adjoint))
         state = np.random.get_state()
         try:
             np.random.seed(delsolve_module._RCOND_SEED)
@@ -1220,12 +1227,16 @@ class TestMMatrixIndicator:
         assert rcond == _general_route_rcond(jac)
 
     @pytest.mark.parametrize("size", [8, 48])  # the dense inverse and onenormest sizes
-    @pytest.mark.parametrize("jacobian", [
-        lambda size: _interior_jacobian(HarmonicDirichlet, size, size, 0.5),
-        lambda size: _type2_jacobian(size, size, 1.0),
-    ], ids=["dirichlet", "type2"])
-    def test_m_matrix_indicator_is_one_transposed_solve(self, monkeypatch, size, jacobian):
+    @pytest.mark.parametrize("jacobian, trans", [
+        (lambda size: _interior_jacobian(HarmonicDirichlet, size, size, 0.5), "N"),
+        (lambda size: _type2_jacobian(size, size, 1.0), "N"),
+        (lambda size: _random_dominant_z_matrix(size * size, 4.0 / size**2, size), "T"),
+    ], ids=["dirichlet", "type2", "nonsymmetric"])
+    def test_m_matrix_indicator_is_one_transposed_solve(self, monkeypatch, size, jacobian,
+                                                        trans):
+        # One solve with J^T: a forward sweep when J = J^T bit for bit.
         jac = jacobian(size)
+        assert ((jac != jac.T).nnz == 0) == (trans == "N")
         orders, solves, normests = [], [], []
         splu_ = delsolve_module.splu
 
@@ -1237,11 +1248,185 @@ class TestMMatrixIndicator:
         monkeypatch.setattr("mslab.delsolve.onenormest",
                             lambda *args, **kwargs: normests.append(1))
         lu, _ = delsolve_module._factor_and_rcond(jac, "probe")
-        assert orders == [{"permc_spec": "MMD_AT_PLUS_A",
-                           "options": {"SymmetricMode": True}}]
-        assert solves == [((jac.shape[0],), "T")]
+        assert orders == [{"permc_spec": "MMD_AT_PLUS_A", "options": {"SymmetricMode": True},
+                           "panel_size": delsolve_module._PANEL_SIZE}]
+        assert solves == [((jac.shape[0],), trans)]
         assert normests == []
         assert np.array_equal(lu.perm_r, lu.perm_c)  # no row swaps
+
+
+# The "quadratic" density of test_both_routes_solve_backward_stably: vw and vu terms.
+MIXED_QUADRATIC = QuadraticDensity(vv=1.0, ww=-0.8, vw=0.05, vu=0.02, uu=-0.1)
+
+
+def _row_jacobian(monkeypatch, density, nx):
+    """The Jacobian that ``step_row`` factors for ``density`` on a mesh of
+    nx cells per row, with the fixed closure: each new value couples with
+    its left neighbour only, so J is lower bidiagonal and J != J^T."""
+    seen, factor = [], delsolve_module._factor_and_rcond
+
+    def recorded(jac, context):
+        seen.append(jac)
+        return factor(jac, context)
+
+    mesh = build_mesh(dt=0.5 / nx, dx=1.0 / nx, nt=2, nx=nx)
+    rows = np.random.default_rng(3).standard_normal((2, nx + 1))
+    with monkeypatch.context() as patched:
+        patched.setattr("mslab.delsolve._factor_and_rcond", recorded)
+        step_row(density, mesh, rows[0], rows[1], FixedClosure())
+    return seen[0]
+
+
+def _recorded_estimate(monkeypatch, jac):
+    """(rcond, the LU, its recorded solves) of ``_factor_and_rcond(jac)``."""
+    lus, solves, splu_ = [], [], delsolve_module.splu
+
+    def recorded(*args, **kwargs):
+        lus.append(_RecordingLu(splu_(*args, **kwargs), solves))
+        return lus[-1]
+
+    monkeypatch.setattr("mslab.delsolve.splu", recorded)
+    _, rcond = delsolve_module._factor_and_rcond(jac, "probe")
+    return rcond, lus[0]._lu, solves
+
+
+def _per_column_rcond(jac, lu, adjoint):
+    """rcond from ``onenormest`` on ``lu`` with one solve per column, its
+    products with J^-T taken as ``lu.solve(b, trans=adjoint)``."""
+    from scipy.sparse.linalg import LinearOperator, onenormest
+
+    op = LinearOperator(jac.shape, matvec=lambda b: lu.solve(b),
+                        rmatvec=lambda b: lu.solve(b, trans=adjoint))
+    np.random.seed(delsolve_module._RCOND_SEED)
+    norm_inv = onenormest(op)
+    return 1.0 / (max(1.0, np.asarray(abs(jac).sum(axis=0)).max()) * norm_inv)
+
+
+def _signed_random_matrix(n, density, seed):
+    """``_random_dominant_z_matrix`` with about 30% of its entries negated:
+    neither a Z-matrix nor symmetric."""
+    jac = _random_dominant_z_matrix(n, density, seed)
+    jac.data *= np.where(np.random.default_rng(seed).random(jac.nnz) < 0.3, -1.0, 1.0)
+    return jac
+
+
+def _is_z_matrix(jac):
+    coo = jac.tocoo()
+    return not np.any(coo.data[coo.row != coo.col] > 0.0)
+
+
+class TestAdjointSweeps:
+    """Products with J^-T are forward solves when J = J^T bit for bit, and
+    transposed solves otherwise."""
+
+    @pytest.mark.parametrize("jacobian", [
+        lambda mp: _row_jacobian(mp, MIXED_QUADRATIC, 250),
+        lambda mp: _signed_random_matrix(300, 0.01, 3),
+    ], ids=["cross-term-row", "signed-random"])
+    def test_nonsymmetric_estimate_takes_transposed_solves(self, monkeypatch, jacobian):
+        jac = jacobian(monkeypatch)
+        assert jac.shape[0] > 200 and (jac != jac.T).nnz > 0
+        assert not _is_z_matrix(jac)  # so the estimate, not the certificate
+        np.random.seed(7)
+        rcond, lu, solves = _recorded_estimate(monkeypatch, jac)
+        assert {trans for _, trans in solves} == {"N", "T"}
+        assert rcond == _per_column_rcond(jac, lu, "T")
+        # Forward sweeps pick other columns here, so they would show.
+        assert _per_column_rcond(jac, lu, "N") != rcond
+
+    @pytest.mark.parametrize("density", [LinearWave, MIXED_QUADRATIC],
+                             ids=["wave", "cross-term"])
+    def test_symmetric_estimate_takes_forward_solves(self, monkeypatch, density):
+        jac = _interior_jacobian(density, 24, 24, 0.5)
+        assert jac.shape[0] > 200 and (jac != jac.T).nnz == 0
+        assert not _is_z_matrix(jac)
+        rcond, lu, solves = _recorded_estimate(monkeypatch, jac)
+        assert solves and {trans for _, trans in solves} == {"N"}
+        assert rcond == _per_column_rcond(jac, lu, "N")
+
+    @pytest.mark.parametrize("nt,nx", [(80, 80), (32, 16), (64, 32), (128, 64), (192, 96)],
+                             ids=["msff-80", "rung-16", "rung-32", "rung-64", "rung-96"])
+    def test_workload_estimates_keep_their_bits(self, nt, nx):
+        # The msff-wave tangent system and the square-ladder rungs.
+        jac = _interior_jacobian(LinearWave, nt, nx, 0.5)
+        lu, _ = delsolve_module._factor_and_rcond(jac, "probe")
+        forward, transposed = (delsolve_module._inverse_norm(lu, jac.shape[0], False, adjoint)
+                               for adjoint in "NT")
+        assert forward == transposed
+
+    @settings(max_examples=30, deadline=None)
+    @given(density=st.sampled_from(["wave", "cross-term"]),
+           nt=st.integers(16, 36), nx=st.integers(16, 36),
+           ratio=st.sampled_from([0.3, 0.5, 0.7, 1.3]), inset=st.booleans())
+    @example(density="wave", nt=36, nx=36, ratio=0.5, inset=False)
+    @example(density="wave", nt=19, nx=25, ratio=1.3, inset=False)  # 147 ulps apart
+    @example(density="cross-term", nt=18, nx=24, ratio=0.5, inset=False)  # 83 ulps
+    def test_forward_sweep_estimate_is_the_transposed_one_to_round_off(self, density, nt,
+                                                                        nx, ratio, inset):
+        # The estimate's value is a column sum of forward solves; the
+        # adjoint products only choose the columns.  Over every system this
+        # test draws, 6,590 of 6,736 estimates kept their bits, and the
+        # largest move was 0.021 eps / rcond.
+        density = {"wave": LinearWave, "cross-term": MIXED_QUADRATIC}[density]
+        region = RectRegion(2, 3, nt - 4, nx - 5) if inset else None
+        jac = _interior_jacobian(density, nt, nx, ratio, region)
+        n = jac.shape[0]
+        assume(n > 200)
+        try:
+            lu, rcond = delsolve_module._factor_and_rcond(jac, "probe")
+        except SingularSystem:
+            assume(False)
+        assert not _is_z_matrix(jac)
+        forward, transposed = (delsolve_module._inverse_norm(lu, n, False, adjoint)
+                               for adjoint in "NT")
+        assert abs(forward - transposed) <= np.finfo(float).eps / rcond * transposed
+        assert rcond == 1.0 / (max(1.0, np.asarray(abs(jac).sum(axis=0)).max()) * forward)
+
+    @settings(max_examples=80, deadline=None)
+    @given(kind=st.sampled_from(["rect", "inset", "patch"]),
+           density=st.sampled_from(["wave", "harmonic", "quartic", "cross-term"]),
+           block=st.sampled_from(["principal", "sliced", "permuted", "shifted"]),
+           nt=st.integers(4, 12), nx=st.integers(4, 12), seed=st.integers(0, 2**16))
+    @example(kind="rect", density="quartic", block="sliced", nt=8, nx=6, seed=0)
+    @example(kind="inset", density="cross-term", block="permuted", nt=8, nx=6, seed=0)
+    @example(kind="rect", density="wave", block="shifted", nt=8, nx=6, seed=0)
+    def test_symmetry_check_agrees_with_the_transpose(self, kind, density, block, nt, nx,
+                                                      seed):
+        from mslab.delsolve import _hessian_operator
+
+        density, amplitude = {
+            "wave": (LinearWave, 0.0), "harmonic": (HarmonicDirichlet, 0.0),
+            "quartic": (quartic_test_density(0.8), 0.3),
+            "cross-term": (MIXED_QUADRATIC, 0.0),
+        }[density]
+        mesh = build_mesh(dt=0.5 / nx, dx=1.0 / nx, nt=nt, nx=nx)
+        region = {"rect": RectRegion(0, 0, nt, nx),
+                  "inset": RectRegion(1, 1, nt - 2, nx - 2),
+                  "patch": Patch3Region(nt // 2, nx // 2)}[kind]
+        ncols, rng = nx + 1, np.random.default_rng(seed)
+        eqs = interior_index(region, ncols)
+        cols = {"principal": eqs, "sliced": None, "permuted": rng.permutation(eqs),
+                "shifted": eqs + 1}[block]
+        values = amplitude * rng.standard_normal(mesh.shape)
+        k = _hessian_operator(density, values, region_index(region, ncols), eqs,
+                              mesh.dt, mesh.dx, "probe", cols)
+        jac = k[:, eqs] if block == "sliced" else k
+        symmetric = delsolve_module._is_symmetric(jac)
+        assert symmetric == ((jac != jac.T).nnz == 0)
+        if block in ("principal", "sliced"):
+            assert symmetric  # K is exactly symmetric
+
+    @pytest.mark.parametrize("jac, symmetric", [
+        (csc_matrix([[2.0, -1.0], [-1.0, 2.0]]), True),
+        (csc_matrix([[2.0, -1.0], [-1.5, 2.0]]), False),  # the same pattern
+        (csc_matrix([[2.0, -0.0], [0.0, 2.0]]), True),  # -0.0 == 0.0, as J != J^T reads it
+        (csc_matrix(([2.0, 0.0, 2.0], [0, 1, 1], [0, 2, 3]), shape=(2, 2)), False),
+        (csc_matrix(([-1.0, 2.0, 2.0, -1.0], [1, 0, 1, 0], [0, 2, 4]), shape=(2, 2)), False),
+    ], ids=["symmetric", "values", "signed-zero", "one-sided-zero", "unsorted"])
+    def test_symmetry_check_is_one_sided(self, jac, symmetric):
+        # A zero stored on one side only, or unsorted indices, read as not
+        # symmetric: the transposed solve, which is right for any J.
+        assert delsolve_module._is_symmetric(jac) is symmetric
 
 
 class TestSolveBvp:

@@ -141,6 +141,16 @@ class TestDalembertReconstruction:
         with pytest.raises(ValueError, match="residual"):
             dalembert_solve(data)
 
+    @pytest.mark.parametrize("name", ["cubic", "standing:2", "travelling:3"])
+    def test_derivatives_are_the_legendre_derivative_bit_for_bit(self, name):
+        rec = dalembert_solve(wave_exact_solutions(name).trace_square())
+        for s in np.linspace(-1.0, 2.0, 31):
+            f = npleg.legval(s, npleg.legder(rec.f_poly)) + oracles._sin_deriv(s, rec.f_sin)
+            g = (npleg.legval(s - 1.0, npleg.legder(rec.g_poly))
+                 + oracles._sin_deriv(s, rec.g_sin))
+            assert rec.f_prime(s).hex() == float(f).hex()
+            assert rec.g_prime(s).hex() == float(g).hex()
+
     @pytest.mark.parametrize("shift", [0.0, 1.0])
     def test_array_basis_matches_scalar_legval(self, shift):
         # Every argument the solve feeds the basis: s, -s, s - 1, 1 - s, s + 1.
